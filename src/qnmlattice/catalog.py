@@ -20,26 +20,6 @@ class QnmEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    r: float
-    t: float
-
-    def __post_init__(self):
-        if self.r < 1.0:
-            raise ValueError("sector radius must be >= 1")
-        if not (0.0 < self.t <= 0.3):
-            raise ValueError("need 0 < t <= 0.3")
-
-    def contains(self, lam):
-        a = abs(lam)
-        return 1.0 <= a <= self.r and math.atan2(lam.imag, lam.real) > -self.t
-
-
-class CoverageError(RuntimeError):
-    """Raised when the symbol truncation runs out before the sector does."""
-
-
 def validity_radius(G0, frac=0.05):
     """Largest x > 0 where the top retained term is < frac of the sum.
 
@@ -81,47 +61,15 @@ def eval_symbol(G, x, h):
     return out
 
 
-def lattice(p, G, ell_max, sector, check_coverage=True):
-    """All lattice entries inside the sector, one per (ell, n).
-
-    Entries are generated per ell for increasing n until the mode leaves
-    the sector; if the truncation validity radius is hit first, that is a
-    coverage gap (CoverageError unless check_coverage is False).
-    """
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
-    rad = validity_radius(G.levels[0])
-    entries = []
-    gaps = []
-    for ell in range(1, ell_max + 1):
-        h = 1.0 / (ell + 0.5)
-        n = 0
-        while True:
-            x = 2.0 * math.pi * (n + 0.5) * h
-            if x > rad:
-                gaps.append(ell)
-                break
-            lam = complex(eval_symbol(G, x, h)) / h
-            if math.atan2(lam.imag, lam.real) <= -sector.t:
-                break
-            if abs(lam) > sector.r:
-                # |lam| grows with ell at fixed n but shrinks slowly in n;
-                # outside the radius we keep scanning until the arg cutoff
-                n += 1
-                continue
-            if abs(lam) >= 1.0:
-                entries.append(QnmEntry(ell=ell, n=n, lam=lam,
-                                        multiplicity=2 * ell + 1))
-            n += 1
-    if gaps and check_coverage:
-        raise CoverageError("validity radius exceeded before sector "
-                            "boundary at ell in %s" % gaps[:10])
-    return entries
-
-
-def count_modes(entries, sector):
-    """Multiplicity-weighted number of entries inside the sector."""
-    return sum(e.multiplicity for e in entries if sector.contains(e.lam))
+def lattice(G, ell, rad, n_max=None):
+    """lam_{ell,n} = h^{-1} G(2 pi (n+1/2) h; h), h = (ell+1/2)^{-1}, for
+    n = 0, 1, ... while x = 2 pi (n+1/2) h <= rad, and n <= n_max."""
+    h = 1.0 / (ell + 0.5)
+    n_cap = rad / (2.0 * math.pi * h) - 0.5
+    if n_max is not None:
+        n_cap = min(n_cap, n_max)
+    xs = 2.0 * math.pi * (np.arange(math.floor(n_cap) + 1) + 0.5) * h
+    return eval_symbol(G, xs, h) / h
 
 
 def _unwrapped_arg_crossing(G0, t, rad):
@@ -171,43 +119,37 @@ def counting_constant(t, p, G0):
     return c
 
 
-def _count_arithmetic(p, G, sector, rad):
-    """Sector count by per-ell vectorized evaluation (nothing stored)."""
-    g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
-    ell_max = int(math.ceil(sector.r / g0)) + 2
-    total = 0
-    gaps = []
-    for ell in range(1, ell_max + 1):
-        h = 1.0 / (ell + 0.5)
-        # n beyond the arg cutoff cannot re-enter; stop at the validity cap
-        n_cap = int(math.floor(rad / (2.0 * math.pi * h) - 0.5))
-        if n_cap < 0:
-            gaps.append(ell)
-            continue
-        ns = np.arange(n_cap + 1)
-        xs = 2.0 * math.pi * (ns + 0.5) * h
-        lams = eval_symbol(G, xs, h) / h
-        args = np.angle(lams)
-        inside = (args > -sector.t) & (np.abs(lams) >= 1.0) \
-            & (np.abs(lams) <= sector.r)
-        if np.all(args[-1:] > -sector.t):
-            # last computed mode still inside the arg wedge: coverage gap
-            gaps.append(ell)
-        total += (2 * ell + 1) * int(np.sum(inside))
-    return total, gaps
-
-
 def asymptotic_check(p, G, t, r_list):
-    """Table of N(r) / (c r^3) for increasing radii r."""
-    if list(r_list) != sorted(r_list):
+    """Table of N(r) / (c r^3) for increasing radii r.
+
+    N(r) is the multiplicity-weighted number of lattice modes in the
+    sector {1 <= |lam| <= r, arg lam > -t}.  Each ell is walked once, up to
+    the validity radius; radius r counts ell <= ceil(r / |G(0)|) + 2.  An
+    ell whose last mode is still inside the arg wedge (or that has no mode
+    below the validity radius) is a coverage gap of every radius counting it.
+    """
+    radii = np.array(r_list, dtype=float)
+    if list(radii) != sorted(radii):
         raise ValueError("r_list must be increasing")
-    rad = validity_radius(G.levels[0])
+    if radii.size and radii[0] < 1.0:
+        raise ValueError("sector radius must be >= 1")
     c = counting_constant(t, p, G.levels[0])
-    rows = []
-    for r in r_list:
-        sector = SectorSpec(r=float(r), t=t)
-        n, gaps = _count_arithmetic(p, G, sector, rad)
-        rows.append({"r": float(r), "count": n, "c_r3": c * r ** 3,
-                     "ratio": n / (c * r ** 3),
-                     "coverage_gaps": len(gaps)})
-    return rows
+    rad = validity_radius(G.levels[0])
+    g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
+    ell_max = np.ceil(radii / g0).astype(int) + 2
+    counts = np.zeros(radii.size, dtype=int)
+    gaps = np.zeros(radii.size, dtype=int)
+    for ell in range(1, int(ell_max.max(initial=0)) + 1):
+        lams = lattice(G, ell, rad)
+        args = np.angle(lams)
+        mags = np.abs(lams)
+        wedge = mags[(args > -t) & (mags >= 1.0)]
+        active = ell <= ell_max
+        counts[active] += (2 * ell + 1) * np.count_nonzero(
+            wedge[None, :] <= radii[active, None], axis=1)
+        if not (lams.size and args[-1] <= -t):
+            gaps[active] += 1
+    return [{"r": r, "count": n, "c_r3": c * r ** 3,
+             "ratio": n / (c * r ** 3), "coverage_gaps": g}
+            for r, n, g in zip(radii.tolist(), counts.tolist(),
+                               gaps.tolist())]

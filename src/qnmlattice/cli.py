@@ -10,7 +10,6 @@ environment variables (e.g. OMP_NUM_THREADS).
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -83,10 +82,14 @@ def validate_config(cfg):
         raise ConfigError("t out of (0, 0.3]")
     if list(cfg["r_list"]) != sorted(cfg["r_list"]):
         raise ConfigError("r_list must be increasing")
-    if not (2 <= int(cfg["series_degree"]) <= 20):
-        raise ConfigError("series_degree out of [2, 20]")
+    if any(float(r) < 1.0 for r in cfg["r_list"]):
+        raise ConfigError("r_list entries must be >= 1")
     if int(cfg["h_order"]) not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
+    deg_min = 2 * int(cfg["h_order"]) + 4
+    if not (deg_min <= int(cfg["series_degree"]) <= 20):
+        raise ConfigError("series_degree out of [%d, 20] for h_order %d"
+                          % (deg_min, int(cfg["h_order"])))
     if int(cfg["basis_size"]) < 8:
         raise ConfigError("basis_size must be >= 8")
     if int(cfg["x_points"]) < 0:
@@ -180,14 +183,9 @@ def cmd_lattice(cfg):
     lo, hi = int(cfg["ell_range"][0]), int(cfg["ell_range"][1])
     rows = []
     for ell in range(lo, hi + 1):
-        h = 1.0 / (ell + 0.5)
-        for n in range(int(cfg["n_max"]) + 1):
-            x = 2.0 * math.pi * (n + 0.5) * h
-            if x > rad:
-                break
-            lam = complex(catalog.eval_symbol(G, x, h)) / h
-            rows.append((ell, n, float(lam.real), float(lam.imag),
-                         2 * ell + 1))
+        lams = catalog.lattice(G, ell, rad, int(cfg["n_max"]))
+        rows += [(ell, n, float(lam.real), float(lam.imag), 2 * ell + 1)
+                 for n, lam in enumerate(lams)]
     if cfg["format"] == "json":
         return json_doc(cfg, [list(r) for r in rows])
     return csv_table(cfg, ["ell", "n", "re_lambda", "im_lambda",

@@ -44,11 +44,9 @@ class QuadraticReduction:
 class NormalFormResult:
     mu: complex
     linmap: tuple
-    generators: tuple      # degree-graded Series2 generators (classical)
     g: Series1             # Vey-normalized: g(t) = t + O(t^2)
     f: Series1             # Jacobian factor, f(0) = 1
     S: Series1             # action, mu S'(w) = 2 pi f(w), S(0) = 0
-    g_eig: Series1         # eigenvalue curve g_eig(w) = g(mu w)
 
 
 def _range_admissible(q, samples=256):
@@ -178,22 +176,18 @@ def classical_bnf(p_taylor, degree):
     (a, b), (c, d) = red.linmap
     mu = red.mu
     p = p.subs_linear(a, b, c, d)
-    gens = []
     for dgr in range(3, N + 1):
         r_off = p.homogeneous_part(dgr).off_diagonal()
         if not r_off.coeffs:
             continue
         a_h, _ = homological_solve(r_off)
-        gen = (1.0 / (1j * mu)) * a_h
-        gens.append(gen)
-        p = _flow_apply(p, gen, N)
+        p = _flow_apply(p, (1.0 / (1j * mu)) * a_h, N)
     g_eig = p.diagonal()
     # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
     g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])
     f = _f_from_g(g)
     S = (TWO_PI / mu) * f.integ()
-    return NormalFormResult(mu=mu, linmap=red.linmap, generators=tuple(gens),
-                            g=g, f=f, S=S, g_eig=g_eig)
+    return NormalFormResult(mu=mu, linmap=red.linmap, g=g, f=f, S=S)
 
 
 def _f_from_g(g):
@@ -471,7 +465,7 @@ def weyl_monomial_action(levels, K, k_z, nw):
 # assembly of the mode symbol
 
 
-def qnm_symbol(p, degree=10, h_order=2, return_parts=False):
+def qnm_symbol(p, degree=10, h_order=2):
     """Mode symbol G(x; h): lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
     G_0(x) = sqrt(E0 + g_eig(SPECTRAL_ARG * x)) with g_eig the classical
@@ -497,15 +491,12 @@ def qnm_symbol(p, degree=10, h_order=2, return_parts=False):
     (a, b), (c, d) = red.linmap
     sym = HGraded({k: s.subs_linear(a, b, c, d)
                    for k, s in sym.levels.items()}, K)
-    nf_gens = []
     for dgr in range(3, N + 1):
         r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
         if not r_off.coeffs:
             continue
         a_h, _ = homological_solve(r_off)
-        gen = (1.0 / (1j * red.mu)) * a_h
-        nf_gens.append(gen)
-        sym = conjugate_classical(sym, gen, K, N)
+        sym = conjugate_classical(sym, (1.0 / (1j * red.mu)) * a_h, K, N)
     gw = quantum_average(sym, K, N)
     gs = weyl_to_spectral(gw, K)
     # substitute s = SPECTRAL_ARG * x and build sqrt(E0 + .)
@@ -524,9 +515,5 @@ def qnm_symbol(p, degree=10, h_order=2, return_parts=False):
     G = hcompose(HGraded({0: sqrtE}, K), u)
     # coefficient of x^j at h-level k needs bivariate degree 2j + 2k; keep
     # only the fully resolved part of each level
-    G = HGraded({k: lvl.truncate(max(N // 2 - k, 0))
-                 for k, lvl in G.levels.items()}, K)
-    if return_parts:
-        return G, {"critical": cd, "reduction": red, "symbol": sym,
-                   "g_weyl": gw, "g_spec": gs}
-    return G
+    return HGraded({k: lvl.truncate(max(N // 2 - k, 0))
+                    for k, lvl in G.levels.items()}, K)

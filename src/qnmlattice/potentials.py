@@ -6,11 +6,11 @@ potential splits as W(x, h) = W0(x) + h^2 W1(x) in the tortoise
 coordinate x, and the barrier top sits at r = 3m.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .series import Series1
 
@@ -47,38 +47,13 @@ class CriticalData:
 
 def alpha_squared(r, p):
     """alpha(r)^2 = 1 - 2m/r - (1/3) lam r^2 (complex-safe)."""
-    if r == 0:
+    if np.any(r == 0):
         raise ValueError("r = 0 outside the domain")
     return 1.0 - 2.0 * p.m / r - p.lam * r * r / 3.0
 
 
 def _dalpha2_dr(r, p):
     return 2.0 * p.m / r ** 2 - 2.0 * p.lam * r / 3.0
-
-
-def lambert_w0(z, tol=1e-15, max_iter=12):
-    """Principal branch of the Lambert W function by Halley iteration.
-
-    Accepts real or complex arguments away from the branch point -1/e.
-    """
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    # seed: series near 0, log-asymptotic otherwise
-    if abs(z) < 1.0:
-        w = z * (1.0 - z + 1.5 * z * z)
-    else:
-        lz = cmath.log(z)
-        w = lz - cmath.log(lz) if abs(lz) > 1.0 else lz
-    for _ in range(max_iter):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        dw = f / denom
-        w = w - dw
-        if abs(dw) <= tol * max(1.0, abs(w)):
-            break
-    return w
 
 
 def horizon_roots(p):
@@ -98,35 +73,69 @@ def horizon_roots(p):
                        a0=a0, a_minus=am, a_plus=ap)
 
 
+@dataclass(frozen=True)
+class _Tortoise:
+    """The log structure of the tortoise coordinate, for roots (a, c, s):
+
+    x(r) = lin * r + sum c log(s (r - a)),   alpha^2 = k prod s (r - a) / r.
+
+    lam = 0 has the one root (2m, 2m, +1) with lin = k = 1; lam > 0 has the
+    three roots of r alpha^2 with their residues, lin = 0 and k = lam/3.
+    The signs s make every log argument positive between the horizons.
+    """
+    lin: float
+    k: float
+    roots: tuple
+
+    def x(self, r, skip=None):
+        """x(r), leaving out the log term of root `skip`."""
+        return self.lin * r + sum(c * np.log(s * (r - a))
+                                  for i, (a, c, s) in enumerate(self.roots)
+                                  if i != skip)
+
+    def alpha2(self, r, skip=None):
+        """alpha^2(r), divided by s (r - a) of root `skip`."""
+        out = self.k / r
+        for i, (a, _, s) in enumerate(self.roots):
+            if i != skip:
+                out = out * (s * (r - a))
+        return out
+
+
+def _tortoise_terms(p, horizons=None):
+    if p.lam == 0:
+        return _Tortoise(1.0, 1.0, ((2.0 * p.m, 2.0 * p.m, 1.0),))
+    hz = horizons or horizon_roots(p)
+    return _Tortoise(0.0, p.lam / 3.0,
+                     ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
+                      (hz.r_plus, hz.a_plus, -1.0)))
+
+
 def tortoise(r, p, horizons=None):
     """x(r) with dx/dr = 1/alpha^2, real-valued on the exterior region."""
-    if p.lam == 0:
-        if not r > 2.0 * p.m:
-            raise ValueError("need r > 2m")
-        return r + 2.0 * p.m * math.log(r - 2.0 * p.m)
-    hz = horizons or horizon_roots(p)
-    if not (hz.r_minus < r < hz.r_plus):
-        raise ValueError("need r_minus < r < r_plus")
-    return (hz.a0 * math.log(r - hz.r0)
-            + hz.a_minus * math.log(r - hz.r_minus)
-            + hz.a_plus * math.log(hz.r_plus - r))
+    tt = _tortoise_terms(p, horizons)
+    if not all(s * (r - a) > 0 for a, _, s in tt.roots):
+        raise ValueError("need r between the horizons")
+    return float(tt.x(r))
 
 
 def inverse_tortoise(x, p, horizons=None):
-    """r(x) on the real line; Lambert W for lam = 0, Newton for lam > 0."""
+    """r(x) on the real line: Wright omega for lam = 0 (x may be an
+    array), safeguarded Newton for lam > 0."""
     if p.lam == 0:
-        arg = cmath.exp(x / (2.0 * p.m) - 1.0) / (2.0 * p.m)
-        r = 2.0 * p.m + 2.0 * p.m * lambert_w0(arg).real
-        return r
+        # x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)
+        return 2.0 * p.m * (1.0 + scipy.special.wrightomega(
+            np.asarray(x, dtype=float) / (2.0 * p.m) - 1.0
+            - math.log(2.0 * p.m)))
     hz = horizons or horizon_roots(p)
+    tt = _tortoise_terms(p, hz)
     lo, hi = hz.r_minus, hz.r_plus
     r = 3.0 * p.m
     for _ in range(200):
-        f = tortoise(r, p, hz) - x
+        f = tt.x(r) - x
         if abs(f) < 1e-14 * max(1.0, abs(x)):
             break
-        step = -f * alpha_squared(r, p)
-        rn = r + step
+        rn = r - f * tt.alpha2(r)
         if not (lo < rn < hi):
             # bisection safeguard
             if f > 0:
@@ -145,91 +154,37 @@ def inverse_tortoise(x, p, horizons=None):
     return r
 
 
-def _continue_log_variable(x, p, hz, anchor, coeff, sign, eps0):
-    """Solve x(r) = x near one horizon in the variable L = log |r - anchor|.
+def _continue(x, tt, u, root=None):
+    """Homotopy-Newton continuation of x(r) = x from real-axis seeds u.
 
-    r = anchor + sign * e^L, and x(r) = coeff * L + (smooth part).  Working
-    in L avoids the catastrophic cancellation of forming r - anchor when the
-    distance is exponentially small, and makes winding in Im(x) automatic.
+    The unknown u is r itself, or, for the index `root` of a root (a, c, s),
+    the log-distance L = log(s (r - a)): then r = a + s e^L and
+    x(r) = c L + (the other terms), which avoids the cancellation of
+    forming r - a when it is exponentially small and makes winding in
+    Im(x) automatic.  Returns r and |x(r) - x|.
     """
-    if p.lam == 0:
-        smooth0 = anchor
-    elif anchor == hz.r_minus:
-        smooth0 = (hz.a0 * math.log(anchor - hz.r0)
-                   + hz.a_plus * math.log(hz.r_plus - anchor))
+    if root is None:
+        def solve(u):
+            return u, tt.x(u), tt.alpha2(u)
     else:
-        smooth0 = (hz.a0 * math.log(anchor - hz.r0)
-                   + hz.a_minus * math.log(anchor - hz.r_minus))
-    # asymptotic seed if the real-line distance underflowed
-    L = np.where(eps0 > 0, np.log(np.maximum(eps0, 1e-300)),
-                 (x.real - smooth0) / coeff).astype(complex)
-    max_im = float(np.max(np.abs(x.imag))) if x.size else 0.0
-    nsteps = max(4, int(math.ceil(max_im * 2.0)))
+        a, c, s = tt.roots[root]
+
+        def solve(u):
+            # dx/dL = s e^L / alpha^2; alpha^2 / e^L in factored form stays
+            # finite when e^L underflows below the ulp of r
+            r = a + s * np.exp(u)
+            return r, c * u + tt.x(r, skip=root), tt.alpha2(r, skip=root) / s
+    nsteps = max(4, int(math.ceil(float(np.max(np.abs(x.imag))) * 2.0)))
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
         for _ in range(40):
-            eps = np.exp(L)
-            r = anchor + sign * eps
-            if p.lam == 0:
-                smooth = r
-            elif anchor == hz.r_minus:
-                smooth = (hz.a0 * np.log(r - hz.r0)
-                          + hz.a_plus * np.log(hz.r_plus - r))
-            else:
-                smooth = (hz.a0 * np.log(r - hz.r0)
-                          + hz.a_minus * np.log(r - hz.r_minus))
-            f = coeff * L + smooth - xt
-            # dx/dL = sign*eps/alpha^2; alpha^2/eps in factored form stays
-            # finite when eps underflows below the ulp of r
-            if p.lam == 0:
-                a2_over_eps = 1.0 / r
-            elif anchor == hz.r_minus:
-                a2_over_eps = (p.lam / 3.0) * (r - hz.r0) * (hz.r_plus - r) / r
-            else:
-                a2_over_eps = (p.lam / 3.0) * (r - hz.r0) * (r - hz.r_minus) / r
-            dL = -f * a2_over_eps / sign
-            L = L + dL
-            if np.max(np.abs(dL)) < 1e-13:
+            _, xu, du_dx = solve(u)
+            du = -(xu - xt) * du_dx
+            u = u + du
+            if np.max(np.abs(du)) < 1e-13 * max(1.0, np.max(np.abs(u))):
                 break
-    eps = np.exp(L)
-    r = anchor + sign * eps
-    if p.lam == 0:
-        resid = coeff * L + r - x
-    elif anchor == hz.r_minus:
-        resid = (coeff * L + hz.a0 * np.log(r - hz.r0)
-                 + hz.a_plus * np.log(hz.r_plus - r) - x)
-    else:
-        resid = (coeff * L + hz.a0 * np.log(r - hz.r0)
-                 + hz.a_minus * np.log(r - hz.r_minus) - x)
-    return r, np.abs(resid)
-
-
-def _continue_plain(x, p, hz, r0):
-    """Newton continuation of r(x) away from horizons (principal logs)."""
-    r = r0.astype(complex)
-    max_im = float(np.max(np.abs(x.imag))) if x.size else 0.0
-    nsteps = max(4, int(math.ceil(max_im * 2.0)))
-    for j in range(1, nsteps + 1):
-        xt = x.real + 1j * x.imag * (j / nsteps)
-        for _ in range(40):
-            if p.lam == 0:
-                f = r + 2.0 * p.m * np.log(r - 2.0 * p.m) - xt
-            else:
-                f = (hz.a0 * np.log(r - hz.r0)
-                     + hz.a_minus * np.log(r - hz.r_minus)
-                     + hz.a_plus * np.log(hz.r_plus - r) - xt)
-            a2 = 1.0 - 2.0 * p.m / r - p.lam * r * r / 3.0
-            dr = -f * a2
-            r = r + dr
-            if np.max(np.abs(dr)) < 1e-13 * np.max(np.abs(r)):
-                break
-    if p.lam == 0:
-        resid = np.abs(r + 2.0 * p.m * np.log(r - 2.0 * p.m) - x)
-    else:
-        resid = np.abs(hz.a0 * np.log(r - hz.r0)
-                       + hz.a_minus * np.log(r - hz.r_minus)
-                       + hz.a_plus * np.log(hz.r_plus - r) - x)
-    return r, resid
+    r, xu, _ = solve(u)
+    return r, np.abs(xu - x)
 
 
 def inverse_tortoise_complex(x, p, horizons=None):
@@ -243,29 +198,32 @@ def inverse_tortoise_complex(x, p, horizons=None):
     shape = x.shape
     xf = x.ravel()
     hz = None if p.lam == 0 else (horizons or horizon_roots(p))
-    r_real = np.array([inverse_tortoise(xr, p, hz) for xr in xf.real])
+    tt = _tortoise_terms(p, hz)
+    if p.lam == 0:
+        r_real = inverse_tortoise(xf.real, p)
+        near = p.m
+    else:
+        r_real = np.array([inverse_tortoise(xr, p, hz) for xr in xf.real])
+        near = 0.25 * (hz.r_plus - hz.r_minus)
     out = np.zeros(xf.shape, dtype=complex)
     resid = np.zeros(xf.shape)
-    if p.lam == 0:
-        near = r_real - 2.0 * p.m < p.m
-        groups = [(near, 2.0 * p.m, 2.0 * p.m, 1.0)]
-    else:
-        span = hz.r_plus - hz.r_minus
-        near_m = r_real - hz.r_minus < 0.25 * span
-        near_p = hz.r_plus - r_real < 0.25 * span
-        groups = [(near_m, hz.r_minus, hz.a_minus, 1.0),
-                  (near_p, hz.r_plus, hz.a_plus, -1.0)]
-    covered = np.zeros(xf.shape, dtype=bool)
-    for mask, anchor, coeff, sign in groups:
+    rest = np.ones(xf.shape, dtype=bool)
+    # the root r0 < 0 of lam > 0 is never within `near` of the exterior
+    for i, (a, c, s) in enumerate(tt.roots):
+        eps0 = s * (r_real - a)
+        mask = eps0 < near
         if np.any(mask):
-            eps0 = sign * (r_real[mask] - anchor)
-            out[mask], resid[mask] = _continue_log_variable(
-                xf[mask], p, hz, anchor, coeff, sign, eps0)
-        covered |= mask
-    rest = ~covered
+            # asymptotic seed where the real-line distance underflowed
+            L = np.where(eps0[mask] > 0,
+                         np.log(np.maximum(eps0[mask], 1e-300)),
+                         (xf.real[mask] - tt.x(a, skip=i)) / c)
+            out[mask], resid[mask] = _continue(xf[mask], tt,
+                                               L.astype(complex), i)
+        rest &= ~mask
     if np.any(rest):
-        out[rest], resid[rest] = _continue_plain(xf[rest], p, hz, r_real[rest])
-    bad = resid > 1e-9 * np.maximum(1.0, np.abs(xf))
+        out[rest], resid[rest] = _continue(xf[rest], tt,
+                                           r_real[rest].astype(complex))
+    bad = ~(resid <= 1e-9 * np.maximum(1.0, np.abs(xf)))
     if np.any(bad):
         raise RuntimeError("tortoise continuation failed at %d points"
                            % int(np.sum(bad)))
@@ -286,38 +244,26 @@ def critical_data(p):
     return CriticalData(r_crit=r_crit, x0=x0, E0=E0, c0=E0 * E0)
 
 
-def potential_W(x, h, p):
-    """W(x, h) = W0 + h^2 W1 at real or complex tortoise coordinate x."""
-    if isinstance(x, (float, int)) or (isinstance(x, complex) and x.imag == 0):
-        r = inverse_tortoise(float(np.real(x)), p)
-    else:
-        r = complex(inverse_tortoise_complex(np.array([x]), p)[0])
-    a2 = alpha_squared(r, p)
-    w0 = a2 / r ** 2
-    if h == 0:
-        return w0
-    w1 = w0 * (r * _dalpha2_dr(r, p) - 0.25)
-    return w0 + h * h * w1
-
-
 def potential_W_parts(x_arr, p):
-    """Vectorized (W0, W1) on a complex array of tortoise coordinates."""
+    """Vectorized (W0, W1) on a complex array of tortoise coordinates,
+    with W = W0 + h^2 W1."""
     r = inverse_tortoise_complex(np.asarray(x_arr, dtype=complex), p)
-    a2 = 1.0 - 2.0 * p.m / r - p.lam * r * r / 3.0
-    w0 = a2 / r ** 2
-    w1 = w0 * (r * (2.0 * p.m / r ** 2 - 2.0 * p.lam * r / 3.0) - 0.25)
-    return w0, w1
+    w0 = alpha_squared(r, p) / r ** 2
+    return w0, w0 * (r * _dalpha2_dr(r, p) - 0.25)
 
 
-def _alpha2_series(p, N):
-    """Series of alpha^2(3m + rho) in rho."""
+def _barrier_series(p, N):
+    """W0 = alpha^2/r^2, r and 1/r as series in rho = r - 3m, and the
+    reversion rho(x) of x(3m + rho) - x0."""
     m, lam = p.m, p.lam
     # 1/(3m + rho) = (1/3m) sum (-rho/3m)^k
     inv_r = Series1([(1.0 / (3.0 * m)) * (-1.0 / (3.0 * m)) ** k
                      for k in range(N + 1)])
-    rho = Series1.identity(N)
-    r = 3.0 * m + rho
-    return 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r), inv_r
+    r = 3.0 * m + Series1.identity(N)
+    a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
+    # x(3m+rho) - x0 = integral of 1/alpha^2 d rho
+    rho_of_x = a2.reciprocal().integ().truncate(N).reversion()
+    return a2 * inv_r * inv_r, r, inv_r, rho_of_x
 
 
 def shifted_potential_taylor(p, N):
@@ -328,11 +274,8 @@ def shifted_potential_taylor(p, N):
     if N > 32:
         raise ValueError("degree capped at 32")
     Np = N + 4  # working margin
-    a2, inv_r = _alpha2_series(p, Np)
-    # x(3m+rho) - x0 = integral of 1/alpha^2 d rho
-    xt = a2.reciprocal().integ().truncate(Np)
-    rho_of_x = xt.reversion()
-    u = (a2 * inv_r * inv_r).compose(rho_of_x)
+    w0, _, _, rho_of_x = _barrier_series(p, Np)
+    u = w0.compose(rho_of_x)
     cd = critical_data(p)
     coeffs = list(u.coeffs)
     coeffs[0] -= cd.E0
@@ -346,13 +289,6 @@ def shifted_potential_taylor(p, N):
 
 def subprincipal_taylor(p, N):
     """Taylor series of W1(x0 + x) at the barrier top."""
-    Np = N + 4
-    a2, inv_r = _alpha2_series(p, Np)
-    xt = a2.reciprocal().integ().truncate(Np)
-    rho_of_x = xt.reversion()
-    m, lam = p.m, p.lam
-    rho = Series1.identity(Np)
-    r = 3.0 * m + rho
-    da2 = 2.0 * m * (inv_r * inv_r) - (2.0 * lam / 3.0) * r
-    w1 = (a2 * inv_r * inv_r) * (r * da2 - 0.25)
-    return w1.compose(rho_of_x).truncate(N)
+    w0, r, inv_r, rho_of_x = _barrier_series(p, N + 4)
+    da2 = 2.0 * p.m * (inv_r * inv_r) - (2.0 * p.lam / 3.0) * r
+    return (w0 * (r * da2 - 0.25)).compose(rho_of_x).truncate(N)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import DenseComplexMatrix, _u2_matrix, eigensolve
+from .scaling import _u2_matrix, eigensolve
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def hermite_galerkin_matrix(cfg):
     k = np.arange(n)
     mat = np.diag((2.0 * k + 1.0) * h).astype(complex)
     mat += (1j - 1.0) * h * _u2_matrix(n)
-    return DenseComplexMatrix(dim=n, entries=mat, complex_symmetric=True,
-                              metadata={"h": h, "operator": "rotated-ho"})
+    return mat
 
 
 def instability_report(cfg):

@@ -7,7 +7,7 @@ frequencies lambda = h^{-1} sqrt(z).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +16,9 @@ import scipy.special
 from .catalog import QnmEntry
 from .potentials import critical_data, potential_W_parts
 
+WINDOW = 2.0        # spectral window |z - E0| <= WINDOW * E0
+QUAD_FACTOR = 2     # quadrature nodes = QUAD_FACTOR * basis_size
+
 
 @dataclass(frozen=True)
 class ScalingConfig:
@@ -23,8 +26,6 @@ class ScalingConfig:
     h: float = 0.5
     basis_size: int = 128
     basis_scale: float = 0.0   # 0 -> automatic c0^{-1/4} sqrt(h)
-    window: float = 2.0        # |z - E0| <= window * E0
-    quad_factor: int = 2       # quadrature nodes = quad_factor * basis_size
     stab_rel: float = 1e-6     # self-convergence filter on window eigenvalues
 
     def __post_init__(self):
@@ -34,14 +35,6 @@ class ScalingConfig:
             raise ValueError("basis_size must be positive")
         if self.h <= 0:
             raise ValueError("h must be positive")
-
-
-@dataclass
-class DenseComplexMatrix:
-    dim: int
-    entries: np.ndarray
-    complex_symmetric: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 def hermite_function_values(nmax, u):
@@ -140,8 +133,8 @@ def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
     return {"min_ratio": best, "argmin": argmin, "empty_domain": False}
 
 
-def build_scaled_operator(cfg, p=None, potential=None, include_w1=True):
-    """Galerkin matrix of the complex-scaled operator.
+def build_scaled_operator(cfg, p=None, potential=None):
+    """Galerkin matrix of the complex-scaled operator (complex symmetric).
 
     Basis: Hermite functions of t/sigma centered at the barrier top, on the
     contour x = x0 + (1+i theta) t.  `potential` overrides the black-hole
@@ -159,7 +152,7 @@ def build_scaled_operator(cfg, p=None, potential=None, include_w1=True):
             raise ValueError("need params or explicit basis_scale")
         cd = critical_data(p)
         sigma = cd.c0 ** -0.25 * math.sqrt(h)
-    npts = max(cfg.quad_factor * n, n + 8)
+    npts = max(QUAD_FACTOR * n, n + 8)
     u, what = hermite_quadrature(npts)
     t = sigma * u
     if potential is not None:
@@ -168,33 +161,20 @@ def build_scaled_operator(cfg, p=None, potential=None, include_w1=True):
         cd = critical_data(p)
         xc = cd.x0 + (1.0 + 1j * th) * t
         w0, w1 = potential_W_parts(xc, p)
-        wvals = w0 + (h * h * w1 if include_w1 else 0.0)
+        wvals = w0 + h * h * w1
     hv = hermite_function_values(n - 1, u)
     pot = (hv * (what * wvals)) @ hv.T
     kin = -(h / sigma) ** 2 * _d2_matrix(n)
     if potential is None:
         kin = kin * (1.0 + 1j * th) ** -2
-    mat = kin.astype(complex) + pot
-    meta = {"sigma": sigma, "theta": th, "h": h, "quad_points": npts,
-            "contour": "barrier-top" if potential is None else "custom"}
-    return DenseComplexMatrix(dim=n, entries=mat, complex_symmetric=True,
-                              metadata=meta)
+    return kin.astype(complex) + pot
 
 
-def eigensolve(mat, with_residuals=False):
+def eigensolve(mat):
     """All eigenvalues of a dense complex matrix, deterministically sorted."""
-    m = mat.entries if isinstance(mat, DenseComplexMatrix) else np.asarray(mat)
+    m = np.asarray(mat)
     if m.shape[0] > 2000:
         raise ValueError("matrix too large")
-    if with_residuals:
-        vals, vecs = scipy.linalg.eig(m)
-        res = []
-        for k in range(len(vals)):
-            v = vecs[:, k]
-            res.append(float(np.linalg.norm(m @ v - vals[k] * v)
-                             / np.linalg.norm(v)))
-        order = np.lexsort((vals.imag, vals.real))
-        return vals[order], np.asarray(res)[order]
     vals = scipy.linalg.eigvals(m)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
@@ -203,7 +183,7 @@ def eigensolve(mat, with_residuals=False):
 def qnm_direct(ell, cfg, p, max_modes=None):
     """Mode frequencies near the barrier top from the direct eigensolver.
 
-    Eigenvalues z of the scaled operator with |z - E0| < window*E0 are
+    Eigenvalues z of the scaled operator with |z - E0| < WINDOW*E0 are
     mapped to lambda = h^{-1} sqrt(z) (branch Re > 0); entries are ordered
     by increasing damping (n = 0 least damped).
     """
@@ -211,16 +191,12 @@ def qnm_direct(ell, cfg, p, max_modes=None):
         raise ValueError("ell must be >= 1")
     h = 1.0 / (ell + 0.5)
     if abs(h - cfg.h) > 1e-12 * h:
-        cfg = ScalingConfig(theta=cfg.theta, h=h, basis_size=cfg.basis_size,
-                            basis_scale=cfg.basis_scale, window=cfg.window,
-                            quad_factor=cfg.quad_factor, stab_rel=cfg.stab_rel)
+        cfg = replace(cfg, h=h)
     cd = critical_data(p)
     vals = eigensolve(build_scaled_operator(cfg, p))
-    cfg2 = ScalingConfig(theta=cfg.theta, h=h, basis_size=cfg.basis_size + 40,
-                         basis_scale=cfg.basis_scale, window=cfg.window,
-                         quad_factor=cfg.quad_factor, stab_rel=cfg.stab_rel)
+    cfg2 = replace(cfg, h=h, basis_size=cfg.basis_size + 40)
     vals2 = eigensolve(build_scaled_operator(cfg2, p))
-    win = np.abs(vals - cd.E0) <= cfg.window * cd.E0
+    win = np.abs(vals - cd.E0) <= WINDOW * cd.E0
     # the discretized, scaling-rotated continuum clusters near z = 0;
     # barrier-top modes stay at |z| comparable to the barrier height
     win &= np.abs(vals) >= 0.6 * cd.E0

@@ -387,9 +387,6 @@ class Series2:
         return Series2({k: c for k, c in self.coeffs.items()
                         if k[0] + k[1] == d}, self.trunc_order)
 
-    def max_degree_present(self):
-        return max((m + n for (m, n) in self.coeffs), default=0)
-
     def diagonal(self):
         """Coefficients with m = n, as a Series1 in w = z*zeta."""
         nw = self.trunc_order // 2
@@ -402,10 +399,6 @@ class Series2:
     def off_diagonal(self):
         return Series2({k: c for k, c in self.coeffs.items()
                         if k[0] != k[1]}, self.trunc_order)
-
-    def is_diagonal(self, tol=0.0):
-        return all(abs(complex(c)) <= tol for k, c in self.coeffs.items()
-                   if k[0] != k[1])
 
     @classmethod
     def from_diagonal(cls, s, trunc_order):
@@ -507,12 +500,6 @@ class HGraded:
         return HGraded({k: c * s for k, s in self.levels.items()},
                        self.h_order)
 
-    def shift_h(self, j):
-        """Multiply by h^j."""
-        return HGraded({k + j: s for k, s in self.levels.items()
-                        if k + j <= self.h_order + j},
-                       self.h_order + j)
-
     def max_abs(self):
         out = 0.0
         for s in self.levels.values():
@@ -528,32 +515,6 @@ class HGraded:
         return {"h_order": self.h_order,
                 "levels": {str(k): s.to_json()
                            for k, s in sorted(self.levels.items())}}
-
-
-# ---------------------------------------------------------------------------
-# free-function wrappers for the series operations
-
-
-def series_mul(a, b):
-    if isinstance(a, Series1) != isinstance(b, Series1):
-        raise TypeError("series_mul: mixed variable arity")
-    return a * b
-
-
-def series_compose(f, g):
-    return f.compose(g)
-
-
-def series_reciprocal(a):
-    return a.reciprocal()
-
-
-def series_sqrt(a, branch_at_0=None):
-    return a.sqrt(branch_at_0)
-
-
-def hgraded_univariate(levels, h_order):
-    return HGraded(levels, h_order)
 
 
 def hcompose(F, G):

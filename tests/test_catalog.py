@@ -8,10 +8,8 @@ import pytest
 from qnmlattice.series import HGraded, Series1
 from qnmlattice.potentials import BlackHoleParams
 from qnmlattice.normalform import qnm_symbol
-from qnmlattice.catalog import (CoverageError, QnmEntry, SectorSpec,
-                                asymptotic_check, count_modes,
-                                counting_constant, eval_symbol, lattice,
-                                validity_radius)
+from qnmlattice.catalog import (asymptotic_check, counting_constant,
+                                eval_symbol, lattice, validity_radius)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -20,18 +18,14 @@ def g_symbol(p=P1, degree=10):
     return qnm_symbol(p, degree=degree, h_order=2)
 
 
-def test_sector_spec_validation():
+def test_asymptotic_check_validates_sector():
+    G = g_symbol()
     with pytest.raises(ValueError):
-        SectorSpec(r=0.5, t=0.1)
+        asymptotic_check(P1, G, 0.1, [0.5, 10.0])
     with pytest.raises(ValueError):
-        SectorSpec(r=10.0, t=0.0)
+        asymptotic_check(P1, G, 0.0, [10.0])
     with pytest.raises(ValueError):
-        SectorSpec(r=10.0, t=0.4)
-    s = SectorSpec(r=10.0, t=0.1)
-    assert s.contains(2.0 - 0.1j)
-    assert not s.contains(2.0 - 1.0j)
-    assert not s.contains(0.5)
-    assert not s.contains(11.0)
+        asymptotic_check(P1, G, 0.4, [10.0])
 
 
 def test_validity_radius_linear_symbol():
@@ -58,21 +52,41 @@ def test_eval_symbol_matches_manual_sum():
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def walk(G, ell_max, r, t):
+    """(ell, n) -> lam for the walker's modes with |lam| <= r, arg > -t."""
+    rad = validity_radius(G.levels[0])
+    return {(ell, n): complex(lam)
+            for ell in range(1, ell_max + 1)
+            for n, lam in enumerate(lattice(G, ell, rad))
+            if abs(lam) <= r and np.angle(lam) > -t}
+
+
 def test_lattice_leading_order_positions():
     # lam ~ ((l+1/2) - i(n+1/2)) (1-9 Lam m^2)^{1/2} / (3 sqrt3 m)
     G = g_symbol()
-    sector = SectorSpec(r=4.0, t=0.3)
-    entries = lattice(P1, G, 6, sector)
-    assert entries
+    modes = walk(G, 6, 4.0, 0.3)
+    assert modes
     s27 = 3.0 * math.sqrt(3.0)
-    by_key = {(e.ell, e.n): e for e in entries}
-    assert len(by_key) == len(entries)  # one mode per (ell, n)
-    for e in entries:
-        approx = complex(e.ell + 0.5, -(e.n + 0.5)) / s27
+    for (ell, n), lam in modes.items():
+        approx = complex(ell + 0.5, -(n + 0.5)) / s27
         # expansion parameter is (n+1/2)/(l+1/2)
-        tol = 0.35 * (e.n + 0.5) / (e.ell + 0.5) + 0.01
-        assert abs(e.lam - approx) <= tol * abs(approx), (e.ell, e.n)
-        assert e.multiplicity == 2 * e.ell + 1
+        tol = 0.35 * (n + 0.5) / (ell + 0.5) + 0.01
+        assert abs(lam - approx) <= tol * abs(approx), (ell, n)
+
+
+def test_lattice_walk_stops_at_validity_radius_and_n_max():
+    G = g_symbol()
+    rad = validity_radius(G.levels[0])
+    for ell in (1, 4, 9):
+        h = 1.0 / (ell + 0.5)
+        lams = lattice(G, ell, rad)
+        xs = 2.0 * math.pi * (np.arange(lams.size + 1) + 0.5) * h
+        assert np.all(xs[:-1] <= rad) and xs[-1] > rad
+        for n, lam in enumerate(lams):
+            want = complex(eval_symbol(G, xs[n], h)) / h
+            assert abs(lam - want) <= 1e-15 * abs(want)
+        assert np.array_equal(lattice(G, ell, rad, n_max=2), lams[:3])
+        assert lattice(G, ell, 0.1).size == 0
 
 
 def test_lattice_reference_mode_ell2():
@@ -91,32 +105,40 @@ def test_lattice_de_sitter_scaling():
     lam9 = 0.3
     p = BlackHoleParams(m=1.0, lam=lam9 / 9.0)
     G = qnm_symbol(p, degree=10, h_order=2)
-    entries = lattice(p, G, 5, SectorSpec(r=3.0, t=0.25))
+    modes = walk(G, 5, 3.0, 0.25)
     fac = math.sqrt(1.0 - lam9)
     s27 = 3.0 * math.sqrt(3.0)
-    for e in entries:
-        if e.n == 0:
-            approx = complex(e.ell + 0.5, -0.5) * fac / s27
-            assert abs(e.lam - approx) <= 0.05 * abs(approx), e.ell
+    for (ell, n), lam in modes.items():
+        if n == 0:
+            approx = complex(ell + 0.5, -0.5) * fac / s27
+            assert abs(lam - approx) <= 0.05 * abs(approx), ell
 
 
-def test_lattice_coverage_error():
-    # a slowly-turning handmade symbol exhausts its validity radius before
-    # the arg cutoff
-    G = HGraded({0: Series1([1.0, -0.001 - 0.0001j], 1)}, 0)
-    with pytest.raises(CoverageError):
-        lattice(P1, G, 3, SectorSpec(r=100.0, t=0.3))
-    entries = lattice(P1, G, 3, SectorSpec(r=100.0, t=0.3),
-                      check_coverage=False)
-    assert isinstance(entries, list)
+def test_lattice_coverage_gaps():
+    # a symbol whose arg reaches -0.3 close to its validity radius (~9.98):
+    # the walks of ell = 1 and 2 end at the radius still inside the wedge
+    G = HGraded({0: Series1([1.0, -0.036j, 5.6e-4], 2)}, 0)
+    rad = validity_radius(G.levels[0])
+    assert [np.angle(lattice(G, ell, rad)[-1]) > -0.3
+            for ell in range(1, 5)] == [True, True, False, False]
+    rows = asymptotic_check(P1, G, 0.3, [1.0, 3.0])
+    assert [row["coverage_gaps"] for row in rows] == [2, 2]
+    # validity radius ~1.62 < pi h at ell = 1, which so has no mode at all;
+    # ell = 2, 3 end inside the wedge of t = 0.05
+    G = HGraded({0: Series1([1.0, -0.036j, 0.02], 2)}, 0)
+    assert lattice(G, 1, validity_radius(G.levels[0])).size == 0
+    rows = asymptotic_check(P1, G, 0.05, [1.0])
+    assert rows[0]["coverage_gaps"] == 3
 
 
-def test_count_modes_weights_multiplicity():
-    entries = [QnmEntry(1, 0, 2.0 - 0.01j, 3),
-               QnmEntry(2, 0, 3.0 - 0.01j, 5),
-               QnmEntry(2, 1, 3.0 - 5.0j, 5)]
-    sector = SectorSpec(r=10.0, t=0.1)
-    assert count_modes(entries, sector) == 8
+def test_count_weights_multiplicity():
+    # G = 2 - 0.001i x: lam = (2 ell + 1)(1 - 0.0005i x), so |lam| exceeds
+    # 2 ell + 1 by less than 0.2%, and arg lam > -0.04 iff x < 80.04; that
+    # leaves 19 modes (n <= 18) at ell = 1 and 32 (n <= 31) at ell = 2
+    G = HGraded({0: Series1([2.0, -0.001j], 1)}, 0)
+    rows = asymptotic_check(P1, G, 0.04, [4.0, 6.0])
+    assert [row["count"] for row in rows] == [3 * 19, 3 * 19 + 5 * 32]
+    assert [row["coverage_gaps"] for row in rows] == [0, 0]
 
 
 def test_counting_constant_positive_and_linear_in_small_t():
@@ -172,22 +194,39 @@ def test_asymptotic_check_requires_sorted_radii():
 
 
 def test_count_consistency_lattice_vs_arithmetic():
-    # the stored lattice and the vectorized arithmetic count agree on a
-    # small sector
+    # asymptotic_check against a scalar enumeration of the lattice rule:
+    # for each ell every n up to the first mode outside the arg wedge;
+    # ell stops once three in a row have modes in the wedge but none
+    # with |lam| <= r
     G = g_symbol()
+    rad = validity_radius(G.levels[0])
     t = 0.05
-    r = 12.0
-    sector = SectorSpec(r=r, t=t)
-    # |lam| <= 12 reaches ell ~ 12 * 3 sqrt(3); give the stored path margin
-    entries = lattice(P1, G, 70, sector)
-    stored = count_modes(entries, sector)
-    rows = asymptotic_check(P1, G, t, [r])
-    assert rows[0]["count"] == stored
+    for r in (12.0, 30.0):
+        want = 0
+        ell, idle = 1, 0
+        while idle < 3:
+            h = 1.0 / (ell + 0.5)
+            mags = []
+            n = 0
+            while 2.0 * math.pi * (n + 0.5) * h <= rad:
+                x = 2.0 * math.pi * (n + 0.5) * h
+                lam = sum(complex(c) * x ** j * h ** k
+                          for k, lvl in G.levels.items()
+                          for j, c in enumerate(lvl.coeffs)) / h
+                if math.atan2(lam.imag, lam.real) <= -t:
+                    break
+                mags.append(abs(lam))
+                n += 1
+            want += (2 * ell + 1) * sum(1.0 <= a <= r for a in mags)
+            idle = idle + 1 if mags and min(mags) > r else 0
+            ell += 1
+        rows = asymptotic_check(P1, G, t, [r])
+        assert rows[0]["count"] == want > 0
+        assert rows[0]["coverage_gaps"] == 0
 
 
 def test_lattice_recomputable():
     G = g_symbol()
-    sector = SectorSpec(r=6.0, t=0.2)
-    a = lattice(P1, G, 8, sector)
-    b = lattice(P1, G, 8, sector)
-    assert a == b
+    rad = validity_radius(G.levels[0])
+    for ell in range(1, 9):
+        assert np.array_equal(lattice(G, ell, rad), lattice(G, ell, rad))

@@ -204,6 +204,8 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["lattice", "--t", "0.5"]) == 2
     assert main(["lattice", "--m", "-1"]) == 2
     assert main(["gsymbol", "--h-order", "3"]) == 2
+    assert main(["count", "--r-list", "0.5", "2"]) == 2
+    assert main(["gsymbol", "--series-degree", "5"]) == 2
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"no_such_key": 1}))
     assert main(["lattice", "--config", str(cfg_path)]) == 2

@@ -9,12 +9,18 @@ import pytest
 from qnmlattice.potentials import (BlackHoleParams, alpha_squared,
                                    critical_data, horizon_roots,
                                    inverse_tortoise,
-                                   inverse_tortoise_complex, potential_W,
+                                   inverse_tortoise_complex,
                                    potential_W_parts,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
 P1 = BlackHoleParams(m=1.0)
+
+
+def W0(x, p):
+    """W0 at real tortoise coordinates x (scalar or array)."""
+    w0, _ = potential_W_parts(np.atleast_1d(np.asarray(x, dtype=complex)), p)
+    return w0.real if np.ndim(x) else float(w0[0].real)
 
 
 def test_params_validation():
@@ -75,6 +81,9 @@ def test_tortoise_round_trip_lambda_zero():
     for r in np.geomspace(2.0 + 1e-6, 50.0, 100):
         x = tortoise(float(r), P1)
         assert abs(inverse_tortoise(x, P1) - r) <= 1e-12 * max(1.0, r)
+    # far out, where e^{x/2m} overflows a double
+    for x in (1500.0, 2000.0):
+        assert abs(tortoise(inverse_tortoise(x, P1), P1) - x) <= 1e-13 * x
 
 
 def test_tortoise_round_trip_lambda_positive():
@@ -108,23 +117,29 @@ def test_inverse_tortoise_complex_is_holomorphic():
             assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
 
 
+def test_inverse_tortoise_complex_failure_raises():
+    # Newton diverges here; the NaN residual must not pass the check
+    with pytest.raises(RuntimeError, match="tortoise continuation failed"):
+        inverse_tortoise_complex(np.array([50j]),
+                                 BlackHoleParams(m=1.0, lam=0.02))
+
+
 def test_potential_peak_value_and_flatness():
     for p in (P1, BlackHoleParams(m=2.0, lam=0.01)):
         cd = critical_data(p)
-        assert abs(potential_W(cd.x0, 0.0, p) - cd.E0) <= 1e-12 * cd.E0
+        assert abs(W0(cd.x0, p) - cd.E0) <= 1e-12 * cd.E0
         d = 1e-4
-        fd = (potential_W(cd.x0 + d, 0.0, p)
-              - potential_W(cd.x0 - d, 0.0, p)) / (2 * d)
+        fd = (W0(cd.x0 + d, p) - W0(cd.x0 - d, p)) / (2 * d)
         assert abs(fd) <= 1e-8
 
 
 def test_potential_decay():
-    assert abs(potential_W(-60.0, 0.0, P1)) < 1e-8
+    assert abs(W0(-60.0, P1)) < 1e-8
     # de Sitter decay toward the cosmological horizon is slower (smaller
     # surface gravity), so probe further out
     p = BlackHoleParams(m=1.0, lam=0.02)
-    assert abs(potential_W(-100.0, 0.0, p)) < 1e-8
-    assert abs(potential_W(100.0, 0.0, p)) < 1e-7
+    assert abs(W0(-100.0, p)) < 1e-8
+    assert abs(W0(100.0, p)) < 1e-7
 
 
 def test_critical_data_values():
@@ -148,7 +163,7 @@ def test_curvature_identity_random_params():
         p = BlackHoleParams(m=m, lam=lam)
         cd = critical_data(p)
         d = 1e-2 * m
-        w = [potential_W(cd.x0 + k * d, 0.0, p) for k in (-2, -1, 0, 1, 2)]
+        w = W0(cd.x0 + d * np.arange(-2, 3), p)
         # fourth-order central second difference
         w2 = (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12 * d * d)
         assert abs(-2.0 * w2 - 4.0 * cd.E0 ** 2) <= 1e-8 * 4.0 * cd.E0 ** 2
@@ -160,8 +175,7 @@ def _poly_fit_taylor(p, deg, half_width):
     cd = critical_data(p)
     k = np.arange(4 * deg + 1)
     xs = half_width * np.cos(math.pi * k / (4.0 * deg))
-    vals = np.array([potential_W(cd.x0 + float(x), 0.0, p) - cd.E0
-                     for x in xs], dtype=float)
+    vals = W0(cd.x0 + xs, p) - cd.E0
     return np.polyfit(xs, vals, deg)[::-1]
 
 
@@ -198,8 +212,8 @@ def test_scaling_covariance():
     p_m = BlackHoleParams(m=m, lam=sigma / (9.0 * m * m))
     p_1 = BlackHoleParams(m=1.0, lam=sigma / 9.0)
     for x in np.linspace(-5.0, 10.0, 12):
-        w_m = potential_W(m * float(x), 0.0, p_m)
-        w_1 = potential_W(float(x), 0.0, p_1)
+        w_m = W0(m * float(x), p_m)
+        w_1 = W0(float(x), p_1)
         assert abs(w_m - w_1 / m ** 2) <= 1e-10 * max(abs(w_1 / m ** 2), 1e-12)
 
 
@@ -207,17 +221,22 @@ def test_barrier_monotonicity():
     # x V'(x) < 0 away from the top: W0 increases up to x0, decreases after
     cd = critical_data(P1)
     xs = cd.x0 + np.linspace(-6.0, 6.0, 25)
-    w = np.array([potential_W(float(x), 0.0, P1) for x in xs])
+    w = W0(xs, P1)
     i0 = np.argmin(np.abs(xs - cd.x0))
     assert np.all(np.diff(w[:i0 + 1]) > 0)
     assert np.all(np.diff(w[i0:]) < 0)
 
 
 def test_potential_W_h_combination():
+    # W = W0 + h^2 W1 with W0 = alpha^2/r^2, W1 = W0 (r alpha^2' - 1/4)
+    # at r = r(x) from the real-axis inverse
     p = BlackHoleParams(m=1.0, lam=0.01)
     x, h = 2.0, 0.25
-    w0 = potential_W(x, 0.0, p)
-    full = potential_W(x, h, p)
+    r = inverse_tortoise(x, p)
+    a2 = alpha_squared(r, p)
+    w0 = a2 / r ** 2
+    full = w0 * (1.0 + h * h * (r * (2.0 / r ** 2 - 2.0 * p.lam * r / 3.0)
+                                - 0.25))
     arr0, arr1 = potential_W_parts(np.array([x], dtype=complex), p)
     assert abs(w0 - arr0[0].real) <= 1e-12
     assert abs(full - (arr0[0] + h * h * arr1[0]).real) <= 1e-12

@@ -139,9 +139,7 @@ def test_operator_free_particle_nonnegative():
 def test_operator_complex_symmetric():
     cfg = ScalingConfig(theta=0.3, h=1.0 / 8.5, basis_size=40)
     mat = build_scaled_operator(cfg, P1)
-    assert mat.complex_symmetric
-    assert np.max(np.abs(mat.entries - mat.entries.T)) <= 1e-13
-    assert mat.metadata["theta"] == 0.3
+    assert np.max(np.abs(mat - mat.T)) <= 1e-13
 
 
 def test_eigensolve_basics():
@@ -156,8 +154,12 @@ def test_eigensolve_basics():
 def test_eigensolve_trace_identity_and_residuals():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-    vals, res = eigensolve(m, with_residuals=True)
+    vals = eigensolve(m)
     assert abs(np.sum(vals) - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
+    # residual: each value is an eigenvalue of m to rounding, i.e. the
+    # smallest singular value of m - lam is tiny
+    eye = np.eye(m.shape[0])
+    res = [np.linalg.svd(m - lam * eye, compute_uv=False)[-1] for lam in vals]
     assert np.max(res) <= 1e-8 * np.linalg.norm(m)
 
 
