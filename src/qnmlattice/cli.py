@@ -10,6 +10,7 @@ environment variables (e.g. OMP_NUM_THREADS).
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,6 +34,13 @@ DEFAULTS = {
     "pseudo_h": 0.05,
     "output_path": "-",
     "format": "csv",
+}
+
+
+# the largest basis_size whose matrices a command can eigensolve
+BASIS_LIMIT = {
+    "direct": scaling.MAX_MATRIX - scaling.DRIFT_EXTRA,
+    "pseudo": scaling.MAX_MATRIX,
 }
 
 
@@ -62,17 +70,31 @@ def resolve_config(args):
         val = getattr(args, flag, None)
         if val is not None:
             cfg[key] = val
-    validate_config(cfg)
+    validate_config(cfg, args.command)
     return cfg
 
 
-def validate_config(cfg):
+def validate_config(cfg, command):
+    """Raise ConfigError for any value `command` cannot run with,
+    including values of the wrong type or shape."""
     try:
-        potentials.BlackHoleParams(m=float(cfg["m"]), lam=float(cfg["lambda"]))
+        _check_config(cfg, command)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError("bad value (%s)" % e) from None
+
+
+def _check_config(cfg, command):
+    try:
+        potentials.BlackHoleParams(m=float(cfg["m"]),
+                                   lam=float(cfg["lambda"]))
     except ValueError as e:
         raise ConfigError(str(e))
     if not (0.0 <= float(cfg["theta"]) <= 0.4):
         raise ConfigError("theta out of range [0, 0.4]")
+    if not isinstance(cfg["ell_range"], list) or len(cfg["ell_range"]) != 2:
+        raise ConfigError("ell_range must be a list of two integers")
     lo, hi = cfg["ell_range"]
     if not (1 <= int(lo) <= int(hi)):
         raise ConfigError("bad ell_range")
@@ -80,9 +102,12 @@ def validate_config(cfg):
         raise ConfigError("n_max must be >= 0")
     if not (0.0 < float(cfg["t"]) <= 0.3):
         raise ConfigError("t out of (0, 0.3]")
-    if list(cfg["r_list"]) != sorted(cfg["r_list"]):
+    if not isinstance(cfg["r_list"], list) or not cfg["r_list"]:
+        raise ConfigError("r_list must be a non-empty list")
+    radii = [float(r) for r in cfg["r_list"]]
+    if radii != sorted(radii):
         raise ConfigError("r_list must be increasing")
-    if any(float(r) < 1.0 for r in cfg["r_list"]):
+    if radii[0] < 1.0:
         raise ConfigError("r_list entries must be >= 1")
     if int(cfg["h_order"]) not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
@@ -92,12 +117,19 @@ def validate_config(cfg):
                           % (deg_min, int(cfg["h_order"])))
     if int(cfg["basis_size"]) < 8:
         raise ConfigError("basis_size must be >= 8")
+    if int(cfg["basis_size"]) > BASIS_LIMIT.get(command, math.inf):
+        raise ConfigError("basis_size above %d for %s"
+                          % (BASIS_LIMIT[command], command))
+    if not all(math.isfinite(float(cfg[k])) for k in ("x_min", "x_max")):
+        raise ConfigError("x_min and x_max must be finite")
     if int(cfg["x_points"]) < 0:
         raise ConfigError("x_points must be >= 0")
     if float(cfg["pseudo_h"]) <= 0:
         raise ConfigError("pseudo_h must be positive")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    if not isinstance(cfg["output_path"], str):
+        raise ConfigError("output_path must be a string")
 
 
 def params_from(cfg):

@@ -1,22 +1,20 @@
 """Birkhoff normal form of a symbol at a nondegenerate critical point.
 
-Classical part: reduce p(x, xi) = q + O(3) to a function g of the model
-quadratic z*zeta by degree-graded polynomial generators.  Quantum part:
-graded Weyl (Moyal) calculus, quantum averaging to a diagonal symbol
-G(z*zeta; h), and conversion to the spectral variable s = z h D_z + h/2i,
-whose eigenvalue on z^n is -i(n+1/2)h.  The assembled output G(x; h)
-gives the mode lattice lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
+One reduction loop takes the h^0 level p(x, xi) = q + O(3) to a function
+g of the model quadratic z*zeta by degree-graded polynomial generators,
+conjugating the whole graded symbol in the Weyl (Moyal) calculus; at
+h-order 0 it is the classical Birkhoff normal form.  Quantum part:
+averaging to a diagonal symbol G(z*zeta; h), and conversion to the
+spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
+-i(n+1/2)h.  The assembled output G(x; h) gives the mode lattice
+lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .series import (GaussianRational, HGraded, Series1, Series2, hcompose,
-                     poisson)
+from .series import HGraded, Series1, Series2, hcompose
 from .potentials import critical_data, shifted_potential_taylor, \
     subprincipal_taylor
 
@@ -32,38 +30,17 @@ SPECTRAL_ARG = -1j / TWO_PI
 class QuadraticReduction:
     mu: complex
     linmap: tuple          # ((a, b), (c, d)): x = a z + b zeta, xi = c z + d zeta
-    admissible: bool       # range condition of the input on the real plane
-
-    @property
-    def det(self):
-        (a, b), (c, d) = self.linmap
-        return a * d - b * c
 
 
 @dataclass(frozen=True)
 class NormalFormResult:
     mu: complex
-    linmap: tuple
     g: Series1             # Vey-normalized: g(t) = t + O(t^2)
     f: Series1             # Jacobian factor, f(0) = 1
     S: Series1             # action, mu S'(w) = 2 pi f(w), S(0) = 0
 
 
-def _range_admissible(q, samples=256):
-    """Check that q omits a complex value and is nonvanishing on R^2\\{0}."""
-    vals = []
-    for k in range(samples):
-        t = TWO_PI * k / samples
-        vals.append(complex(q(math.cos(t), math.sin(t))))
-    if min(abs(v) for v in vals) < 1e-12:
-        return False
-    args = np.unwrap([cmath.phase(v) for v in vals] +
-                     [cmath.phase(vals[0])])
-    # range covers all of C iff arg winds a full turn
-    return abs(args[-1] - args[0]) < TWO_PI - 1e-6
-
-
-def quad_reduce(q, strict=False):
+def quad_reduce(q):
     """Symplectic linear reduction of a quadratic form to mu * z * zeta.
 
     The sign of mu is fixed by the admissibility rule Re(-i mu) > 0
@@ -72,14 +49,10 @@ def quad_reduce(q, strict=False):
     A = complex(q[(2, 0)])
     B = complex(q[(1, 1)])
     C = complex(q[(0, 2)])
-    admissible = _range_admissible(q)
-    if strict and not admissible:
-        raise ValueError("quadratic form degenerate on the real plane")
     if A == 0 and C == 0:
         if B == 0:
             raise ValueError("zero quadratic form")
-        return QuadraticReduction(mu=B, linmap=((1, 0), (0, 1)),
-                                  admissible=admissible)
+        return QuadraticReduction(mu=B, linmap=((1, 0), (0, 1)))
     disc = B * B - 4.0 * A * C
     if abs(disc) < 1e-14 * max(abs(A), abs(B), abs(C)) ** 2:
         raise ValueError("degenerate quadratic form (vanishing discriminant)")
@@ -98,8 +71,7 @@ def quad_reduce(q, strict=False):
         (a, b), (c, d) = inner.linmap
         lin = ((ct * a - st * c, ct * b - st * d),
                (st * a + ct * c, st * b + ct * d))
-        return QuadraticReduction(mu=inner.mu, linmap=lin,
-                                  admissible=admissible)
+        return QuadraticReduction(mu=inner.mu, linmap=lin)
     # q = C (xi - ap x)(xi - am x); ap - am = mu/C so C*(ap - am) = mu
     ap = (-B + mu) / (2.0 * C)
     am = (-B - mu) / (2.0 * C)
@@ -108,61 +80,41 @@ def quad_reduce(q, strict=False):
     t = delta / s
     # x = (t z - s zeta)/delta, xi = (ap t z - am s zeta)/delta; det = st/delta = 1
     lin = ((t / delta, -s / delta), (ap * t / delta, -am * s / delta))
-    return QuadraticReduction(mu=mu, linmap=lin, admissible=admissible)
+    return QuadraticReduction(mu=mu, linmap=lin)
 
 
-def homological_solve(r, strip_diagonal=True):
+def homological_solve(r):
     """Solve i(z d_z - zeta d_zeta) a = -r + <r> termwise.
 
     Returns (a, r_avg): a_{mn} = i r_{mn}/(m-n) off the diagonal, and the
     diagonal average <r> as a Series1 in w = z zeta.
     """
-    a = {}
-    for (m, n), c in r.coeffs.items():
-        if m != n:
-            if isinstance(c, GaussianRational):
-                a[(m, n)] = c * GaussianRational.i() / Fraction(m - n)
-            else:
-                a[(m, n)] = 1j * c / (m - n)
-    a = Series2(a, r.trunc_order)
+    a = Series2({(m, n): 1j * c / (m - n)
+                 for (m, n), c in r.coeffs.items() if m != n}, r.trunc_order)
     return a, r.diagonal()
 
 
-def average_by_flow_quadrature(r, nodes=64):
-    """<r> via (1/2pi) integral of r(e^{it} z, e^{-it} zeta) dt, trapezoid.
+def _birkhoff(sym, K, N):
+    """Birkhoff reduction of a graded symbol whose h^0 level is q + O(3).
 
-    Returns a Series2 (diagonal).  Independent oracle for homological_solve.
+    Maps every level through the symplectic reduction of q to mu z zeta,
+    then for each degree 3..N conjugates by exp((i/h) a), where i mu a
+    solves the homological equation for the off-diagonal h^0 part of that
+    degree, so that the h^0 level comes out diagonal through degree N.
+    At h-order 0 this conjugation is the classical flow exp({a, .}).
+    Returns mu and the conjugated symbol.
     """
-    n = r.trunc_order
-    acc = {}
-    for j in range(nodes):
-        t = TWO_PI * j / nodes
-        ph = cmath.exp(1j * t)
-        for (m, k), c in r.coeffs.items():
-            w = complex(c) * ph ** (m - k)
-            acc[(m, k)] = acc.get((m, k), 0.0) + w
-    return Series2({k: v / nodes for k, v in acc.items()}, n)
-
-
-def _poisson_exact(a, b, degree):
-    """{a, b} for polynomials, re-truncated only at `degree`."""
-    ap = Series2(a.coeffs, degree + 1)
-    bp = Series2(b.coeffs, degree + 1)
-    return poisson(ap, bp).truncate(degree)
-
-
-def _flow_apply(p, a, degree):
-    """exp({a, .}) p truncated at total degree `degree`."""
-    out = p.truncate(degree)
-    term = out
-    fact = 1.0
-    for k in range(1, degree + 3):
-        term = _poisson_exact(a, term, degree)
-        if not term.coeffs:
-            break
-        fact *= k
-        out = out + (1.0 / fact) * term
-    return out
+    red = quad_reduce(sym.level(0).homogeneous_part(2))
+    (a, b), (c, d) = red.linmap
+    sym = HGraded({k: s.subs_linear(a, b, c, d)
+                   for k, s in sym.levels.items()}, K)
+    for dgr in range(3, N + 1):
+        r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
+        if not r_off.coeffs:
+            continue
+        a_h, _ = homological_solve(r_off)
+        sym = conjugate_classical(sym, (1.0 / (1j * red.mu)) * a_h, K, N)
+    return red.mu, sym
 
 
 def classical_bnf(p_taylor, degree):
@@ -172,22 +124,13 @@ def classical_bnf(p_taylor, degree):
     if not all(abs(complex(p[(m, n)])) < 1e-14
                for m in range(2) for n in range(2 - m)):
         raise ValueError("constant/linear part of the symbol must vanish")
-    red = quad_reduce(p.homogeneous_part(2))
-    (a, b), (c, d) = red.linmap
-    mu = red.mu
-    p = p.subs_linear(a, b, c, d)
-    for dgr in range(3, N + 1):
-        r_off = p.homogeneous_part(dgr).off_diagonal()
-        if not r_off.coeffs:
-            continue
-        a_h, _ = homological_solve(r_off)
-        p = _flow_apply(p, (1.0 / (1j * mu)) * a_h, N)
-    g_eig = p.diagonal()
+    mu, sym = _birkhoff(HGraded({0: p}, 0), 0, N)
+    g_eig = sym.level(0).diagonal()
     # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
     g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])
     f = _f_from_g(g)
     S = (TWO_PI / mu) * f.integ()
-    return NormalFormResult(mu=mu, linmap=red.linmap, g=g, f=f, S=S)
+    return NormalFormResult(mu=mu, g=g, f=f, S=S)
 
 
 def _f_from_g(g):
@@ -228,13 +171,8 @@ def _moyal_term(a, b, k, degree):
     return pref * out
 
 
-def moyal_product(a, b, h_order=None, degree=None):
+def moyal_product(a, b, K, degree):
     """Graded Weyl product of two h-graded bivariate symbols."""
-    K = h_order if h_order is not None else min(a.h_order, b.h_order)
-    if degree is None:
-        degree = min([s.trunc_order for s in
-                      list(a.levels.values()) + list(b.levels.values())]
-                     or [0])
     out = {}
     for ka, sa in a.levels.items():
         for kb, sb in b.levels.items():
@@ -245,13 +183,8 @@ def moyal_product(a, b, h_order=None, degree=None):
     return HGraded(out, K)
 
 
-def moyal_commutator(a, b, h_order=None, degree=None):
+def moyal_commutator(a, b, K, degree):
     """a # b - b # a; even bidifferential terms cancel identically."""
-    K = h_order if h_order is not None else min(a.h_order, b.h_order)
-    if degree is None:
-        degree = min([s.trunc_order for s in
-                      list(a.levels.values()) + list(b.levels.values())]
-                     or [0])
     out = {}
     for ka, sa in a.levels.items():
         for kb, sb in b.levels.items():
@@ -284,11 +217,6 @@ def conjugate_classical(sym, gen, h_order, degree):
     """Conjugation by exp((i/h) gen) at graded-symbol level."""
     g = HGraded({0: gen}, h_order + 1)
     return _ad_exp(g, sym, h_order, degree, over_ih=True)
-
-
-def conjugate_quantum(sym, gen_graded, h_order, degree):
-    """Conjugation by exp(gen) (bounded generator), Ad = exp([gen, .])."""
-    return _ad_exp(gen_graded, sym, h_order, degree, over_ih=False)
 
 
 def moyal_function(fs, q, h_order, degree):
@@ -350,16 +278,15 @@ def quantum_average(qsym, h_order=None, degree=None):
         if not r_off.coeffs:
             continue
         a_h, _ = homological_solve(r_off)
-        gen = HGraded({ell - 1: a_h.to_complex()}, K)
-        cur = conjugate_quantum(cur, gen, K, N)
+        # conjugation by exp(gen) (bounded generator), Ad = exp([gen, .])
+        cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
     d = _diag_levels(cur)
     # map back through g at operator level
     gpad = Series1(g.coeffs, tmax)
     dsym = HGraded({k: Series2.from_diagonal(s, N) for k, s in d.items()}, K)
     out = moyal_function(gpad, dsym, K, N)
-    return HGraded({k: Series2.from_diagonal(
-        s.diagonal() if isinstance(s, Series2) else s, N)
-        for k, s in out.levels.items()}, K)
+    return HGraded({k: Series2.from_diagonal(s.diagonal(), N)
+                    for k, s in out.levels.items()}, K)
 
 
 def _weyl_to_left_diag(levels, K, nw):
@@ -391,9 +318,7 @@ def weyl_to_spectral(F, h_order=None):
     if h_order is None:
         h_order = F.h_order
     K = h_order
-    levels = {}
-    for k, s in F.levels.items():
-        levels[k] = s.diagonal() if isinstance(s, Series2) else s
+    levels = {k: s.diagonal() for k, s in F.levels.items()}
     nw = min(s.trunc_order for s in levels.values())
     left = _weyl_to_left_diag(levels, K, nw)
     # z^n (hD)^n = i^{-n} prod_{j<n} (i s - h/2 - j h), s = z h D_z + h/(2i)
@@ -429,38 +354,6 @@ def weyl_to_spectral(F, h_order=None):
     return HGraded({k: Series1(v, nw) for k, v in out.items()}, K)
 
 
-def weyl_monomial_action(levels, K, k_z, nw):
-    """Oracle: apply Op_weyl of a diagonal graded symbol to z^{k_z}.
-
-    Uses the symmetrized-ordering formula Op_w(z^a zeta^b) =
-    2^{-a} sum_j C(a,j) z^j (hD)^b z^{a-j}.  Returns {h_level: coeff} of
-    the resulting multiple of z^{k_z}.
-    """
-    out = {}
-    for kf in levels:
-        s = levels[kf]
-        for n, c in enumerate(s.coeffs):
-            c = complex(c)
-            if c == 0:
-                continue
-            # Op_w(z^n zeta^n) z^k = 2^{-n} sum_j C(n,j) z^j (hD)^n z^{n-j+k}
-            for j in range(n + 1):
-                p = n - j + k_z     # power before the derivatives
-                # (hD)^n z^p = (h/i)^n p!/(p-n)! z^{p-n}
-                if p - n < 0:
-                    continue
-                fall = 1.0
-                for t in range(n):
-                    fall *= (p - t)
-                coeff = (c * 2.0 ** (-n) * math.comb(n, j)
-                         * (1.0 / 1j) ** n * fall)
-                # resulting power: j + (p - n) = k_z  -> contributes h^n
-                lvl = kf + n
-                if lvl <= K:
-                    out[lvl] = out.get(lvl, 0.0) + coeff
-    return out
-
-
 # ---------------------------------------------------------------------------
 # assembly of the mode symbol
 
@@ -485,18 +378,8 @@ def qnm_symbol(p, degree=10, h_order=2):
         W1 = subprincipal_taylor(p, N)
         levels[2] = Series2({(k, 0): c for k, c in enumerate(W1.coeffs)
                              if c != 0}, N)
-    sym = HGraded(levels, K)
-    # linear symplectic reduction of the quadratic part (exact for Weyl)
-    red = quad_reduce(p0.homogeneous_part(2))
-    (a, b), (c, d) = red.linmap
-    sym = HGraded({k: s.subs_linear(a, b, c, d)
-                   for k, s in sym.levels.items()}, K)
-    for dgr in range(3, N + 1):
-        r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
-        if not r_off.coeffs:
-            continue
-        a_h, _ = homological_solve(r_off)
-        sym = conjugate_classical(sym, (1.0 / (1j * red.mu)) * a_h, K, N)
+    # the linear reduction of the quadratic part is exact for Weyl symbols
+    _, sym = _birkhoff(HGraded(levels, K), K, N)
     gw = quantum_average(sym, K, N)
     gs = weyl_to_spectral(gw, K)
     # substitute s = SPECTRAL_ARG * x and build sqrt(E0 + .)

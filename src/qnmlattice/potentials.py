@@ -120,8 +120,8 @@ def tortoise(r, p, horizons=None):
 
 
 def inverse_tortoise(x, p, horizons=None):
-    """r(x) on the real line: Wright omega for lam = 0 (x may be an
-    array), safeguarded Newton for lam > 0."""
+    """r(x) on the real line for a scalar or an array x: Wright omega for
+    lam = 0, safeguarded Newton (per point) for lam > 0."""
     if p.lam == 0:
         # x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)
         return 2.0 * p.m * (1.0 + scipy.special.wrightomega(
@@ -129,29 +129,32 @@ def inverse_tortoise(x, p, horizons=None):
             - math.log(2.0 * p.m)))
     hz = horizons or horizon_roots(p)
     tt = _tortoise_terms(p, hz)
-    lo, hi = hz.r_minus, hz.r_plus
-    r = 3.0 * p.m
+    xf = np.array(x, dtype=float).ravel()
+    r = np.full(xf.shape, 3.0 * p.m)
+    lo = np.full(xf.shape, hz.r_minus)
+    hi = np.full(xf.shape, hz.r_plus)
+    todo = np.arange(xf.size)
     for _ in range(200):
-        f = tt.x(r) - x
-        if abs(f) < 1e-14 * max(1.0, abs(x)):
+        rt, xt = r[todo], xf[todo]
+        f = tt.x(rt) - xt
+        go = ~(np.abs(f) < 1e-14 * np.maximum(1.0, np.abs(xt)))
+        todo, rt, f = todo[go], rt[go], f[go]
+        if not todo.size:
             break
-        rn = r - f * tt.alpha2(r)
-        if not (lo < rn < hi):
-            # bisection safeguard
-            if f > 0:
-                hi = r
-            else:
-                lo = r
-            rn = 0.5 * (lo + hi)
-        if abs(rn - r) <= 4.0 * np.spacing(abs(r)):
-            # at machine resolution next to a horizon; r is as good as it gets
-            r = rn
-            break
-        r = rn
-    else:
+        rn = rt - f * tt.alpha2(rt)
+        # bisection safeguard
+        out = ~((lo[todo] < rn) & (rn < hi[todo]))
+        up = f > 0
+        hi[todo[out & up]] = rt[out & up]
+        lo[todo[out & ~up]] = rt[out & ~up]
+        rn = np.where(out, 0.5 * (lo[todo] + hi[todo]), rn)
+        r[todo] = rn
+        # at machine resolution next to a horizon, r is as good as it gets
+        todo = todo[~(np.abs(rn - rt) <= 4.0 * np.spacing(np.abs(rt)))]
+    if todo.size:
         raise RuntimeError("inverse_tortoise: Newton failed in [%g, %g]"
-                           % (lo, hi))
-    return r
+                           % (lo[todo[0]], hi[todo[0]]))
+    return r.reshape(np.shape(x)) if np.ndim(x) else float(r[0])
 
 
 def _continue(x, tt, u, root=None):
@@ -161,7 +164,8 @@ def _continue(x, tt, u, root=None):
     the log-distance L = log(s (r - a)): then r = a + s e^L and
     x(r) = c L + (the other terms), which avoids the cancellation of
     forming r - a when it is exponentially small and makes winding in
-    Im(x) automatic.  Returns r and |x(r) - x|.
+    Im(x) automatic.  Returns r, alpha^2(r) and |x(r) - x|; alpha^2 is
+    formed from e^L there, so it keeps full relative precision.
     """
     if root is None:
         def solve(u):
@@ -184,7 +188,9 @@ def _continue(x, tt, u, root=None):
             if np.max(np.abs(du)) < 1e-13 * max(1.0, np.max(np.abs(u))):
                 break
     r, xu, _ = solve(u)
-    return r, np.abs(xu - x)
+    # near a root alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
+    a2 = tt.alpha2(r) if root is None else tt.alpha2(r, skip=root) * np.exp(u)
+    return r, a2, np.abs(xu - x)
 
 
 def inverse_tortoise_complex(x, p, horizons=None):
@@ -194,18 +200,20 @@ def inverse_tortoise_complex(x, p, horizons=None):
     to a horizon are solved in the log-distance variable (stable down to
     exponentially small separations); the rest use plain Newton continuation.
     """
+    return _continuation(x, p, horizons)[0]
+
+
+def _continuation(x, p, horizons=None):
+    """r(x) and alpha^2(r(x)) for `inverse_tortoise_complex`."""
     x = np.asarray(x, dtype=complex)
     shape = x.shape
     xf = x.ravel()
     hz = None if p.lam == 0 else (horizons or horizon_roots(p))
     tt = _tortoise_terms(p, hz)
-    if p.lam == 0:
-        r_real = inverse_tortoise(xf.real, p)
-        near = p.m
-    else:
-        r_real = np.array([inverse_tortoise(xr, p, hz) for xr in xf.real])
-        near = 0.25 * (hz.r_plus - hz.r_minus)
+    r_real = inverse_tortoise(xf.real, p, hz)
+    near = p.m if p.lam == 0 else 0.25 * (hz.r_plus - hz.r_minus)
     out = np.zeros(xf.shape, dtype=complex)
+    a2 = np.zeros(xf.shape, dtype=complex)
     resid = np.zeros(xf.shape)
     rest = np.ones(xf.shape, dtype=bool)
     # the root r0 < 0 of lam > 0 is never within `near` of the exterior
@@ -217,17 +225,17 @@ def inverse_tortoise_complex(x, p, horizons=None):
             L = np.where(eps0[mask] > 0,
                          np.log(np.maximum(eps0[mask], 1e-300)),
                          (xf.real[mask] - tt.x(a, skip=i)) / c)
-            out[mask], resid[mask] = _continue(xf[mask], tt,
-                                               L.astype(complex), i)
+            out[mask], a2[mask], resid[mask] = _continue(
+                xf[mask], tt, L.astype(complex), i)
         rest &= ~mask
     if np.any(rest):
-        out[rest], resid[rest] = _continue(xf[rest], tt,
-                                           r_real[rest].astype(complex))
+        out[rest], a2[rest], resid[rest] = _continue(
+            xf[rest], tt, r_real[rest].astype(complex))
     bad = ~(resid <= 1e-9 * np.maximum(1.0, np.abs(xf)))
     if np.any(bad):
         raise RuntimeError("tortoise continuation failed at %d points"
                            % int(np.sum(bad)))
-    return out.reshape(shape)
+    return out.reshape(shape), a2.reshape(shape)
 
 
 def critical_data(p):
@@ -247,8 +255,8 @@ def critical_data(p):
 def potential_W_parts(x_arr, p):
     """Vectorized (W0, W1) on a complex array of tortoise coordinates,
     with W = W0 + h^2 W1."""
-    r = inverse_tortoise_complex(np.asarray(x_arr, dtype=complex), p)
-    w0 = alpha_squared(r, p) / r ** 2
+    r, a2 = _continuation(x_arr, p)
+    w0 = a2 / r ** 2
     return w0, w0 * (r * _dalpha2_dr(r, p) - 0.25)
 
 

@@ -1,4 +1,4 @@
-"""Complex-scaled symbol and a direct spectral solver for mode frequencies.
+"""Complex-scaled operator and a direct spectral solver for mode frequencies.
 
 The operator is restricted to the deformed contour through the barrier
 top, x0 + (1+i theta) t, and discretized in a Galerkin basis of scaled
@@ -18,6 +18,8 @@ from .potentials import critical_data, potential_W_parts
 
 WINDOW = 2.0        # spectral window |z - E0| <= WINDOW * E0
 QUAD_FACTOR = 2     # quadrature nodes = QUAD_FACTOR * basis_size
+MAX_MATRIX = 2000   # largest matrix `eigensolve` accepts
+DRIFT_EXTRA = 40    # basis enlargement of the self-convergence filter
 
 
 @dataclass(frozen=True)
@@ -94,45 +96,6 @@ def _u2_matrix(n):
     return m
 
 
-def scaled_symbol(x, xi, cfg, p):
-    """p_theta(x, xi) = ((1+i theta)^{-1} xi)^2 + V(x + i theta x).
-
-    x is measured from the barrier top (shifted coordinate); V is the
-    holomorphically continued shifted potential.
-    """
-    cd = critical_data(p)
-    th = cfg.theta
-    xc = cd.x0 + x * (1.0 + 1j * th)
-    w0, _ = potential_W_parts(np.array([xc]), p)
-    v = complex(w0[0]) - cd.E0
-    return ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
-
-
-def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
-    """min of |p_theta|/(1+xi^2) outside the eps-ball around (0,0)."""
-    cd = critical_data(p)
-    th = cfg.theta
-    xg = np.asarray(x_grid, float)
-    xc = cd.x0 + xg * (1.0 + 1j * th)
-    w0, _ = potential_W_parts(xc, p)
-    v = w0 - cd.E0
-    best = None
-    argmin = None
-    for xi in np.asarray(xi_grid, float):
-        pvals = ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
-        ratio = np.abs(pvals) / (1.0 + xi ** 2)
-        mask = xg ** 2 + xi ** 2 > eps ** 2
-        if not np.any(mask):
-            continue
-        i = int(np.argmin(np.where(mask, ratio, np.inf)))
-        if best is None or ratio[i] < best:
-            best = float(ratio[i])
-            argmin = (float(xg[i]), float(xi))
-    if best is None:
-        return {"min_ratio": None, "argmin": None, "empty_domain": True}
-    return {"min_ratio": best, "argmin": argmin, "empty_domain": False}
-
-
 def build_scaled_operator(cfg, p=None, potential=None):
     """Galerkin matrix of the complex-scaled operator (complex symmetric).
 
@@ -173,7 +136,7 @@ def build_scaled_operator(cfg, p=None, potential=None):
 def eigensolve(mat):
     """All eigenvalues of a dense complex matrix, deterministically sorted."""
     m = np.asarray(mat)
-    if m.shape[0] > 2000:
+    if m.shape[0] > MAX_MATRIX:
         raise ValueError("matrix too large")
     vals = scipy.linalg.eigvals(m)
     order = np.lexsort((vals.imag, vals.real))
@@ -194,7 +157,7 @@ def qnm_direct(ell, cfg, p, max_modes=None):
         cfg = replace(cfg, h=h)
     cd = critical_data(p)
     vals = eigensolve(build_scaled_operator(cfg, p))
-    cfg2 = replace(cfg, h=h, basis_size=cfg.basis_size + 40)
+    cfg2 = replace(cfg, h=h, basis_size=cfg.basis_size + DRIFT_EXTRA)
     vals2 = eigensolve(build_scaled_operator(cfg2, p))
     win = np.abs(vals - cd.E0) <= WINDOW * cd.E0
     # the discretized, scaling-rotated continuum clusters near z = 0;

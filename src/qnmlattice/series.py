@@ -2,111 +2,8 @@
 
 All objects are immutable; every operation returns a new value and
 truncates to the minimum truncation order of its inputs.  Coefficients
-are ordinarily complex floats, but the arithmetic is generic enough to
-run over :class:`GaussianRational` for exact oracle tests.
+are complex floats; the arithmetic uses only +, -, * and / on them.
 """
-
-import json
-import math
-from fractions import Fraction
-
-
-class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, (float, complex)):
-            return complex(self) == complex(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __abs__(self):
-        return abs(complex(self))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self.re, self.im)
-
-    @staticmethod
-    def i():
-        return GaussianRational(0, 1)
-
-
-def _is_zero(c):
-    return c == 0
 
 
 class Series1:
@@ -138,11 +35,6 @@ class Series1:
     def identity(cls, trunc_order):
         return cls((0, 1), trunc_order)
 
-    def __getitem__(self, k):
-        if 0 <= k <= self.trunc_order:
-            return self.coeffs[k]
-        return 0
-
     def truncate(self, n):
         return Series1(self.coeffs[:n + 1], min(n, self.trunc_order))
 
@@ -171,26 +63,17 @@ class Series1:
             n = min(self.trunc_order, other.trunc_order)
             out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs[:n + 1]):
-                if _is_zero(a):
+                if a == 0:
                     continue
                 for j in range(n + 1 - i):
                     b = other.coeffs[j]
-                    if not _is_zero(b):
+                    if b != 0:
                         out[i + j] = out[i + j] + a * b
             return Series1(out, n)
         return Series1(tuple(c * other for c in self.coeffs),
                        self.trunc_order)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, Series1)
-                and self.trunc_order == other.trunc_order
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __repr__(self):
-        return "Series1(%r, trunc_order=%d)" % (list(self.coeffs),
-                                                self.trunc_order)
 
     def deriv(self):
         n = self.trunc_order
@@ -205,12 +88,12 @@ class Series1:
         out = [0]
         for k in range(n + 1):
             c = self.coeffs[k]
-            out.append(c / (k + 1) if not _is_zero(c) else 0)
+            out.append(c / (k + 1) if c != 0 else 0)
         return Series1(out, n + 1)
 
     def compose(self, inner):
         """self(inner(z)); requires inner(0) = 0."""
-        if not _is_zero(inner.coeffs[0]):
+        if inner.coeffs[0] != 0:
             raise ValueError("inner series must vanish at 0")
         n = min(self.trunc_order, inner.trunc_order)
         acc = Series1.constant(self.coeffs[n] if n <= self.trunc_order else 0, n)
@@ -221,7 +104,7 @@ class Series1:
 
     def reciprocal(self):
         a0 = self.coeffs[0]
-        if _is_zero(a0):
+        if a0 == 0:
             raise ValueError("reciprocal of series vanishing at 0")
         n = self.trunc_order
         inv0 = 1 / a0
@@ -230,34 +113,17 @@ class Series1:
             s = 0
             for j in range(1, k + 1):
                 aj = self.coeffs[j]
-                if not _is_zero(aj):
+                if aj != 0:
                     s = s + aj * out[k - j]
             out[k] = -inv0 * s
         return Series1(out, n)
 
-    def sqrt(self, branch_at_0=None):
-        a0 = self.coeffs[0]
-        if _is_zero(a0):
-            raise ValueError("sqrt of series vanishing at 0")
-        if branch_at_0 is None:
-            branch_at_0 = complex(a0) ** 0.5
-        if abs(branch_at_0 * branch_at_0 - a0) > 1e-12 * max(1.0, abs(a0)):
-            raise ValueError("branch_at_0**2 does not match constant term")
-        n = self.trunc_order
-        out = [branch_at_0] + [0] * n
-        for k in range(1, n + 1):
-            s = self.coeffs[k]
-            for j in range(1, k):
-                s = s - out[j] * out[k - j]
-            out[k] = s / (2 * branch_at_0)
-        return Series1(out, n)
-
     def reversion(self):
         """Compositional inverse T with self(T(y)) = y + O(y^{N+1})."""
-        if not _is_zero(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise ValueError("reversion requires vanishing constant term")
         s1 = self.coeffs[1]
-        if _is_zero(s1):
+        if s1 == 0:
             raise ValueError("reversion requires nonzero linear term")
         n = self.trunc_order
         inv1 = 1 / s1
@@ -268,25 +134,6 @@ class Series1:
             out[k] = -inv1 * e
         return Series1(out, n)
 
-    def __call__(self, z):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def to_complex(self):
-        return Series1(tuple(complex(c) for c in self.coeffs),
-                       self.trunc_order)
-
-    def to_json(self):
-        cs = [[complex(c).real, complex(c).imag] for c in self.coeffs]
-        return {"trunc_order": self.trunc_order, "coeffs": cs}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(complex(re, im) for re, im in obj["coeffs"]),
-                   obj["trunc_order"])
-
 
 class Series2:
     """Truncated power series sum_{m+n<=N} c_{mn} z^m zeta^n."""
@@ -296,7 +143,7 @@ class Series2:
     def __init__(self, coeffs, trunc_order):
         clean = {}
         for (m, n), c in dict(coeffs).items():
-            if m + n <= trunc_order and not _is_zero(c):
+            if m + n <= trunc_order and c != 0:
                 clean[(m, n)] = c
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "trunc_order", trunc_order)
@@ -319,26 +166,10 @@ class Series2:
         return Series2(self.coeffs, min(n, self.trunc_order))
 
     def __add__(self, other):
-        if isinstance(other, Series2):
-            n = min(self.trunc_order, other.trunc_order)
-            out = dict(self.coeffs)
-            for k, c in other.coeffs.items():
-                out[k] = out.get(k, 0) + c
-            return Series2(out, n)
         out = dict(self.coeffs)
-        out[(0, 0)] = out.get((0, 0), 0) + other
-        return Series2(out, self.trunc_order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Series2):
-            return self + (-other)
-        return self + (-other)
-
-    def __neg__(self):
-        return Series2({k: -c for k, c in self.coeffs.items()},
-                       self.trunc_order)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return Series2(out, min(self.trunc_order, other.trunc_order))
 
     def __mul__(self, other):
         if isinstance(other, Series2):
@@ -357,14 +188,6 @@ class Series2:
                        self.trunc_order)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, Series2)
-                and self.trunc_order == other.trunc_order
-                and self._norm() == other._norm())
-
-    def _norm(self):
-        return {k: c for k, c in self.coeffs.items() if not _is_zero(c)}
 
     def __repr__(self):
         return "Series2(%r, trunc_order=%d)" % (self.coeffs, self.trunc_order)
@@ -405,7 +228,7 @@ class Series2:
         """Series1 in w = z*zeta -> diagonal Series2."""
         out = {}
         for m, c in enumerate(s.coeffs):
-            if 2 * m <= trunc_order and not _is_zero(c):
+            if 2 * m <= trunc_order and c != 0:
                 out[(m, m)] = c
         return cls(out, trunc_order)
 
@@ -423,31 +246,6 @@ class Series2:
         for (m, k), coef in self.coeffs.items():
             out = out + coef * (zp[m] * wp[k])
         return out
-
-    def __call__(self, z, zeta):
-        acc = 0
-        for (m, n), c in self.coeffs.items():
-            acc = acc + c * z ** m * zeta ** n
-        return acc
-
-    def to_complex(self):
-        return Series2({k: complex(c) for k, c in self.coeffs.items()},
-                       self.trunc_order)
-
-    def to_json(self):
-        cs = [[m, n, complex(c).real, complex(c).imag]
-              for (m, n), c in sorted(self.coeffs.items())]
-        return {"trunc_order": self.trunc_order, "coeffs": cs}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({(m, n): complex(re, im) for m, n, re, im in obj["coeffs"]},
-                   obj["trunc_order"])
-
-
-def poisson(a, b):
-    """{a, b} = d_zeta a * d_z b - d_z a * d_zeta b."""
-    return a.dzeta() * b.dz() - a.dz() * b.dzeta()
 
 
 class HGraded:
@@ -474,27 +272,14 @@ class HGraded:
             if self.levels else 0
 
     def __add__(self, other):
-        if isinstance(other, HGraded):
-            ko = min(self.h_order, other.h_order)
-            out = {}
-            for k in range(ko + 1):
-                a, b = self.levels.get(k), other.levels.get(k)
-                if a is None and b is None:
-                    continue
-                out[k] = b if a is None else (a if b is None else a + b)
-            return HGraded(out, ko)
-        out = dict(self.levels)
-        if 0 in out:
-            out[0] = out[0] + other
-        else:
-            raise ValueError("cannot add constant to symbol with no h^0 level")
-        return HGraded(out, self.h_order)
-
-    def __neg__(self):
-        return HGraded({k: -s for k, s in self.levels.items()}, self.h_order)
-
-    def __sub__(self, other):
-        return self + (-other)
+        ko = min(self.h_order, other.h_order)
+        out = {}
+        for k in range(ko + 1):
+            a, b = self.levels.get(k), other.levels.get(k)
+            if a is None and b is None:
+                continue
+            out[k] = b if a is None else (a if b is None else a + b)
+        return HGraded(out, ko)
 
     def scale(self, c):
         return HGraded({k: c * s for k, s in self.levels.items()},
@@ -503,18 +288,12 @@ class HGraded:
     def max_abs(self):
         out = 0.0
         for s in self.levels.values():
-            cs = s.coeffs.values() if isinstance(s, Series2) else s.coeffs
-            for c in cs:
+            for c in s.coeffs.values():
                 out = max(out, abs(complex(c)))
         return out
 
     def __repr__(self):
         return "HGraded(%r, h_order=%d)" % (self.levels, self.h_order)
-
-    def to_json(self):
-        return {"h_order": self.h_order,
-                "levels": {str(k): s.to_json()
-                           for k, s in sorted(self.levels.items())}}
 
 
 def hcompose(F, G):
@@ -528,7 +307,7 @@ def hcompose(F, G):
     G0 = G.level(0)
     if G0 is None:
         raise ValueError("hcompose requires an h^0 level in the argument")
-    if not _is_zero(G0.coeffs[0]):
+    if G0.coeffs[0] != 0:
         raise ValueError("hcompose requires G_0(0) = 0")
     N = min(F.trunc_order(), G0.trunc_order)
     # powers of the h>=1 tail of G, expanded in h
@@ -574,65 +353,3 @@ def hcompose(F, G):
                     add_level(k, (1 / fact) * (base * s2) if fact != 1
                               else base * s2)
     return HGraded(out, K)
-
-
-def functional_inverse(S):
-    """Graded inverse G with S(G(x;h);h) = x to stored orders."""
-    S0 = S.level(0)
-    if S0 is None or not _is_zero(S0.coeffs[0]):
-        raise ValueError("functional_inverse requires S_0(0) = 0")
-    if _is_zero(S0.coeffs[1]):
-        raise ValueError("functional_inverse requires S_0'(0) != 0")
-    N = S.trunc_order()
-    K = S.h_order
-    G0 = S0.truncate(N).reversion()
-    levels = {0: G0}
-    dS0_at_G0 = Series1(S0.truncate(N).deriv().compose(G0).coeffs, N)
-    inv_dS0 = dS0_at_G0.reciprocal()
-    for k in range(1, K + 1):
-        for _ in range(8):
-            G = HGraded(levels, k)
-            res = hcompose(HGraded(dict(S.levels), k), G)
-            rk = res.level(k)
-            if rk is None or all(abs(complex(c)) < 1e-14
-                                 for c in rk.coeffs):
-                break
-            corr = Series1((-(rk * inv_dS0)).coeffs, N)
-            levels[k] = levels.get(k, Series1.constant(0, N)) + corr
-    return HGraded(levels, K)
-
-
-def ode_g_from_f(f):
-    """Solve g' = 1/f(g), g(0) = 0, termwise to the stored order."""
-    if _is_zero(f.coeffs[0]):
-        raise ValueError("ode_g_from_f requires f(0) != 0")
-    n = f.trunc_order
-    g = Series1((0,), n)
-    for _ in range(n + 1):
-        rhs = f.compose(g).reciprocal()
-        g = rhs.integ().truncate(n)
-    return g
-
-
-def borel_realize(sym, h, growth_A):
-    """Optimal-truncation realization of an h-graded univariate symbol.
-
-    Returns (value_fn, k_trunc) where value_fn(x) sums h^k * level_k(x)
-    over k <= k_trunc = floor(1/(e*A*h)).
-    """
-    if h <= 0 or growth_A <= 0:
-        raise ValueError("h and growth_A must be positive")
-    k_trunc = int(math.floor(1.0 / (math.e * growth_A * h)))
-
-    def value(x):
-        acc = 0
-        for k, s in sym.levels.items():
-            if k <= k_trunc:
-                acc += h ** k * s(x)
-        return acc
-
-    return value, k_trunc
-
-
-def dumps(obj):
-    return json.dumps(obj.to_json(), sort_keys=True)

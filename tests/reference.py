@@ -1,0 +1,194 @@
+"""Reference implementations that only the tests use.
+
+Exact Gaussian-rational coefficients for the exact-arithmetic checks, and
+independent oracles for the symbol calculus: the Poisson bracket, the
+flow-quadrature average, the symmetrized-ordering action of a Weyl
+symbol on monomials, and the graded functional inverse.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+from qnmlattice.series import HGraded, Series1, Series2, hcompose
+
+
+class GaussianRational:
+    """Exact complex number a + b*i with rational a, b.
+
+    Python ints, Fractions, floats and complex numbers coerce exactly
+    (through `Fraction`), so `1j * c` stays exact.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, complex):
+            return GaussianRational(Fraction(x.real), Fraction(x.imag))
+        if isinstance(x, (int, float, Fraction)):
+            return GaussianRational(x, 0)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return GaussianRational(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return GaussianRational((self.re * o.re + self.im * o.im) / d,
+                                (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __abs__(self):
+        return abs(complex(self))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+    @staticmethod
+    def i():
+        return GaussianRational(0, 1)
+
+
+def poisson(a, b):
+    """{a, b} = d_zeta a * d_z b - d_z a * d_zeta b."""
+    return a.dzeta() * b.dz() + (-1) * (a.dz() * b.dzeta())
+
+
+def series2_value(s, z, zeta):
+    """Value of a Series2 at the point (z, zeta)."""
+    return sum(c * z ** m * zeta ** n for (m, n), c in s.coeffs.items())
+
+
+def average_by_flow_quadrature(r, nodes=64):
+    """<r> via (1/2pi) integral of r(e^{it} z, e^{-it} zeta) dt, trapezoid.
+
+    Returns a Series2 (diagonal).  Independent oracle for homological_solve.
+    """
+    n = r.trunc_order
+    acc = {}
+    for j in range(nodes):
+        t = 2.0 * math.pi * j / nodes
+        ph = cmath.exp(1j * t)
+        for (m, k), c in r.coeffs.items():
+            w = complex(c) * ph ** (m - k)
+            acc[(m, k)] = acc.get((m, k), 0.0) + w
+    return Series2({k: v / nodes for k, v in acc.items()}, n)
+
+
+def weyl_monomial_action(levels, K, k_z, nw):
+    """Apply Op_weyl of a diagonal graded symbol to z^{k_z}.
+
+    Uses the symmetrized-ordering formula Op_w(z^a zeta^b) =
+    2^{-a} sum_j C(a,j) z^j (hD)^b z^{a-j}.  Returns {h_level: coeff} of
+    the resulting multiple of z^{k_z}.
+    """
+    out = {}
+    for kf in levels:
+        s = levels[kf]
+        for n, c in enumerate(s.coeffs):
+            c = complex(c)
+            if c == 0:
+                continue
+            # Op_w(z^n zeta^n) z^k = 2^{-n} sum_j C(n,j) z^j (hD)^n z^{n-j+k}
+            for j in range(n + 1):
+                p = n - j + k_z     # power before the derivatives
+                # (hD)^n z^p = (h/i)^n p!/(p-n)! z^{p-n}
+                if p - n < 0:
+                    continue
+                fall = 1.0
+                for t in range(n):
+                    fall *= (p - t)
+                coeff = (c * 2.0 ** (-n) * math.comb(n, j)
+                         * (1.0 / 1j) ** n * fall)
+                # resulting power: j + (p - n) = k_z  -> contributes h^n
+                lvl = kf + n
+                if lvl <= K:
+                    out[lvl] = out.get(lvl, 0.0) + coeff
+    return out
+
+
+def functional_inverse(S):
+    """Graded inverse G with S(G(x;h);h) = x to stored orders."""
+    S0 = S.level(0)
+    if S0 is None or S0.coeffs[0] != 0:
+        raise ValueError("functional_inverse requires S_0(0) = 0")
+    if S0.coeffs[1] == 0:
+        raise ValueError("functional_inverse requires S_0'(0) != 0")
+    N = S.trunc_order()
+    K = S.h_order
+    G0 = S0.truncate(N).reversion()
+    levels = {0: G0}
+    dS0_at_G0 = Series1(S0.truncate(N).deriv().compose(G0).coeffs, N)
+    inv_dS0 = dS0_at_G0.reciprocal()
+    for k in range(1, K + 1):
+        for _ in range(8):
+            G = HGraded(levels, k)
+            res = hcompose(HGraded(dict(S.levels), k), G)
+            rk = res.level(k)
+            if rk is None or all(abs(complex(c)) < 1e-14
+                                 for c in rk.coeffs):
+                break
+            corr = Series1((-(rk * inv_dS0)).coeffs, N)
+            levels[k] = levels.get(k, Series1.constant(0, N)) + corr
+    return HGraded(levels, K)

@@ -11,19 +11,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from qnmlattice.series import (GaussianRational, HGraded, Series1, Series2,
-                               functional_inverse, hcompose)
+from qnmlattice.series import HGraded, Series1, Series2, hcompose
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    horizon_roots, inverse_tortoise, tortoise)
 from qnmlattice.normalform import (classical_bnf, homological_solve,
                                    moyal_product, qnm_symbol, quad_reduce,
-                                   weyl_monomial_action, weyl_to_spectral)
+                                   weyl_to_spectral)
 from qnmlattice.catalog import asymptotic_check, eval_symbol
 from qnmlattice.scaling import (ScalingConfig, build_scaled_operator,
                                 eigensolve, qnm_direct)
 from qnmlattice.pseudospectrum import RotatedHOConfig, instability_report
 from qnmlattice.cli import main as cli_main
 
+from reference import (GaussianRational, functional_inverse,
+                       weyl_monomial_action)
 from test_normalform import (barrier_symbol, contour_action,
                              triple_identity_residuals)
 from test_pseudospectrum import (ROUNDING_SIZES, TRUNCATION_SIZES,

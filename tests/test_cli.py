@@ -211,6 +211,18 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["lattice", "--config", str(cfg_path)]) == 2
     cfg_path.write_text("{not json")
     assert main(["lattice", "--config", str(cfg_path)]) == 2
+    # values of the wrong type or shape
+    for bad in ({"ell_range": [1]}, {"ell_range": 5}, {"theta": "a"},
+                {"r_list": "ab"}):
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["count", "--config", str(cfg_path)]) == 2, bad
+    # a basis whose matrices eigensolve refuses: direct also builds
+    # basis_size + 40, so its limit is 1960
+    assert main(["direct", "--basis-size", "2001", "--ell-range", "4", "4"]) \
+        == 2
+    assert main(["direct", "--basis-size", "1961", "--ell-range", "4", "4"]) \
+        == 2
+    assert main(["pseudo", "--basis-size", "2001"]) == 2
 
 
 def test_unwritable_output_exits_2_without_partial(tmp_path):

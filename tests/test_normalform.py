@@ -1,6 +1,5 @@
 """Unit tests for the barrier-top normal form and graded Weyl calculus."""
 
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,16 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qnmlattice.series import (GaussianRational, HGraded, Series1, Series2,
-                               poisson)
+from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor)
-from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI,
-                                   average_by_flow_quadrature, classical_bnf,
+from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, classical_bnf,
                                    homological_solve, moyal_commutator,
                                    moyal_product, qnm_symbol, quad_reduce,
-                                   quantum_average, weyl_monomial_action,
-                                   weyl_to_spectral)
+                                   quantum_average, weyl_to_spectral)
+
+from reference import (GaussianRational, average_by_flow_quadrature,
+                       poisson, weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -78,7 +77,7 @@ def check_reduction(q, red, tol=1e-13):
     for (m, n), cc in got.coeffs.items():
         want = red.mu if (m, n) == (1, 1) else 0.0
         assert abs(complex(cc) - want) <= tol * scale, (m, n)
-    assert abs(red.det - 1.0) <= tol
+    assert abs(a * d - b * c - 1.0) <= tol
 
 
 def test_quad_reduce_model_identity():
@@ -119,17 +118,6 @@ def test_quad_reduce_degenerate_raises():
         quad_reduce(Series2({(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}, 2))
     with pytest.raises(ValueError):
         quad_reduce(Series2({}, 2))
-
-
-def test_quad_reduce_strict_admissibility():
-    # real hyperbolic quadratic: real range is all of R, flag is False
-    q = Series2({(2, 0): -1.0, (0, 2): 1.0}, 2)
-    assert not quad_reduce(q).admissible
-    with pytest.raises(ValueError):
-        quad_reduce(q, strict=True)
-    # complex-rotated barrier omits values
-    q2 = Series2({(2, 0): -1j, (0, 2): 1.0}, 2)
-    assert quad_reduce(q2).admissible
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +286,14 @@ def levels_close(a, b, tol=1e-11):
 def test_moyal_unit():
     one = graded({0: {(0, 0): 1.0}}, 2, 6)
     b = graded({0: {(2, 1): 1.5, (0, 3): -2j}, 1: {(1, 1): 0.5}}, 2, 6)
-    levels_close(moyal_product(one, b), b)
-    levels_close(moyal_product(b, one), b)
+    levels_close(moyal_product(one, b, 2, 6), b)
+    levels_close(moyal_product(b, one, 2, 6), b)
 
 
 def test_moyal_commutator_z2_zeta2():
     a = graded({0: {(2, 0): 1.0}}, 3, 6)
     b = graded({0: {(0, 2): 1.0}}, 3, 6)
-    comm = moyal_commutator(a, b)
+    comm = moyal_commutator(a, b, 3, 6)
     # h^1 level is (1/i){z^2, zeta^2} = 4i z zeta in this package's bracket
     # orientation; all other levels vanish
     lvl1 = comm.level(1)
@@ -520,3 +508,20 @@ def test_qnm_symbol_mass_covariance():
 def test_qnm_symbol_degree_guard():
     with pytest.raises(ValueError):
         qnm_symbol(P1, degree=6, h_order=2)
+
+
+@pytest.mark.parametrize("m,lam", [(1.0, 0.0), (1.0, 0.02), (2.5, 0.0)])
+@pytest.mark.parametrize("N", [10, 14])
+def test_qnm_symbol_leading_level_is_classical_normal_form(m, lam, N):
+    # both run the one Birkhoff reduction: G_0(x)^2 = E0 + g(mu * SPECTRAL_ARG
+    # * x) with g, mu the Vey-normalized classical normal form
+    p = BlackHoleParams(m=m, lam=lam)
+    E0 = critical_data(p).E0
+    G0 = qnm_symbol(p, N, h_order=0).level(0)
+    nf = classical_bnf(barrier_symbol(p, N), N)
+    want = [E0 * (k == 0) + complex(c) * (nf.mu * SPECTRAL_ARG) ** k
+            for k, c in enumerate(nf.g.coeffs)]
+    got = (G0 * G0).coeffs
+    assert len(got) == len(want) == N // 2 + 1
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert abs(complex(a) - b) <= 1e-13 * E0, k

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,10 +91,63 @@ def test_tortoise_round_trip_lambda_positive():
     p = BlackHoleParams(m=1.0, lam=0.02)
     hz = horizon_roots(p)
     lo, hi = hz.r_minus, hz.r_plus
-    for s in np.geomspace(1e-5, 0.999, 100):
-        r = lo + float(s) * (hi - lo)
-        x = tortoise(r, p, hz)
+    rs = lo + np.geomspace(1e-5, 0.999, 100) * (hi - lo)
+    xs = np.array([tortoise(float(r), p, hz) for r in rs])
+    for r, x in zip(rs, xs):
         assert abs(inverse_tortoise(x, p, hz) - r) <= 1e-12 * max(1.0, r)
+    back = inverse_tortoise(xs, p, hz)
+    assert back.shape == rs.shape
+    assert np.all(np.abs(back - rs) <= 1e-12 * np.maximum(1.0, rs))
+
+
+def newton_one_point(x, p, hz):
+    """The scalar safeguarded Newton for lam > 0, one point at a time:
+    the loop the array version replaced, kept as its reference."""
+    roots = ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
+             (hz.r_plus, hz.a_plus, -1.0))
+
+    def x_of(r):
+        return 0.0 * r + sum(c * np.log(s * (r - a)) for a, c, s in roots)
+
+    def alpha2(r):
+        out = p.lam / 3.0 / r
+        for a, _, s in roots:
+            out = out * (s * (r - a))
+        return out
+
+    lo, hi = hz.r_minus, hz.r_plus
+    r = 3.0 * p.m
+    for _ in range(200):
+        f = x_of(r) - x
+        if abs(f) < 1e-14 * max(1.0, abs(x)):
+            return r
+        rn = r - f * alpha2(r)
+        if not (lo < rn < hi):
+            if f > 0:
+                hi = r
+            else:
+                lo = r
+            rn = 0.5 * (lo + hi)
+        if abs(rn - r) <= 4.0 * np.spacing(abs(r)):
+            return rn
+        r = rn
+    raise AssertionError("reference Newton did not converge at %g" % x)
+
+
+def test_inverse_tortoise_array_matches_scalar_calls():
+    # 121 points from r - r_minus ~ 1e-15 to r_plus - r ~ 1e-14
+    p = BlackHoleParams(m=1.0, lam=0.02)
+    hz = horizon_roots(p)
+    xs = np.linspace(-80.0, 250.0, 121)
+    r = inverse_tortoise(xs, p, hz)
+    one = np.array([inverse_tortoise(float(x), p, hz) for x in xs])
+    ref = np.array([newton_one_point(float(x), p, hz) for x in xs])
+    assert isinstance(inverse_tortoise(1.0, p, hz), float)
+    assert np.all(np.abs(r - one) <= 4.0 * np.spacing(one))
+    assert np.all(np.abs(r - ref) <= 4.0 * np.spacing(ref))
+    assert r.min() - hz.r_minus < 1e-14 and hz.r_plus - r.max() < 1e-13
+    grid = inverse_tortoise(xs.reshape(11, 11), p, hz)
+    assert np.array_equal(grid.ravel(), r)
 
 
 def test_inverse_tortoise_complex_matches_real_axis():
@@ -122,6 +176,50 @@ def test_inverse_tortoise_complex_failure_raises():
     with pytest.raises(RuntimeError, match="tortoise continuation failed"):
         inverse_tortoise_complex(np.array([50j]),
                                  BlackHoleParams(m=1.0, lam=0.02))
+
+
+def mp_potential_W_parts(x, p):
+    """W0, W1 at a real x near a horizon, to 50 digits.
+
+    Inverts the package's tortoise coordinate x(r) = lin r +
+    sum c log(s (r - a)) (its horizon roots a and residues c taken as
+    exact) in the log distance L = log(s (r - a)) of the nearest horizon,
+    and forms alpha^2 = k prod s (r - a) / r.
+    """
+    if p.lam == 0:
+        lin, k, roots = 1, 1, [(2 * p.m, 2 * p.m, 1)]
+    else:
+        hz = horizon_roots(p)
+        lin, k = 0, mpmath.mpf(p.lam) / 3
+        roots = [(hz.r0, hz.a0, 1), (hz.r_minus, hz.a_minus, 1),
+                 (hz.r_plus, hz.a_plus, -1)]
+    roots = [(mpmath.mpf(a), mpmath.mpf(c), s) for a, c, s in roots]
+    a, c, s = roots[0 if p.lam == 0 else (1 if x < 0 else 2)]
+
+    def x_of(L):
+        r = a + s * mpmath.exp(L)
+        return lin * r + sum(cc * mpmath.log(ss * (r - aa))
+                             for aa, cc, ss in roots)
+
+    L = mpmath.findroot(lambda L: x_of(L) - x, (x - x_of(0)) / c)
+    r = a + s * mpmath.exp(L)
+    a2 = k / r
+    for aa, _, ss in roots:
+        a2 *= ss * (r - aa)
+    w0 = a2 / r ** 2
+    dalpha2 = 2 * p.m / r ** 2 - 2 * mpmath.mpf(p.lam) * r / 3
+    return complex(w0), complex(w0 * (r * dalpha2 - 0.25))
+
+
+def test_potential_W_parts_near_horizons_mpmath():
+    # r - r_horizon between 7.6e-10 and 1.7e-5
+    for lam, x in [(0.0, -20.0), (0.0, -40.0), (0.02, -40.0), (0.02, 120.0)]:
+        p = BlackHoleParams(m=1.0, lam=lam)
+        with mpmath.workdps(50):
+            want0, want1 = mp_potential_W_parts(x, p)
+        got0, got1 = potential_W_parts(np.array([x], dtype=complex), p)
+        assert abs(got0[0] - want0) <= 1e-13 * abs(want0), (lam, x)
+        assert abs(got1[0] - want1) <= 1e-13 * abs(want1), (lam, x)
 
 
 def test_potential_peak_value_and_flatness():

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qnmlattice.potentials import BlackHoleParams, critical_data
+from qnmlattice.potentials import (BlackHoleParams, critical_data,
+                                   potential_W_parts)
 from qnmlattice.scaling import (ScalingConfig, build_scaled_operator,
-                                eigensolve, ellipticity_scan,
-                                hermite_function_values, hermite_quadrature,
-                                qnm_direct, scaled_symbol)
+                                eigensolve, hermite_function_values,
+                                hermite_quadrature, qnm_direct)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -55,6 +55,45 @@ def test_hermite_function_ode():
 
 # ---------------------------------------------------------------------------
 # scaled symbol and ellipticity
+
+
+def scaled_symbol(x, xi, cfg, p):
+    """p_theta(x, xi) = ((1+i theta)^{-1} xi)^2 + V(x + i theta x).
+
+    x is measured from the barrier top (shifted coordinate); V is the
+    holomorphically continued shifted potential.
+    """
+    cd = critical_data(p)
+    th = cfg.theta
+    xc = cd.x0 + x * (1.0 + 1j * th)
+    w0, _ = potential_W_parts(np.array([xc]), p)
+    v = complex(w0[0]) - cd.E0
+    return ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
+
+
+def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
+    """min of |p_theta|/(1+xi^2) outside the eps-ball around (0,0)."""
+    cd = critical_data(p)
+    th = cfg.theta
+    xg = np.asarray(x_grid, float)
+    xc = cd.x0 + xg * (1.0 + 1j * th)
+    w0, _ = potential_W_parts(xc, p)
+    v = w0 - cd.E0
+    best = None
+    argmin = None
+    for xi in np.asarray(xi_grid, float):
+        pvals = ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
+        ratio = np.abs(pvals) / (1.0 + xi ** 2)
+        mask = xg ** 2 + xi ** 2 > eps ** 2
+        if not np.any(mask):
+            continue
+        i = int(np.argmin(np.where(mask, ratio, np.inf)))
+        if best is None or ratio[i] < best:
+            best = float(ratio[i])
+            argmin = (float(xg[i]), float(xi))
+    if best is None:
+        return {"min_ratio": None, "argmin": None, "empty_domain": True}
+    return {"min_ratio": best, "argmin": argmin, "empty_domain": False}
 
 
 def test_scaled_symbol_unrotated_and_origin():
