@@ -87,8 +87,12 @@ def validate_config(cfg, command):
 
 def _check_config(cfg, command):
     try:
-        potentials.BlackHoleParams(m=float(cfg["m"]),
-                                   lam=float(cfg["lambda"]))
+        p = potentials.BlackHoleParams(m=float(cfg["m"]),
+                                       lam=float(cfg["lambda"]))
+        # these expand about the barrier top, which a near-extremal lambda
+        # lacks; `potential` only tabulates W
+        if command in ("gsymbol", "lattice", "count", "direct"):
+            potentials.critical_data(p)
     except ValueError as e:
         raise ConfigError(str(e))
     if not (0.0 <= float(cfg["theta"]) <= 0.4):

@@ -86,12 +86,12 @@ def quad_reduce(q):
 def homological_solve(r):
     """Solve i(z d_z - zeta d_zeta) a = -r + <r> termwise.
 
-    Returns (a, r_avg): a_{mn} = i r_{mn}/(m-n) off the diagonal, and the
-    diagonal average <r> as a Series1 in w = z zeta.
+    Returns a with a_{mn} = i r_{mn}/(m-n) off the diagonal; the average
+    <r> is the diagonal part, `r.diagonal()`.
     """
-    a = Series2({(m, n): 1j * c / (m - n)
-                 for (m, n), c in r.coeffs.items() if m != n}, r.trunc_order)
-    return a, r.diagonal()
+    return Series2({(m, n): 1j * c / (m - n)
+                    for (m, n), c in r.coeffs.items() if m != n},
+                   r.trunc_order)
 
 
 def _birkhoff(sym, K, N):
@@ -112,7 +112,7 @@ def _birkhoff(sym, K, N):
         r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
         if not r_off.coeffs:
             continue
-        a_h, _ = homological_solve(r_off)
+        a_h = homological_solve(r_off)
         sym = conjugate_classical(sym, (1.0 / (1j * red.mu)) * a_h, K, N)
     return red.mu, sym
 
@@ -171,18 +171,6 @@ def _moyal_term(a, b, k, degree):
     return pref * out
 
 
-def moyal_product(a, b, K, degree):
-    """Graded Weyl product of two h-graded bivariate symbols."""
-    out = {}
-    for ka, sa in a.levels.items():
-        for kb, sb in b.levels.items():
-            for k in range(0, K - ka - kb + 1):
-                lvl = ka + kb + k
-                t = _moyal_term(sa, sb, k, degree)
-                out[lvl] = out.get(lvl, Series2.zero(degree)) + t
-    return HGraded(out, K)
-
-
 def moyal_commutator(a, b, K, degree):
     """a # b - b # a; even bidifferential terms cancel identically."""
     out = {}
@@ -219,22 +207,6 @@ def conjugate_classical(sym, gen, h_order, degree):
     return _ad_exp(g, sym, h_order, degree, over_ih=True)
 
 
-def moyal_function(fs, q, h_order, degree):
-    """Weyl symbol of f(Q) for a scalar series f and graded symbol q."""
-    one = HGraded({0: Series2({(0, 0): 1.0}, degree)}, h_order)
-    out = one.scale(complex(fs.coeffs[0]))
-    power = one
-    tmax = degree + 2 * h_order + 2
-    for t in range(1, min(fs.trunc_order, tmax) + 1):
-        power = moyal_product(power, q, h_order, degree)
-        if power.max_abs() == 0.0:
-            break
-        c = complex(fs.coeffs[t])
-        if c != 0:
-            out = out + power.scale(c)
-    return out
-
-
 def _diag_levels(sym, tol=1e-9):
     """Extract levels of a diagonal graded symbol as Series1 in w."""
     out = {}
@@ -246,14 +218,13 @@ def _diag_levels(sym, tol=1e-9):
     return out
 
 
-def quantum_average(qsym, h_order=None, degree=None):
+def quantum_average(qsym, h_order, degree):
     """Conjugate a graded symbol with diagonal h^0 part to G(z zeta; h).
 
-    The h^0 level must equal g(z zeta) with g(0) = 0, g'(0) != 0.  Output
-    levels depend on w = z zeta only.
+    The h^0 level must equal g(z zeta) with g(0) = 0, g'(0) != 0; it is
+    left as it is.  Output levels depend on w = z zeta only.
     """
-    K = h_order if h_order is not None else qsym.h_order
-    N = degree if degree is not None else qsym.trunc_order()
+    K, N = h_order, degree
     q0 = qsym.level(0)
     if q0 is None:
         raise ValueError("missing h^0 level")
@@ -263,13 +234,11 @@ def quantum_average(qsym, h_order=None, degree=None):
     g = q0.diagonal()
     if abs(complex(g.coeffs[0])) > 1e-12 or abs(complex(g.coeffs[1])) < 1e-14:
         raise ValueError("need g(0) = 0 and g'(0) != 0")
-    # reduce the principal part to w itself: apply f = g^{-1} at operator
-    # level; g is treated as an exact polynomial, so extend the inversion
-    # order far enough for all Moyal powers that can contribute
-    tmax = (N + 2 * K) // 2 + 2
-    finv = Series1(g.coeffs, tmax).reversion()
-    cur = moyal_function(finv, HGraded(dict(qsym.levels), K), K, N)
-    # iterated averaging: kill off-diagonal parts level by level
+    # [a, g(w)] = h g'(w) i(m - n) a + O(h^3): dividing the off-diagonal part
+    # by g'(w) before the homological solve removes it at level ell; the
+    # O(h^3) rest lands on level ell + 2, which a later pass removes
+    inv_dg = Series2.from_diagonal(g.deriv().reciprocal(), N)
+    cur = HGraded(dict(qsym.levels), K)
     for ell in range(1, K + 1):
         r = cur.level(ell)
         if r is None:
@@ -277,16 +246,11 @@ def quantum_average(qsym, h_order=None, degree=None):
         r_off = r.off_diagonal()
         if not r_off.coeffs:
             continue
-        a_h, _ = homological_solve(r_off)
+        a_h = homological_solve(r_off * inv_dg)
         # conjugation by exp(gen) (bounded generator), Ad = exp([gen, .])
         cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
-    d = _diag_levels(cur)
-    # map back through g at operator level
-    gpad = Series1(g.coeffs, tmax)
-    dsym = HGraded({k: Series2.from_diagonal(s, N) for k, s in d.items()}, K)
-    out = moyal_function(gpad, dsym, K, N)
-    return HGraded({k: Series2.from_diagonal(s.diagonal(), N)
-                    for k, s in out.levels.items()}, K)
+    return HGraded({k: Series2.from_diagonal(s, N)
+                    for k, s in _diag_levels(cur).items()}, K)
 
 
 def _weyl_to_left_diag(levels, K, nw):
@@ -309,14 +273,12 @@ def _weyl_to_left_diag(levels, K, nw):
     return {k: Series1(v, nw) for k, v in out.items()}
 
 
-def weyl_to_spectral(F, h_order=None):
+def weyl_to_spectral(F, h_order):
     """Spectral form of a diagonal graded symbol.
 
     Returns g_spec with Op_weyl(F) = g_spec(z h D_z + h/(2i); h); the model
     operator has eigenvalue -i(n+1/2)h on z^n.
     """
-    if h_order is None:
-        h_order = F.h_order
     K = h_order
     levels = {k: s.diagonal() for k, s in F.levels.items()}
     nw = min(s.trunc_order for s in levels.values())

@@ -102,24 +102,24 @@ class _Tortoise:
         return out
 
 
-def _tortoise_terms(p, horizons=None):
+def _tortoise_terms(p):
     if p.lam == 0:
         return _Tortoise(1.0, 1.0, ((2.0 * p.m, 2.0 * p.m, 1.0),))
-    hz = horizons or horizon_roots(p)
+    hz = horizon_roots(p)
     return _Tortoise(0.0, p.lam / 3.0,
                      ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
                       (hz.r_plus, hz.a_plus, -1.0)))
 
 
-def tortoise(r, p, horizons=None):
+def tortoise(r, p):
     """x(r) with dx/dr = 1/alpha^2, real-valued on the exterior region."""
-    tt = _tortoise_terms(p, horizons)
+    tt = _tortoise_terms(p)
     if not all(s * (r - a) > 0 for a, _, s in tt.roots):
         raise ValueError("need r between the horizons")
     return float(tt.x(r))
 
 
-def inverse_tortoise(x, p, horizons=None):
+def inverse_tortoise(x, p):
     """r(x) on the real line for a scalar or an array x: Wright omega for
     lam = 0, safeguarded Newton (per point) for lam > 0."""
     if p.lam == 0:
@@ -127,12 +127,12 @@ def inverse_tortoise(x, p, horizons=None):
         return 2.0 * p.m * (1.0 + scipy.special.wrightomega(
             np.asarray(x, dtype=float) / (2.0 * p.m) - 1.0
             - math.log(2.0 * p.m)))
-    hz = horizons or horizon_roots(p)
-    tt = _tortoise_terms(p, hz)
+    tt = _tortoise_terms(p)
     xf = np.array(x, dtype=float).ravel()
     r = np.full(xf.shape, 3.0 * p.m)
-    lo = np.full(xf.shape, hz.r_minus)
-    hi = np.full(xf.shape, hz.r_plus)
+    # bracketed by the horizons r_minus and r_plus, roots 1 and 2
+    lo = np.full(xf.shape, tt.roots[1][0])
+    hi = np.full(xf.shape, tt.roots[2][0])
     todo = np.arange(xf.size)
     for _ in range(200):
         rt, xt = r[todo], xf[todo]
@@ -193,25 +193,21 @@ def _continue(x, tt, u, root=None):
     return r, a2, np.abs(xu - x)
 
 
-def inverse_tortoise_complex(x, p, horizons=None):
-    """Holomorphic continuation of r(x) off the real axis.
+def inverse_tortoise_complex(x, p):
+    """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)).
 
-    Vectorized over a complex array x.  Points whose real part puts r close
-    to a horizon are solved in the log-distance variable (stable down to
-    exponentially small separations); the rest use plain Newton continuation.
+    Vectorized over a complex array x; returns the pair (r, alpha^2).
+    Points whose real part puts r close to a horizon are solved in the
+    log-distance variable (stable down to exponentially small separations);
+    the rest use plain Newton continuation.
     """
-    return _continuation(x, p, horizons)[0]
-
-
-def _continuation(x, p, horizons=None):
-    """r(x) and alpha^2(r(x)) for `inverse_tortoise_complex`."""
     x = np.asarray(x, dtype=complex)
     shape = x.shape
     xf = x.ravel()
-    hz = None if p.lam == 0 else (horizons or horizon_roots(p))
-    tt = _tortoise_terms(p, hz)
-    r_real = inverse_tortoise(xf.real, p, hz)
-    near = p.m if p.lam == 0 else 0.25 * (hz.r_plus - hz.r_minus)
+    tt = _tortoise_terms(p)
+    r_real = inverse_tortoise(xf.real, p)
+    # for lam > 0, a quarter of the span between r_minus and r_plus
+    near = p.m if p.lam == 0 else 0.25 * (tt.roots[2][0] - tt.roots[1][0])
     out = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
     resid = np.zeros(xf.shape)
@@ -255,7 +251,7 @@ def critical_data(p):
 def potential_W_parts(x_arr, p):
     """Vectorized (W0, W1) on a complex array of tortoise coordinates,
     with W = W0 + h^2 W1."""
-    r, a2 = _continuation(x_arr, p)
+    r, a2 = inverse_tortoise_complex(x_arr, p)
     w0 = a2 / r ** 2
     return w0, w0 * (r * _dalpha2_dr(r, p) - 0.25)
 

@@ -285,13 +285,6 @@ class HGraded:
         return HGraded({k: c * s for k, s in self.levels.items()},
                        self.h_order)
 
-    def max_abs(self):
-        out = 0.0
-        for s in self.levels.values():
-            for c in s.coeffs.values():
-                out = max(out, abs(complex(c)))
-        return out
-
     def __repr__(self):
         return "HGraded(%r, h_order=%d)" % (self.levels, self.h_order)
 

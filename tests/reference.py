@@ -3,13 +3,16 @@
 Exact Gaussian-rational coefficients for the exact-arithmetic checks, and
 independent oracles for the symbol calculus: the Poisson bracket, the
 flow-quadrature average, the symmetrized-ordering action of a Weyl
-symbol on monomials, and the graded functional inverse.
+symbol on monomials, the graded functional inverse, the graded Weyl
+product, and quantum averaging by the round trip through g^{-1}(Q).
 """
 
 import cmath
 import math
 from fractions import Fraction
 
+from qnmlattice.normalform import (_ad_exp, _diag_levels, _moyal_term,
+                                   homological_solve)
 from qnmlattice.series import HGraded, Series1, Series2, hcompose
 
 
@@ -123,7 +126,8 @@ def series2_value(s, z, zeta):
 def average_by_flow_quadrature(r, nodes=64):
     """<r> via (1/2pi) integral of r(e^{it} z, e^{-it} zeta) dt, trapezoid.
 
-    Returns a Series2 (diagonal).  Independent oracle for homological_solve.
+    Returns a Series2 (diagonal).  Independent oracle for the average <r>,
+    the diagonal part that homological_solve leaves.
     """
     n = r.trunc_order
     acc = {}
@@ -192,3 +196,55 @@ def functional_inverse(S):
             corr = Series1((-(rk * inv_dS0)).coeffs, N)
             levels[k] = levels.get(k, Series1.constant(0, N)) + corr
     return HGraded(levels, K)
+
+
+def moyal_product(a, b, K, degree):
+    """Graded Weyl product of two h-graded bivariate symbols."""
+    out = {}
+    for ka, sa in a.levels.items():
+        for kb, sb in b.levels.items():
+            for k in range(0, K - ka - kb + 1):
+                lvl = ka + kb + k
+                t = _moyal_term(sa, sb, k, degree)
+                out[lvl] = out.get(lvl, Series2.zero(degree)) + t
+    return HGraded(out, K)
+
+
+def moyal_function(fs, q, h_order, degree):
+    """Weyl symbol of f(Q) for a scalar series f and graded symbol q."""
+    one = HGraded({0: Series2({(0, 0): 1.0}, degree)}, h_order)
+    out = one.scale(complex(fs.coeffs[0]))
+    power = one
+    tmax = degree + 2 * h_order + 2
+    for t in range(1, min(fs.trunc_order, tmax) + 1):
+        power = moyal_product(power, q, h_order, degree)
+        if not any(s.coeffs for s in power.levels.values()):
+            break
+        c = complex(fs.coeffs[t])
+        if c != 0:
+            out = out + power.scale(c)
+    return out
+
+
+def average_through_inverse(qsym, K, N):
+    """Quantum average of a graded symbol with diagonal h^0 part g(w), by
+    the round trip: map the principal part to w with g^{-1}(Q), average
+    against w, map back with g.  Independent oracle for quantum_average.
+    """
+    g = qsym.level(0).diagonal()
+    # g is treated as an exact polynomial, so extend the inversion order
+    # far enough for all Moyal powers that can contribute
+    tmax = (N + 2 * K) // 2 + 2
+    finv = Series1(g.coeffs, tmax).reversion()
+    cur = moyal_function(finv, HGraded(dict(qsym.levels), K), K, N)
+    for ell in range(1, K + 1):
+        r = cur.level(ell)
+        if r is None or not r.off_diagonal().coeffs:
+            continue
+        a_h = homological_solve(r.off_diagonal())
+        cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
+    dsym = HGraded({k: Series2.from_diagonal(s, N)
+                    for k, s in _diag_levels(cur).items()}, K)
+    out = moyal_function(Series1(g.coeffs, tmax), dsym, K, N)
+    return HGraded({k: Series2.from_diagonal(s.diagonal(), N)
+                    for k, s in out.levels.items()}, K)

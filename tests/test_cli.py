@@ -206,6 +206,9 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["gsymbol", "--h-order", "3"]) == 2
     assert main(["count", "--r-list", "0.5", "2"]) == 2
     assert main(["gsymbol", "--series-degree", "5"]) == 2
+    # a near-extremal lambda leaves no barrier to expand about
+    assert main(["gsymbol", "--lam", "0.11111"]) == 2
+    assert main(["direct", "--lam", "0.11111", "--ell-range", "4", "4"]) == 2
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"no_such_key": 1}))
     assert main(["lattice", "--config", str(cfg_path)]) == 2

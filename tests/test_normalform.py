@@ -9,14 +9,17 @@ import pytest
 
 from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
-                                   shifted_potential_taylor)
-from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, classical_bnf,
+                                   shifted_potential_taylor,
+                                   subprincipal_taylor)
+from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
+                                   classical_bnf,
                                    homological_solve, moyal_commutator,
-                                   moyal_product, qnm_symbol, quad_reduce,
-                                   quantum_average, weyl_to_spectral)
+                                   qnm_symbol, quad_reduce, quantum_average,
+                                   weyl_to_spectral)
 
 from reference import (GaussianRational, average_by_flow_quadrature,
-                       poisson, weyl_monomial_action)
+                       average_through_inverse, moyal_product, poisson,
+                       weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -126,14 +129,16 @@ def test_quad_reduce_degenerate_raises():
 
 def test_homological_diagonal_passthrough():
     r = Series2({(1, 1): 1.0, (2, 2): 0.5}, 5)
-    a, avg = homological_solve(r)
+    a = homological_solve(r)
+    avg = r.diagonal()
     assert not a.coeffs
     assert avg.coeffs[1] == 1.0 and avg.coeffs[2] == 0.5
 
 
 def test_homological_identity_simple():
     r = Series2({(2, 1): 1.0}, 4)
-    a, avg = homological_solve(r)
+    a = homological_solve(r)
+    avg = r.diagonal()
     assert not any(abs(complex(c)) for c in avg.coeffs)
     # i (z d_z - zeta d_zeta) a = -r off the diagonal, i.e.
     # i (m - n) a_{mn} = -r_{mn}
@@ -151,7 +156,8 @@ def test_homological_exact_rational():
                     Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
     r = Series2(coeffs, 8)
-    a, avg = homological_solve(r)
+    a = homological_solve(r)
+    avg = r.diagonal()
     assert not avg.coeffs or all(c == 0 for c in avg.coeffs)
     i_gr = GaussianRational.i()
     for (m, n), c in coeffs.items():
@@ -167,7 +173,7 @@ def test_flow_quadrature_average_oracle():
         for n in range(9 - m):
             coeffs[(m, n)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     r = Series2(coeffs, 8)
-    _, avg = homological_solve(r)
+    avg = r.diagonal()
     q_avg = average_by_flow_quadrature(r, nodes=64)
     for (m, n), c in q_avg.coeffs.items():
         want = complex(avg.coeffs[m]) if m == n else 0.0
@@ -355,10 +361,10 @@ def eigen_levels(levels_s1, K, n):
 def test_quantum_average_requires_diagonal_principal():
     bad = graded({0: {(1, 1): 1.0, (2, 1): 0.3}}, 2, 6)
     with pytest.raises(ValueError):
-        quantum_average(bad)
+        quantum_average(bad, 2, 6)
     bad2 = graded({0: {(0, 0): 1.0, (1, 1): 1.0}}, 2, 6)
     with pytest.raises(ValueError):
-        quantum_average(bad2)
+        quantum_average(bad2, 2, 6)
 
 
 def test_quantum_average_output_is_diagonal():
@@ -399,9 +405,47 @@ def test_quantum_average_no_spurious_odd_level():
                                for c in lvl1.coeffs.values())
 
 
+def birkhoff_barrier(p, N, K):
+    """The graded barrier symbol (xi^2 + V, with h^2 W1) after the Birkhoff
+    reduction: the input `qnm_symbol` hands to quantum averaging."""
+    W1 = subprincipal_taylor(p, N)
+    levels = {0: barrier_symbol(p, N),
+              2: Series2({(k, 0): c for k, c in enumerate(W1.coeffs)
+                          if c != 0}, N)}
+    return _birkhoff(HGraded(levels, K), K, N)[1]
+
+
+def test_quantum_average_keeps_principal_level_exactly():
+    for N, K in ((10, 2), (14, 4)):
+        sym = birkhoff_barrier(P1, N, K)
+        G = quantum_average(sym, K, N)
+        assert G.level(0).diagonal().coeffs == sym.level(0).diagonal().coeffs
+
+
+@pytest.mark.parametrize("m,lam", [(1.0, 0.0), (1.0, 0.02), (2.5, 0.0)])
+@pytest.mark.parametrize("N,K", [(10, 2), (14, 4)])
+def test_quantum_average_vs_average_through_inverse(m, lam, N, K):
+    # the round trip through g^{-1}(Q) and back reaches the same average on
+    # every resolved coefficient, w^j at level k with 2j + 2k <= N
+    sym = birkhoff_barrier(BlackHoleParams(m=m, lam=lam), N, K)
+    got = quantum_average(sym, K, N)
+    want = average_through_inverse(sym, K, N)
+
+    def resolved(G, k):
+        lvl = G.level(k)
+        cs = [complex(c) for c in lvl.diagonal().coeffs] if lvl else []
+        return (cs + [0j] * N)[:N // 2 - k + 1]
+
+    for k in range(K + 1):
+        # odd levels vanish in exact arithmetic: measure them on the h^0 scale
+        scale = max(map(abs, resolved(want, k if k % 2 == 0 else 0)))
+        for j, (x, y) in enumerate(zip(resolved(got, k), resolved(want, k))):
+            assert abs(x - y) <= 1e-10 * scale, (k, j)
+
+
 def test_weyl_to_spectral_linear():
     F = HGraded({0: Series2({(1, 1): 1.0}, 4)}, 2)
-    gs = weyl_to_spectral(F)
+    gs = weyl_to_spectral(F, 2)
     lvl0 = gs.level(0)
     assert abs(complex(lvl0.coeffs[1]) - 1.0) <= 1e-14
     assert abs(complex(lvl0.coeffs[0])) <= 1e-14
@@ -412,7 +456,7 @@ def test_weyl_to_spectral_linear():
 
 def test_weyl_to_spectral_square():
     F = HGraded({0: Series2({(2, 2): 1.0}, 4)}, 2)
-    gs = weyl_to_spectral(F)
+    gs = weyl_to_spectral(F, 2)
     lvl0 = [complex(c) for c in gs.level(0).coeffs]
     assert abs(lvl0[2] - 1.0) <= 1e-14
     assert max(abs(lvl0[0]), abs(lvl0[1])) <= 1e-14
@@ -503,6 +547,17 @@ def test_qnm_symbol_mass_covariance():
         for c1, c2 in zip(a.coeffs, b.coeffs):
             assert abs(complex(c2) - 0.5 * complex(c1)) \
                 <= 1e-10 * max(abs(complex(c1)), 1e-12)
+
+
+def test_qnm_symbol_h_order_4_at_degree_20():
+    # the degree-20 symbol extends the degree-18 one: same coefficients
+    # where both are resolved
+    G20 = qnm_symbol(P1, degree=20, h_order=4)
+    G18 = qnm_symbol(P1, degree=18, h_order=4)
+    for k, lvl in G18.levels.items():
+        scale = max(abs(complex(c)) for c in lvl.coeffs)
+        for c18, c20 in zip(lvl.coeffs, G20.level(k).coeffs):
+            assert abs(complex(c20) - complex(c18)) <= 1e-14 * scale, k
 
 
 def test_qnm_symbol_degree_guard():

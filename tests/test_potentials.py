@@ -92,10 +92,10 @@ def test_tortoise_round_trip_lambda_positive():
     hz = horizon_roots(p)
     lo, hi = hz.r_minus, hz.r_plus
     rs = lo + np.geomspace(1e-5, 0.999, 100) * (hi - lo)
-    xs = np.array([tortoise(float(r), p, hz) for r in rs])
+    xs = np.array([tortoise(float(r), p) for r in rs])
     for r, x in zip(rs, xs):
-        assert abs(inverse_tortoise(x, p, hz) - r) <= 1e-12 * max(1.0, r)
-    back = inverse_tortoise(xs, p, hz)
+        assert abs(inverse_tortoise(x, p) - r) <= 1e-12 * max(1.0, r)
+    back = inverse_tortoise(xs, p)
     assert back.shape == rs.shape
     assert np.all(np.abs(back - rs) <= 1e-12 * np.maximum(1.0, rs))
 
@@ -139,21 +139,21 @@ def test_inverse_tortoise_array_matches_scalar_calls():
     p = BlackHoleParams(m=1.0, lam=0.02)
     hz = horizon_roots(p)
     xs = np.linspace(-80.0, 250.0, 121)
-    r = inverse_tortoise(xs, p, hz)
-    one = np.array([inverse_tortoise(float(x), p, hz) for x in xs])
+    r = inverse_tortoise(xs, p)
+    one = np.array([inverse_tortoise(float(x), p) for x in xs])
     ref = np.array([newton_one_point(float(x), p, hz) for x in xs])
-    assert isinstance(inverse_tortoise(1.0, p, hz), float)
+    assert isinstance(inverse_tortoise(1.0, p), float)
     assert np.all(np.abs(r - one) <= 4.0 * np.spacing(one))
     assert np.all(np.abs(r - ref) <= 4.0 * np.spacing(ref))
     assert r.min() - hz.r_minus < 1e-14 and hz.r_plus - r.max() < 1e-13
-    grid = inverse_tortoise(xs.reshape(11, 11), p, hz)
+    grid = inverse_tortoise(xs.reshape(11, 11), p)
     assert np.array_equal(grid.ravel(), r)
 
 
 def test_inverse_tortoise_complex_matches_real_axis():
     p = BlackHoleParams(m=1.0, lam=0.02)
     xs = np.linspace(-30.0, 30.0, 31)
-    r1 = inverse_tortoise_complex(xs.astype(complex), p)
+    r1 = inverse_tortoise_complex(xs.astype(complex), p)[0]
     r2 = np.array([inverse_tortoise(float(x), p) for x in xs])
     assert np.max(np.abs(r1 - r2)) <= 1e-9
 
@@ -165,7 +165,7 @@ def test_inverse_tortoise_complex_is_holomorphic():
             eps = 1e-5
             pts = np.array([x0 + eps, x0 - eps, x0 + 1j * eps,
                             x0 - 1j * eps])
-            r = inverse_tortoise_complex(pts, p)
+            r = inverse_tortoise_complex(pts, p)[0]
             d_re = (r[0] - r[1]) / (2 * eps)
             d_im = (r[2] - r[3]) / (2j * eps)
             assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
