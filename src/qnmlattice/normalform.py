@@ -6,7 +6,9 @@ conjugating the whole graded symbol in the Weyl (Moyal) calculus; at
 h-order 0 it is the classical Birkhoff normal form.  Quantum part:
 averaging to a diagonal symbol G(z*zeta; h), and conversion to the
 spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
--i(n+1/2)h.  The assembled output G(x; h) gives the mode lattice
+-i(n+1/2)h, by the closed form of Op_w((z*zeta)^n) on monomials.  The
+assembled output G(x; h), the square root of E0 plus that spectral
+symbol taken level by level in h, gives the mode lattice
 lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 """
 
@@ -14,7 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .series import HGraded, Series1, Series2, hcompose
+from numpy.polynomial.polynomial import polyfromroots
+
+from .series import HGraded, Series1, Series2
 from .potentials import critical_data, shifted_potential_taylor, \
     subprincipal_taylor
 
@@ -183,18 +187,15 @@ def moyal_commutator(a, b, K, degree):
     return HGraded(out, K)
 
 
-def _ad_exp(gen, sym, h_order, degree, over_ih=False):
-    """exp(ad_gen) sym with ad = [gen, .]_moyal, optionally (i/h)[gen, .]."""
+def _ad_exp(gen, sym, h_order, degree):
+    """exp(ad_gen) sym with ad = [gen, .]_moyal.
+
+    A generator at h-level -1, (i/h) a, conjugates by exp((i/h) a).
+    """
     out = sym
     term = sym
     for k in range(1, 4 * (h_order + degree + 3)):
-        comm = moyal_commutator(gen, term, h_order + (1 if over_ih else 0),
-                                degree)
-        if over_ih:
-            # commutator levels start at h^1; divide by h and multiply by i
-            comm = HGraded({kk - 1: 1j * s for kk, s in comm.levels.items()
-                            if kk >= 1}, h_order)
-        term = comm.scale(1.0 / k)
+        term = moyal_commutator(gen, term, h_order, degree).scale(1.0 / k)
         if not any(s.coeffs for s in term.levels.values()):
             break
         out = out + term
@@ -203,16 +204,21 @@ def _ad_exp(gen, sym, h_order, degree, over_ih=False):
 
 def conjugate_classical(sym, gen, h_order, degree):
     """Conjugation by exp((i/h) gen) at graded-symbol level."""
-    g = HGraded({0: gen}, h_order + 1)
-    return _ad_exp(g, sym, h_order, degree, over_ih=True)
+    return _ad_exp(HGraded({-1: 1j * gen}, h_order), sym, h_order, degree)
 
 
-def _diag_levels(sym, tol=1e-9):
-    """Extract levels of a diagonal graded symbol as Series1 in w."""
+def _diag_levels(sym, rel=1e-10):
+    """Extract levels of a diagonal graded symbol as Series1 in w.
+
+    Level k is refused when an off-diagonal coefficient exceeds `rel` times
+    the largest coefficient of levels 0..k.
+    """
     out = {}
-    for k, s in sym.levels.items():
-        off = s.off_diagonal()
-        if any(abs(complex(c)) > tol for c in off.coeffs.values()):
+    scale = 0.0
+    for k, s in sorted(sym.levels.items()):
+        scale = max([scale] + [abs(complex(c)) for c in s.coeffs.values()])
+        if any(abs(complex(c)) > rel * scale
+               for c in s.off_diagonal().coeffs.values()):
             raise ValueError("symbol level %d is not diagonal" % k)
         out[k] = s.diagonal()
     return out
@@ -228,10 +234,7 @@ def quantum_average(qsym, h_order, degree):
     q0 = qsym.level(0)
     if q0 is None:
         raise ValueError("missing h^0 level")
-    off0 = q0.off_diagonal()
-    if any(abs(complex(c)) > 1e-9 for c in off0.coeffs.values()):
-        raise ValueError("h^0 level is not diagonal; run classical_bnf first")
-    g = q0.diagonal()
+    g = _diag_levels(HGraded({0: q0}, 0))[0]
     if abs(complex(g.coeffs[0])) > 1e-12 or abs(complex(g.coeffs[1])) < 1e-14:
         raise ValueError("need g(0) = 0 and g'(0) != 0")
     # [a, g(w)] = h g'(w) i(m - n) a + O(h^3): dividing the off-diagonal part
@@ -253,66 +256,31 @@ def quantum_average(qsym, h_order, degree):
                     for k, s in _diag_levels(cur).items()}, K)
 
 
-def _weyl_to_left_diag(levels, K, nw):
-    """Graded diagonal Weyl symbol -> left (classical) ordering symbol."""
-    out = {}
-    for kf, s in levels.items():
-        for n, c in enumerate(s.coeffs):
-            c = complex(c)
-            if c == 0:
-                continue
-            fac = 1.0
-            for k in range(0, n + 1):
-                lvl = kf + k
-                if lvl > K:
-                    break
-                if k > 0:
-                    fac *= (n - k + 1) ** 2 / (2j) / k
-                tgt = out.setdefault(lvl, [0.0] * (nw + 1))
-                tgt[n - k] += c * fac
-    return {k: Series1(v, nw) for k, v in out.items()}
-
-
 def weyl_to_spectral(F, h_order):
     """Spectral form of a diagonal graded symbol.
 
     Returns g_spec with Op_weyl(F) = g_spec(z h D_z + h/(2i); h); the model
-    operator has eigenvalue -i(n+1/2)h on z^n.
+    operator has eigenvalue -i(n+1/2)h on z^n.  On z^j, with nu = j + 1/2,
+    Op_w(w^n) z^j = (h/2i)^n P_n(nu) z^j, where
+    P_n(nu) = sum_i C(n,i) prod_{t<n} (nu + n - i - t - 1/2), and
+    h nu = i s, so the term P_n[p] nu^p lands on h-level n - p at s^p.
+    P_n has the parity of n and exact dyadic coefficients, so odd h-levels
+    come out exactly 0.
     """
     K = h_order
     levels = {k: s.diagonal() for k, s in F.levels.items()}
     nw = min(s.trunc_order for s in levels.values())
-    left = _weyl_to_left_diag(levels, K, nw)
-    # z^n (hD)^n = i^{-n} prod_{j<n} (i s - h/2 - j h), s = z h D_z + h/(2i)
-    # expand in s with h-graded coefficients
-    out = {}
-
-    def add(lvl, n_s, c):
-        if lvl <= K:
-            tgt = out.setdefault(lvl, [0.0] * (nw + 1))
-            tgt[n_s] += c
-
-    for kf, s in left.items():
-        for n, c in enumerate(s.coeffs):
-            c = complex(c)
-            if c == 0:
-                continue
-            # poly in s with h-coefficients: start with i^{-n}
-            poly = {0: {0: c * (1j) ** (-n)}}  # h-level -> {s-power: coeff}
-            for j in range(n):
-                newp = {}
-                for kh, mono in poly.items():
-                    for ps, cc in mono.items():
-                        # multiply by (i s - (j + 1/2) h)
-                        newp.setdefault(kh, {}).setdefault(ps + 1, 0.0)
-                        newp[kh][ps + 1] += cc * 1j
-                        if kh + 1 <= K:
-                            newp.setdefault(kh + 1, {}).setdefault(ps, 0.0)
-                            newp[kh + 1][ps] += cc * (-(j + 0.5))
-                poly = newp
-            for kh, mono in poly.items():
-                for ps, cc in mono.items():
-                    add(kf + kh, ps, cc)
+    out = {k: [0j] * (nw + 1) for k in range(K + 1)}
+    for n in range(nw + 1):
+        pn = sum(math.comb(n, i) * polyfromroots([i - n + t + 0.5
+                                                   for t in range(n)])
+                 for i in range(n + 1)).tolist()
+        for p in range(n % 2, n + 1, 2):
+            # (2i)^-n i^p = 2^-n (-1)^((n-p)/2)
+            fac = pn[p] * (-1) ** ((n - p) // 2) / 2 ** n
+            for kf, s in levels.items():
+                if kf + n - p <= K and s.coeffs[n] != 0:
+                    out[kf + n - p][p] += fac * s.coeffs[n]
     return HGraded({k: Series1(v, nw) for k, v in out.items()}, K)
 
 
@@ -346,19 +314,23 @@ def qnm_symbol(p, degree=10, h_order=2):
     gs = weyl_to_spectral(gw, K)
     # substitute s = SPECTRAL_ARG * x and build sqrt(E0 + .)
     nx = gs.trunc_order()
-    u_levels = {}
-    for k, s in gs.levels.items():
-        u_levels[k] = Series1([cc * SPECTRAL_ARG ** j
-                               for j, cc in enumerate(s.coeffs)], nx)
-    u = HGraded(u_levels, K)
+    u = [Series1([cc * SPECTRAL_ARG ** j for j, cc in enumerate(s.coeffs)],
+                 nx) for _, s in sorted(gs.levels.items())]
     # Taylor of sqrt(E0 + w) in w
     root = math.sqrt(cd.E0)
     cs = [root]
     for j in range(1, nx + 1):
         cs.append(cs[-1] * (0.5 - (j - 1)) / j / cd.E0)
-    sqrtE = Series1(cs, nx)
-    G = hcompose(HGraded({0: sqrtE}, K), u)
+    # G = sqrt(E0 + u) level by level: G_0 = sqrt(E0 + u_0), and the h^k
+    # part of G^2 = E0 + u gives 2 G_0 G_k = u_k - sum_{0<i<k} G_i G_{k-i}
+    G = [Series1(cs, nx).compose(u[0])]
+    inv_2g0 = (2 * G[0]).reciprocal()
+    for k in range(1, K + 1):
+        rest = u[k]
+        for i in range(1, k):
+            rest = rest - G[i] * G[k - i]
+        G.append(rest * inv_2g0)
     # coefficient of x^j at h-level k needs bivariate degree 2j + 2k; keep
     # only the fully resolved part of each level
     return HGraded({k: lvl.truncate(max(N // 2 - k, 0))
-                    for k, lvl in G.levels.items()}, K)
+                    for k, lvl in enumerate(G)}, K)

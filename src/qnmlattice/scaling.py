@@ -27,7 +27,6 @@ class ScalingConfig:
     theta: float = 0.3
     h: float = 0.5
     basis_size: int = 128
-    basis_scale: float = 0.0   # 0 -> automatic c0^{-1/4} sqrt(h)
     stab_rel: float = 1e-6     # self-convergence filter on window eigenvalues
 
     def __post_init__(self):
@@ -96,41 +95,25 @@ def _u2_matrix(n):
     return m
 
 
-def build_scaled_operator(cfg, p=None, potential=None):
+def build_scaled_operator(cfg, p):
     """Galerkin matrix of the complex-scaled operator (complex symmetric).
 
-    Basis: Hermite functions of t/sigma centered at the barrier top, on the
-    contour x = x0 + (1+i theta) t.  `potential` overrides the black-hole
-    potential with a callable t -> complex values on the *unscaled* real
-    grid t (test hook; theta is then applied to t only if the caller bakes
-    it in).
+    Basis: Hermite functions of t/sigma, sigma = c0^{-1/4} sqrt(h), centered
+    at the barrier top, on the contour x = x0 + (1+i theta) t.
     """
     n = cfg.basis_size
     h = cfg.h
     th = cfg.theta
-    if cfg.basis_scale > 0:
-        sigma = cfg.basis_scale
-    else:
-        if p is None:
-            raise ValueError("need params or explicit basis_scale")
-        cd = critical_data(p)
-        sigma = cd.c0 ** -0.25 * math.sqrt(h)
+    cd = critical_data(p)
+    sigma = cd.c0 ** -0.25 * math.sqrt(h)
     npts = max(QUAD_FACTOR * n, n + 8)
     u, what = hermite_quadrature(npts)
     t = sigma * u
-    if potential is not None:
-        wvals = np.asarray(potential(t), dtype=complex)
-    else:
-        cd = critical_data(p)
-        xc = cd.x0 + (1.0 + 1j * th) * t
-        w0, w1 = potential_W_parts(xc, p)
-        wvals = w0 + h * h * w1
+    w0, w1 = potential_W_parts(cd.x0 + (1.0 + 1j * th) * t, p)
     hv = hermite_function_values(n - 1, u)
-    pot = (hv * (what * wvals)) @ hv.T
-    kin = -(h / sigma) ** 2 * _d2_matrix(n)
-    if potential is None:
-        kin = kin * (1.0 + 1j * th) ** -2
-    return kin.astype(complex) + pot
+    pot = (hv * (what * (w0 + h * h * w1))) @ hv.T
+    kin = -(h / sigma) ** 2 * _d2_matrix(n) * (1.0 + 1j * th) ** -2
+    return kin + pot
 
 
 def eigensolve(mat):

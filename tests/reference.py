@@ -3,8 +3,9 @@
 Exact Gaussian-rational coefficients for the exact-arithmetic checks, and
 independent oracles for the symbol calculus: the Poisson bracket, the
 flow-quadrature average, the symmetrized-ordering action of a Weyl
-symbol on monomials, the graded functional inverse, the graded Weyl
-product, and quantum averaging by the round trip through g^{-1}(Q).
+symbol on monomials, graded composition `hcompose` and the graded
+functional inverse built on it, the graded Weyl product, and quantum
+averaging by the round trip through g^{-1}(Q).
 """
 
 import cmath
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from qnmlattice.normalform import (_ad_exp, _diag_levels, _moyal_term,
                                    homological_solve)
-from qnmlattice.series import HGraded, Series1, Series2, hcompose
+from qnmlattice.series import HGraded, Series1, Series2
 
 
 class GaussianRational:
@@ -170,6 +171,65 @@ def weyl_monomial_action(levels, K, k_z, nw):
                 if lvl <= K:
                     out[lvl] = out.get(lvl, 0.0) + coeff
     return out
+
+
+def hcompose(F, G):
+    """Graded composition F(G(x;h); h) for univariate symbols.
+
+    F's levels are series in one variable w; G is an h-graded series in x
+    whose h^0 level need not vanish at 0 only if F tolerates it (we require
+    G_0(0) = 0 so that plain series composition applies level by level).
+    """
+    K = min(F.h_order, G.h_order)
+    G0 = G.level(0)
+    if G0 is None:
+        raise ValueError("hcompose requires an h^0 level in the argument")
+    if G0.coeffs[0] != 0:
+        raise ValueError("hcompose requires G_0(0) = 0")
+    N = min(F.trunc_order(), G0.trunc_order)
+    # powers of the h>=1 tail of G, expanded in h
+    tail = {k: s for k, s in G.levels.items() if k >= 1}
+    out = {}
+
+    def add_level(k, s):
+        # pad to the shared order N; exact whenever the inputs are
+        # polynomials embedded with margin below N
+        s = Series1(s.coeffs, N)
+        out[k] = out.get(k, Series1.constant(0, N)) + s
+
+    # u^t where u = sum_{k>=1} h^k G_k ; store as dict h-level -> Series1
+    upows = [{0: Series1.constant(1, N)}]
+    cur = {0: Series1.constant(1, N)}
+    for _ in range(K):
+        nxt = {}
+        for k1, s1 in cur.items():
+            for k2, s2 in tail.items():
+                k = k1 + k2
+                if k <= K:
+                    nxt[k] = nxt.get(k, Series1.constant(0, N)) + s1 * s2
+        cur = nxt
+        upows.append(cur)
+    for j, Fj in F.levels.items():
+        if j > K:
+            continue
+        # F_j(G0 + u) = sum_t F_j^{(t)}(G0)/t! u^t
+        der = Fj.truncate(N)
+        fact = 1
+        for t in range(0, K - j + 1):
+            if t > 0:
+                # levels are exact polynomials, so the derivative keeps the
+                # full stored order
+                der = Series1(der.deriv().coeffs, N)
+                fact *= t
+            if not upows[t]:
+                continue
+            base = der.compose(G0.truncate(N))
+            for k2, s2 in upows[t].items():
+                k = j + k2
+                if k <= K:
+                    add_level(k, (1 / fact) * (base * s2) if fact != 1
+                              else base * s2)
+    return HGraded(out, K)
 
 
 def functional_inverse(S):

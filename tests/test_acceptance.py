@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qnmlattice.series import HGraded, Series1, Series2, hcompose
+from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    horizon_roots, inverse_tortoise, tortoise)
 from qnmlattice.normalform import (classical_bnf, homological_solve,
@@ -22,8 +22,8 @@ from qnmlattice.scaling import (ScalingConfig, build_scaled_operator,
 from qnmlattice.pseudospectrum import RotatedHOConfig, instability_report
 from qnmlattice.cli import main as cli_main
 
-from reference import (GaussianRational, functional_inverse, moyal_product,
-                       weyl_monomial_action)
+from reference import (GaussianRational, functional_inverse, hcompose,
+                       moyal_product, weyl_monomial_action)
 from test_normalform import (barrier_symbol, contour_action,
                              triple_identity_residuals)
 from test_pseudospectrum import (ROUNDING_SIZES, TRUNCATION_SIZES,

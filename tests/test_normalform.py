@@ -1,5 +1,6 @@
 """Unit tests for the barrier-top normal form and graded Weyl calculus."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
 from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
-                                   classical_bnf,
+                                   _diag_levels, classical_bnf,
                                    homological_solve, moyal_commutator,
                                    qnm_symbol, quad_reduce, quantum_average,
                                    weyl_to_spectral)
@@ -376,6 +377,18 @@ def test_quantum_average_output_is_diagonal():
         assert all(abs(complex(c)) <= 1e-12 for c in off.coeffs.values()), k
 
 
+def test_diagonal_check_refuses_real_off_diagonal_terms():
+    # the check is relative to the symbol's size, yet 1e-6 of it is far
+    # above rounding: refused at h^0 by quantum_average, and at a higher
+    # level by the extraction of the averaged levels
+    q = graded({0: {(1, 1): 1.0, (2, 2): 0.3, (2, 1): 1e-6}}, 2, 10)
+    with pytest.raises(ValueError, match="symbol level 0 is not diagonal"):
+        quantum_average(q, 2, 10)
+    sym = graded({0: {(1, 1): 1.0}, 2: {(2, 2): 0.5, (3, 1): 1e-6}}, 2, 10)
+    with pytest.raises(ValueError, match="symbol level 2 is not diagonal"):
+        _diag_levels(sym)
+
+
 def test_quantum_average_preserves_triangular_eigenvalues():
     # q has only degree-raising off-diagonal terms, so the operator matrix
     # on monomials is triangular and its eigenvalues are the diagonal
@@ -467,26 +480,35 @@ def test_weyl_to_spectral_square():
 def test_weyl_to_spectral_vs_monomial_action():
     # eigenvalue of Op_w(F) on z^n computed two ways: substitute the model
     # eigenvalue -i(n+1/2)h into the spectral form, or apply the
-    # symmetrized-ordering formula directly
+    # symmetrized-ordering formula directly; for an input with even levels
+    # only, the odd spectral levels vanish in exact arithmetic (on z^n,
+    # Op_w(w^m) is a polynomial in n + 1/2 with the parity of m) and come
+    # out exactly 0
     rng = random.Random(31)
-    K = 2
-    levels = {k: Series1([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                          for _ in range(5)], 4) for k in range(K + 1)}
-    F = HGraded({k: Series2.from_diagonal(s, 8) for k, s in levels.items()},
-                K)
-    gs = weyl_to_spectral(F, K)
-    for n in range(9):
-        want = weyl_monomial_action(levels, K, n, 4)
-        got = {}
-        for kh, s in gs.levels.items():
-            for j, c in enumerate(s.coeffs):
-                lvl = kh + j
-                if lvl <= K and complex(c) != 0:
-                    got[lvl] = got.get(lvl, 0.0) \
-                        + complex(c) * (-1j * (n + 0.5)) ** j
-        for lvl in range(K + 1):
-            assert abs(got.get(lvl, 0.0) - want.get(lvl, 0.0)) <= 1e-12, \
-                (n, lvl)
+    # tolerances: absolute at K = 2; at K = 4, where the eigenvalues reach
+    # 1e4, relative to the largest level of each eigenvalue
+    for K, input_levels in ((2, (0, 1, 2)), (4, (0, 2, 4))):
+        levels = {k: Series1([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                              for _ in range(5)], 4) for k in input_levels}
+        F = HGraded({k: Series2.from_diagonal(s, 8)
+                     for k, s in levels.items()}, K)
+        gs = weyl_to_spectral(F, K)
+        for n in range(9):
+            want = weyl_monomial_action(levels, K, n, 4)
+            got = {}
+            for kh, s in gs.levels.items():
+                for j, c in enumerate(s.coeffs):
+                    lvl = kh + j
+                    if lvl <= K and complex(c) != 0:
+                        got[lvl] = got.get(lvl, 0.0) \
+                            + complex(c) * (-1j * (n + 0.5)) ** j
+            scale = 1.0 if K == 2 else max(map(abs, want.values()))
+            for lvl in range(K + 1):
+                assert abs(got.get(lvl, 0.0) - want.get(lvl, 0.0)) \
+                    <= 1e-12 * scale, (K, n, lvl)
+        if 1 not in input_levels:
+            for k in range(1, K + 1, 2):
+                assert all(c == 0 for c in gs.level(k).coeffs), k
 
 
 def test_monomial_action_quartic_all_orders():
@@ -549,15 +571,41 @@ def test_qnm_symbol_mass_covariance():
                 <= 1e-10 * max(abs(complex(c1)), 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def symbol_at(m, N, K):
+    return qnm_symbol(BlackHoleParams(m=m), degree=N, h_order=K)
+
+
 def test_qnm_symbol_h_order_4_at_degree_20():
     # the degree-20 symbol extends the degree-18 one: same coefficients
     # where both are resolved
-    G20 = qnm_symbol(P1, degree=20, h_order=4)
-    G18 = qnm_symbol(P1, degree=18, h_order=4)
+    G20 = symbol_at(1.0, 20, 4)
+    G18 = symbol_at(1.0, 18, 4)
     for k, lvl in G18.levels.items():
         scale = max(abs(complex(c)) for c in lvl.coeffs)
         for c18, c20 in zip(lvl.coeffs, G20.level(k).coeffs):
             assert abs(complex(c20) - complex(c18)) <= 1e-14 * scale, k
+
+
+@pytest.mark.parametrize("m,N,K,ref", [(1.0, 24, 4, (1.0, 20, 4)),
+                                       (1.0, 18, 6, (1.0, 18, 4)),
+                                       (0.5, 20, 4, (1.0, 20, 4))])
+def test_qnm_symbol_off_diagonal_residue_is_relative(m, N, K, ref):
+    # the averaged residues here are a few 1e-15 of the symbol's size but
+    # above 1e-9 in absolute terms; each symbol returns, with exactly zero
+    # odd levels, and agrees with a smaller one where both are resolved
+    # (frequencies scale as 1/m, so every coefficient does)
+    G = symbol_at(m, N, K)
+    G_ref = symbol_at(*ref)
+    assert sorted(G.levels) == list(range(K + 1))
+    for k, lvl in G.levels.items():
+        if k % 2:
+            assert all(c == 0 for c in lvl.coeffs), k
+    for k, lvl in G_ref.levels.items():
+        scale = max(abs(complex(c)) for c in lvl.coeffs)
+        for c_ref, c in zip(lvl.coeffs, G.level(k).coeffs):
+            assert abs(complex(c) * m - complex(c_ref) * ref[0]) \
+                <= 1e-14 * scale * ref[0], k
 
 
 def test_qnm_symbol_degree_guard():

@@ -7,9 +7,10 @@ import pytest
 
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts)
-from qnmlattice.scaling import (ScalingConfig, build_scaled_operator,
-                                eigensolve, hermite_function_values,
-                                hermite_quadrature, qnm_direct)
+from qnmlattice.scaling import (QUAD_FACTOR, ScalingConfig, _d2_matrix,
+                                build_scaled_operator, eigensolve,
+                                hermite_function_values, hermite_quadrature,
+                                qnm_direct)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -155,12 +156,19 @@ def test_ellipticity_scales_with_theta():
 # Galerkin operator
 
 
+def hermite_operator(h, sigma, n, potential):
+    """Galerkin matrix of -h^2 d^2/dt^2 + potential(t) in the Hermite
+    functions of t/sigma, by the quadrature `build_scaled_operator` uses."""
+    u, what = hermite_quadrature(max(QUAD_FACTOR * n, n + 8))
+    hv = hermite_function_values(n - 1, u)
+    pot = (hv * (what * potential(sigma * u))) @ hv.T
+    return -(h / sigma) ** 2 * _d2_matrix(n) + pot
+
+
 def test_operator_harmonic_oscillator_oracle():
-    # potential hook t -> t^2 with sigma = sqrt(h): eigenvalues (2n+1)h
+    # potential t^2 with sigma = sqrt(h): eigenvalues (2n+1)h
     h = 0.1
-    cfg = ScalingConfig(theta=0.0, h=h, basis_size=64,
-                        basis_scale=math.sqrt(h))
-    mat = build_scaled_operator(cfg, potential=lambda t: t * t + 0j)
+    mat = hermite_operator(h, math.sqrt(h), 64, lambda t: t * t)
     vals = eigensolve(mat)
     vals = vals[np.argsort(vals.real)]
     for n in range(16):
@@ -168,8 +176,7 @@ def test_operator_harmonic_oscillator_oracle():
 
 
 def test_operator_free_particle_nonnegative():
-    cfg = ScalingConfig(theta=0.0, h=0.2, basis_size=48, basis_scale=1.0)
-    mat = build_scaled_operator(cfg, potential=lambda t: np.zeros_like(t))
+    mat = hermite_operator(0.2, 1.0, 48, np.zeros_like)
     vals = eigensolve(mat)
     assert np.min(vals.real) >= -1e-12
     assert np.max(np.abs(vals.imag)) <= 1e-12

@@ -5,10 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnmlattice.series import HGraded, Series1, Series2, hcompose
+from qnmlattice.series import HGraded, Series1, Series2
 
-from reference import (GaussianRational, functional_inverse, poisson,
-                       series2_value)
+from reference import (GaussianRational, functional_inverse, hcompose,
+                       poisson, series2_value)
 
 
 def coeffs_close(a, b, tol=1e-12):
