@@ -1,11 +1,10 @@
 """Birkhoff normal form of a symbol at a nondegenerate critical point.
 
-One reduction loop takes the h^0 level p(x, xi) = q + O(3) to a function
-g of the model quadratic z*zeta by degree-graded polynomial generators,
-conjugating the whole graded symbol in the Weyl (Moyal) calculus; at
-h-order 0 it is the classical Birkhoff normal form.  Quantum part:
-averaging to a diagonal symbol G(z*zeta; h), and conversion to the
-spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
+One reduction loop takes a graded symbol with h^0 level q + O(3) to a
+diagonal symbol G(z*zeta; h), level by level in h and degree by degree,
+by polynomial generators conjugating it in the Weyl (Moyal) calculus; at
+h-order 0 it is the classical Birkhoff normal form.  G is converted to
+the spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
 -i(n+1/2)h, by the closed form of Op_w((z*zeta)^n) on monomials.  The
 assembled output G(x; h), the square root of E0 plus that spectral
 symbol taken level by level in h, gives the mode lattice
@@ -36,14 +35,6 @@ class QuadraticReduction:
     linmap: tuple          # ((a, b), (c, d)): x = a z + b zeta, xi = c z + d zeta
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
-    mu: complex
-    g: Series1             # Vey-normalized: g(t) = t + O(t^2)
-    f: Series1             # Jacobian factor, f(0) = 1
-    S: Series1             # action, mu S'(w) = 2 pi f(w), S(0) = 0
-
-
 def quad_reduce(q):
     """Symplectic linear reduction of a quadratic form to mu * z * zeta.
 
@@ -58,7 +49,8 @@ def quad_reduce(q):
             raise ValueError("zero quadratic form")
         return QuadraticReduction(mu=B, linmap=((1, 0), (0, 1)))
     disc = B * B - 4.0 * A * C
-    if abs(disc) < 1e-14 * max(abs(A), abs(B), abs(C)) ** 2:
+    # |B|^2 + 4|AC| is invariant under the scaling x -> s x, xi -> xi/s
+    if abs(disc) < 1e-14 * (abs(B) ** 2 + 4.0 * abs(A * C)):
         raise ValueError("degenerate quadratic form (vanishing discriminant)")
     mu = cmath.sqrt(disc)
     # branch of mu: decaying model lattice Re(-i mu) > 0, tie-break Re mu > 0
@@ -99,48 +91,30 @@ def homological_solve(r):
 
 
 def _birkhoff(sym, K, N):
-    """Birkhoff reduction of a graded symbol whose h^0 level is q + O(3).
+    """Birkhoff normal form of a graded symbol whose h^0 level is q + O(3).
 
-    Maps every level through the symplectic reduction of q to mu z zeta,
-    then for each degree 3..N conjugates by exp((i/h) a), where i mu a
-    solves the homological equation for the off-diagonal h^0 part of that
-    degree, so that the h^0 level comes out diagonal through degree N.
-    At h-order 0 this conjugation is the classical flow exp({a, .}).
-    Returns mu and the conjugated symbol.
+    Maps every level through the symplectic reduction of q to mu z zeta.
+    Then for each h-level ell = 0..K and degree (3..N at ell = 0, 0..N-2ell
+    above) conjugates by exp((i/h) h^ell a), where i mu a solves the
+    homological equation for the off-diagonal part there; the rest of
+    h^ell {a, g(w)} + O(h^(ell+2)) lands at a higher degree or two levels
+    up.  At h-order 0 this is the classical flow exp({a, .}).  Level ell is
+    kept to degree N - 2ell, which fixes w^j at level ell for
+    2j + 2ell <= N.  Returns mu and the diagonal symbol.
     """
     red = quad_reduce(sym.level(0).homogeneous_part(2))
     (a, b), (c, d) = red.linmap
-    sym = HGraded({k: s.subs_linear(a, b, c, d)
-                   for k, s in sym.levels.items()}, K)
-    for dgr in range(3, N + 1):
-        r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
-        if not r_off.coeffs:
-            continue
-        a_h = homological_solve(r_off)
-        sym = conjugate_classical(sym, (1.0 / (1j * red.mu)) * a_h, K, N)
+    sym = HGraded({k: s.truncate(N - 2 * k).subs_linear(a, b, c, d)
+                   for k, s in sym.levels.items() if 2 * k <= N}, K)
+    for ell in range(K + 1):
+        for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
+            r_off = sym.levels.get(ell, Series2.zero(0)) \
+                .homogeneous_part(dgr).off_diagonal()
+            if not r_off.coeffs:
+                continue
+            gen = (1.0 / (1j * red.mu)) * homological_solve(r_off)
+            sym = _ad_exp(HGraded({ell - 1: 1j * gen}, K), sym, K, N)
     return red.mu, sym
-
-
-def classical_bnf(p_taylor, degree):
-    """Classical Birkhoff normal form through total degree `degree`."""
-    N = degree
-    p = p_taylor.truncate(N)
-    if not all(abs(complex(p[(m, n)])) < 1e-14
-               for m in range(2) for n in range(2 - m)):
-        raise ValueError("constant/linear part of the symbol must vanish")
-    mu, sym = _birkhoff(HGraded({0: p}, 0), 0, N)
-    g_eig = sym.level(0).diagonal()
-    # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
-    g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])
-    f = _f_from_g(g)
-    S = (TWO_PI / mu) * f.integ()
-    return NormalFormResult(mu=mu, g=g, f=f, S=S)
-
-
-def _f_from_g(g):
-    """Jacobian factor from g'(t) f(g(t)) = 1 (order drops by one)."""
-    return g.deriv().compose(g.reversion().truncate(g.trunc_order - 1)) \
-        .reciprocal()
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +150,16 @@ def _moyal_term(a, b, k, degree):
 
 
 def moyal_commutator(a, b, K, degree):
-    """a # b - b # a; even bidifferential terms cancel identically."""
+    """a # b - b # a; even bidifferential terms cancel identically.
+
+    Result level ell is kept to total degree `degree` - 2 ell.
+    """
     out = {}
     for ka, sa in a.levels.items():
         for kb, sb in b.levels.items():
-            for k in range(1, K - ka - kb + 1, 2):
+            for k in range(1, min(K, degree // 2) - ka - kb + 1, 2):
                 lvl = ka + kb + k
-                t = 2.0 * _moyal_term(sa, sb, k, degree)
+                t = 2.0 * _moyal_term(sa, sb, k, degree - 2 * lvl)
                 out[lvl] = out.get(lvl, Series2.zero(degree)) + t
     return HGraded(out, K)
 
@@ -202,11 +179,6 @@ def _ad_exp(gen, sym, h_order, degree):
     return out
 
 
-def conjugate_classical(sym, gen, h_order, degree):
-    """Conjugation by exp((i/h) gen) at graded-symbol level."""
-    return _ad_exp(HGraded({-1: 1j * gen}, h_order), sym, h_order, degree)
-
-
 def _diag_levels(sym, rel=1e-10):
     """Extract levels of a diagonal graded symbol as Series1 in w.
 
@@ -224,40 +196,8 @@ def _diag_levels(sym, rel=1e-10):
     return out
 
 
-def quantum_average(qsym, h_order, degree):
-    """Conjugate a graded symbol with diagonal h^0 part to G(z zeta; h).
-
-    The h^0 level must equal g(z zeta) with g(0) = 0, g'(0) != 0; it is
-    left as it is.  Output levels depend on w = z zeta only.
-    """
-    K, N = h_order, degree
-    q0 = qsym.level(0)
-    if q0 is None:
-        raise ValueError("missing h^0 level")
-    g = _diag_levels(HGraded({0: q0}, 0))[0]
-    if abs(complex(g.coeffs[0])) > 1e-12 or abs(complex(g.coeffs[1])) < 1e-14:
-        raise ValueError("need g(0) = 0 and g'(0) != 0")
-    # [a, g(w)] = h g'(w) i(m - n) a + O(h^3): dividing the off-diagonal part
-    # by g'(w) before the homological solve removes it at level ell; the
-    # O(h^3) rest lands on level ell + 2, which a later pass removes
-    inv_dg = Series2.from_diagonal(g.deriv().reciprocal(), N)
-    cur = HGraded(dict(qsym.levels), K)
-    for ell in range(1, K + 1):
-        r = cur.level(ell)
-        if r is None:
-            continue
-        r_off = r.off_diagonal()
-        if not r_off.coeffs:
-            continue
-        a_h = homological_solve(r_off * inv_dg)
-        # conjugation by exp(gen) (bounded generator), Ad = exp([gen, .])
-        cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
-    return HGraded({k: Series2.from_diagonal(s, N)
-                    for k, s in _diag_levels(cur).items()}, K)
-
-
-def weyl_to_spectral(F, h_order):
-    """Spectral form of a diagonal graded symbol.
+def weyl_to_spectral(levels, h_order):
+    """Spectral form of a diagonal graded symbol F = {k: Series1 in w}.
 
     Returns g_spec with Op_weyl(F) = g_spec(z h D_z + h/(2i); h); the model
     operator has eigenvalue -i(n+1/2)h on z^n.  On z^j, with nu = j + 1/2,
@@ -265,11 +205,10 @@ def weyl_to_spectral(F, h_order):
     P_n(nu) = sum_i C(n,i) prod_{t<n} (nu + n - i - t - 1/2), and
     h nu = i s, so the term P_n[p] nu^p lands on h-level n - p at s^p.
     P_n has the parity of n and exact dyadic coefficients, so odd h-levels
-    come out exactly 0.
+    come out exactly 0.  Output levels are as long as the longest input.
     """
     K = h_order
-    levels = {k: s.diagonal() for k, s in F.levels.items()}
-    nw = min(s.trunc_order for s in levels.values())
+    nw = max(s.trunc_order for s in levels.values())
     out = {k: [0j] * (nw + 1) for k in range(K + 1)}
     for n in range(nw + 1):
         pn = sum(math.comb(n, i) * polyfromroots([i - n + t + 0.5
@@ -279,7 +218,8 @@ def weyl_to_spectral(F, h_order):
             # (2i)^-n i^p = 2^-n (-1)^((n-p)/2)
             fac = pn[p] * (-1) ** ((n - p) // 2) / 2 ** n
             for kf, s in levels.items():
-                if kf + n - p <= K and s.coeffs[n] != 0:
+                if kf + n - p <= K and n <= s.trunc_order \
+                        and s.coeffs[n] != 0:
                     out[kf + n - p][p] += fac * s.coeffs[n]
     return HGraded({k: Series1(v, nw) for k, v in out.items()}, K)
 
@@ -292,8 +232,8 @@ def qnm_symbol(p, degree=10, h_order=2):
     """Mode symbol G(x; h): lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
     G_0(x) = sqrt(E0 + g_eig(SPECTRAL_ARG * x)) with g_eig the classical
-    eigenvalue curve at the barrier top; h-levels from quantum averaging of
-    the graded symbol (the h^2 potential correction included).
+    eigenvalue curve at the barrier top; h-levels from the Birkhoff normal
+    form of the graded symbol (the h^2 potential correction included).
     """
     N = degree
     K = h_order
@@ -310,8 +250,7 @@ def qnm_symbol(p, degree=10, h_order=2):
                              if c != 0}, N)
     # the linear reduction of the quadratic part is exact for Weyl symbols
     _, sym = _birkhoff(HGraded(levels, K), K, N)
-    gw = quantum_average(sym, K, N)
-    gs = weyl_to_spectral(gw, K)
+    gs = weyl_to_spectral(_diag_levels(sym), K)
     # substitute s = SPECTRAL_ARG * x and build sqrt(E0 + .)
     nx = gs.trunc_order()
     u = [Series1([cc * SPECTRAL_ARG ** j for j, cc in enumerate(s.coeffs)],

@@ -157,6 +157,9 @@ def inverse_tortoise(x, p):
     return r.reshape(np.shape(x)) if np.ndim(x) else float(r[0])
 
 
+# a diverging run may overflow to inf or nan: the callers' residual check
+# on |x(r) - x| catches it, so the floating-point warnings are muted
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _continue(x, tt, u, root=None):
     """Homotopy-Newton continuation of x(r) = x from real-axis seeds u.
 

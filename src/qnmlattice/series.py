@@ -18,7 +18,7 @@ class Series1:
         if trunc_order < 0:
             raise ValueError("trunc_order must be >= 0")
         if len(coeffs) < trunc_order + 1:
-            coeffs = coeffs + (0,) * (trunc_order + 1 - len(coeffs))
+            coeffs = coeffs + (0j,) * (trunc_order + 1 - len(coeffs))
         elif len(coeffs) > trunc_order + 1:
             coeffs = coeffs[:trunc_order + 1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -61,7 +61,7 @@ class Series1:
     def __mul__(self, other):
         if isinstance(other, Series1):
             n = min(self.trunc_order, other.trunc_order)
-            out = [0] * (n + 1)
+            out = [0j] * (n + 1)
             for i, a in enumerate(self.coeffs[:n + 1]):
                 if a == 0:
                     continue
@@ -74,13 +74,6 @@ class Series1:
                        self.trunc_order)
 
     __rmul__ = __mul__
-
-    def deriv(self):
-        n = self.trunc_order
-        if n == 0:
-            return Series1((0,), 0)
-        return Series1(tuple(k * self.coeffs[k] for k in range(1, n + 1)),
-                       n - 1)
 
     def integ(self):
         """Antiderivative with zero constant term (extends order by one)."""
@@ -222,15 +215,6 @@ class Series2:
     def off_diagonal(self):
         return Series2({k: c for k, c in self.coeffs.items()
                         if k[0] != k[1]}, self.trunc_order)
-
-    @classmethod
-    def from_diagonal(cls, s, trunc_order):
-        """Series1 in w = z*zeta -> diagonal Series2."""
-        out = {}
-        for m, c in enumerate(s.coeffs):
-            if 2 * m <= trunc_order and c != 0:
-                out[(m, m)] = c
-        return cls(out, trunc_order)
 
     def subs_linear(self, a, b, c, d):
         """Substitute z -> a z + b zeta, zeta -> c z + d zeta."""

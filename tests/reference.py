@@ -1,19 +1,23 @@
 """Reference implementations that only the tests use.
 
 Exact Gaussian-rational coefficients for the exact-arithmetic checks, and
-independent oracles for the symbol calculus: the Poisson bracket, the
-flow-quadrature average, the symmetrized-ordering action of a Weyl
-symbol on monomials, graded composition `hcompose` and the graded
-functional inverse built on it, the graded Weyl product, and quantum
-averaging by the round trip through g^{-1}(Q).
+independent oracles for the symbol calculus: the series derivative, the
+Poisson bracket, the flow-quadrature average, the symmetrized-ordering
+action of a Weyl symbol on monomials, graded composition `hcompose` and
+the graded functional inverse built on it, the graded Weyl product, and
+quantum averaging by the round trip through g^{-1}(Q) after the h^0 pass
+of the Birkhoff reduction alone.  Also the classical normal form with its
+Jacobian factor and action, `classical_bnf`.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from qnmlattice.normalform import (_ad_exp, _diag_levels, _moyal_term,
-                                   homological_solve)
+from qnmlattice.normalform import (TWO_PI, _ad_exp, _birkhoff, _diag_levels,
+                                   _moyal_term, homological_solve,
+                                   quad_reduce)
 from qnmlattice.series import HGraded, Series1, Series2
 
 
@@ -112,6 +116,14 @@ class GaussianRational:
     @staticmethod
     def i():
         return GaussianRational(0, 1)
+
+
+def deriv(s):
+    """Derivative of a Series1 (order drops by one)."""
+    n = s.trunc_order
+    if n == 0:
+        return Series1((0,), 0)
+    return Series1(tuple(k * s.coeffs[k] for k in range(1, n + 1)), n - 1)
 
 
 def poisson(a, b):
@@ -219,7 +231,7 @@ def hcompose(F, G):
             if t > 0:
                 # levels are exact polynomials, so the derivative keeps the
                 # full stored order
-                der = Series1(der.deriv().coeffs, N)
+                der = Series1(deriv(der).coeffs, N)
                 fact *= t
             if not upows[t]:
                 continue
@@ -243,7 +255,7 @@ def functional_inverse(S):
     K = S.h_order
     G0 = S0.truncate(N).reversion()
     levels = {0: G0}
-    dS0_at_G0 = Series1(S0.truncate(N).deriv().compose(G0).coeffs, N)
+    dS0_at_G0 = Series1(deriv(S0.truncate(N)).compose(G0).coeffs, N)
     inv_dS0 = dS0_at_G0.reciprocal()
     for k in range(1, K + 1):
         for _ in range(8):
@@ -286,10 +298,33 @@ def moyal_function(fs, q, h_order, degree):
     return out
 
 
+def birkhoff_h0(sym, K, N):
+    """The h^0 pass of the Birkhoff reduction alone.
+
+    Maps every level through the symplectic reduction of q to mu z zeta,
+    then for each degree 3..N conjugates by exp((i/h) a), where i mu a
+    solves the homological equation for the off-diagonal h^0 part of that
+    degree.  The h^0 level comes out diagonal through degree N; the higher
+    levels are conjugated but not reduced.  Returns mu and the symbol.
+    """
+    red = quad_reduce(sym.level(0).homogeneous_part(2))
+    (a, b), (c, d) = red.linmap
+    sym = HGraded({k: s.subs_linear(a, b, c, d)
+                   for k, s in sym.levels.items()}, K)
+    for dgr in range(3, N + 1):
+        r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
+        if not r_off.coeffs:
+            continue
+        gen = (1.0 / (1j * red.mu)) * homological_solve(r_off)
+        sym = _ad_exp(HGraded({-1: 1j * gen}, K), sym, K, N)
+    return red.mu, sym
+
+
 def average_through_inverse(qsym, K, N):
     """Quantum average of a graded symbol with diagonal h^0 part g(w), by
     the round trip: map the principal part to w with g^{-1}(Q), average
-    against w, map back with g.  Independent oracle for quantum_average.
+    against w, map back with g.  Returns the levels {k: Series1 in w}.
+    Independent oracle for the higher h-levels of `_birkhoff`.
     """
     g = qsym.level(0).diagonal()
     # g is treated as an exact polynomial, so extend the inversion order
@@ -303,8 +338,38 @@ def average_through_inverse(qsym, K, N):
             continue
         a_h = homological_solve(r.off_diagonal())
         cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
-    dsym = HGraded({k: Series2.from_diagonal(s, N)
+    # w^m -> z^m zeta^m; Series2 drops the terms beyond degree N
+    dsym = HGraded({k: Series2({(m, m): c for m, c in enumerate(s.coeffs)}, N)
                     for k, s in _diag_levels(cur).items()}, K)
     out = moyal_function(Series1(g.coeffs, tmax), dsym, K, N)
-    return HGraded({k: Series2.from_diagonal(s.diagonal(), N)
-                    for k, s in out.levels.items()}, K)
+    return {k: s.diagonal() for k, s in out.levels.items()}
+
+
+@dataclass(frozen=True)
+class NormalFormResult:
+    mu: complex
+    g: Series1             # Vey-normalized: g(t) = t + O(t^2)
+    f: Series1             # Jacobian factor, f(0) = 1
+    S: Series1             # action, mu S'(w) = 2 pi f(w), S(0) = 0
+
+
+def classical_bnf(p_taylor, degree):
+    """Classical Birkhoff normal form through total degree `degree`."""
+    N = degree
+    p = p_taylor.truncate(N)
+    if not all(abs(complex(p[(m, n)])) < 1e-14
+               for m in range(2) for n in range(2 - m)):
+        raise ValueError("constant/linear part of the symbol must vanish")
+    mu, sym = _birkhoff(HGraded({0: p}, 0), 0, N)
+    g_eig = sym.level(0).diagonal()
+    # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
+    g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])
+    f = _f_from_g(g)
+    S = (TWO_PI / mu) * f.integ()
+    return NormalFormResult(mu=mu, g=g, f=f, S=S)
+
+
+def _f_from_g(g):
+    """Jacobian factor from g'(t) f(g(t)) = 1 (order drops by one)."""
+    return deriv(g).compose(g.reversion().truncate(g.trunc_order - 1)) \
+        .reciprocal()

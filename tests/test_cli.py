@@ -84,6 +84,37 @@ def test_gsymbol_h_order_zero(tmp_path):
     assert all(r[0] == "0" for r in rows)
 
 
+def test_gsymbol_json_coefficients_are_float_pairs(tmp_path):
+    # structurally zero coefficients are written as 0.0 like the others
+    for argv in ([], ["--series-degree", "16", "--lam", "0.02"]):
+        code, text = run_to_file(tmp_path, ["gsymbol", "--format", "json"]
+                                 + argv)
+        assert code == 0
+        levels = json.loads(text)["data"]
+        assert sorted(levels) == ["0", "1", "2"]
+        for lvl in levels.values():
+            for pair in lvl:
+                assert len(pair) == 2
+                assert all(type(v) is float for v in pair), pair
+
+
+def test_gsymbol_odd_series_degree(tmp_path):
+    # the odd degree resolves the same coefficients as the even one below
+    code, text = run_to_file(tmp_path, ["gsymbol", "--series-degree", "11"])
+    assert code == 0
+    code10, text10 = run_to_file(tmp_path, ["gsymbol"], name="ten.txt")
+    assert code10 == 0
+    assert parse_csv(text)[2] == parse_csv(text10)[2]
+
+
+def test_gsymbol_large_mass(tmp_path):
+    code, text = run_to_file(tmp_path, ["gsymbol", "--m", "1000"])
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert abs(float(rows[0][2]) - 1.0 / (3000.0 * math.sqrt(3.0))) \
+        <= 1e-12 / 1000.0
+
+
 # ---------------------------------------------------------------------------
 # lattice and direct
 

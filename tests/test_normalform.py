@@ -13,14 +13,13 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
 from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
-                                   _diag_levels, classical_bnf,
-                                   homological_solve, moyal_commutator,
-                                   qnm_symbol, quad_reduce, quantum_average,
+                                   _diag_levels, homological_solve,
+                                   moyal_commutator, qnm_symbol, quad_reduce,
                                    weyl_to_spectral)
 
 from reference import (GaussianRational, average_by_flow_quadrature,
-                       average_through_inverse, moyal_product, poisson,
-                       weyl_monomial_action)
+                       average_through_inverse, birkhoff_h0, classical_bnf,
+                       deriv, moyal_product, poisson, weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -100,11 +99,13 @@ def test_quad_reduce_elliptic():
 
 
 def test_quad_reduce_barrier():
-    c0 = (1.0 / 27.0) ** 2
-    q = Series2({(2, 0): -c0, (0, 2): 1.0}, 2)
-    red = quad_reduce(q)
-    assert abs(red.mu ** 2 - 4.0 * c0) <= 1e-16
-    check_reduction(q, red)
+    # xi^2 - x^2/(729 m^4) is nondegenerate at any mass m
+    for m in (1.0, 1e3, 1e4):
+        c0 = (1.0 / (27.0 * m * m)) ** 2
+        q = Series2({(2, 0): -c0, (0, 2): 1.0}, 2)
+        red = quad_reduce(q)
+        assert abs(red.mu ** 2 - 4.0 * c0) <= 1e-16 / m ** 4
+        check_reduction(q, red)
 
 
 def test_quad_reduce_random():
@@ -225,10 +226,10 @@ def triple_identity_residuals(nf, degree, scale=1.0):
                  for k, c in enumerate(nf.f.coeffs)], n)
     S = Series1([complex(c) * b ** (k - 1)
                  for k, c in enumerate(nf.S.coeffs)], n)
-    r1 = g.deriv() * f.truncate(n - 1).compose(g.truncate(n - 1))
+    r1 = deriv(g) * f.truncate(n - 1).compose(g.truncate(n - 1))
     res1 = max(abs(complex(c) - (1.0 if k == 0 else 0.0))
                for k, c in enumerate(r1.coeffs))
-    r2 = nf.mu * S.deriv()
+    r2 = nf.mu * deriv(S)
     res2 = max(abs(complex(a) - TWO_PI * complex(c))
                for a, c in zip(r2.coeffs, f.coeffs))
     r3 = nf.mu * S.compose(g)
@@ -350,7 +351,8 @@ def test_moyal_associativity():
 
 
 # ---------------------------------------------------------------------------
-# quantum averaging and the spectral variable
+# quantum averaging (the steps of the Birkhoff loop at h^ell, ell >= 1)
+# and the spectral variable
 
 
 def eigen_levels(levels_s1, K, n):
@@ -359,19 +361,10 @@ def eigen_levels(levels_s1, K, n):
         s.trunc_order for s in levels_s1.values()))
 
 
-def test_quantum_average_requires_diagonal_principal():
-    bad = graded({0: {(1, 1): 1.0, (2, 1): 0.3}}, 2, 6)
-    with pytest.raises(ValueError):
-        quantum_average(bad, 2, 6)
-    bad2 = graded({0: {(0, 0): 1.0, (1, 1): 1.0}}, 2, 6)
-    with pytest.raises(ValueError):
-        quantum_average(bad2, 2, 6)
-
-
 def test_quantum_average_output_is_diagonal():
     q = graded({0: {(1, 1): 1.0, (2, 2): 0.3},
                 1: {(3, 1): 0.2, (2, 2): 0.1}}, 2, 10)
-    G = quantum_average(q, 2, 10)
+    _, G = _birkhoff(q, 2, 10)
     for k, s in G.levels.items():
         off = s.off_diagonal()
         assert all(abs(complex(c)) <= 1e-12 for c in off.coeffs.values()), k
@@ -379,11 +372,10 @@ def test_quantum_average_output_is_diagonal():
 
 def test_diagonal_check_refuses_real_off_diagonal_terms():
     # the check is relative to the symbol's size, yet 1e-6 of it is far
-    # above rounding: refused at h^0 by quantum_average, and at a higher
-    # level by the extraction of the averaged levels
+    # above rounding: refused at h^0 and at a higher level
     q = graded({0: {(1, 1): 1.0, (2, 2): 0.3, (2, 1): 1e-6}}, 2, 10)
     with pytest.raises(ValueError, match="symbol level 0 is not diagonal"):
-        quantum_average(q, 2, 10)
+        _diag_levels(q)
     sym = graded({0: {(1, 1): 1.0}, 2: {(2, 2): 0.5, (3, 1): 1e-6}}, 2, 10)
     with pytest.raises(ValueError, match="symbol level 2 is not diagonal"):
         _diag_levels(sym)
@@ -392,15 +384,13 @@ def test_diagonal_check_refuses_real_off_diagonal_terms():
 def test_quantum_average_preserves_triangular_eigenvalues():
     # q has only degree-raising off-diagonal terms, so the operator matrix
     # on monomials is triangular and its eigenvalues are the diagonal
-    # entries; averaging must preserve them exactly through h^2
+    # entries; the reduction must preserve them exactly through h^2
     K, N = 2, 12
     q = graded({0: {(1, 1): 1.0, (2, 2): 0.3},
                 1: {(3, 1): 0.2, (2, 2): 0.1},
                 2: {(4, 2): -0.4, (1, 1): 0.25}}, K, N)
     q_diag = {k: s.diagonal() for k, s in q.levels.items()}
-    G = quantum_average(q, K, N)
-    G_diag = {k: (s.diagonal() if isinstance(s, Series2) else s)
-              for k, s in G.levels.items()}
+    G_diag = _diag_levels(_birkhoff(q, K, N)[1])
     for n in range(5):
         want = eigen_levels(q_diag, K, n)
         got = eigen_levels(G_diag, K, n)
@@ -412,41 +402,57 @@ def test_quantum_average_preserves_triangular_eigenvalues():
 def test_quantum_average_no_spurious_odd_level():
     q = graded({0: {(1, 1): 1.0, (3, 3): 0.2},
                 2: {(2, 2): 0.4}}, 2, 10)
-    G = quantum_average(q, 2, 10)
-    lvl1 = G.level(1)
+    lvl1 = _diag_levels(_birkhoff(q, 2, 10)[1]).get(1)
     assert lvl1 is None or all(abs(complex(c)) <= 1e-12
-                               for c in lvl1.coeffs.values())
+                               for c in lvl1.coeffs)
 
 
-def birkhoff_barrier(p, N, K):
-    """The graded barrier symbol (xi^2 + V, with h^2 W1) after the Birkhoff
-    reduction: the input `qnm_symbol` hands to quantum averaging."""
+def barrier_levels(p, N, K):
+    """The graded barrier symbol xi^2 + V, with h^2 W1, that `qnm_symbol`
+    hands to the Birkhoff reduction."""
     W1 = subprincipal_taylor(p, N)
     levels = {0: barrier_symbol(p, N),
               2: Series2({(k, 0): c for k, c in enumerate(W1.coeffs)
                           if c != 0}, N)}
-    return _birkhoff(HGraded(levels, K), K, N)[1]
+    return HGraded(levels, K)
 
 
 def test_quantum_average_keeps_principal_level_exactly():
+    # the steps at h^ell >= 1 leave the h^0 level as the h^0 pass left it
     for N, K in ((10, 2), (14, 4)):
-        sym = birkhoff_barrier(P1, N, K)
-        G = quantum_average(sym, K, N)
-        assert G.level(0).diagonal().coeffs == sym.level(0).diagonal().coeffs
+        sym = barrier_levels(P1, N, K)
+        G = _diag_levels(_birkhoff(sym, K, N)[1])
+        assert G[0].coeffs == birkhoff_h0(sym, K, N)[1].level(0) \
+            .diagonal().coeffs
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("N,K", [(16, 4), (17, 4), (20, 2)])
+def test_birkhoff_leaves_every_level_diagonal(lam, N, K):
+    # level ell is carried to degree N - 2 ell, the part the mode symbol
+    # resolves, and comes out diagonal there
+    _, sym = _birkhoff(barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K),
+                       K, N)
+    assert sorted(sym.levels) == list(range(0, K + 1, 2))
+    for k, s in sym.levels.items():
+        assert s.trunc_order == N - 2 * k
+        scale = max(abs(complex(c)) for c in s.coeffs.values())
+        assert all(abs(complex(c)) <= 1e-10 * scale
+                   for c in s.off_diagonal().coeffs.values()), k
 
 
 @pytest.mark.parametrize("m,lam", [(1.0, 0.0), (1.0, 0.02), (2.5, 0.0)])
 @pytest.mark.parametrize("N,K", [(10, 2), (14, 4)])
 def test_quantum_average_vs_average_through_inverse(m, lam, N, K):
-    # the round trip through g^{-1}(Q) and back reaches the same average on
-    # every resolved coefficient, w^j at level k with 2j + 2k <= N
-    sym = birkhoff_barrier(BlackHoleParams(m=m, lam=lam), N, K)
-    got = quantum_average(sym, K, N)
-    want = average_through_inverse(sym, K, N)
+    # the round trip through g^{-1}(Q) and back, from the h^0 pass alone,
+    # reaches the same levels on every resolved coefficient, w^j at level k
+    # with 2j + 2k <= N
+    sym = barrier_levels(BlackHoleParams(m=m, lam=lam), N, K)
+    got = _diag_levels(_birkhoff(sym, K, N)[1])
+    want = average_through_inverse(birkhoff_h0(sym, K, N)[1], K, N)
 
     def resolved(G, k):
-        lvl = G.level(k)
-        cs = [complex(c) for c in lvl.diagonal().coeffs] if lvl else []
+        cs = [complex(c) for c in G[k].coeffs] if k in G else []
         return (cs + [0j] * N)[:N // 2 - k + 1]
 
     for k in range(K + 1):
@@ -457,8 +463,7 @@ def test_quantum_average_vs_average_through_inverse(m, lam, N, K):
 
 
 def test_weyl_to_spectral_linear():
-    F = HGraded({0: Series2({(1, 1): 1.0}, 4)}, 2)
-    gs = weyl_to_spectral(F, 2)
+    gs = weyl_to_spectral({0: Series1([0.0, 1.0, 0.0])}, 2)
     lvl0 = gs.level(0)
     assert abs(complex(lvl0.coeffs[1]) - 1.0) <= 1e-14
     assert abs(complex(lvl0.coeffs[0])) <= 1e-14
@@ -468,8 +473,7 @@ def test_weyl_to_spectral_linear():
 
 
 def test_weyl_to_spectral_square():
-    F = HGraded({0: Series2({(2, 2): 1.0}, 4)}, 2)
-    gs = weyl_to_spectral(F, 2)
+    gs = weyl_to_spectral({0: Series1([0.0, 0.0, 1.0])}, 2)
     lvl0 = [complex(c) for c in gs.level(0).coeffs]
     assert abs(lvl0[2] - 1.0) <= 1e-14
     assert max(abs(lvl0[0]), abs(lvl0[1])) <= 1e-14
@@ -490,9 +494,7 @@ def test_weyl_to_spectral_vs_monomial_action():
     for K, input_levels in ((2, (0, 1, 2)), (4, (0, 2, 4))):
         levels = {k: Series1([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                               for _ in range(5)], 4) for k in input_levels}
-        F = HGraded({k: Series2.from_diagonal(s, 8)
-                     for k, s in levels.items()}, K)
-        gs = weyl_to_spectral(F, K)
+        gs = weyl_to_spectral(levels, K)
         for n in range(9):
             want = weyl_monomial_action(levels, K, n, 4)
             got = {}
@@ -518,9 +520,7 @@ def test_monomial_action_quartic_all_orders():
               1: Series1([0.0, 0.5], 4),
               2: Series1([1.0, 0.0, -0.3], 4)}
     K = 2
-    F = HGraded({k: Series2.from_diagonal(s, 10) for k, s in levels.items()},
-                K)
-    gs = weyl_to_spectral(F, K)
+    gs = weyl_to_spectral(levels, K)
     for n in range(9):
         want = weyl_monomial_action(levels, K, n, 4)
         got = {}
@@ -560,15 +560,17 @@ def test_qnm_symbol_subprincipal_vanishes():
 
 
 def test_qnm_symbol_mass_covariance():
-    # frequencies scale as 1/m, so every retained coefficient does
+    # frequencies scale as 1/m, so every retained coefficient does, also
+    # at masses where the barrier's quadratic form is tiny
     G1 = qnm_symbol(BlackHoleParams(m=1.0), degree=10, h_order=2)
-    G2 = qnm_symbol(BlackHoleParams(m=2.0), degree=10, h_order=2)
-    for k in G1.levels:
-        a = G1.level(k)
-        b = G2.level(k)
-        for c1, c2 in zip(a.coeffs, b.coeffs):
-            assert abs(complex(c2) - 0.5 * complex(c1)) \
-                <= 1e-10 * max(abs(complex(c1)), 1e-12)
+    for m in (2.0, 1e3, 1e4):
+        G2 = qnm_symbol(BlackHoleParams(m=m), degree=10, h_order=2)
+        for k in G1.levels:
+            a = G1.level(k)
+            b = G2.level(k)
+            for c1, c2 in zip(a.coeffs, b.coeffs):
+                assert abs(complex(c2) - complex(c1) / m) \
+                    <= 1e-10 * max(abs(complex(c1)), 1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -606,6 +608,19 @@ def test_qnm_symbol_off_diagonal_residue_is_relative(m, N, K, ref):
         for c_ref, c in zip(lvl.coeffs, G.level(k).coeffs):
             assert abs(complex(c) * m - complex(c_ref) * ref[0]) \
                 <= 1e-14 * scale * ref[0], k
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("N,K", [(10, 2), (16, 4)])
+def test_qnm_symbol_odd_degree_equals_even_below(lam, N, K):
+    # degree N + 1 resolves the same coefficients as degree N; the extra
+    # odd degree only feeds terms the final trim drops
+    p = BlackHoleParams(m=1.0, lam=lam)
+    G = qnm_symbol(p, N, K)
+    G_odd = qnm_symbol(p, N + 1, K)
+    assert sorted(G_odd.levels) == sorted(G.levels)
+    for k, lvl in G.levels.items():
+        assert G_odd.level(k).coeffs == lvl.coeffs, k
 
 
 def test_qnm_symbol_degree_guard():

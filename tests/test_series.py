@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qnmlattice.series import HGraded, Series1, Series2
 
-from reference import (GaussianRational, functional_inverse, hcompose,
-                       poisson, series2_value)
+from reference import (GaussianRational, deriv, functional_inverse,
+                       hcompose, poisson, series2_value)
 
 
 def coeffs_close(a, b, tol=1e-12):
@@ -226,7 +226,7 @@ def test_ode_round_trip_residual():
     rng = random.Random(11)
     f = Series1([1.5] + [rng.uniform(-1, 1) for _ in range(8)])
     g = ode_g_from_f(f)
-    res = f.compose(g) * g.deriv()
+    res = f.compose(g) * deriv(g)
     assert abs(complex(res.coeffs[0]) - 1.0) <= 1e-11
     assert all(abs(complex(c)) <= 1e-11 for c in res.coeffs[1:])
 
