@@ -38,8 +38,9 @@ class QuadraticReduction:
 def quad_reduce(q):
     """Symplectic linear reduction of a quadratic form to mu * z * zeta.
 
-    The sign of mu is fixed by the admissibility rule Re(-i mu) > 0
-    (decaying model lattice), with Re mu > 0 as tie-break.
+    q needs a xi^2 term unless it is B x xi; barrier symbols xi^2 + V
+    have one.  The sign of mu is fixed by the admissibility rule
+    Re(-i mu) > 0 (decaying model lattice), with Re mu > 0 as tie-break.
     """
     A = complex(q[(2, 0)])
     B = complex(q[(1, 1)])
@@ -48,6 +49,8 @@ def quad_reduce(q):
         if B == 0:
             raise ValueError("zero quadratic form")
         return QuadraticReduction(mu=B, linmap=((1, 0), (0, 1)))
+    if C == 0:
+        raise ValueError("quadratic form has no xi^2 term")
     disc = B * B - 4.0 * A * C
     # |B|^2 + 4|AC| is invariant under the scaling x -> s x, xi -> xi/s
     if abs(disc) < 1e-14 * (abs(B) ** 2 + 4.0 * abs(A * C)):
@@ -59,15 +62,6 @@ def quad_reduce(q):
             mu = -mu
     elif mu.real < 0:
         mu = -mu
-    if C == 0:
-        # symplectic rotation to make the xi^2 coefficient nonzero
-        ct, st = math.cos(0.7), math.sin(0.7)
-        qr = q.subs_linear(ct, -st, st, ct)
-        inner = quad_reduce(qr)
-        (a, b), (c, d) = inner.linmap
-        lin = ((ct * a - st * c, ct * b - st * d),
-               (st * a + ct * c, st * b + ct * d))
-        return QuadraticReduction(mu=inner.mu, linmap=lin)
     # q = C (xi - ap x)(xi - am x); ap - am = mu/C so C*(ap - am) = mu
     ap = (-B + mu) / (2.0 * C)
     am = (-B - mu) / (2.0 * C)

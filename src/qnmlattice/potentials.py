@@ -260,17 +260,18 @@ def potential_W_parts(x_arr, p):
 
 
 def _barrier_series(p, N):
-    """W0 = alpha^2/r^2, r and 1/r as series in rho = r - 3m, and the
-    reversion rho(x) of x(3m + rho) - x0."""
+    """r(x0 + x) from dr/dx = alpha^2(r), r(0) = 3m, and 1/r and
+    W0 = alpha^2/r^2 along it, as series in x to order N."""
     m, lam = p.m, p.lam
-    # 1/(3m + rho) = (1/3m) sum (-rho/3m)^k
-    inv_r = Series1([(1.0 / (3.0 * m)) * (-1.0 / (3.0 * m)) ** k
-                     for k in range(N + 1)])
-    r = 3.0 * m + Series1.identity(N)
-    a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
-    # x(3m+rho) - x0 = integral of 1/alpha^2 d rho
-    rho_of_x = a2.reciprocal().integ().truncate(N).reversion()
-    return a2 * inv_r * inv_r, r, inv_r, rho_of_x
+    c = [3.0 * m]
+    while True:
+        r = Series1(c)
+        inv_r = r.reciprocal()
+        a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
+        if len(c) > N:
+            return r, inv_r, a2 * inv_r * inv_r
+        # k r_k = [alpha^2(r(x))]_{k-1}, which needs r only to order k - 1
+        c.append(a2.coeffs[-1] / len(c))
 
 
 def shifted_potential_taylor(p, N):
@@ -280,22 +281,21 @@ def shifted_potential_taylor(p, N):
     """
     if N > 32:
         raise ValueError("degree capped at 32")
-    Np = N + 4  # working margin
-    w0, _, _, rho_of_x = _barrier_series(p, Np)
-    u = w0.compose(rho_of_x)
+    _, _, w0 = _barrier_series(p, max(N, 1))
     cd = critical_data(p)
-    coeffs = list(u.coeffs)
+    coeffs = list(w0.coeffs)
     coeffs[0] -= cd.E0
-    # enforce the exact critical-point structure
-    if abs(coeffs[0]) > 1e-10 * cd.E0 or abs(coeffs[1]) > 1e-10 * cd.E0:
+    # enforce the exact critical-point structure; V'(0) scales as E0 over
+    # the barrier's length scale 1/sqrt(E0)
+    if abs(coeffs[0]) > 1e-10 * cd.E0 \
+            or abs(coeffs[1]) > 1e-10 * cd.E0 ** 1.5:
         raise RuntimeError("potential Taylor inconsistent at critical point")
     coeffs[0] = 0.0
     coeffs[1] = 0.0
-    return Series1(coeffs, Np).truncate(N)
+    return Series1(coeffs).truncate(N)
 
 
 def subprincipal_taylor(p, N):
     """Taylor series of W1(x0 + x) at the barrier top."""
-    w0, r, inv_r, rho_of_x = _barrier_series(p, N + 4)
-    da2 = 2.0 * p.m * (inv_r * inv_r) - (2.0 * p.lam / 3.0) * r
-    return (w0 * (r * da2 - 0.25)).compose(rho_of_x).truncate(N)
+    r, inv_r, w0 = _barrier_series(p, N)
+    return w0 * (2.0 * p.m * inv_r - (2.0 * p.lam / 3.0) * (r * r) - 0.25)

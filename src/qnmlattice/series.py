@@ -31,10 +31,6 @@ class Series1:
     def constant(cls, c, trunc_order):
         return cls((c,), trunc_order)
 
-    @classmethod
-    def identity(cls, trunc_order):
-        return cls((0, 1), trunc_order)
-
     def truncate(self, n):
         return Series1(self.coeffs[:n + 1], min(n, self.trunc_order))
 
@@ -75,21 +71,12 @@ class Series1:
 
     __rmul__ = __mul__
 
-    def integ(self):
-        """Antiderivative with zero constant term (extends order by one)."""
-        n = self.trunc_order
-        out = [0]
-        for k in range(n + 1):
-            c = self.coeffs[k]
-            out.append(c / (k + 1) if c != 0 else 0)
-        return Series1(out, n + 1)
-
     def compose(self, inner):
         """self(inner(z)); requires inner(0) = 0."""
         if inner.coeffs[0] != 0:
             raise ValueError("inner series must vanish at 0")
         n = min(self.trunc_order, inner.trunc_order)
-        acc = Series1.constant(self.coeffs[n] if n <= self.trunc_order else 0, n)
+        acc = Series1.constant(self.coeffs[n], n)
         inner_t = inner.truncate(n)
         for k in range(n - 1, -1, -1):
             acc = acc * inner_t + self.coeffs[k]
@@ -109,22 +96,6 @@ class Series1:
                 if aj != 0:
                     s = s + aj * out[k - j]
             out[k] = -inv0 * s
-        return Series1(out, n)
-
-    def reversion(self):
-        """Compositional inverse T with self(T(y)) = y + O(y^{N+1})."""
-        if self.coeffs[0] != 0:
-            raise ValueError("reversion requires vanishing constant term")
-        s1 = self.coeffs[1]
-        if s1 == 0:
-            raise ValueError("reversion requires nonzero linear term")
-        n = self.trunc_order
-        inv1 = 1 / s1
-        out = [0, inv1] + [0] * (n - 1)
-        for k in range(2, n + 1):
-            t = Series1(out, n)
-            e = self.compose(t).coeffs[k]
-            out[k] = -inv1 * e
         return Series1(out, n)
 
 

@@ -7,13 +7,17 @@ action of a Weyl symbol on monomials, graded composition `hcompose` and
 the graded functional inverse built on it, the graded Weyl product, and
 quantum averaging by the round trip through g^{-1}(Q) after the h^0 pass
 of the Birkhoff reduction alone.  Also the classical normal form with its
-Jacobian factor and action, `classical_bnf`.
+Jacobian factor and action, `classical_bnf`, the series antiderivative
+and reversion these oracles use, and a 50-digit Taylor oracle for the
+barrier potential, `barrier_taylor_mp`.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath
 
 from qnmlattice.normalform import (TWO_PI, _ad_exp, _birkhoff, _diag_levels,
                                    _moyal_term, homological_solve,
@@ -124,6 +128,34 @@ def deriv(s):
     if n == 0:
         return Series1((0,), 0)
     return Series1(tuple(k * s.coeffs[k] for k in range(1, n + 1)), n - 1)
+
+
+def integ(s):
+    """Antiderivative of a Series1 with zero constant term (extends order
+    by one)."""
+    n = s.trunc_order
+    out = [0]
+    for k in range(n + 1):
+        c = s.coeffs[k]
+        out.append(c / (k + 1) if c != 0 else 0)
+    return Series1(out, n + 1)
+
+
+def reversion(s):
+    """Compositional inverse T of a Series1, s(T(y)) = y + O(y^{N+1})."""
+    if s.coeffs[0] != 0:
+        raise ValueError("reversion requires vanishing constant term")
+    s1 = s.coeffs[1]
+    if s1 == 0:
+        raise ValueError("reversion requires nonzero linear term")
+    n = s.trunc_order
+    inv1 = 1 / s1
+    out = [0, inv1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t = Series1(out, n)
+        e = s.compose(t).coeffs[k]
+        out[k] = -inv1 * e
+    return Series1(out, n)
 
 
 def poisson(a, b):
@@ -253,7 +285,7 @@ def functional_inverse(S):
         raise ValueError("functional_inverse requires S_0'(0) != 0")
     N = S.trunc_order()
     K = S.h_order
-    G0 = S0.truncate(N).reversion()
+    G0 = reversion(S0.truncate(N))
     levels = {0: G0}
     dS0_at_G0 = Series1(deriv(S0.truncate(N)).compose(G0).coeffs, N)
     inv_dS0 = dS0_at_G0.reciprocal()
@@ -330,7 +362,7 @@ def average_through_inverse(qsym, K, N):
     # g is treated as an exact polynomial, so extend the inversion order
     # far enough for all Moyal powers that can contribute
     tmax = (N + 2 * K) // 2 + 2
-    finv = Series1(g.coeffs, tmax).reversion()
+    finv = reversion(Series1(g.coeffs, tmax))
     cur = moyal_function(finv, HGraded(dict(qsym.levels), K), K, N)
     for ell in range(1, K + 1):
         r = cur.level(ell)
@@ -365,11 +397,33 @@ def classical_bnf(p_taylor, degree):
     # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
     g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])
     f = _f_from_g(g)
-    S = (TWO_PI / mu) * f.integ()
+    S = (TWO_PI / mu) * integ(f)
     return NormalFormResult(mu=mu, g=g, f=f, S=S)
 
 
 def _f_from_g(g):
     """Jacobian factor from g'(t) f(g(t)) = 1 (order drops by one)."""
-    return deriv(g).compose(g.reversion().truncate(g.trunc_order - 1)) \
+    return deriv(g).compose(reversion(g).truncate(g.trunc_order - 1)) \
         .reciprocal()
+
+
+def barrier_taylor_mp(m, lam, N):
+    """Taylor series of V = W0(x0 + x) - E0 and W1(x0 + x) at the barrier
+    top in 50-digit mpmath, by a route independent of `potentials`:
+    alpha^2, W0 and W1 as series in rho = r - 3m, the antiderivative of
+    1/alpha^2 reverted to rho(x), and each series composed with it.
+    Returns the two coefficient lists as complex numbers.
+    """
+    with mpmath.workdps(50):
+        m, lam = mpmath.mpf(m), mpmath.mpf(lam)
+        r0 = 3 * m
+        inv_r = Series1([(-1) ** k / r0 ** (k + 1) for k in range(N + 1)])
+        r = Series1([r0, 1], N)
+        a2 = 1 - 2 * m * inv_r - (lam / 3) * (r * r)
+        rho_of_x = reversion(integ(a2.reciprocal()).truncate(N))
+        w0 = a2 * inv_r * inv_r
+        w1 = w0 * (2 * m * inv_r - (2 * lam / 3) * (r * r) - mpmath.mpf(1) / 4)
+        E0 = (1 - 9 * lam * m * m) / (27 * m * m)
+        V = w0.compose(rho_of_x) - E0
+        return ([complex(c) for c in V.coeffs],
+                [complex(c) for c in w1.compose(rho_of_x).coeffs])

@@ -131,6 +131,18 @@ def test_lattice_coverage_gaps():
     assert rows[0]["coverage_gaps"] == 3
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+def test_lattice_degree_32_extends_degree_28(lam):
+    # at l = 20, n <= 20 (x up to 2 pi, inside both validity radii) the
+    # degree-32 lattice refines the degree-28 one; rounding in the top
+    # Taylor coefficients of the potential would show here first
+    p = BlackHoleParams(m=1.0, lam=lam)
+    lam32 = lattice(qnm_symbol(p, degree=32, h_order=0), 20, 10.0, 20)
+    lam28 = lattice(qnm_symbol(p, degree=28, h_order=0), 20, 10.0, 20)
+    assert len(lam32) == 21
+    assert np.max(np.abs(lam32 - lam28) / np.abs(lam28)) <= 1e-4
+
+
 def test_count_weights_multiplicity():
     # G = 2 - 0.001i x: lam = (2 ell + 1)(1 - 0.0005i x), so |lam| exceeds
     # 2 ell + 1 by less than 0.2%, and arg lam > -0.04 iff x < 80.04; that

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnmlattice import (catalog, cli, normalform, potentials, pseudospectrum,
+                        scaling, series)
 from qnmlattice.cli import main
 
 
@@ -113,6 +117,15 @@ def test_gsymbol_large_mass(tmp_path):
     _, _, rows = parse_csv(text)
     assert abs(float(rows[0][2]) - 1.0 / (3000.0 * math.sqrt(3.0))) \
         <= 1e-12 / 1000.0
+
+
+def test_gsymbol_small_mass(tmp_path):
+    # the critical-point check on V'(0) scales with the mass like V'(0)
+    code, text = run_to_file(tmp_path, ["gsymbol", "--m", "1e-8"])
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert abs(float(rows[0][2]) - 1e8 / (3.0 * math.sqrt(3.0))) \
+        <= 1e-12 * 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +293,41 @@ def test_no_temp_files_left(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path)
                  if f.startswith(".tmp-qnmlattice-")]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's span tracing
+
+
+def test_bench_trace_hooks_cover_the_lattice_pipeline(tmp_path):
+    # perfbench/run.py --trace 1 wraps these modules and methods by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = [series, potentials, normalform, scaling, catalog,
+               pseudospectrum, cli]
+    methods = [(series.Series2, ("__mul__", "__rmul__"),
+                "series.Series2.mul"),
+               (series.Series1, ("compose",), "series.Series1.compose")]
+    before = [dict(vars(mod)) for mod in modules]
+    before_methods = [vars(cls)[name] for cls, names, _ in methods
+                      for name in names]
+    tracer = spans.Tracer()
+    undo = spans.install(tracer, modules, methods)
+    try:
+        assert cli.main(["lattice", "--output", str(tmp_path / "l.csv")]) \
+            == 0
+    finally:
+        spans.uninstall(undo)
+    for label in ("normalform.qnm_symbol", "series.Series2.mul",
+                  "series.Series1.compose",
+                  "potentials.shifted_potential_taylor",
+                  "potentials.subprincipal_taylor"):
+        assert tracer.calls[label] > 0, label
+    for mod, names in zip(modules, before):
+        now = vars(mod)
+        assert now.keys() == names.keys()
+        assert all(now[k] is v for k, v in names.items()), mod.__name__
+    assert [vars(cls)[name] for cls, names, _ in methods
+            for name in names] == before_methods

@@ -123,6 +123,8 @@ def test_quad_reduce_degenerate_raises():
         quad_reduce(Series2({(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}, 2))
     with pytest.raises(ValueError):
         quad_reduce(Series2({}, 2))
+    with pytest.raises(ValueError, match="no xi\\^2 term"):
+        quad_reduce(Series2({(2, 0): -1.0, (1, 1): 1.0}, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +563,16 @@ def test_qnm_symbol_subprincipal_vanishes():
 
 def test_qnm_symbol_mass_covariance():
     # frequencies scale as 1/m, so every retained coefficient does, also
-    # at masses where the barrier's quadratic form is tiny
+    # at masses where the barrier's quadratic form is tiny or huge; m c2
+    # is compared with c1, so the bound is relative at every mass
     G1 = qnm_symbol(BlackHoleParams(m=1.0), degree=10, h_order=2)
-    for m in (2.0, 1e3, 1e4):
+    for m in (2.0, 1e3, 1e4, 1e-8):
         G2 = qnm_symbol(BlackHoleParams(m=m), degree=10, h_order=2)
         for k in G1.levels:
             a = G1.level(k)
             b = G2.level(k)
             for c1, c2 in zip(a.coeffs, b.coeffs):
-                assert abs(complex(c2) - complex(c1) / m) \
+                assert abs(complex(c2) * m - complex(c1)) \
                     <= 1e-10 * max(abs(complex(c1)), 1e-12)
 
 

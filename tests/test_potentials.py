@@ -15,6 +15,8 @@ from qnmlattice.potentials import (BlackHoleParams, alpha_squared,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
+from reference import barrier_taylor_mp
+
 P1 = BlackHoleParams(m=1.0)
 
 
@@ -302,6 +304,24 @@ def test_subprincipal_taylor_matches_values():
         _, w1 = potential_W_parts(np.array([cd.x0 + x], dtype=complex), p)
         approx = sum(complex(c) * x ** j for j, c in enumerate(W1.coeffs))
         assert abs(approx - complex(w1[0])) <= 1e-6 * abs(w1[0])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+def test_barrier_taylor_vs_mpmath_oracle(lam):
+    # every coefficient of V and W1 at degree 24 to near double rounding;
+    # reverting the tortoise antiderivative in double precision instead
+    # loses up to 5e-9 relative in the top coefficients
+    N = 24
+    p = BlackHoleParams(m=1.0, lam=lam)
+    V_ref, W1_ref = barrier_taylor_mp(1.0, lam, N)
+    V = shifted_potential_taylor(p, N)
+    W1 = subprincipal_taylor(p, N)
+    assert V.trunc_order == W1.trunc_order == N
+    for j in range(2, N + 1):
+        assert abs(complex(V.coeffs[j]) - V_ref[j]) <= 1e-12 * abs(V_ref[j]), j
+    for j in range(N + 1):
+        assert abs(complex(W1.coeffs[j]) - W1_ref[j]) \
+            <= 1e-12 * abs(W1_ref[j]), j
 
 
 def test_scaling_covariance():

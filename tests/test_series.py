@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qnmlattice.series import HGraded, Series1, Series2
 
 from reference import (GaussianRational, deriv, functional_inverse,
-                       hcompose, poisson, series2_value)
+                       hcompose, integ, poisson, reversion, series2_value)
 
 
 def coeffs_close(a, b, tol=1e-12):
@@ -198,11 +198,12 @@ def test_functional_inverse_preconditions():
 
 # ---------------------------------------------------------------------------
 # ODE solve g' = 1/f(g), g(0) = 0, as the reversion of the antiderivative
-# of f: the route `potentials` takes to rho(x) from d rho/dx = alpha^2
+# of f: the route of the Taylor oracle `barrier_taylor_mp` to rho(x) from
+# d rho/dx = alpha^2, which `potentials` solves by a recurrence instead
 
 
 def ode_g_from_f(f):
-    return f.integ().truncate(f.trunc_order).reversion()
+    return reversion(integ(f).truncate(f.trunc_order))
 
 
 def test_ode_constant():
