@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+VALIDITY_FRAC = 0.05  # share of the sum the top retained term may reach
+
 
 @dataclass(frozen=True)
 class QnmEntry:
@@ -20,8 +22,8 @@ class QnmEntry:
     multiplicity: int
 
 
-def validity_radius(G0, frac=0.05):
-    """Largest x > 0 where the top retained term is < frac of the sum.
+def validity_radius(G0):
+    """Largest x > 0 where the top term is < VALIDITY_FRAC of the sum.
 
     Beyond this radius the polynomial truncation is treated as unreliable
     and the lattice is refused rather than extrapolated.
@@ -34,7 +36,7 @@ def validity_radius(G0, frac=0.05):
 
     def bad(x):
         tot = sum(c * x ** j for j, c in enumerate(coeffs))
-        return abs(ck) * x ** k >= frac * abs(tot)
+        return abs(ck) * x ** k >= VALIDITY_FRAC * abs(tot)
 
     hi = 1.0
     while not bad(hi):

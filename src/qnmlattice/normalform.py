@@ -27,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 # SPECTRAL_ARG * x.  Fixed once against the known linear coefficient of
 # the leading symbol; never re-fit.
 SPECTRAL_ARG = -1j / TWO_PI
+DIAG_REL = 1e-10  # off-diagonal tolerance of `_diag_levels`
 
 
 @dataclass(frozen=True)
@@ -173,17 +174,17 @@ def _ad_exp(gen, sym, h_order, degree):
     return out
 
 
-def _diag_levels(sym, rel=1e-10):
+def _diag_levels(sym):
     """Extract levels of a diagonal graded symbol as Series1 in w.
 
-    Level k is refused when an off-diagonal coefficient exceeds `rel` times
-    the largest coefficient of levels 0..k.
+    Level k is refused when an off-diagonal coefficient exceeds DIAG_REL
+    times the largest coefficient of levels 0..k.
     """
     out = {}
     scale = 0.0
     for k, s in sorted(sym.levels.items()):
         scale = max([scale] + [abs(complex(c)) for c in s.coeffs.values()])
-        if any(abs(complex(c)) > rel * scale
+        if any(abs(complex(c)) > DIAG_REL * scale
                for c in s.off_diagonal().coeffs.values()):
             raise ValueError("symbol level %d is not diagonal" % k)
         out[k] = s.diagonal()

@@ -3,7 +3,7 @@
 The operator is restricted to the deformed contour through the barrier
 top, x0 + (1+i theta) t, and discretized in a Galerkin basis of scaled
 Hermite functions.  Eigenvalues z near the barrier height E0 yield mode
-frequencies lambda = h^{-1} sqrt(z).
+frequencies lambda = h^{-1} sqrt(z), with h = (l+1/2)^{-1}.
 """
 
 import math
@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .catalog import QnmEntry
 from .potentials import critical_data, potential_W_parts
@@ -25,7 +24,6 @@ DRIFT_EXTRA = 40    # basis enlargement of the self-convergence filter
 @dataclass(frozen=True)
 class ScalingConfig:
     theta: float = 0.3
-    h: float = 0.5
     basis_size: int = 128
     stab_rel: float = 1e-6     # self-convergence filter on window eigenvalues
 
@@ -34,48 +32,23 @@ class ScalingConfig:
             raise ValueError("need 0 <= theta <= 0.4")
         if self.basis_size < 1:
             raise ValueError("basis_size must be positive")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
 
 
-def hermite_function_values(nmax, u):
-    """Values of the Hermite functions h_0..h_nmax at the points u.
+def hermite_basis(n, npts):
+    """Gauss-Hermite nodes u_j and the values B[k, j] = h_k(u_j) sqrt(what_j),
+    k < n, of the Hermite functions times the square roots of the weights.
 
-    h_n are the L^2-normalized eigenfunctions of -d^2/du^2 + u^2.  Uses a
-    log-rescaled three-term recurrence so that large |u| does not under-
-    or overflow.
+    h_k are the L^2-normalized eigenfunctions of -d^2/du^2 + u^2, and
+    int f(u) du ~ sum_j what_j f(u_j) for f = (poly deg < 2*npts) * e^{-u^2},
+    so (B * f(u)) @ B.T is the Galerkin matrix of f.  Golub-Welsch (Math.
+    Comp. 23 (1969) 221): the nodes are the eigenvalues of the Jacobi matrix
+    of the Hermite recurrence, and row k of its orthonormal eigenvectors
+    is h_k(u_j) sqrt(what_j) up to a sign per column, which cancels in
+    every product B W B^T.
     """
-    u = np.asarray(u, dtype=float)
-    npts = u.size
-    out = np.zeros((nmax + 1, npts))
-    logscale = -0.5 * u * u
-    vprev = np.zeros(npts)
-    vcur = np.full(npts, math.pi ** -0.25)
-    out[0] = vcur * np.exp(logscale)
-    for n in range(nmax):
-        vnext = (math.sqrt(2.0 / (n + 1)) * u * vcur
-                 - math.sqrt(n / (n + 1.0)) * vprev)
-        vprev, vcur = vcur, vnext
-        big = np.abs(vcur) > 1e100
-        if np.any(big):
-            vcur[big] *= 1e-200
-            vprev[big] *= 1e-200
-            logscale[big] += 200.0 * math.log(10.0)
-        out[n + 1] = vcur * np.exp(logscale)
-    return out
-
-
-def hermite_quadrature(npts):
-    """Nodes u_j and Hermite-function weights what_j with
-    int f(u) du ~ sum_j what_j f(u_j) for f = (poly deg < 2*npts) * e^{-u^2}.
-    """
-    u, _ = scipy.special.roots_hermite(npts)
-    hlast = hermite_function_values(npts - 1, u)[npts - 1]
-    hsq = npts * hlast ** 2
-    # where h_{npts-1} underflows, every basis function of lower index is
-    # an exact double-precision zero too, so the node contributes nothing
-    what = np.where(hsq > 0, 1.0 / np.where(hsq > 0, hsq, 1.0), 0.0)
-    return u, what
+    u, vec = scipy.linalg.eigh_tridiagonal(np.zeros(npts),
+                                           np.sqrt(0.5 * np.arange(1, npts)))
+    return u, vec[:n]
 
 
 def _d2_matrix(n):
@@ -95,23 +68,19 @@ def _u2_matrix(n):
     return m
 
 
-def build_scaled_operator(cfg, p):
+def build_scaled_operator(cfg, p, h):
     """Galerkin matrix of the complex-scaled operator (complex symmetric).
 
     Basis: Hermite functions of t/sigma, sigma = c0^{-1/4} sqrt(h), centered
     at the barrier top, on the contour x = x0 + (1+i theta) t.
     """
     n = cfg.basis_size
-    h = cfg.h
     th = cfg.theta
     cd = critical_data(p)
     sigma = cd.c0 ** -0.25 * math.sqrt(h)
-    npts = max(QUAD_FACTOR * n, n + 8)
-    u, what = hermite_quadrature(npts)
-    t = sigma * u
-    w0, w1 = potential_W_parts(cd.x0 + (1.0 + 1j * th) * t, p)
-    hv = hermite_function_values(n - 1, u)
-    pot = (hv * (what * (w0 + h * h * w1))) @ hv.T
+    u, b = hermite_basis(n, max(QUAD_FACTOR * n, n + 8))
+    w0, w1 = potential_W_parts(cd.x0 + (1.0 + 1j * th) * (sigma * u), p)
+    pot = (b * (w0 + h * h * w1)) @ b.T
     kin = -(h / sigma) ** 2 * _d2_matrix(n) * (1.0 + 1j * th) ** -2
     return kin + pot
 
@@ -136,24 +105,26 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     if ell < 1:
         raise ValueError("ell must be >= 1")
     h = 1.0 / (ell + 0.5)
-    if abs(h - cfg.h) > 1e-12 * h:
-        cfg = replace(cfg, h=h)
     cd = critical_data(p)
-    vals = eigensolve(build_scaled_operator(cfg, p))
-    cfg2 = replace(cfg, h=h, basis_size=cfg.basis_size + DRIFT_EXTRA)
-    vals2 = eigensolve(build_scaled_operator(cfg2, p))
+    vals = eigensolve(build_scaled_operator(cfg, p, h))
+    big = replace(cfg, basis_size=cfg.basis_size + DRIFT_EXTRA)
+    vals2 = eigensolve(build_scaled_operator(big, p, h))
     win = np.abs(vals - cd.E0) <= WINDOW * cd.E0
     # the discretized, scaling-rotated continuum clusters near z = 0;
     # barrier-top modes stay at |z| comparable to the barrier height
-    win &= np.abs(vals) >= 0.6 * cd.E0
-    zs = vals[win]
+    zs = vals[win & (np.abs(vals) >= 0.6 * cd.E0)]
     # self-convergence filter: keep eigenvalues stable under basis enlargement
-    if zs.size:
-        drift = np.array([np.min(np.abs(vals2 - z)) for z in zs])
-        zs = zs[drift <= cfg.stab_rel * np.maximum(np.abs(zs), 1e-3 * cd.E0)]
-    if zs.size == 0:
-        raise RuntimeError("no eigenvalues in the spectral window")
-    lams = np.sqrt(zs) / h
+    drift = np.array([np.min(np.abs(vals2 - z)) for z in zs])
+    drift /= np.maximum(np.abs(zs), 1e-3 * cd.E0)
+    kept = zs[drift <= cfg.stab_rel]
+    if kept.size == 0:
+        raise RuntimeError(
+            "no eigenvalues in the spectral window (candidates left after "
+            "the window, |z| >= 0.6 E0 and drift filters: %d/%d/0%s)"
+            % (np.count_nonzero(win), zs.size,
+               "; smallest relative drift %.2g > stab_rel %.2g"
+               % (drift.min(), cfg.stab_rel) if zs.size else ""))
+    lams = np.sqrt(kept) / h
     lams = np.where(lams.real < 0, -lams, lams)
     keep = np.angle(lams) > -2.0 * cfg.theta
     lams = lams[keep]

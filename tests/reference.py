@@ -9,7 +9,9 @@ quantum averaging by the round trip through g^{-1}(Q) after the h^0 pass
 of the Birkhoff reduction alone.  Also the classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
-barrier potential, `barrier_taylor_mp`.
+barrier potential, `barrier_taylor_mp`.  For the direct solver, the
+Hermite functions by their three-term recurrence and the Gauss-Hermite
+rule built on it, the oracle for the Golub-Welsch `hermite_basis`.
 """
 
 import cmath
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+import scipy.special
 
 from qnmlattice.normalform import (TWO_PI, _ad_exp, _birkhoff, _diag_levels,
                                    _moyal_term, homological_solve,
@@ -427,3 +431,43 @@ def barrier_taylor_mp(m, lam, N):
         V = w0.compose(rho_of_x) - E0
         return ([complex(c) for c in V.coeffs],
                 [complex(c) for c in w1.compose(rho_of_x).coeffs])
+
+
+def hermite_function_values(nmax, u):
+    """Values of the Hermite functions h_0..h_nmax at the points u.
+
+    h_n are the L^2-normalized eigenfunctions of -d^2/du^2 + u^2.  Uses a
+    log-rescaled three-term recurrence so that large |u| does not under-
+    or overflow.
+    """
+    u = np.asarray(u, dtype=float)
+    npts = u.size
+    out = np.zeros((nmax + 1, npts))
+    logscale = -0.5 * u * u
+    vprev = np.zeros(npts)
+    vcur = np.full(npts, math.pi ** -0.25)
+    out[0] = vcur * np.exp(logscale)
+    for n in range(nmax):
+        vnext = (math.sqrt(2.0 / (n + 1)) * u * vcur
+                 - math.sqrt(n / (n + 1.0)) * vprev)
+        vprev, vcur = vcur, vnext
+        big = np.abs(vcur) > 1e100
+        if np.any(big):
+            vcur[big] *= 1e-200
+            vprev[big] *= 1e-200
+            logscale[big] += 200.0 * math.log(10.0)
+        out[n + 1] = vcur * np.exp(logscale)
+    return out
+
+
+def hermite_quadrature(npts):
+    """Nodes u_j and Hermite-function weights what_j with
+    int f(u) du ~ sum_j what_j f(u_j) for f = (poly deg < 2*npts) * e^{-u^2}.
+    """
+    u, _ = scipy.special.roots_hermite(npts)
+    hlast = hermite_function_values(npts - 1, u)[npts - 1]
+    hsq = npts * hlast ** 2
+    # where h_{npts-1} underflows, every basis function of lower index is
+    # an exact double-precision zero too, so the node contributes nothing
+    what = np.where(hsq > 0, 1.0 / np.where(hsq > 0, hsq, 1.0), 0.0)
+    return u, what

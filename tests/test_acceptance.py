@@ -257,8 +257,8 @@ def test_acceptance_8_infrastructure(tmp_path):
                        abs(inverse_tortoise(x, p_ds) - r) / max(1.0, r))
     assert worst_rt <= 1e-12
     # eigensolver trace identity
-    cfg = ScalingConfig(theta=0.3, h=1.0 / 8.5, basis_size=120)
-    mat = build_scaled_operator(cfg, P1)
+    cfg = ScalingConfig(theta=0.3, basis_size=120)
+    mat = build_scaled_operator(cfg, P1, 1.0 / 8.5)
     vals = eigensolve(mat)
     tr_err = abs(np.sum(vals) - np.trace(mat)) / abs(np.trace(mat))
     assert tr_err <= 1e-9

@@ -31,7 +31,7 @@ def test_asymptotic_check_validates_sector():
 def test_validity_radius_linear_symbol():
     # G0 = 1 + 0.01 x: top term reaches 5% of the total at x ~ 5.26
     g0 = Series1([1.0, 0.01], 1)
-    rad = validity_radius(g0, frac=0.05)
+    rad = validity_radius(g0)
     x = rad
     assert abs(0.01 * x - 0.05 * abs(1.0 + 0.01 * x)) <= 1e-10
 

@@ -9,7 +9,7 @@ import pytest
 from qnmlattice.pseudospectrum import (RotatedHOConfig, exact_rotated_ho_eigs,
                                        hermite_galerkin_matrix,
                                        instability_report)
-from qnmlattice.scaling import hermite_function_values, hermite_quadrature
+from qnmlattice.scaling import hermite_basis
 
 
 def test_config_validation():
@@ -38,9 +38,8 @@ def test_matrix_entries_against_quadrature():
     # quadrature of u^2 h_m h_n
     cfg = RotatedHOConfig(h=0.3, basis_size=12)
     mat = hermite_galerkin_matrix(cfg)
-    u, what = hermite_quadrature(60)
-    hv = hermite_function_values(11, u)
-    u2 = (hv * (what * u ** 2)) @ hv.T
+    u, b = hermite_basis(12, 60)
+    u2 = (b * u ** 2) @ b.T
     want = np.diag((2.0 * np.arange(12) + 1.0) * cfg.h) \
         + (1j - 1.0) * cfg.h * u2
     assert np.max(np.abs(mat - want)) <= 1e-12

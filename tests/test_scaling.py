@@ -9,8 +9,8 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts)
 from qnmlattice.scaling import (QUAD_FACTOR, ScalingConfig, _d2_matrix,
                                 build_scaled_operator, eigensolve,
-                                hermite_function_values, hermite_quadrature,
-                                qnm_direct)
+                                hermite_basis, qnm_direct)
+from reference import hermite_function_values, hermite_quadrature
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -18,8 +18,6 @@ P1 = BlackHoleParams(m=1.0)
 def test_config_validation():
     with pytest.raises(ValueError):
         ScalingConfig(theta=0.7)
-    with pytest.raises(ValueError):
-        ScalingConfig(h=0.0)
     with pytest.raises(ValueError):
         ScalingConfig(basis_size=0)
 
@@ -29,18 +27,27 @@ def test_config_validation():
 
 
 def test_hermite_orthonormality():
-    u, what = hermite_quadrature(80)
-    hv = hermite_function_values(30, u)
-    gram = (hv * what) @ hv.T
-    assert np.max(np.abs(gram - np.eye(31))) <= 1e-12
+    _, b = hermite_basis(31, 80)
+    assert np.max(np.abs(b @ b.T - np.eye(31))) <= 1e-12
 
 
 def test_hermite_quadrature_large_n_finite():
-    u, what = hermite_quadrature(600)
-    assert np.all(np.isfinite(u)) and np.all(np.isfinite(what))
-    hv = hermite_function_values(100, u)
-    gram = (hv * what) @ hv.T
-    assert np.max(np.abs(gram - np.eye(101))) <= 1e-10
+    u, b = hermite_basis(101, 600)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(b))
+    assert np.max(np.abs(b @ b.T - np.eye(101))) <= 1e-10
+
+
+@pytest.mark.parametrize("n, npts", [(31, 80), (101, 600), (160, 320),
+                                     (440, 880)])
+def test_hermite_basis_matches_recurrence(n, npts):
+    # Golub-Welsch against the recurrence oracle: the same nodes, and per
+    # column the same values h_k(u_j) sqrt(what_j) up to one sign
+    u, b = hermite_basis(n, npts)
+    u_ref, what = hermite_quadrature(npts)
+    ref = hermite_function_values(n - 1, u_ref) * np.sqrt(what)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    sign = np.where(np.sum(b * ref, axis=0) < 0, -1.0, 1.0)
+    assert np.max(np.abs(b * sign - ref)) <= 1e-12
 
 
 def test_hermite_function_ode():
@@ -159,9 +166,8 @@ def test_ellipticity_scales_with_theta():
 def hermite_operator(h, sigma, n, potential):
     """Galerkin matrix of -h^2 d^2/dt^2 + potential(t) in the Hermite
     functions of t/sigma, by the quadrature `build_scaled_operator` uses."""
-    u, what = hermite_quadrature(max(QUAD_FACTOR * n, n + 8))
-    hv = hermite_function_values(n - 1, u)
-    pot = (hv * (what * potential(sigma * u))) @ hv.T
+    u, b = hermite_basis(n, max(QUAD_FACTOR * n, n + 8))
+    pot = (b * potential(sigma * u)) @ b.T
     return -(h / sigma) ** 2 * _d2_matrix(n) + pot
 
 
@@ -183,8 +189,8 @@ def test_operator_free_particle_nonnegative():
 
 
 def test_operator_complex_symmetric():
-    cfg = ScalingConfig(theta=0.3, h=1.0 / 8.5, basis_size=40)
-    mat = build_scaled_operator(cfg, P1)
+    cfg = ScalingConfig(theta=0.3, basis_size=40)
+    mat = build_scaled_operator(cfg, P1, 1.0 / 8.5)
     assert np.max(np.abs(mat - mat.T)) <= 1e-13
 
 
@@ -272,5 +278,11 @@ def test_qnm_direct_ell_guard():
 def test_qnm_direct_numerical_failure():
     # a tiny basis cannot resolve any window eigenvalue stably
     cfg = ScalingConfig(theta=0.3, basis_size=8)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError,
+                       match="no eigenvalues in the spectral window"):
         qnm_direct(8, cfg, P1)
+    # at l = 2 window candidates exist, and the drift filter removes them
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    with pytest.raises(RuntimeError, match=r"drift filters: \d+/\d+/0; "
+                       r"smallest relative drift"):
+        qnm_direct(2, cfg, P1)
