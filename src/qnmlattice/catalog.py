@@ -7,19 +7,10 @@ the cubic law N(r) ~ c(t, m, lam) r^3.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 VALIDITY_FRAC = 0.05  # share of the sum the top retained term may reach
-
-
-@dataclass(frozen=True)
-class QnmEntry:
-    ell: int
-    n: int
-    lam: complex
-    multiplicity: int
 
 
 def validity_radius(G0):

@@ -61,6 +61,9 @@ def resolve_config(args):
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError("config file %s: %s" % (args.config, e))
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file %s: not a JSON object"
+                              % args.config)
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError("unknown config keys: %s" % sorted(unknown))
@@ -109,6 +112,8 @@ def _check_config(cfg, command):
     if not isinstance(cfg["r_list"], list) or not cfg["r_list"]:
         raise ConfigError("r_list must be a non-empty list")
     radii = [float(r) for r in cfg["r_list"]]
+    if not all(math.isfinite(r) for r in radii):
+        raise ConfigError("r_list entries must be finite")
     if radii != sorted(radii):
         raise ConfigError("r_list must be increasing")
     if radii[0] < 1.0:
@@ -128,8 +133,8 @@ def _check_config(cfg, command):
         raise ConfigError("x_min and x_max must be finite")
     if int(cfg["x_points"]) < 0:
         raise ConfigError("x_points must be >= 0")
-    if float(cfg["pseudo_h"]) <= 0:
-        raise ConfigError("pseudo_h must be positive")
+    if not (0 < float(cfg["pseudo_h"]) < math.inf):
+        raise ConfigError("pseudo_h must be positive and finite")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     if not isinstance(cfg["output_path"], str):
@@ -250,10 +255,10 @@ def cmd_direct(cfg):
                                  basis_size=int(cfg["basis_size"]))
     payload = []
     for ell in range(lo, hi + 1):
-        entries = scaling.qnm_direct(ell, scfg, p,
-                                     max_modes=int(cfg["n_max"]) + 1)
+        lams = scaling.qnm_direct(ell, scfg, p,
+                                  max_modes=int(cfg["n_max"]) + 1)
         payload.append({"ell": ell, "theta": float(cfg["theta"]),
-                        "qnm": [[e.lam.real, e.lam.imag] for e in entries]})
+                        "qnm": [[z.real, z.imag] for z in lams.tolist()]})
     if cfg["format"] == "json":
         return json_doc(cfg, payload)
     rows = []

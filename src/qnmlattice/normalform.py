@@ -13,6 +13,7 @@ lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from numpy.polynomial.polynomial import polyfromroots
@@ -116,47 +117,44 @@ def _birkhoff(sym, K, N):
 # graded Weyl (Moyal) calculus
 
 
-def _moyal_term(a, b, k, degree):
-    """k-th bidifferential term of the Weyl product (without h^k).
-
-    Inputs are treated as exact polynomials; the result is truncated at
-    total degree `degree` only.
-    """
-    if k == 0:
-        return (Series2(a.coeffs, degree + 1)
-                * Series2(b.coeffs, degree + 1)).truncate(degree)
-    pref = (1.0 / (2j)) ** k / math.factorial(k)
-    pad = degree + k + 1
-    out = Series2.zero(degree)
-    for j in range(k + 1):
-        da = Series2(a.coeffs, pad)
-        for _ in range(j):
-            da = da.dzeta()
-        for _ in range(k - j):
-            da = da.dz()
-        db = Series2(b.coeffs, pad)
-        for _ in range(j):
-            db = db.dz()
-        for _ in range(k - j):
-            db = db.dzeta()
-        out = out + (math.comb(k, j) * ((-1) ** (k - j))
-                     * (da * db).truncate(degree))
-    return pref * out
-
-
 def moyal_commutator(a, b, K, degree):
-    """a # b - b # a; even bidifferential terms cancel identically.
+    """a # b - b # a, in one pass over pairs of monomials.
 
-    Result level ell is kept to total degree `degree` - 2 ell.
+    The k-th bidifferential term of the Weyl product takes z^m1 zeta^n1
+    and z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k) with the
+    integer S_k = sum_j u_j v_j, u_j = C(k,j) (-1)^(k-j) (m1)_(k-j) (n1)_j,
+    v_j = (m2)_j (n2)_(k-j), and (m)_i the falling factorial.  Even k
+    cancel, odd k count twice.  Result level ell is kept to total degree
+    `degree` - 2 ell.
     """
     out = {}
     for ka, sa in a.levels.items():
         for kb, sb in b.levels.items():
+            top = degree - 2 * (ka + kb)   # largest m1+n1+m2+n2 kept
+            dmin = min((m + n for m, n in sa.coeffs), default=top)
             for k in range(1, min(K, degree // 2) - ka - kb + 1, 2):
-                lvl = ka + kb + k
-                t = 2.0 * _moyal_term(sa, sb, k, degree - 2 * lvl)
-                out[lvl] = out.get(lvl, Series2.zero(degree)) + t
-    return HGraded(out, K)
+                pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+                left = [(m + n, m - k, n - k, c,
+                         [math.comb(k, j) * (-1) ** (k - j)
+                          * math.perm(m, k - j) * math.perm(n, j)
+                          for j in range(k + 1)])
+                        for (m, n), c in sa.coeffs.items()]
+                right = [(m + n, m, n, c,
+                          [math.perm(m, j) * math.perm(n, k - j)
+                           for j in range(k + 1)])
+                         for (m, n), c in sb.coeffs.items()
+                         if dmin + m + n <= top]
+                acc = out.setdefault(ka + kb + k, {})
+                for d1, m1, n1, ca, u in left:
+                    for d2, m2, n2, cb, v in right:
+                        if d1 + d2 > top:
+                            continue
+                        s = sum(map(operator.mul, u, v))
+                        if s:
+                            key = (m1 + m2, n1 + n2)
+                            acc[key] = acc.get(key, 0) + pref * s * ca * cb
+    return HGraded({lvl: Series2(coeffs, degree - 2 * lvl)
+                    for lvl, coeffs in out.items()}, K)
 
 
 def _ad_exp(gen, sym, h_order, degree):

@@ -21,9 +21,10 @@ class BlackHoleParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.lam < 0 or 9.0 * self.lam * self.m ** 2 >= 1.0:
+        if not (0 < self.m < math.inf):
+            raise ValueError("mass must be positive and finite")
+        # written so that a NaN lam fails it too
+        if not (0 <= self.lam and 9.0 * self.lam * self.m ** 2 < 1.0):
             raise ValueError("need 0 <= lam < 1/(9 m^2)")
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .catalog import QnmEntry
 from .potentials import critical_data, potential_W_parts
 
 WINDOW = 2.0        # spectral window |z - E0| <= WINDOW * E0
@@ -99,8 +98,9 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     """Mode frequencies near the barrier top from the direct eigensolver.
 
     Eigenvalues z of the scaled operator with |z - E0| < WINDOW*E0 are
-    mapped to lambda = h^{-1} sqrt(z) (branch Re > 0); entries are ordered
-    by increasing damping (n = 0 least damped).
+    mapped to lambda = h^{-1} sqrt(z) (branch Re > 0).  Returns the
+    complex array of lambda by increasing damping (index n = 0 least
+    damped).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -128,9 +128,4 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     lams = np.where(lams.real < 0, -lams, lams)
     keep = np.angle(lams) > -2.0 * cfg.theta
     lams = lams[keep]
-    order = np.argsort(-lams.imag)
-    lams = lams[order]
-    if max_modes is not None:
-        lams = lams[:max_modes]
-    return [QnmEntry(ell=ell, n=i, lam=complex(l), multiplicity=2 * ell + 1)
-            for i, l in enumerate(lams)]
+    return lams[np.argsort(-lams.imag)][:max_modes]

@@ -156,20 +156,6 @@ class Series2:
     def __repr__(self):
         return "Series2(%r, trunc_order=%d)" % (self.coeffs, self.trunc_order)
 
-    def dz(self):
-        out = {}
-        for (m, n), c in self.coeffs.items():
-            if m > 0:
-                out[(m - 1, n)] = m * c
-        return Series2(out, self.trunc_order - 1 if self.trunc_order else 0)
-
-    def dzeta(self):
-        out = {}
-        for (m, n), c in self.coeffs.items():
-            if n > 0:
-                out[(m, n - 1)] = n * c
-        return Series2(out, self.trunc_order - 1 if self.trunc_order else 0)
-
     def homogeneous_part(self, d):
         return Series2({k: c for k, c in self.coeffs.items()
                         if k[0] + k[1] == d}, self.trunc_order)

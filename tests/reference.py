@@ -1,11 +1,12 @@
 """Reference implementations that only the tests use.
 
 Exact Gaussian-rational coefficients for the exact-arithmetic checks, and
-independent oracles for the symbol calculus: the series derivative, the
+independent oracles for the symbol calculus: the series derivatives, the
 Poisson bracket, the flow-quadrature average, the symmetrized-ordering
 action of a Weyl symbol on monomials, graded composition `hcompose` and
-the graded functional inverse built on it, the graded Weyl product, and
-quantum averaging by the round trip through g^{-1}(Q) after the h^0 pass
+the graded functional inverse built on it, the graded Weyl product and
+commutator by repeated series derivatives (`_moyal_term`), and quantum
+averaging by the round trip through g^{-1}(Q) after the h^0 pass
 of the Birkhoff reduction alone.  Also the classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
@@ -24,8 +25,7 @@ import numpy as np
 import scipy.special
 
 from qnmlattice.normalform import (TWO_PI, _ad_exp, _birkhoff, _diag_levels,
-                                   _moyal_term, homological_solve,
-                                   quad_reduce)
+                                   homological_solve, quad_reduce)
 from qnmlattice.series import HGraded, Series1, Series2
 
 
@@ -162,9 +162,72 @@ def reversion(s):
     return Series1(out, n)
 
 
+def dz(s):
+    """d/dz of a Series2 (order drops by one)."""
+    out = {}
+    for (m, n), c in s.coeffs.items():
+        if m > 0:
+            out[(m - 1, n)] = m * c
+    return Series2(out, s.trunc_order - 1 if s.trunc_order else 0)
+
+
+def dzeta(s):
+    """d/dzeta of a Series2 (order drops by one)."""
+    out = {}
+    for (m, n), c in s.coeffs.items():
+        if n > 0:
+            out[(m, n - 1)] = n * c
+    return Series2(out, s.trunc_order - 1 if s.trunc_order else 0)
+
+
 def poisson(a, b):
     """{a, b} = d_zeta a * d_z b - d_z a * d_zeta b."""
-    return a.dzeta() * b.dz() + (-1) * (a.dz() * b.dzeta())
+    return dzeta(a) * dz(b) + (-1) * (dz(a) * dzeta(b))
+
+
+def _moyal_term(a, b, k, degree):
+    """k-th bidifferential term of the Weyl product (without h^k), by
+    repeated series derivatives.
+
+    Inputs are treated as exact polynomials; the result is truncated at
+    total degree `degree` only.
+    """
+    if k == 0:
+        return (Series2(a.coeffs, degree + 1)
+                * Series2(b.coeffs, degree + 1)).truncate(degree)
+    pref = (1.0 / (2j)) ** k / math.factorial(k)
+    pad = degree + k + 1
+    out = Series2.zero(degree)
+    for j in range(k + 1):
+        da = Series2(a.coeffs, pad)
+        for _ in range(j):
+            da = dzeta(da)
+        for _ in range(k - j):
+            da = dz(da)
+        db = Series2(b.coeffs, pad)
+        for _ in range(j):
+            db = dz(db)
+        for _ in range(k - j):
+            db = dzeta(db)
+        out = out + (math.comb(k, j) * ((-1) ** (k - j))
+                     * (da * db).truncate(degree))
+    return pref * out
+
+
+def moyal_commutator_ref(a, b, K, degree):
+    """a # b - b # a from `_moyal_term`; even bidifferential terms cancel
+    identically.  Oracle for `normalform.moyal_commutator`.
+
+    Result level ell is kept to total degree `degree` - 2 ell.
+    """
+    out = {}
+    for ka, sa in a.levels.items():
+        for kb, sb in b.levels.items():
+            for k in range(1, min(K, degree // 2) - ka - kb + 1, 2):
+                lvl = ka + kb + k
+                t = 2.0 * _moyal_term(sa, sb, k, degree - 2 * lvl)
+                out[lvl] = out.get(lvl, Series2.zero(degree)) + t
+    return HGraded(out, K)
 
 
 def series2_value(s, z, zeta):
@@ -372,8 +435,14 @@ def average_through_inverse(qsym, K, N):
         r = cur.level(ell)
         if r is None or not r.off_diagonal().coeffs:
             continue
-        a_h = homological_solve(r.off_diagonal())
-        cur = _ad_exp(HGraded({ell - 1: a_h}, K), cur, K, N)
+        gen = HGraded({ell - 1: homological_solve(r.off_diagonal())}, K)
+        # exp(ad_gen) cur on the derivative-route commutator
+        term = cur
+        for k in range(1, 4 * (K + N + 3)):
+            term = moyal_commutator_ref(gen, term, K, N).scale(1.0 / k)
+            if not any(s.coeffs for s in term.levels.values()):
+                break
+            cur = cur + term
     # w^m -> z^m zeta^m; Series2 drops the terms beyond degree N
     dsym = HGraded({k: Series2({(m, m): c for m, c in enumerate(s.coeffs)}, N)
                     for k, s in _diag_levels(cur).items()}, K)

@@ -206,7 +206,7 @@ def test_acceptance_6_lattice_vs_direct_convergence():
     for ell in ells:
         h = 1.0 / (ell + 0.5)
         cfg = ScalingConfig(theta=0.3, basis_size=160)
-        lam_d = qnm_direct(ell, cfg, P1, max_modes=1)[0].lam
+        lam_d = qnm_direct(ell, cfg, P1, max_modes=1)[0]
         G = qnm_symbol(P1, degree=10, h_order=0)   # leading symbol only
         lam_l = complex(eval_symbol(G, 2.0 * math.pi * 0.5 * h, h)) / h
         errs.append(abs(lam_l - lam_d) / abs(lam_d))
@@ -264,9 +264,9 @@ def test_acceptance_8_infrastructure(tmp_path):
     assert tr_err <= 1e-9
     # theta-robustness of resonances
     la = qnm_direct(8, ScalingConfig(theta=0.2, basis_size=160), P1,
-                    max_modes=1)[0].lam
+                    max_modes=1)[0]
     lb = qnm_direct(8, ScalingConfig(theta=0.3, basis_size=160), P1,
-                    max_modes=1)[0].lam
+                    max_modes=1)[0]
     th_err = abs(la - lb) / abs(la)
     assert th_err <= 1e-6
     # byte-identical determinism through the CLI

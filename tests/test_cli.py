@@ -270,6 +270,17 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["direct", "--basis-size", "1961", "--ell-range", "4", "4"]) \
         == 2
     assert main(["pseudo", "--basis-size", "2001"]) == 2
+    # values that are not finite
+    for argv in (["potential", "--lam", "nan"], ["potential", "--m", "nan"],
+                 ["potential", "--m", "inf"], ["lattice", "--m", "nan"],
+                 ["pseudo", "--pseudo-h", "nan"],
+                 ["pseudo", "--pseudo-h", "inf"],
+                 ["count", "--r-list", "1", "nan"]):
+        assert main(argv) == 2, argv
+    # a config file that is valid JSON but not an object
+    for doc in ("5", "null", '[["m", 2]]'):
+        cfg_path.write_text(doc)
+        assert main(["lattice", "--config", str(cfg_path)]) == 2, doc
 
 
 def test_unwritable_output_exits_2_without_partial(tmp_path):

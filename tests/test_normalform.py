@@ -19,7 +19,8 @@ from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
 
 from reference import (GaussianRational, average_by_flow_quadrature,
                        average_through_inverse, birkhoff_h0, classical_bnf,
-                       deriv, moyal_product, poisson, weyl_monomial_action)
+                       deriv, moyal_commutator_ref, moyal_product, poisson,
+                       weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -335,6 +336,30 @@ def test_moyal_commutator_leading_is_poisson():
     # even levels of the commutator vanish identically
     assert comm.level(0) is None or not comm.level(0).coeffs
     assert comm.level(2) is None or not comm.level(2).coeffs
+
+
+def test_moyal_commutator_matches_derivative_oracle():
+    # the closed form on monomials against repeated series derivatives
+    rng = random.Random(31)
+
+    def rand_level(N):
+        return Series2({(m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                        for m in range(N + 1) for n in range(N + 1 - m)}, N)
+
+    for K in (2, 4, 6):
+        for N in (8, 14, 20):
+            gen = HGraded({-1: rand_level(N), 1: rand_level(N - 2)}, K)
+            sym = HGraded({k: rand_level(N - 2 * k) for k in (0, 2, 4)}, K)
+            got = moyal_commutator(gen, sym, K, N)
+            want = moyal_commutator_ref(gen, sym, K, N)
+            assert got.levels.keys() == want.levels.keys(), (K, N)
+            for k, w in want.levels.items():
+                g = got.levels[k]
+                assert g.trunc_order == w.trunc_order, (K, N, k)
+                scale = max(abs(c) for c in w.coeffs.values())
+                for key in set(g.coeffs) | set(w.coeffs):
+                    assert abs(g[key] - w[key]) <= 1e-13 * scale, \
+                        (K, N, k, key)
 
 
 def test_moyal_associativity():

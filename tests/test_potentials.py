@@ -32,6 +32,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BlackHoleParams(m=1.0, lam=1.0 / 9.0)
     BlackHoleParams(m=1.0, lam=0.11)  # just subextremal
+    for m, lam in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                   (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            BlackHoleParams(m=m, lam=lam)
 
 
 def test_alpha_squared_horizon_and_barrier():

@@ -228,10 +228,8 @@ def test_qnm_direct_basic_structure():
     # deeper modes approach the continuum ray rotated by -2 theta, so the
     # three least-damped modes at l = 8 need the full rotation angle
     cfg = ScalingConfig(theta=0.4, basis_size=320, stab_rel=1e-4)
-    modes = qnm_direct(8, cfg, P1, max_modes=3)
-    assert [e.n for e in modes] == [0, 1, 2]
-    assert all(e.ell == 8 and e.multiplicity == 17 for e in modes)
-    lams = [e.lam for e in modes]
+    lams = qnm_direct(8, cfg, P1, max_modes=3)
+    assert len(lams) == 3
     # least-damped first, all decaying, all in the admissible sector
     assert lams[0].imag > lams[1].imag > lams[2].imag
     for lam in lams:
@@ -248,22 +246,22 @@ def test_qnm_direct_basic_structure():
 def test_qnm_direct_theta_robustness():
     cfg_a = ScalingConfig(theta=0.2, basis_size=160)
     cfg_b = ScalingConfig(theta=0.3, basis_size=160)
-    la = qnm_direct(8, cfg_a, P1, max_modes=1)[0].lam
-    lb = qnm_direct(8, cfg_b, P1, max_modes=1)[0].lam
+    la = qnm_direct(8, cfg_a, P1, max_modes=1)[0]
+    lb = qnm_direct(8, cfg_b, P1, max_modes=1)[0]
     assert abs(la - lb) <= 1e-6 * abs(la)
 
 
 def test_qnm_direct_mass_scaling():
     cfg = ScalingConfig(theta=0.3, basis_size=140)
-    l1 = qnm_direct(6, cfg, BlackHoleParams(m=1.0), max_modes=1)[0].lam
-    l2 = qnm_direct(6, cfg, BlackHoleParams(m=2.0), max_modes=1)[0].lam
+    l1 = qnm_direct(6, cfg, BlackHoleParams(m=1.0), max_modes=1)[0]
+    l2 = qnm_direct(6, cfg, BlackHoleParams(m=2.0), max_modes=1)[0]
     assert abs(l2 - 0.5 * l1) <= 1e-8 * abs(l1)
 
 
 def test_qnm_direct_de_sitter():
     p = BlackHoleParams(m=1.0, lam=0.02)
     cfg = ScalingConfig(theta=0.3, basis_size=160)
-    lam = qnm_direct(8, cfg, p, max_modes=1)[0].lam
+    lam = qnm_direct(8, cfg, p, max_modes=1)[0]
     # leading behavior carries the (1-9 Lambda m^2)^(1/2) factor
     s27 = 3.0 * math.sqrt(3.0)
     approx = complex(8.5, -0.5) * math.sqrt(1.0 - 9.0 * 0.02) / s27
