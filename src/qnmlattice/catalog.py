@@ -45,7 +45,7 @@ def validity_radius(G0):
 
 
 def eval_symbol(G, x, h):
-    """G(x; h) = sum_k G_k(x) h^k for scalar or array x."""
+    """G(x; h) = sum_k G_k(x) h^k for scalar or array x and h."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for k, lvl in G.levels.items():
@@ -57,6 +57,8 @@ def eval_symbol(G, x, h):
 def lattice(G, ell, rad, n_max=None):
     """lam_{ell,n} = h^{-1} G(2 pi (n+1/2) h; h), h = (ell+1/2)^{-1}, for
     n = 0, 1, ... while x = 2 pi (n+1/2) h <= rad, and n <= n_max."""
+    if not math.isfinite(rad):
+        raise ValueError("walk radius must be finite, got %r" % rad)
     h = 1.0 / (ell + 0.5)
     n_cap = rad / (2.0 * math.pi * h) - 0.5
     if n_max is not None:
@@ -100,6 +102,8 @@ def counting_constant(t, p, G0):
     if not (0.0 < t <= 0.3):
         raise ValueError("need 0 < t <= 0.3")
     rad = validity_radius(G0)
+    if not math.isfinite(rad):
+        raise ValueError("validity radius of G0 is not finite")
     x_cross = _unwrapped_arg_crossing(G0, t, rad)
     interval = x_cross  # I_t = (0, x_cross) since arg decreases from 0
     m, lam = p.m, p.lam
@@ -116,10 +120,12 @@ def asymptotic_check(p, G, t, r_list):
     """Table of N(r) / (c r^3) for increasing radii r.
 
     N(r) is the multiplicity-weighted number of lattice modes in the
-    sector {1 <= |lam| <= r, arg lam > -t}.  Each ell is walked once, up to
-    the validity radius; radius r counts ell <= ceil(r / |G(0)|) + 2.  An
-    ell whose last mode is still inside the arg wedge (or that has no mode
-    below the validity radius) is a coverage gap of every radius counting it.
+    sector {1 <= |lam| <= r, arg lam > -t}; radius r counts
+    ell <= ceil(r / |G(0)|) + 2.  One walk in n = 0, 1, ... serves every
+    ell and radius: step n evaluates the symbol once on the array of ell
+    still walking.  An ell leaves the walk at its first mode with
+    arg lam <= -t, or once x = 2 pi (n+1/2) h passes the validity radius;
+    the latter is a coverage gap of every radius counting that ell.
     """
     radii = np.array(r_list, dtype=float)
     if list(radii) != sorted(radii):
@@ -130,19 +136,27 @@ def asymptotic_check(p, G, t, r_list):
     rad = validity_radius(G.levels[0])
     g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
     ell_max = np.ceil(radii / g0).astype(int) + 2
+    ells = np.arange(1, int(ell_max.max(initial=0)) + 1)
     counts = np.zeros(radii.size, dtype=int)
     gaps = np.zeros(radii.size, dtype=int)
-    for ell in range(1, int(ell_max.max(initial=0)) + 1):
-        lams = lattice(G, ell, rad)
-        args = np.angle(lams)
+    n = 0
+    # counting_constant refused a radius that is not finite, so every ell
+    # leaves by n = rad / (2 pi h)
+    while ells.size:
+        h = 1.0 / (ells + 0.5)
+        x = 2.0 * math.pi * (n + 0.5) * h
+        past = x > rad
+        gaps += np.count_nonzero(ells[past] <= ell_max[:, None], axis=1)
+        ells, h, x = ells[~past], h[~past], x[~past]
+        lams = eval_symbol(G, x, h) / h
         mags = np.abs(lams)
-        wedge = mags[(args > -t) & (mags >= 1.0)]
-        active = ell <= ell_max
-        counts[active] += (2 * ell + 1) * np.count_nonzero(
-            wedge[None, :] <= radii[active, None], axis=1)
-        if not (lams.size and args[-1] <= -t):
-            gaps[active] += 1
-    return [{"r": r, "count": n, "c_r3": c * r ** 3,
-             "ratio": n / (c * r ** 3), "coverage_gaps": g}
-            for r, n, g in zip(radii.tolist(), counts.tolist(),
+        wedge = np.angle(lams) > -t
+        weight = np.where(wedge & (mags >= 1.0), 2 * ells + 1, 0)
+        counts += ((mags <= radii[:, None]) & (ells <= ell_max[:, None])
+                   ) @ weight
+        ells = ells[wedge]
+        n += 1
+    return [{"r": r, "count": N, "c_r3": c * r ** 3,
+             "ratio": N / (c * r ** 3), "coverage_gaps": g}
+            for r, N, g in zip(radii.tolist(), counts.tolist(),
                                gaps.tolist())]

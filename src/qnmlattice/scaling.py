@@ -79,7 +79,9 @@ def build_scaled_operator(cfg, p, h):
     sigma = cd.c0 ** -0.25 * math.sqrt(h)
     u, b = hermite_basis(n, max(QUAD_FACTOR * n, n + 8))
     w0, w1 = potential_W_parts(cd.x0 + (1.0 + 1j * th) * (sigma * u), p)
-    pot = (b * (w0 + h * h * w1)) @ b.T
+    w = w0 + h * h * w1
+    # two real products: a complex w would promote b.T to a complex gemm
+    pot = (b * w.real) @ b.T + 1j * ((b * w.imag) @ b.T)
     kin = -(h / sigma) ** 2 * _d2_matrix(n) * (1.0 + 1j * th) ** -2
     return kin + pot
 

@@ -188,11 +188,11 @@ def test_acceptance_5_counting_law():
     details = []
     for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
         G = qnm_symbol(p, degree=10, h_order=2)
-        rows = asymptotic_check(p, G, 0.05, [50.0, 100.0, 200.0])
+        rows = asymptotic_check(p, G, 0.05, [50.0, 100.0, 200.0, 2000.0])
         dev = abs(rows[-1]["ratio"] - 1.0)
         assert dev <= 0.05, p.lam
         assert rows[-1]["coverage_gaps"] == 0
-        details.append("L=%g: N(200)=%d, |ratio-1|=%.4f"
+        details.append("L=%g: N(2000)=%d, |ratio-1|=%.5f"
                        % (p.lam, rows[-1]["count"], dev))
     dt = time.time() - t0
     assert dt <= 300.0

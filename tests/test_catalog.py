@@ -1,6 +1,7 @@
 """Unit tests for the mode lattice, sector counting, and the cubic law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qnmlattice.series import HGraded, Series1
 from qnmlattice.potentials import BlackHoleParams
 from qnmlattice.normalform import qnm_symbol
+from qnmlattice import catalog
 from qnmlattice.catalog import (asymptotic_check, counting_constant,
                                 eval_symbol, lattice, validity_radius)
 
@@ -209,32 +211,95 @@ def test_count_consistency_lattice_vs_arithmetic():
     # asymptotic_check against a scalar enumeration of the lattice rule:
     # for each ell every n up to the first mode outside the arg wedge;
     # ell stops once three in a row have modes in the wedge but none
-    # with |lam| <= r
-    G = g_symbol()
-    rad = validity_radius(G.levels[0])
+    # with |lam| <= r.  At lam = 0.01 the validity radius is about 75,
+    # far past the arg crossing near x = 0.31.
     t = 0.05
-    for r in (12.0, 30.0):
-        want = 0
-        ell, idle = 1, 0
-        while idle < 3:
-            h = 1.0 / (ell + 0.5)
-            mags = []
-            n = 0
-            while 2.0 * math.pi * (n + 0.5) * h <= rad:
-                x = 2.0 * math.pi * (n + 0.5) * h
-                lam = sum(complex(c) * x ** j * h ** k
-                          for k, lvl in G.levels.items()
-                          for j, c in enumerate(lvl.coeffs)) / h
-                if math.atan2(lam.imag, lam.real) <= -t:
-                    break
-                mags.append(abs(lam))
-                n += 1
-            want += (2 * ell + 1) * sum(1.0 <= a <= r for a in mags)
-            idle = idle + 1 if mags and min(mags) > r else 0
-            ell += 1
-        rows = asymptotic_check(P1, G, t, [r])
-        assert rows[0]["count"] == want > 0
-        assert rows[0]["coverage_gaps"] == 0
+    for p in (P1, BlackHoleParams(m=1.0, lam=0.01)):
+        G = g_symbol(p)
+        rad = validity_radius(G.levels[0])
+        for r in (12.0, 30.0):
+            want = 0
+            ell, idle = 1, 0
+            while idle < 3:
+                h = 1.0 / (ell + 0.5)
+                mags = []
+                n = 0
+                while 2.0 * math.pi * (n + 0.5) * h <= rad:
+                    x = 2.0 * math.pi * (n + 0.5) * h
+                    lam = sum(complex(c) * x ** j * h ** k
+                              for k, lvl in G.levels.items()
+                              for j, c in enumerate(lvl.coeffs)) / h
+                    if math.atan2(lam.imag, lam.real) <= -t:
+                        break
+                    mags.append(abs(lam))
+                    n += 1
+                want += (2 * ell + 1) * sum(1.0 <= a <= r for a in mags)
+                idle = idle + 1 if mags and min(mags) > r else 0
+                ell += 1
+            rows = asymptotic_check(p, G, t, [r])
+            assert rows[0]["count"] == want > 0, (p.lam, r)
+            assert rows[0]["coverage_gaps"] == 0
+
+
+def test_count_stops_each_ell_at_first_mode_outside_wedge():
+    # G0 = 1 + 1e-6 x^3 + i(0.01 x^2 - 0.1 x): arg G0 <= -0.1 only on
+    # about (1.13, 8.87), and the validity radius is about 490.  ell = 1, 2
+    # start outside the wedge, ell = 3 has one mode (n = 0) before it
+    # leaves, and ell >= 4 have none within |lam| <= 4.  The modes past
+    # x = 8.87 are back inside the wedge but are not counted, and no ell
+    # reaches the validity radius inside the wedge, so there is no gap.
+    G = HGraded({0: Series1([1.0, -0.1j, 0.01j, 1e-6], 3)}, 0)
+    t = 0.1
+    rad = validity_radius(G.levels[0])
+    assert 400.0 < rad < 600.0
+    returning = 0
+    for ell in (1, 2, 3):
+        lams = lattice(G, ell, rad)
+        out = np.angle(lams) <= -t
+        first = int(np.argmax(out))
+        assert out[first] and not out[-1]
+        back = lams[first:][~out[first:]]
+        returning += np.count_nonzero((np.abs(back) >= 1.0)
+                                      & (np.abs(back) <= 4.0))
+    assert returning > 0
+    rows = asymptotic_check(P1, G, t, [4.0])
+    assert rows[0]["count"] == 7
+    assert rows[0]["coverage_gaps"] == 0
+
+
+def test_count_walk_evaluates_symbol_once_per_n(monkeypatch):
+    # the count bench config at lam = 0.01 (validity radius about 75):
+    # one symbol evaluation per step n over all ell still in the walk,
+    # where a walk per ell up to the validity radius makes about 2180
+    p = BlackHoleParams(m=1.0, lam=0.01)
+    G = g_symbol(p)
+    evals = []
+
+    def counted(G, x, h):
+        evals.append(np.size(x))
+        return eval_symbol(G, x, h)
+
+    monkeypatch.setattr(catalog, "eval_symbol", counted)
+    rows = asymptotic_check(p, G, 0.05, [50.0, 100.0, 200.0, 400.0])
+    assert all(row["coverage_gaps"] == 0 for row in rows)
+    assert len(evals) <= 150
+    assert sum(evals) <= 200_000
+
+
+def test_nonfinite_walk_radius_is_refused():
+    G = g_symbol()
+    for rad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lattice(G, 2, rad)
+    # a constant G0 has an infinite validity radius: refused before any
+    # grid is built (no RuntimeWarning) and before the n-walk starts
+    const = HGraded({0: Series1([2.0], 0)}, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            counting_constant(0.05, P1, const.levels[0])
+        with pytest.raises(ValueError, match="not finite"):
+            asymptotic_check(P1, const, 0.05, [10.0])
 
 
 def test_lattice_recomputable():
