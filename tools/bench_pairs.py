@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --pr N
         [--pairs count=10 lattice=3 ...] [--traced count=1 ...]
-        [--seconds 20] [--seed 1100]
+        [--seed 1100]
 
 Run from the root of a source checkout.  The parent commit is exported
 with `git archive` into a temporary directory, so the repository's own
@@ -10,6 +10,7 @@ metadata is left as it was.  For each workload the script runs
 `perfbench/run.py` on both trees, one pair after the other, the two runs
 of a pair with the same seed; which side runs first alternates from pair
 to pair, so that a drift of the host's speed falls on both sides alike.
+Every run lasts the `run_seconds` that `BENCHMARK.json` declares.
 `--traced` adds pairs of traced runs (`--trace 1`), whose per-layer
 metrics are summarized the same way.
 
@@ -122,7 +123,6 @@ def main(argv=None):
                     help="workload=N untraced pairs")
     ap.add_argument("--traced", nargs="*", default=[],
                     help="workload=N traced pairs (per-layer metrics)")
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1100,
                     help="seed of the first pair; pair i uses seed + i")
     args = ap.parse_args(argv)
@@ -130,11 +130,13 @@ def main(argv=None):
     plan += [(w, n, 1) for w, n in counts(args.traced).items()]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
     parent_rev = git("rev-parse", args.parent)
     env = {
         "parent": parent_rev,
+        "run_seconds": seconds,
         "change": {"head": git("rev-parse", "HEAD"),
                    "uncommitted_files": len(git("status", "--porcelain")
                                             .splitlines())},
@@ -154,7 +156,7 @@ def main(argv=None):
                 for side in order:
                     t0 = time.time()
                     record, result = run_once(trees[side], workload,
-                                              args.seed + i, args.seconds,
+                                              args.seed + i, seconds,
                                               trace)
                     runs.append({"side": side, "workload": workload,
                                  "trace": trace, "pair": i,
