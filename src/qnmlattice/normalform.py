@@ -3,9 +3,15 @@
 One reduction loop takes a graded symbol with h^0 level q + O(3) to a
 diagonal symbol G(z*zeta; h), level by level in h and degree by degree,
 by polynomial generators conjugating it in the Weyl (Moyal) calculus; at
-h-order 0 it is the classical Birkhoff normal form.  G is converted to
+h-order 0 it is the classical Birkhoff normal form.  The loop runs on
+dense graded arrays, one complex vector per h-level over the monomials
+z^m zeta^n in graded order.  Each generator is homogeneous, so its Moyal
+commutator with a level is, per odd bidifferential order k, one gather
+from a table of the integers S_k (summed exactly, rounded to float64
+once) times the outer product of the coefficient vectors, scattered to
+the target monomials with `np.bincount`.  G is converted to
 the spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
--i(n+1/2)h, by the closed form of Op_w((z*zeta)^n) on monomials.  The
+-i(n+1/2)h, by the integer recurrence of Op_w((z*zeta)^n) on monomials.  The
 assembled output G(x; h), the square root of E0 plus that spectral
 symbol taken level by level in h, gives the mode lattice
 lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
@@ -13,10 +19,9 @@ lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
-from numpy.polynomial.polynomial import polyfromroots
+import numpy as np
 
 from .series import HGraded, Series1, Series2
 from .potentials import critical_data, shifted_potential_taylor, \
@@ -98,77 +103,187 @@ def _birkhoff(sym, K, N):
     kept to degree N - 2ell, which fixes w^j at level ell for
     2j + 2ell <= N.  Returns mu and the diagonal symbol.
     """
-    red = quad_reduce(sym.level(0).homogeneous_part(2))
-    (a, b), (c, d) = red.linmap
-    sym = HGraded({k: s.truncate(N - 2 * k).subs_linear(a, b, c, d)
-                   for k, s in sym.levels.items() if 2 * k <= N}, K)
+    mu, levels = _reduced_levels(sym, K, N)
     for ell in range(K + 1):
         for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
-            r_off = sym.levels.get(ell, Series2.zero(0)) \
-                .homogeneous_part(dgr).off_diagonal()
-            if not r_off.coeffs:
-                continue
-            gen = (1.0 / (1j * red.mu)) * homological_solve(r_off)
-            sym = _ad_exp(HGraded({ell - 1: 1j * gen}, K), sym, K, N)
-    return red.mu, sym
+            levels = _reduce_step(levels, ell, dgr, mu, K, N)
+    return mu, _graded(levels, K)
+
+
+def _reduced_levels(sym, K, N):
+    """mu and the dense levels of `sym` after the linear reduction of its
+    quadratic part, level ell kept to degree N - 2ell."""
+    red = quad_reduce(sym.level(0).homogeneous_part(2))
+    (a, b), (c, d) = red.linmap
+    return red.mu, {k: _dense(s.truncate(N - 2 * k).subs_linear(a, b, c, d))
+                    for k, s in sym.levels.items() if 2 * k <= N}
+
+
+def _reduce_step(levels, ell, dgr, mu, K, N):
+    """The loop's step at level ell and degree dgr on dense levels.
+
+    Conjugates by exp((i/h) h^ell a) with i mu a the homological solution
+    for the off-diagonal part of level ell at degree dgr; returns the
+    levels unchanged when that part is 0.
+    """
+    r = levels.get(ell)
+    if r is None or len(r) < _start(dgr + 1):
+        return levels
+    r_off = Series2({(dgr - n, n): c for n, c in
+                     enumerate(r[_start(dgr):_start(dgr + 1)].tolist())
+                     if 2 * n != dgr}, dgr)
+    if not r_off.coeffs:
+        return levels
+    gen = 1j * ((1.0 / (1j * mu)) * homological_solve(r_off))
+    a = np.array([complex(gen[(dgr - n, n)]) for n in range(dgr + 1)])
+    # exp(ad_gen) levels; (i/h) h^ell a is the generator at h-level ell - 1
+    out = dict(levels)
+    term = levels
+    for j in range(1, 4 * (K + N + 3)):
+        term = {lvl: v * (1.0 / j) for lvl, v in
+                moyal_commutator(a, ell - 1, term, K, N).items()}
+        if not any(v.any() for v in term.values()):
+            break
+        for lvl, v in term.items():
+            out[lvl] = v if lvl not in out else \
+                out[lvl] + v[:len(out[lvl])]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# graded Weyl (Moyal) calculus
+# dense graded storage and the Moyal commutator on it
+#
+# Inside the loop a level is one complex vector over the monomials
+# z^m zeta^n, m + n <= D, in graded order: degree d starts at d(d+1)/2
+# and z^m zeta^n sits at d(d+1)/2 + n.  Truncation is a prefix and a
+# homogeneous part is a slice.
 
 
-def moyal_commutator(a, b, K, degree):
-    """a # b - b # a, in one pass over pairs of monomials.
+def _start(d):
+    """Index of the first monomial of degree d."""
+    return d * (d + 1) // 2
 
-    The k-th bidifferential term of the Weyl product takes z^m1 zeta^n1
-    and z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k) with the
-    integer S_k = sum_j u_j v_j, u_j = C(k,j) (-1)^(k-j) (m1)_(k-j) (n1)_j,
-    v_j = (m2)_j (n2)_(k-j), and (m)_i the falling factorial.  Even k
-    cancel, odd k count twice.  Result level ell is kept to total degree
-    `degree` - 2 ell.
-    """
+
+def _degree(i):
+    """Degree of the monomial at index i."""
+    return (math.isqrt(8 * i + 1) - 1) // 2
+
+
+def _columns(lo, hi):
+    """Degree d and zeta exponent n of each monomial of degree lo..hi, in
+    graded order."""
+    d = np.repeat(np.arange(lo, hi + 1), np.arange(lo + 1, hi + 2))
+    return d, np.arange(_start(lo), _start(hi + 1)) - _start(d)
+
+
+def _dense(s):
+    v = np.zeros(_start(s.trunc_order + 1), complex)
+    for (m, n), c in s.coeffs.items():
+        v[_start(m + n) + n] = c
+    return v
+
+
+def _graded(levels, K):
+    """HGraded of Series2 from dense levels."""
     out = {}
-    for ka, sa in a.levels.items():
-        for kb, sb in b.levels.items():
-            top = degree - 2 * (ka + kb)   # largest m1+n1+m2+n2 kept
-            dmin = min((m + n for m, n in sa.coeffs), default=top)
-            for k in range(1, min(K, degree // 2) - ka - kb + 1, 2):
-                pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
-                left = [(m + n, m - k, n - k, c,
-                         [math.comb(k, j) * (-1) ** (k - j)
-                          * math.perm(m, k - j) * math.perm(n, j)
-                          for j in range(k + 1)])
-                        for (m, n), c in sa.coeffs.items()]
-                right = [(m + n, m, n, c,
-                          [math.perm(m, j) * math.perm(n, k - j)
-                           for j in range(k + 1)])
-                         for (m, n), c in sb.coeffs.items()
-                         if dmin + m + n <= top]
-                acc = out.setdefault(ka + kb + k, {})
-                for d1, m1, n1, ca, u in left:
-                    for d2, m2, n2, cb, v in right:
-                        if d1 + d2 > top:
-                            continue
-                        s = sum(map(operator.mul, u, v))
-                        if s:
-                            key = (m1 + m2, n1 + n2)
-                            acc[key] = acc.get(key, 0) + pref * s * ca * cb
-    return HGraded({lvl: Series2(coeffs, degree - 2 * lvl)
-                    for lvl, coeffs in out.items()}, K)
+    for k, v in levels.items():
+        D = _degree(len(v) - 1)
+        out[k] = Series2({(d - n, n): c for d in range(D + 1) for n, c in
+                          enumerate(v[_start(d):_start(d + 1)].tolist())}, D)
+    return HGraded(out, K)
 
 
-def _ad_exp(gen, sym, h_order, degree):
-    """exp(ad_gen) sym with ad = [gen, .]_moyal.
+_S_TABLES = {}  # (k, row degree) -> float64 S_k against graded columns
 
-    A generator at h-level -1, (i/h) a, conjugates by exp((i/h) a).
+
+def _s_table(k, dgr, hi):
+    """S_k of the rows z^(dgr-n1) zeta^n1 against every monomial of
+    degree <= hi (at least), as float64.
+
+    S_k(m1, n1, m2, n2) = sum_j u_j v_j with u_j = C(k,j) (-1)^(k-j)
+    (m1)_(k-j) (n1)_j and v_j = (m2)_j (n2)_(k-j), (m)_i the falling
+    factorial, is summed exactly in integers and rounded to float64 once.
+    |u_j| <= C(k,j) (dgr)_k and |v_j| <= (d2)_k for a column of degree d2,
+    so int64 holds every partial sum while 2^k (dgr)_k (d2)_k < 2^63;
+    columns above that are summed in Python ints.  The table grows by
+    columns, so its size is bounded by the largest degree asked for.
     """
-    out = sym
-    term = sym
-    for k in range(1, 4 * (h_order + degree + 3)):
-        term = moyal_commutator(gen, term, h_order, degree).scale(1.0 / k)
-        if not any(s.coeffs for s in term.levels.values()):
-            break
-        out = out + term
+    t = _S_TABLES.get((k, dgr))
+    lo = 0 if t is None else _degree(t.shape[1] - 1) + 1
+    if lo > hi:
+        return t
+    n1 = np.arange(dgr + 1)
+    d2, n2 = _columns(lo, hi)
+    # perm[m, i] = (m)_i and sign[j] = C(k,j) (-1)^(k-j), Python ints
+    perm = np.array([[math.perm(m, i) for i in range(k + 1)]
+                     for m in range(max(dgr, hi) + 1)], dtype=object)
+    sign = np.array([math.comb(k, j) * (-1) ** (k - j)
+                     for j in range(k + 1)], dtype=object)
+    bound = 2 ** k * max(math.perm(dgr, k), 1)
+    fit = [d for d in range(lo, hi + 1)
+           if bound * max(math.perm(d, k), 1) < 2 ** 63]
+    cut = _start(fit[-1] + 1) - _start(lo) if fit else 0
+    blocks = []
+    for dtype, cols, rows in ((np.int64, slice(0, cut), max(fit + [dgr])),
+                              (object, slice(cut, None), max(dgr, hi))):
+        m2, r2 = (d2 - n2)[cols], n2[cols]
+        if not r2.size:
+            continue
+        ff, cs = perm[:rows + 1].astype(dtype), sign.astype(dtype)
+        u = cs * ff[dgr - n1, ::-1] * ff[n1]      # (rows, j)
+        v = ff[m2] * ff[r2, ::-1]                 # (columns, j)
+        blocks.append((u @ v.T).astype(np.float64))
+    new = np.concatenate(blocks, axis=1)
+    t = new if t is None else np.concatenate([t, new], axis=1)
+    _S_TABLES[(k, dgr)] = t
+    return t
+
+
+def moyal_commutator(a, gl, levels, K, N):
+    """[a, b] = a # b - b # a for a homogeneous generator a at h-level gl.
+
+    `a` holds the coefficients of z^(d-n) zeta^n, n = 0..d, of a degree-d
+    generator; `levels` maps h-levels to dense vectors.  The k-th
+    bidifferential term of the Weyl product takes z^m1 zeta^n1 and
+    z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k); even k
+    cancel, odd k count twice.  For each level pair and odd k that is one
+    gather from the S_k table times the outer product of the coefficient
+    vectors, scattered to its targets with `np.bincount`.  Result level
+    lvl is kept to total degree N - 2 lvl.  Returns {lvl: dense vector}.
+    """
+    dgr = len(a) - 1
+    n1 = np.arange(dgr + 1)[:, None]
+    out = {}
+    for kb, b in levels.items():
+        nz = np.flatnonzero(b)
+        if not nz.size:
+            continue
+        # columns of b whose products stay within the kept degree
+        hi = min(N - 2 * (gl + kb) - dgr, _degree(nz[-1]))
+        lo0 = _degree(nz[0])
+        c0 = _start(lo0)
+        if hi < lo0:
+            continue
+        d2, n2 = _columns(lo0, hi)
+        outer = a[:, None] * b[None, c0:_start(hi + 1)]
+        for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
+            lo = max(lo0, k)
+            if k > dgr or lo > hi:
+                continue
+            lvl = gl + kb + k
+            size = _start(N - 2 * lvl + 1)
+            s = _start(lo) - c0
+            w = _s_table(k, dgr, hi)[:, _start(lo):_start(hi + 1)] \
+                * outer[:, s:]
+            # target z^(m1+m2-k) zeta^(n1+n2-k) at index + k; where that
+            # is not a monomial, S_k = 0 and the index lies in [0, size + 2k)
+            td = dgr + d2[s:] - 2 * k
+            idx = (td * (td + 1) // 2 + n2[s:] + n1).ravel()
+            acc = (np.bincount(idx, w.real.ravel(), size + 2 * k)
+                   + 1j * np.bincount(idx, w.imag.ravel(), size + 2 * k)
+                   )[k:size + k]
+            pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+            out[lvl] = out[lvl] + pref * acc if lvl in out else pref * acc
     return out
 
 
@@ -194,26 +309,29 @@ def weyl_to_spectral(levels, h_order):
 
     Returns g_spec with Op_weyl(F) = g_spec(z h D_z + h/(2i); h); the model
     operator has eigenvalue -i(n+1/2)h on z^n.  On z^j, with nu = j + 1/2,
-    Op_w(w^n) z^j = (h/2i)^n P_n(nu) z^j, where
-    P_n(nu) = sum_i C(n,i) prod_{t<n} (nu + n - i - t - 1/2), and
-    h nu = i s, so the term P_n[p] nu^p lands on h-level n - p at s^p.
-    P_n has the parity of n and exact dyadic coefficients, so odd h-levels
-    come out exactly 0.  Output levels are as long as the longest input.
+    Op_w(w^n) z^j = (h/2i)^n P_n(nu) z^j, and w # w^n = w^(n+1)
+    - (h/2i)^2 n^2 w^(n-1) gives P_(n+1) = 2 nu P_n + n^2 P_(n-1), P_0 = 1.
+    In u = 2 nu that recurrence has integer coefficients, so P_n[p] nu^p =
+    R_n[p] 2^p nu^p is exact; with h nu = i s the term lands on h-level
+    n - p at s^p.  R_n has the parity of n, so odd h-levels come out
+    exactly 0.  Output levels are as long as the longest input.
     """
     K = h_order
     nw = max(s.trunc_order for s in levels.values())
     out = {k: [0j] * (nw + 1) for k in range(K + 1)}
+    r_prev, r = [], [1]       # R_(n-1), R_n in u = 2 nu, lowest power first
     for n in range(nw + 1):
-        pn = sum(math.comb(n, i) * polyfromroots([i - n + t + 0.5
-                                                   for t in range(n)])
-                 for i in range(n + 1)).tolist()
         for p in range(n % 2, n + 1, 2):
-            # (2i)^-n i^p = 2^-n (-1)^((n-p)/2)
-            fac = pn[p] * (-1) ** ((n - p) // 2) / 2 ** n
+            # (2i)^-n i^p 2^p = 2^(p-n) (-1)^((n-p)/2)
+            fac = r[p] * (-1) ** ((n - p) // 2) / 2 ** (n - p)
             for kf, s in levels.items():
                 if kf + n - p <= K and n <= s.trunc_order \
                         and s.coeffs[n] != 0:
                     out[kf + n - p][p] += fac * s.coeffs[n]
+        r_next = [0] + r
+        for p, c in enumerate(r_prev):
+            r_next[p] += n * n * c
+        r_prev, r = r, r_next
     return HGraded({k: Series1(v, nw) for k, v in out.items()}, K)
 
 

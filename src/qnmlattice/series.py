@@ -175,18 +175,21 @@ class Series2:
 
     def subs_linear(self, a, b, c, d):
         """Substitute z -> a z + b zeta, zeta -> c z + d zeta."""
-        n = self.trunc_order
-        zp = [Series2({(0, 0): 1}, n)]
-        wp = [Series2({(0, 0): 1}, n)]
-        lz = Series2({(1, 0): a, (0, 1): b}, n)
-        lw = Series2({(1, 0): c, (0, 1): d}, n)
-        for _ in range(n):
-            zp.append(zp[-1] * lz)
-            wp.append(wp[-1] * lw)
-        out = Series2.zero(n)
+        # (a z + b zeta)^m and (c z + d zeta)^m by powers of zeta
+        top = max((m + k for m, k in self.coeffs), default=0)
+        zp, wp = [[1]], [[1]]
+        for _ in range(top):
+            zp.append([x * a + y * b for x, y in zip(zp[-1] + [0],
+                                                     [0] + zp[-1])])
+            wp.append([x * c + y * d for x, y in zip(wp[-1] + [0],
+                                                     [0] + wp[-1])])
+        out = {}
         for (m, k), coef in self.coeffs.items():
-            out = out + coef * (zp[m] * wp[k])
-        return out
+            for i, p in enumerate(zp[m]):
+                for j, q in enumerate(wp[k]):
+                    key = (m + k - i - j, i + j)
+                    out[key] = out.get(key, 0) + coef * (p * q)
+        return Series2(out, self.trunc_order)
 
 
 class HGraded:

@@ -5,9 +5,11 @@ independent oracles for the symbol calculus: the series derivatives, the
 Poisson bracket, the flow-quadrature average, the symmetrized-ordering
 action of a Weyl symbol on monomials, graded composition `hcompose` and
 the graded functional inverse built on it, the graded Weyl product and
-commutator by repeated series derivatives (`_moyal_term`), and quantum
-averaging by the round trip through g^{-1}(Q) after the h^0 pass
-of the Birkhoff reduction alone.  Also the classical normal form with its
+commutator by repeated series derivatives (`_moyal_term`), the closed-form
+commutator on dicts of monomials (`moyal_commutator_dict`) and the
+reduction loop built on it (`birkhoff_dict`), and quantum averaging by
+the round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
+reduction alone.  Also the classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
 barrier potential, `barrier_taylor_mp`.  For the direct solver, the
@@ -17,6 +19,7 @@ rule built on it, the oracle for the Golub-Welsch `hermite_basis`.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +27,8 @@ import mpmath
 import numpy as np
 import scipy.special
 
-from qnmlattice.normalform import (TWO_PI, _ad_exp, _birkhoff, _diag_levels,
+from qnmlattice.normalform import (TWO_PI, _birkhoff, _diag_levels, _graded,
+                                   _reduce_step, _reduced_levels,
                                    homological_solve, quad_reduce)
 from qnmlattice.series import HGraded, Series1, Series2
 
@@ -400,22 +404,92 @@ def moyal_function(fs, q, h_order, degree):
 def birkhoff_h0(sym, K, N):
     """The h^0 pass of the Birkhoff reduction alone.
 
-    Maps every level through the symplectic reduction of q to mu z zeta,
-    then for each degree 3..N conjugates by exp((i/h) a), where i mu a
+    Runs the reduction loop's own step, `_reduce_step`, at h-level 0 for
+    each degree 3..N: every level goes through the symplectic reduction of
+    q to mu z zeta, then is conjugated by exp((i/h) a), where i mu a
     solves the homological equation for the off-diagonal h^0 part of that
     degree.  The h^0 level comes out diagonal through degree N; the higher
     levels are conjugated but not reduced.  Returns mu and the symbol.
     """
+    mu, levels = _reduced_levels(sym, K, N)
+    for dgr in range(3, N + 1):
+        levels = _reduce_step(levels, 0, dgr, mu, K, N)
+    return mu, _graded(levels, K)
+
+
+def moyal_commutator_dict(a, b, K, degree):
+    """a # b - b # a on dicts of monomials, in one pass over their pairs.
+
+    The k-th bidifferential term of the Weyl product takes z^m1 zeta^n1
+    and z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k) with the
+    integer S_k = sum_j u_j v_j, u_j = C(k,j) (-1)^(k-j) (m1)_(k-j) (n1)_j,
+    v_j = (m2)_j (n2)_(k-j), and (m)_i the falling factorial.  Even k
+    cancel, odd k count twice.  Result level ell is kept to total degree
+    `degree` - 2 ell.  Oracle for the dense `normalform.moyal_commutator`:
+    the same closed form, one Python sum per monomial pair.
+    """
+    out = {}
+    for ka, sa in a.levels.items():
+        for kb, sb in b.levels.items():
+            top = degree - 2 * (ka + kb)   # largest m1+n1+m2+n2 kept
+            dmin = min((m + n for m, n in sa.coeffs), default=top)
+            for k in range(1, min(K, degree // 2) - ka - kb + 1, 2):
+                pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+                left = [(m + n, m - k, n - k, c,
+                         [math.comb(k, j) * (-1) ** (k - j)
+                          * math.perm(m, k - j) * math.perm(n, j)
+                          for j in range(k + 1)])
+                        for (m, n), c in sa.coeffs.items()]
+                right = [(m + n, m, n, c,
+                          [math.perm(m, j) * math.perm(n, k - j)
+                           for j in range(k + 1)])
+                         for (m, n), c in sb.coeffs.items()
+                         if dmin + m + n <= top]
+                acc = out.setdefault(ka + kb + k, {})
+                for d1, m1, n1, ca, u in left:
+                    for d2, m2, n2, cb, v in right:
+                        if d1 + d2 > top:
+                            continue
+                        s = sum(map(operator.mul, u, v))
+                        if s:
+                            key = (m1 + m2, n1 + n2)
+                            acc[key] = acc.get(key, 0) + pref * s * ca * cb
+    return HGraded({lvl: Series2(coeffs, degree - 2 * lvl)
+                    for lvl, coeffs in out.items()}, K)
+
+
+def _ad_exp(gen, sym, h_order, degree):
+    """exp(ad_gen) sym with ad = [gen, .] from `moyal_commutator_dict`.
+
+    A generator at h-level -1, (i/h) a, conjugates by exp((i/h) a).
+    """
+    out = sym
+    term = sym
+    for k in range(1, 4 * (h_order + degree + 3)):
+        term = moyal_commutator_dict(gen, term, h_order, degree) \
+            .scale(1.0 / k)
+        if not any(s.coeffs for s in term.levels.values()):
+            break
+        out = out + term
+    return out
+
+
+def birkhoff_dict(sym, K, N):
+    """The Birkhoff reduction loop on dicts of monomials: the steps of
+    `normalform._birkhoff`, each conjugation by `_ad_exp`.  Oracle for the
+    dense loop."""
     red = quad_reduce(sym.level(0).homogeneous_part(2))
     (a, b), (c, d) = red.linmap
-    sym = HGraded({k: s.subs_linear(a, b, c, d)
-                   for k, s in sym.levels.items()}, K)
-    for dgr in range(3, N + 1):
-        r_off = sym.level(0).homogeneous_part(dgr).off_diagonal()
-        if not r_off.coeffs:
-            continue
-        gen = (1.0 / (1j * red.mu)) * homological_solve(r_off)
-        sym = _ad_exp(HGraded({-1: 1j * gen}, K), sym, K, N)
+    sym = HGraded({k: s.truncate(N - 2 * k).subs_linear(a, b, c, d)
+                   for k, s in sym.levels.items() if 2 * k <= N}, K)
+    for ell in range(K + 1):
+        for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
+            r_off = sym.levels.get(ell, Series2.zero(0)) \
+                .homogeneous_part(dgr).off_diagonal()
+            if not r_off.coeffs:
+                continue
+            gen = (1.0 / (1j * red.mu)) * homological_solve(r_off)
+            sym = _ad_exp(HGraded({ell - 1: 1j * gen}, K), sym, K, N)
     return red.mu, sym
 
 

@@ -13,13 +13,15 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
 from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
-                                   _diag_levels, homological_solve,
+                                   _dense, _diag_levels, _graded, _s_table,
+                                   _start, homological_solve,
                                    moyal_commutator, qnm_symbol, quad_reduce,
                                    weyl_to_spectral)
 
 from reference import (GaussianRational, average_by_flow_quadrature,
-                       average_through_inverse, birkhoff_h0, classical_bnf,
-                       deriv, moyal_commutator_ref, moyal_product, poisson,
+                       average_through_inverse, birkhoff_dict, birkhoff_h0,
+                       classical_bnf, deriv, moyal_commutator_dict,
+                       moyal_commutator_ref, moyal_product, poisson,
                        weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
@@ -294,6 +296,21 @@ def levels_close(a, b, tol=1e-11):
             assert abs(va - vb) <= tol, (k, key, va, vb)
 
 
+def dense_commutator(gen, sym, K, N):
+    """[gen, sym] from the dense kernel: one call per homogeneous part of
+    each generator level, on the levels of sym kept to degree N - 2k."""
+    levels = {k: _dense(s.truncate(N - 2 * k)) for k, s in sym.levels.items()}
+    out = {}
+    for gl, g in gen.levels.items():
+        for d in range(g.trunc_order + 1):
+            a = np.array([complex(g[(d - n, n)]) for n in range(d + 1)])
+            if not a.any():
+                continue
+            for lvl, v in moyal_commutator(a, gl, levels, K, N).items():
+                out[lvl] = out[lvl] + v if lvl in out else v
+    return _graded(out, K)
+
+
 def test_moyal_unit():
     one = graded({0: {(0, 0): 1.0}}, 2, 6)
     b = graded({0: {(2, 1): 1.5, (0, 3): -2j}, 1: {(1, 1): 0.5}}, 2, 6)
@@ -304,7 +321,7 @@ def test_moyal_unit():
 def test_moyal_commutator_z2_zeta2():
     a = graded({0: {(2, 0): 1.0}}, 3, 6)
     b = graded({0: {(0, 2): 1.0}}, 3, 6)
-    comm = moyal_commutator(a, b, 3, 6)
+    comm = dense_commutator(a, b, 3, 6)
     # h^1 level is (1/i){z^2, zeta^2} = 4i z zeta in this package's bracket
     # orientation; all other levels vanish
     lvl1 = comm.level(1)
@@ -327,7 +344,7 @@ def test_moyal_commutator_leading_is_poisson():
     b2 = rand_poly(3, 8)
     a = HGraded({0: a2}, 3)
     b = HGraded({0: b2}, 3)
-    comm = moyal_commutator(a, b, 3, 8)
+    comm = dense_commutator(a, b, 3, 8)
     pb = (1.0 / 1j) * poisson(a2, b2)
     lvl1 = comm.level(1)
     for key in set(pb.coeffs) | set(lvl1.coeffs):
@@ -339,27 +356,78 @@ def test_moyal_commutator_leading_is_poisson():
 
 
 def test_moyal_commutator_matches_derivative_oracle():
-    # the closed form on monomials against repeated series derivatives
+    # the dense kernel against the same closed form summed per monomial
+    # pair and against repeated series derivatives; the generators are
+    # split into homogeneous parts.  At (10, 28) the generator at h^-1 is
+    # homogeneous of degree 15, whose k = 11 tables leave int64
     rng = random.Random(31)
 
-    def rand_level(N):
+    def rand_level(N, d=None):
         return Series2({(m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                        for m in range(N + 1) for n in range(N + 1 - m)}, N)
+                        for m in range(N + 1) for n in range(N + 1 - m)
+                        if d is None or m + n == d}, N)
 
-    for K in (2, 4, 6):
-        for N in (8, 14, 20):
-            gen = HGraded({-1: rand_level(N), 1: rand_level(N - 2)}, K)
-            sym = HGraded({k: rand_level(N - 2 * k) for k in (0, 2, 4)}, K)
-            got = moyal_commutator(gen, sym, K, N)
-            want = moyal_commutator_ref(gen, sym, K, N)
-            assert got.levels.keys() == want.levels.keys(), (K, N)
+    cases = [(K, N, None) for K in (2, 4, 6) for N in (8, 14, 20)]
+    for K, N, dgr in cases + [(10, 28, 15)]:
+        gen = HGraded({-1: rand_level(N, dgr), 1: rand_level(N - 2)}, K)
+        sym = HGraded({k: rand_level(N - 2 * k) for k in (0, 2, 4)}, K)
+        got = dense_commutator(gen, sym, K, N)
+        for want in (moyal_commutator_dict(gen, sym, K, N),
+                     moyal_commutator_ref(gen, sym, K, N)):
             for k, w in want.levels.items():
+                if not w.coeffs:
+                    continue
                 g = got.levels[k]
                 assert g.trunc_order == w.trunc_order, (K, N, k)
                 scale = max(abs(c) for c in w.coeffs.values())
                 for key in set(g.coeffs) | set(w.coeffs):
                     assert abs(g[key] - w[key]) <= 1e-13 * scale, \
                         (K, N, k, key)
+            assert all(not s.coeffs for k, s in got.levels.items()
+                       if k not in want.levels), (K, N)
+
+
+def test_s_table_is_exact_integer_sum_rounded_once():
+    # k = 11 against rows of degree 11..23 and columns up to degree
+    # 34 - dgr, the tables of a degree-32 reduction: many entries exceed
+    # 2^63, where an int64 sum would wrap without a sign
+    k = 11
+    biggest = 0
+    for dgr in range(k, 24):
+        hi = 34 - dgr
+        _s_table(k, dgr, hi - 4)
+        table = _s_table(k, dgr, hi)[:, :_start(hi + 1)]
+        for n1 in range(dgr + 1):
+            m1 = dgr - n1
+            u = [math.comb(k, j) * (-1) ** (k - j) * math.perm(m1, k - j)
+                 * math.perm(n1, j) for j in range(k + 1)]
+            for d2 in range(hi + 1):
+                for n2 in range(d2 + 1):
+                    s = sum(ui * math.perm(d2 - n2, j) * math.perm(n2, k - j)
+                            for j, ui in enumerate(u))
+                    biggest = max(biggest, abs(s))
+                    assert table[n1, _start(d2) + n2] == float(s), \
+                        (dgr, n1, d2, n2)
+    assert biggest >= 2 ** 63
+
+
+def test_birkhoff_dense_loop_matches_dict_loop():
+    # the dense loop against the same steps on dicts of monomials; level k
+    # carries the rounding of the levels below it, so it is measured on
+    # the scale of levels 0..k, as `_diag_levels` does
+    for lam, N, K in ((0.0, 12, 2), (0.02, 16, 4)):
+        sym = barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K)
+        mu, got = _birkhoff(sym, K, N)
+        mu_ref, want = birkhoff_dict(sym, K, N)
+        assert mu == mu_ref
+        assert sorted(got.levels) == sorted(want.levels)
+        scale = 0.0
+        for k, w in sorted(want.levels.items()):
+            g = got.levels[k]
+            assert g.trunc_order == w.trunc_order
+            scale = max([scale] + [abs(c) for c in w.coeffs.values()])
+            for key in set(g.coeffs) | set(w.coeffs):
+                assert abs(g[key] - w[key]) <= 1e-12 * scale, (N, K, k, key)
 
 
 def test_moyal_associativity():
@@ -538,6 +606,28 @@ def test_weyl_to_spectral_vs_monomial_action():
         if 1 not in input_levels:
             for k in range(1, K + 1, 2):
                 assert all(c == 0 for c in gs.level(k).coeffs), k
+
+
+def test_weyl_to_spectral_exact_to_degree_32():
+    # Op_w(w^n) z^j = (h/2i)^n P_n(j + 1/2) z^j with P_n from its defining
+    # sum in exact rationals: every spectral coefficient of w^n, n <= 16,
+    # is that exact dyadic rational
+    half = Fraction(1, 2)
+    for n in range(17):
+        pn = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            prod = [Fraction(1)]
+            for t in range(n):
+                root = n - i - t - half
+                prod = [a + root * b for a, b in
+                        zip([Fraction(0)] + prod, prod + [Fraction(0)])]
+            pn = [a + math.comb(n, i) * b for a, b in zip(pn, prod)]
+        levels = {0: Series1([0.0] * n + [1.0], n)}
+        gs = weyl_to_spectral(levels, n)
+        for p in range(n + 1):
+            want = 0 if (n - p) % 2 else \
+                pn[p] * (-1) ** ((n - p) // 2) / 2 ** n
+            assert complex(gs.level(n - p).coeffs[p]) == float(want), (n, p)
 
 
 def test_monomial_action_quartic_all_orders():

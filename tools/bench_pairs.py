@@ -12,7 +12,9 @@ of a pair with the same seed; which side runs first alternates from pair
 to pair, so that a drift of the host's speed falls on both sides alike.
 Every run lasts the `run_seconds` that `BENCHMARK.json` declares.
 `--traced` adds pairs of traced runs (`--trace 1`), whose per-layer
-metrics are summarized the same way.
+metrics are summarized the same way; for these the record also keeps the
+calls and self time per op of every span label, and the summary each
+label's median self time per side.
 
 The output, `BENCH_<N>.json` at the root of the checkout, holds every
 run (its record and result lines, in the order run) and, per workload
@@ -73,6 +75,27 @@ def run_once(tree, workload, seed, seconds, trace):
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def span_seconds(tree, workload, seed, ops):
+    """Calls and self time per traced op for every span label of a traced
+    run, from the spans file perfbench writes; raw wall seconds, so that
+    labels the per-layer metrics do not name can be compared too."""
+    path = os.path.join(tree, ".bench_build", "perfbench",
+                        "BENCH_%s_seed%d_trace1-spans.json" % (workload, seed))
+    with open(path) as f:
+        spans = json.load(f)["spans"]
+    children = {}
+    for _, _, parent, _, t0, t1 in spans:
+        if parent is not None:
+            children[parent] = children.get(parent, 0.0) + t1 - t0
+    out = {}
+    for _, sid, _, label, t0, t1 in spans:
+        s = out.setdefault(label, {"calls": 0, "self_s": 0.0})
+        s["calls"] += 1
+        s["self_s"] += t1 - t0 - children.get(sid, 0.0)
+    return {label: {k: v / ops for k, v in s.items()}
+            for label, s in sorted(out.items())}
+
+
 def quartiles(values):
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -111,7 +134,17 @@ def summarize(runs, better):
         }
     failed = {side: sum(p[side]["result"]["failed"] for p in pairs)
               for side in ("parent", "change")}
-    return {"metrics": out, "failed_ops": failed}
+    summary = {"metrics": out, "failed_ops": failed}
+    if "span_s" in pairs[0]["parent"]:
+        # median self seconds per op of every span label, by side
+        labels = sorted({label for p in pairs for run in p.values()
+                         for label in run["span_s"]})
+        summary["span_self_s"] = {
+            label: {side: statistics.median(
+                p[side]["span_s"].get(label, {"self_s": 0.0})["self_s"]
+                for p in pairs) for side in ("parent", "change")}
+            for label in labels}
+    return summary
 
 
 def main(argv=None):
@@ -162,6 +195,10 @@ def main(argv=None):
                                  "trace": trace, "pair": i,
                                  "seed": args.seed + i,
                                  "record": record, "result": result})
+                    if trace:
+                        runs[-1]["span_s"] = span_seconds(
+                            trees[side], workload, args.seed + i,
+                            record["traced_samples"])
                     print("%s trace=%d pair %d %s: %.0f s" % (
                         workload, trace, i, side, time.time() - t0),
                         file=sys.stderr, flush=True)
