@@ -14,6 +14,13 @@ h-independent matrix, so n* does not depend on h; and since the two
 limits meet at N ~ 150, n* stops growing there and larger bases only move
 it by a few indices of rounding noise (Davies, Proc. R. Soc. A 455
 (1999) 585).
+
+The spectrum is solved as two parity blocks.  -h^2 d^2 + i x^2 commutes
+with x -> -x, and in the Hermite basis x^2 couples index k only to k and
+k +- 2, so the Galerkin matrix is exactly 0 wherever j - k is odd.  The
+even and odd Hermite functions then span invariant subspaces, and the
+spectrum is the union of the spectra of the two blocks, for about a
+quarter of the flops of one dense eigensolve.
 """
 
 import cmath
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import _u2_matrix, eigensolve
+from .scaling import _lexsorted, _u2_matrix, eigensolve
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,11 @@ def instability_report(cfg):
     """Greedy match of computed vs exact eigenvalues, with the first index
     where the distance exceeds 10% of |lam_exact|.
 
+    The computed spectrum is that of the even block mat[0::2, 0::2] joined
+    with that of the odd block mat[1::2, 1::2], sorted as `eigensolve`
+    sorts; the entries coupling the two parities are exactly 0, so the
+    split changes no eigenvalue in exact arithmetic.
+
     Returns {"rows": [...], "divergence_index": n* or None}.  Matching is
     nearest-neighbor in order of increasing |lam_exact| (a heuristic; the
     threshold index is robust to the matching choice).
@@ -73,7 +85,8 @@ def instability_report(cfg):
     stays near 47 for N beyond ~150; see the module docstring.
     """
     mat = hermite_galerkin_matrix(cfg)
-    computed = np.array(eigensolve(mat))
+    computed = _lexsorted(np.concatenate([eigensolve(mat[0::2, 0::2]),
+                                          eigensolve(mat[1::2, 1::2])]))
     exact = exact_rotated_ho_eigs(cfg, cfg.basis_size)
     avail = np.ones(len(computed), dtype=bool)
     rows = []

@@ -263,8 +263,8 @@ def test_bad_config_exits_2(tmp_path):
                 {"r_list": "ab"}):
         cfg_path.write_text(json.dumps(bad))
         assert main(["count", "--config", str(cfg_path)]) == 2, bad
-    # a basis whose matrices eigensolve refuses: direct also builds
-    # basis_size + 40, so its limit is 1960
+    # a basis whose matrices eigensolve refuses: direct builds one
+    # matrix of basis_size + 40, so its limit is 1960
     assert main(["direct", "--basis-size", "2001", "--ell-range", "4", "4"]) \
         == 2
     assert main(["direct", "--basis-size", "1961", "--ell-range", "4", "4"]) \

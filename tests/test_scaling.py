@@ -7,9 +7,9 @@ import pytest
 
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts)
-from qnmlattice.scaling import (QUAD_FACTOR, ScalingConfig, _d2_matrix,
-                                build_scaled_operator, eigensolve,
-                                hermite_basis, qnm_direct)
+from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, ScalingConfig,
+                                _d2_matrix, build_scaled_operator,
+                                eigensolve, hermite_basis, qnm_direct)
 from reference import hermite_function_values, hermite_quadrature
 
 P1 = BlackHoleParams(m=1.0)
@@ -48,6 +48,18 @@ def test_hermite_basis_matches_recurrence(n, npts):
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     sign = np.where(np.sum(b * ref, axis=0) < 0, -1.0, 1.0)
     assert np.max(np.abs(b * sign - ref)) <= 1e-12
+
+
+def test_hermite_basis_cached_read_only():
+    u, b = hermite_basis(40, 80)
+    u2, b2 = hermite_basis(40, 80)
+    assert u2 is u and b2 is b
+    # an in-place write would corrupt the basis of every later caller
+    for arr in (u, b):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
 
 
 def test_hermite_function_ode():
@@ -194,6 +206,27 @@ def test_operator_complex_symmetric():
     assert np.max(np.abs(mat - mat.T)) <= 1e-13
 
 
+# qnm_direct takes the basis_size matrix as the leading block of its one
+# basis_size + DRIFT_EXTRA build.  The Hermite basis is nested and the
+# kinetic part exact, so the block differs from a separate basis_size build
+# only by the quadrature error of the potential on 2N against 2(N + 40)
+# nodes: rounding at these l, but up to 9e-10 of max|A| at l = 1, 2
+# (theta = 0.4, N = 128), where no mode survives.
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("theta", [0.3, 0.4])
+@pytest.mark.parametrize("n", [128, 160])
+def test_leading_block_of_enlarged_build(n, theta, lam):
+    p = BlackHoleParams(m=1.0, lam=lam)
+    for ell in (4, 10, 16):
+        h = 1.0 / (ell + 0.5)
+        mat = build_scaled_operator(ScalingConfig(theta=theta, basis_size=n),
+                                    p, h)
+        big = build_scaled_operator(
+            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), p, h)
+        assert np.max(np.abs(big[:n, :n] - mat)) \
+            <= 1e-12 * np.max(np.abs(mat)), ell
+
+
 def test_eigensolve_basics():
     d = np.diag([3.0, 1.0, 2.0])
     vals = eigensolve(d)
@@ -241,6 +274,22 @@ def test_qnm_direct_basic_structure():
     for n, lam in enumerate(lams):
         approx = complex(8.5, -(n + 0.5)) / s27
         assert abs(lam - approx) <= 0.1 * (n + 0.5) * abs(approx), n
+
+
+def test_qnm_direct_mode_set_on_bench_grid():
+    # the modes kept at l = 4..16, theta = 0.3, N = 160 (the direct bench
+    # workload): as many per l as the separate basis_size build kept, each
+    # an eigenvalue z = (h lambda)^2 of that separate build to rounding
+    counts = {4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 2, 11: 2, 12: 2,
+              13: 2, 14: 2, 15: 3, 16: 3}
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    for ell, count in counts.items():
+        h = 1.0 / (ell + 0.5)
+        lams = qnm_direct(ell, cfg, P1)
+        assert len(lams) == count, ell
+        vals = eigensolve(build_scaled_operator(cfg, P1, h))
+        for z in (h * lams) ** 2:
+            assert np.min(np.abs(vals - z)) <= 1e-12 * abs(z), ell
 
 
 def test_qnm_direct_theta_robustness():
