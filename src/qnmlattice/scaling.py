@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .potentials import critical_data, potential_W_parts
 
@@ -51,8 +50,8 @@ def hermite_basis(n, npts):
     every product B W B^T.  Results are cached and read-only, since
     `qnm_direct` asks for the same (n, npts) at every l.
     """
-    u, vec = scipy.linalg.eigh_tridiagonal(np.zeros(npts),
-                                           np.sqrt(0.5 * np.arange(1, npts)))
+    # eigh reads the lower triangle only
+    u, vec = np.linalg.eigh(np.diag(np.sqrt(0.5 * np.arange(1, npts)), -1))
     b = vec[:n]
     u.flags.writeable = False
     b.flags.writeable = False
@@ -96,11 +95,15 @@ def build_scaled_operator(cfg, p, h):
 
 
 def eigensolve(mat):
-    """All eigenvalues of a dense complex matrix, deterministically sorted."""
+    """All eigenvalues of a dense complex matrix, deterministically sorted.
+
+    The result is complex even where the spectrum is real; a matrix with a
+    NaN or inf entry raises `np.linalg.LinAlgError`, a `ValueError`.
+    """
     m = np.asarray(mat)
     if m.shape[0] > MAX_MATRIX:
         raise ValueError("matrix too large")
-    return _lexsorted(scipy.linalg.eigvals(m))
+    return _lexsorted(np.linalg.eigvals(m).astype(complex, copy=False))
 
 
 def _lexsorted(vals):

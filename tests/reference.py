@@ -12,9 +12,12 @@ the round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
 reduction alone.  Also the classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
-barrier potential, `barrier_taylor_mp`.  For the direct solver, the
-Hermite functions by their three-term recurrence and the Gauss-Hermite
-rule built on it, the oracle for the Golub-Welsch `hermite_basis`.
+barrier potential, `barrier_taylor_mp`, and the real inverse tortoise
+coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`.
+For the direct solver, the Hermite functions by their three-term
+recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
+LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
+oracles for `hermite_basis`.
 """
 
 import cmath
@@ -25,6 +28,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _diag_levels, _graded,
@@ -574,6 +578,23 @@ def barrier_taylor_mp(m, lam, N):
         V = w0.compose(rho_of_x) - E0
         return ([complex(c) for c in V.coeffs],
                 [complex(c) for c in w1.compose(rho_of_x).coeffs])
+
+
+def inverse_tortoise_wright(x, m):
+    """r(x) at lam = 0 and mass m from `scipy.special.wrightomega`:
+    x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)."""
+    return 2.0 * m * (1.0 + scipy.special.wrightomega(
+        np.asarray(x, dtype=float) / (2.0 * m) - 1.0 - math.log(2.0 * m)))
+
+
+def hermite_basis_tridiagonal(n, npts):
+    """Golub-Welsch by `scipy.linalg.eigh_tridiagonal`: the Gauss-Hermite
+    nodes and the first n rows of the eigenvectors of the Hermite Jacobi
+    matrix (zero diagonal, off-diagonal sqrt(k/2)), which are
+    h_k(u_j) sqrt(what_j) up to a sign per column."""
+    u, vec = scipy.linalg.eigh_tridiagonal(np.zeros(npts),
+                                           np.sqrt(0.5 * np.arange(1, npts)))
+    return u, vec[:n]
 
 
 def hermite_function_values(nmax, u):

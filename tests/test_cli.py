@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,28 @@ def test_no_temp_files_left(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path)
                  if f.startswith(".tmp-qnmlattice-")]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+
+def test_cli_runs_without_loading_scipy():
+    # scipy's special and linalg modules cost about 0.45 s and 30 MB to
+    # import, more than a typical command's computation; numpy suffices
+    script = (
+        "import contextlib, io, sys\n"
+        "import qnmlattice.cli as cli\n"
+        "for argv in (['potential'], ['direct', '--ell-range', '4', '4'],\n"
+        "             ['pseudo', '--basis-size', '20']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from qnmlattice.potentials import (BlackHoleParams, alpha_squared,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
-from reference import barrier_taylor_mp
+from reference import barrier_taylor_mp, inverse_tortoise_wright
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -91,6 +91,22 @@ def test_tortoise_round_trip_lambda_zero():
     # far out, where e^{x/2m} overflows a double
     for x in (1500.0, 2000.0):
         assert abs(tortoise(inverse_tortoise(x, P1), P1) - x) <= 1e-13 * x
+
+
+@pytest.mark.parametrize("m", [1e-8, 1.0, 900.0])
+def test_inverse_tortoise_lambda_zero_matches_wright_omega_oracle(m):
+    p = BlackHoleParams(m=m)
+    xs = m * np.array([-800.0, -60.0, -5.0, 0.0, 3.0, 40.0, 1e4, 1e8])
+    r = inverse_tortoise(xs, p)
+    ref = inverse_tortoise_wright(xs, m)
+    assert np.all(np.abs(r - ref) <= 1e-14 * ref), np.abs(r / ref - 1.0)
+    assert [inverse_tortoise(float(x), p) for x in xs] == list(r)
+    # further in, (r - 2m)/2m = omega ~ e^(x/2m - 1)/2m underflows to 0;
+    # r is 2m there, not NaN
+    deep_x = m * np.array([-1600.0, -1e5, -1e300])
+    deep = inverse_tortoise(deep_x, p)
+    assert np.array_equal(deep, np.full(3, 2.0 * m))
+    assert np.array_equal(deep, inverse_tortoise_wright(deep_x, m))
 
 
 def test_tortoise_round_trip_lambda_positive():

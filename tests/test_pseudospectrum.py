@@ -137,7 +137,7 @@ def test_divergence_regimes_check_can_fail():
     # double-precision values pass; a flat n*, n* following the
     # exact-arithmetic truncation limit (94 at N=302), and n* dropping
     # from a less accurate eigensolve must not
-    measured = {60: 19, 100: 31, 151: 47, 302: 48, 400: 49}
+    measured = {60: 19, 100: 31, 151: 47, 302: 48, 400: 48}
     assert_divergence_regimes(measured)
     flat = {**measured, 60: 47, 100: 47}
     exact = {**measured, 302: 94}

@@ -10,7 +10,8 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, ScalingConfig,
                                 _d2_matrix, build_scaled_operator,
                                 eigensolve, hermite_basis, qnm_direct)
-from reference import hermite_function_values, hermite_quadrature
+from reference import (hermite_basis_tridiagonal, hermite_function_values,
+                       hermite_quadrature)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -48,6 +49,19 @@ def test_hermite_basis_matches_recurrence(n, npts):
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     sign = np.where(np.sum(b * ref, axis=0) < 0, -1.0, 1.0)
     assert np.max(np.abs(b * sign - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, npts", [(31, 80), (160, 320), (200, 400)])
+def test_hermite_basis_matches_tridiagonal_oracle(n, npts):
+    # the dense symmetric eigensolver against the tridiagonal one: the
+    # same nodes, and the same Galerkin matrices, where column signs cancel
+    u, b = hermite_basis(n, npts)
+    u_ref, b_ref = hermite_basis_tridiagonal(n, npts)
+    assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(np.abs(u_ref))
+    rng = np.random.default_rng(n)
+    for f in (1.0 / (1.0 + u * u), rng.normal(size=npts)):
+        gal, ref = (b * f) @ b.T, (b_ref * f) @ b_ref.T
+        assert np.max(np.abs(gal - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_hermite_basis_cached_read_only():
@@ -231,6 +245,8 @@ def test_eigensolve_basics():
     d = np.diag([3.0, 1.0, 2.0])
     vals = eigensolve(d)
     assert np.allclose(vals, [1.0, 2.0, 3.0])
+    # LAPACK returns a real array for a real matrix with a real spectrum
+    assert vals.dtype == np.complex128
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     vals = eigensolve(rot)
     assert np.allclose(vals, [-1j, 1j])
@@ -246,6 +262,13 @@ def test_eigensolve_trace_identity_and_residuals():
     eye = np.eye(m.shape[0])
     res = [np.linalg.svd(m - lam * eye, compute_uv=False)[-1] for lam in vals]
     assert np.max(res) <= 1e-8 * np.linalg.norm(m)
+
+
+def test_eigensolve_nan_raises_value_error():
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        eigensolve(m)
 
 
 def test_eigensolve_size_guard():
