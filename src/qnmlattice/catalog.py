@@ -11,6 +11,9 @@ import math
 import numpy as np
 
 VALIDITY_FRAC = 0.05  # share of the sum the top retained term may reach
+# largest ell a count walk visits, whose time grows as the square of it;
+# radius 1e4 at m = 1 needs 52 000
+MAX_ELL = 100_000
 
 
 def validity_radius(G0):
@@ -135,6 +138,9 @@ def asymptotic_check(p, G, t, r_list):
     c = counting_constant(t, p, G.levels[0])
     rad = validity_radius(G.levels[0])
     g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
+    if radii.size and radii[-1] / g0 > MAX_ELL - 2:
+        raise ValueError("radius %g counts ell above %d"
+                         % (radii[-1], MAX_ELL))
     ell_max = np.ceil(radii / g0).astype(int) + 2
     ells = np.arange(1, int(ell_max.max(initial=0)) + 1)
     counts = np.zeros(radii.size, dtype=int)

@@ -84,7 +84,7 @@ def validate_config(cfg, command):
         _check_config(cfg, command)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError("bad value (%s)" % e) from None
 
 
@@ -95,11 +95,11 @@ def _check_config(cfg, command):
         # these expand about the barrier top, which a near-extremal lambda
         # lacks; `potential` only tabulates W
         if command in ("gsymbol", "lattice", "count", "direct"):
-            potentials.critical_data(p)
+            cd = potentials.critical_data(p)
     except ValueError as e:
         raise ConfigError(str(e))
-    if not (0.0 <= float(cfg["theta"]) <= 0.4):
-        raise ConfigError("theta out of range [0, 0.4]")
+    if not (0.0 <= float(cfg["theta"]) <= scaling.THETA_MAX):
+        raise ConfigError("theta out of range [0, %g]" % scaling.THETA_MAX)
     if not isinstance(cfg["ell_range"], list) or len(cfg["ell_range"]) != 2:
         raise ConfigError("ell_range must be a list of two integers")
     lo, hi = cfg["ell_range"]
@@ -118,6 +118,10 @@ def _check_config(cfg, command):
         raise ConfigError("r_list must be increasing")
     if radii[0] < 1.0:
         raise ConfigError("r_list entries must be >= 1")
+    # count walks ell up to ceil(r / |G(0)|) + 2, and |G(0)| = sqrt(E0)
+    if command == "count" and \
+            radii[-1] > (catalog.MAX_ELL - 2) * math.sqrt(cd.E0):
+        raise ConfigError("r_list reaches ell above %d" % catalog.MAX_ELL)
     if int(cfg["h_order"]) not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
     deg_min = 2 * int(cfg["h_order"]) + 4

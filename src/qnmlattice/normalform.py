@@ -382,5 +382,8 @@ def qnm_symbol(p, degree=10, h_order=2):
         G.append(rest * inv_2g0)
     # coefficient of x^j at h-level k needs bivariate degree 2j + 2k; keep
     # only the fully resolved part of each level
-    return HGraded({k: lvl.truncate(max(N // 2 - k, 0))
-                    for k, lvl in enumerate(G)}, K)
+    G = {k: lvl.truncate(max(N // 2 - k, 0)) for k, lvl in enumerate(G)}
+    # powers of 1/m in the Taylor coefficients overflow at extreme masses
+    if not all(cmath.isfinite(c) for lvl in G.values() for c in lvl.coeffs):
+        raise RuntimeError("mode symbol not finite at m = %g" % p.m)
+    return HGraded(G, K)

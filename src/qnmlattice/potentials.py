@@ -181,81 +181,66 @@ def inverse_tortoise(x, p):
 # a diverging run may overflow to inf or nan: the callers' residual check
 # on |x(r) - x| catches it, so the floating-point warnings are muted
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _continue(x, tt, u, root=None):
-    """Homotopy-Newton continuation of x(r) = x from real-axis seeds u.
-
-    The unknown u is r itself, or, for the index `root` of a root (a, c, s),
-    the log-distance L = log(s (r - a)): then r = a + s e^L and
-    x(r) = c L + (the other terms), which avoids the cancellation of
-    forming r - a when it is exponentially small and makes winding in
-    Im(x) automatic.  Returns r, alpha^2(r) and |x(r) - x|; alpha^2 is
-    formed from e^L there, so it keeps full relative precision.
+def _continue(x, tt, L, root, m):
+    """Homotopy-Newton continuation of x(r) = x in the log-distance
+    L = log(s (r - a)) to the root (a, c, s) of index `root`, from
+    real-axis seeds L, with Im(x) switched on in steps of at most m/2.
+    r = a + s e^L and x(r) = c L + (the other terms) avoid forming r - a
+    when it is exponentially small and make winding in Im(x) automatic.
+    Returns r, alpha^2(r), formed from e^L for full relative precision,
+    and |x(r) - x|.
     """
-    if root is None:
-        def solve(u):
-            return u, tt.x(u), tt.alpha2(u)
-    else:
-        a, c, s = tt.roots[root]
+    a, c, s = tt.roots[root]
 
-        def solve(u):
-            # dx/dL = s e^L / alpha^2; alpha^2 / e^L in factored form stays
-            # finite when e^L underflows below the ulp of r
-            r = a + s * np.exp(u)
-            return r, c * u + tt.x(r, skip=root), tt.alpha2(r, skip=root) / s
-    nsteps = max(4, int(math.ceil(float(np.max(np.abs(x.imag))) * 2.0)))
+    def solve(L):
+        # dx/dL = s e^L / alpha^2; alpha^2 / e^L in factored form stays
+        # finite when e^L underflows below the ulp of r
+        r = a + s * np.exp(L)
+        return r, c * L + tt.x(r, skip=root), tt.alpha2(r, skip=root) / s
+    nsteps = max(4, math.ceil(2.0 * float(np.max(np.abs(x.imag))) / m))
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
         for _ in range(40):
-            _, xu, du_dx = solve(u)
-            du = -(xu - xt) * du_dx
-            u = u + du
-            if np.max(np.abs(du)) < 1e-13 * max(1.0, np.max(np.abs(u))):
+            _, xL, dL_dx = solve(L)
+            dL = -(xL - xt) * dL_dx
+            L = L + dL
+            if np.max(np.abs(dL)) < 1e-13 * max(1.0, np.max(np.abs(L))):
                 break
-    r, xu, _ = solve(u)
-    # near a root alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
-    a2 = tt.alpha2(r) if root is None else tt.alpha2(r, skip=root) * np.exp(u)
-    return r, a2, np.abs(xu - x)
+    r, xL, _ = solve(L)
+    # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
+    return r, tt.alpha2(r, skip=root) * np.exp(L), np.abs(xL - x)
 
 
 def inverse_tortoise_complex(x, p):
     """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)).
 
     Vectorized over a complex array x; returns the pair (r, alpha^2).
-    Points whose real part puts r close to a horizon are solved in the
-    log-distance variable (stable down to exponentially small separations);
-    the rest use plain Newton continuation.
+    Each point is continued in the log-distance to the root with the
+    smallest s (r - a) at r = r(Re x), its nearer horizon (never r0 < 0).
     """
     x = np.asarray(x, dtype=complex)
-    shape = x.shape
     xf = x.ravel()
     tt = _tortoise_terms(p)
     r_real = inverse_tortoise(xf.real, p)
-    # for lam > 0, a quarter of the span between r_minus and r_plus
-    near = p.m if p.lam == 0 else 0.25 * (tt.roots[2][0] - tt.roots[1][0])
-    out = np.zeros(xf.shape, dtype=complex)
+    eps = np.array([s * (r_real - a) for a, _, s in tt.roots])
+    nearer = np.argmin(eps, axis=0)
+    r = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
     resid = np.zeros(xf.shape)
-    rest = np.ones(xf.shape, dtype=bool)
-    # the root r0 < 0 of lam > 0 is never within `near` of the exterior
-    for i, (a, c, s) in enumerate(tt.roots):
-        eps0 = s * (r_real - a)
-        mask = eps0 < near
+    for i, (a, c, _) in enumerate(tt.roots):
+        mask = nearer == i
         if np.any(mask):
+            e = eps[i, mask]
             # asymptotic seed where the real-line distance underflowed
-            L = np.where(eps0[mask] > 0,
-                         np.log(np.maximum(eps0[mask], 1e-300)),
+            L = np.where(e > 0, np.log(np.maximum(e, 1e-300)),
                          (xf.real[mask] - tt.x(a, skip=i)) / c)
-            out[mask], a2[mask], resid[mask] = _continue(
-                xf[mask], tt, L.astype(complex), i)
-        rest &= ~mask
-    if np.any(rest):
-        out[rest], a2[rest], resid[rest] = _continue(
-            xf[rest], tt, r_real[rest].astype(complex))
-    bad = ~(resid <= 1e-9 * np.maximum(1.0, np.abs(xf)))
+            r[mask], a2[mask], resid[mask] = _continue(
+                xf[mask], tt, L.astype(complex), i, p.m)
+    bad = ~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))
     if np.any(bad):
         raise RuntimeError("tortoise continuation failed at %d points"
                            % int(np.sum(bad)))
-    return out.reshape(shape), a2.reshape(shape)
+    return r.reshape(x.shape), a2.reshape(x.shape)
 
 
 def critical_data(p):

@@ -21,17 +21,18 @@ MAX_MATRIX = 2000   # largest matrix `eigensolve` accepts
 # operator at basis_size + DRIFT_EXTRA (with QUAD_FACTOR times that many
 # nodes) and takes its leading basis_size block as the basis_size matrix
 DRIFT_EXTRA = 40
+STAB_REL = 1e-6     # largest relative drift a kept eigenvalue may show
+THETA_MAX = 0.4     # largest scaling angle theta accepted
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
     theta: float = 0.3
     basis_size: int = 128
-    stab_rel: float = 1e-6     # self-convergence filter on window eigenvalues
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= 0.4):
-            raise ValueError("need 0 <= theta <= 0.4")
+        if not (0.0 <= self.theta <= THETA_MAX):
+            raise ValueError("need 0 <= theta <= %g" % THETA_MAX)
         if self.basis_size < 1:
             raise ValueError("basis_size must be positive")
 
@@ -143,14 +144,14 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     # self-convergence filter: keep eigenvalues stable under basis enlargement
     drift = np.array([np.min(np.abs(vals2 - z)) for z in zs])
     drift /= np.maximum(np.abs(zs), 1e-3 * cd.E0)
-    kept = zs[drift <= cfg.stab_rel]
+    kept = zs[drift <= STAB_REL]
     if kept.size == 0:
         raise RuntimeError(
             "no eigenvalues in the spectral window (candidates left after "
             "the window, |z| >= 0.6 E0 and drift filters: %d/%d/0%s)"
             % (np.count_nonzero(win), zs.size,
-               "; smallest relative drift %.2g > stab_rel %.2g"
-               % (drift.min(), cfg.stab_rel) if zs.size else ""))
+               "; smallest relative drift %.2g > STAB_REL %.2g"
+               % (drift.min(), STAB_REL) if zs.size else ""))
     lams = np.sqrt(kept) / h
     lams = np.where(lams.real < 0, -lams, lams)
     keep = np.angle(lams) > -2.0 * cfg.theta

@@ -12,8 +12,10 @@ the round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
 reduction alone.  Also the classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
-barrier potential, `barrier_taylor_mp`, and the real inverse tortoise
-coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`.
+barrier potential, `barrier_taylor_mp`, the real inverse tortoise
+coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`,
+and its complex continuation along a straight contour by RK4 on
+dr/dx = alpha^2(r), `inverse_tortoise_rk4`.
 For the direct solver, the Hermite functions by their three-term
 recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
 LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
@@ -585,6 +587,30 @@ def inverse_tortoise_wright(x, m):
     x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)."""
     return 2.0 * m * (1.0 + scipy.special.wrightomega(
         np.asarray(x, dtype=float) / (2.0 * m) - 1.0 - math.log(2.0 * m)))
+
+
+def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
+    """r(x0 + direction t) for t = k t_max / steps, k = -steps..steps, by
+    classical RK4 on dr/dt = direction alpha^2(r) from r(x0) = 3m, with
+    alpha^2 = 1 - 2m/r - lam r^2/3 and x0 the tortoise coordinate of 3m.
+    Marches out from t = 0 in both directions; returns (t, r)."""
+    def f(r):
+        return direction * (1.0 - 2.0 * m / r - lam * r * r / 3.0)
+
+    half = []
+    for dt in (-t_max / steps, t_max / steps):
+        r = complex(3.0 * m)
+        rs = [r]
+        for _ in range(steps):
+            k1 = f(r)
+            k2 = f(r + 0.5 * dt * k1)
+            k3 = f(r + 0.5 * dt * k2)
+            k4 = f(r + dt * k3)
+            r = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rs.append(r)
+        half.append(np.array(rs))
+    t = np.arange(-steps, steps + 1) * (t_max / steps)
+    return t, np.concatenate([half[0][:0:-1], half[1]])
 
 
 def hermite_basis_tridiagonal(n, npts):

@@ -28,6 +28,10 @@ def test_asymptotic_check_validates_sector():
         asymptotic_check(P1, G, 0.0, [10.0])
     with pytest.raises(ValueError):
         asymptotic_check(P1, G, 0.4, [10.0])
+    # an ell range above MAX_ELL is refused before the walk: at m = 1,
+    # |G(0)| = 0.19, so r = 1e5 counts ell up to 5.2e5
+    with pytest.raises(ValueError, match="above %d" % catalog.MAX_ELL):
+        asymptotic_check(P1, G, 0.1, [10.0, 1e5])
 
 
 def test_validity_radius_linear_symbol():

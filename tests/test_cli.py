@@ -279,6 +279,13 @@ def test_bad_config_exits_2(tmp_path):
                  ["pseudo", "--pseudo-h", "inf"],
                  ["count", "--r-list", "1", "nan"]):
         assert main(argv) == 2, argv
+    # the scaling angle's cap
+    assert main(["direct", "--theta", "0.41", "--ell-range", "4", "4"]) == 2
+    # extreme masses: E0 = 1/(27 m^2) divides by an m^2 that underflows,
+    # and the count walk's ell range grows as r m
+    for argv in (["gsymbol", "--m", "1e-300"], ["count", "--m", "1e8"],
+                 ["count", "--m", "1e40"]):
+        assert main(argv) == 2, argv
     # a config file that is valid JSON but not an object
     for doc in ("5", "null", '[["m", 2]]'):
         cfg_path.write_text(doc)
@@ -299,6 +306,26 @@ def test_numerical_failure_exits_3(tmp_path):
                  "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_extreme_mass_symbol_exits_3(tmp_path):
+    # the symbol's Taylor coefficients overflow to inf or nan
+    for argv in (["gsymbol", "--series-degree", "20", "--m", "1e-20"],
+                 ["gsymbol", "--series-degree", "20", "--m", "1e20"],
+                 ["lattice", "--m", "1e-30"], ["lattice", "--m", "1e40"],
+                 ["count", "--m", "1e-30"]):
+        code = main(argv + ["--output", str(tmp_path / "x.csv")])
+        assert code == 3, argv
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_potential_large_mass(tmp_path):
+    # the continuation counts its steps and its residual in units of m
+    code, text = run_to_file(tmp_path, ["potential", "--m", "1e8"])
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert len(rows) == 121
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_no_temp_files_left(tmp_path):

@@ -746,6 +746,13 @@ def test_qnm_symbol_degree_guard():
         qnm_symbol(P1, degree=6, h_order=2)
 
 
+@pytest.mark.parametrize("m", [1e-20, 1e20])
+def test_qnm_symbol_refuses_non_finite_coefficients(m):
+    # powers of 1/m in the degree-20 Taylor series overflow to inf or nan
+    with pytest.raises(RuntimeError, match="mode symbol not finite"):
+        qnm_symbol(BlackHoleParams(m=m), degree=20, h_order=2)
+
+
 @pytest.mark.parametrize("m,lam", [(1.0, 0.0), (1.0, 0.02), (2.5, 0.0)])
 @pytest.mark.parametrize("N", [10, 14])
 def test_qnm_symbol_leading_level_is_classical_normal_form(m, lam, N):

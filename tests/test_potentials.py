@@ -15,7 +15,8 @@ from qnmlattice.potentials import (BlackHoleParams, alpha_squared,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
-from reference import barrier_taylor_mp, inverse_tortoise_wright
+from reference import (barrier_taylor_mp, inverse_tortoise_rk4,
+                       inverse_tortoise_wright)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -191,6 +192,22 @@ def test_inverse_tortoise_complex_is_holomorphic():
             d_re = (r[0] - r[1]) / (2 * eps)
             d_im = (r[2] - r[3]) / (2j * eps)
             assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("theta", [0.4, 1.0, 1.6, 2.0])
+def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
+    # r(x) along the scaled contour x0 + (1 + i theta) t, |t| <= 25, which
+    # covers the quadrature nodes of the l = 8 operator; at lam = 0.02 the
+    # points near r_plus used to be continued in r and failed from
+    # theta = 1.6 on
+    p = BlackHoleParams(m=1.0, lam=lam)
+    x0 = critical_data(p).x0
+    t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
+                                    20000)
+    t, r_ref = t[::400], r_ref[::400]
+    r, _ = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p)
+    assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-12
 
 
 def test_inverse_tortoise_complex_failure_raises():

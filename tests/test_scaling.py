@@ -7,9 +7,10 @@ import pytest
 
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts)
-from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, ScalingConfig,
-                                _d2_matrix, build_scaled_operator,
-                                eigensolve, hermite_basis, qnm_direct)
+from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, THETA_MAX,
+                                ScalingConfig, _d2_matrix,
+                                build_scaled_operator, eigensolve,
+                                hermite_basis, qnm_direct)
 from reference import (hermite_basis_tridiagonal, hermite_function_values,
                        hermite_quadrature)
 
@@ -17,8 +18,11 @@ P1 = BlackHoleParams(m=1.0)
 
 
 def test_config_validation():
+    ScalingConfig(theta=THETA_MAX)
     with pytest.raises(ValueError):
         ScalingConfig(theta=0.7)
+    with pytest.raises(ValueError):
+        ScalingConfig(theta=THETA_MAX + 0.01)
     with pytest.raises(ValueError):
         ScalingConfig(basis_size=0)
 
@@ -282,8 +286,9 @@ def test_eigensolve_size_guard():
 
 def test_qnm_direct_basic_structure():
     # deeper modes approach the continuum ray rotated by -2 theta, so the
-    # three least-damped modes at l = 8 need the full rotation angle
-    cfg = ScalingConfig(theta=0.4, basis_size=320, stab_rel=1e-4)
+    # three least-damped modes at l = 8 need the full rotation angle, and
+    # the third passes the drift filter from N = 480 on (N = 400 keeps 2)
+    cfg = ScalingConfig(theta=0.4, basis_size=480)
     lams = qnm_direct(8, cfg, P1, max_modes=3)
     assert len(lams) == 3
     # least-damped first, all decaying, all in the admissible sector
@@ -323,11 +328,32 @@ def test_qnm_direct_theta_robustness():
     assert abs(la - lb) <= 1e-6 * abs(la)
 
 
-def test_qnm_direct_mass_scaling():
+def scaled_mode_move(m, lam_m2):
+    """|m lambda(m) - lambda(1)| / |lambda(1)| for the least-damped l = 6
+    mode at fixed lam m^2: lambda scales exactly as 1/m."""
     cfg = ScalingConfig(theta=0.3, basis_size=140)
-    l1 = qnm_direct(6, cfg, BlackHoleParams(m=1.0), max_modes=1)[0]
-    l2 = qnm_direct(6, cfg, BlackHoleParams(m=2.0), max_modes=1)[0]
-    assert abs(l2 - 0.5 * l1) <= 1e-8 * abs(l1)
+    l1 = qnm_direct(6, cfg, BlackHoleParams(m=1.0, lam=lam_m2),
+                    max_modes=1)[0]
+    lm = qnm_direct(6, cfg, BlackHoleParams(m=m, lam=lam_m2 / m ** 2),
+                    max_modes=1)[0]
+    return abs(m * lm - l1) / abs(l1)
+
+
+def test_qnm_direct_mass_scaling():
+    # the continuation counts its homotopy steps and its residual in
+    # units of m, so the scaled problem runs the same steps
+    for m, lam_m2 in ((1e-3, 0.0), (2.0, 0.0), (1e3, 0.0), (1e-3, 0.02),
+                      (2.0, 0.02)):
+        assert scaled_mode_move(m, lam_m2) <= 1e-12, (m, lam_m2)
+
+
+@pytest.mark.xfail(raises=RuntimeError, strict=True,
+                   reason="real-axis Newton of inverse_tortoise fails")
+def test_qnm_direct_mass_scaling_de_sitter_large_mass():
+    # inverse_tortoise's real-axis Newton cycles between two neighbouring
+    # floats at one quadrature node (x = -477 m), where rounding in x(r)
+    # exceeds its absolute residual test
+    assert scaled_mode_move(1e3, 0.02) <= 1e-12
 
 
 def test_qnm_direct_de_sitter():
