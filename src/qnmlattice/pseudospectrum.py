@@ -15,12 +15,16 @@ limits meet at N ~ 150, n* stops growing there and larger bases only move
 it by a few indices of rounding noise (Davies, Proc. R. Soc. A 455
 (1999) 585).
 
-The spectrum is solved as two parity blocks.  -h^2 d^2 + i x^2 commutes
-with x -> -x, and in the Hermite basis x^2 couples index k only to k and
-k +- 2, so the Galerkin matrix is exactly 0 wherever j - k is odd.  The
-even and odd Hermite functions then span invariant subspaces, and the
-spectrum is the union of the spectra of the two blocks, for about a
-quarter of the flops of one dense eigensolve.
+The spectrum is solved as two real tridiagonal matrices.  -h^2 d^2 + i x^2
+commutes with x -> -x, and in the Hermite basis x^2 couples index k only
+to k and k +- 2, so the even and odd Hermite functions span invariant
+subspaces.  With U2 the ladder matrix of u^2, the Galerkin matrix
+h diag(2k+1) + (i-1) h U2 equals (1+i) h (diag(U2) + i offdiag(U2)), as
+(1+i) i = i-1.  Its parity-p block, with index j, is (1+i) h S T_p S^-1
+for the unitary S = diag(i^j) and the real, h-free, tridiagonal
+T_p = tril(U2[p::2, p::2]) - triu(U2[p::2, p::2], 1).  A unitary
+similarity leaves every kappa_n unchanged, and the computed spectrum is
+exactly linear in h.
 """
 
 import cmath
@@ -52,29 +56,13 @@ def exact_rotated_ho_eigs(cfg, count):
     return [rot * cfg.h * (2 * n + 1) for n in range(count)]
 
 
-def hermite_galerkin_matrix(cfg):
-    """Matrix of -h^2 d^2 + i x^2 in the h-scaled Hermite eigenbasis.
-
-    The basis diagonalizes -h^2 d^2 + x^2 with eigenvalues (2n+1)h, and
-    x^2 is pentadiagonal (h times the u^2 ladder matrix), so the operator
-    is diag((2n+1)h) + (i-1)*[x^2].
-    """
-    n = cfg.basis_size
-    h = cfg.h
-    k = np.arange(n)
-    mat = np.diag((2.0 * k + 1.0) * h).astype(complex)
-    mat += (1j - 1.0) * h * _u2_matrix(n)
-    return mat
-
-
 def instability_report(cfg):
     """Greedy match of computed vs exact eigenvalues, with the first index
     where the distance exceeds 10% of |lam_exact|.
 
-    The computed spectrum is that of the even block mat[0::2, 0::2] joined
-    with that of the odd block mat[1::2, 1::2], sorted as `eigensolve`
-    sorts; the entries coupling the two parities are exactly 0, so the
-    split changes no eigenvalue in exact arithmetic.
+    The computed spectrum is (1+i) h times the eigenvalues of T_0 and T_1,
+    real dgeev solves of ceil(N/2) and floor(N/2) rows, sorted as
+    `eigensolve` sorts; see the module docstring for the similarity.
 
     Returns {"rows": [...], "divergence_index": n* or None}.  Matching is
     nearest-neighbor in order of increasing |lam_exact| (a heuristic; the
@@ -84,9 +72,10 @@ def instability_report(cfg):
     passes 1/u), so it is independent of h and, in double precision,
     stays near 47 for N beyond ~150; see the module docstring.
     """
-    mat = hermite_galerkin_matrix(cfg)
-    computed = _lexsorted(np.concatenate([eigensolve(mat[0::2, 0::2]),
-                                          eigensolve(mat[1::2, 1::2])]))
+    u2 = _u2_matrix(cfg.basis_size)
+    blocks = (u2[p::2, p::2] for p in (0, 1))
+    computed = _lexsorted((1 + 1j) * cfg.h * np.concatenate(
+        [eigensolve(np.tril(b) - np.triu(b, 1)) for b in blocks]))
     exact = exact_rotated_ho_eigs(cfg, cfg.basis_size)
     avail = np.ones(len(computed), dtype=bool)
     rows = []

@@ -96,7 +96,8 @@ def build_scaled_operator(cfg, p, h):
 
 
 def eigensolve(mat):
-    """All eigenvalues of a dense complex matrix, deterministically sorted.
+    """All eigenvalues of a dense real or complex matrix, deterministically
+    sorted.
 
     The result is complex even where the spectrum is real; a matrix with a
     NaN or inf entry raises `np.linalg.LinAlgError`, a `ValueError`.

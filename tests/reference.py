@@ -19,7 +19,9 @@ dr/dx = alpha^2(r), `inverse_tortoise_rk4`.
 For the direct solver, the Hermite functions by their three-term
 recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
 LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
-oracles for `hermite_basis`.
+oracles for `hermite_basis`.  For the rotated oscillator, its complex
+Galerkin matrix, `hermite_galerkin_matrix`: the oracle for the real
+parity blocks that `instability_report` solves.
 """
 
 import cmath
@@ -36,6 +38,7 @@ import scipy.special
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _diag_levels, _graded,
                                    _reduce_step, _reduced_levels,
                                    homological_solve, quad_reduce)
+from qnmlattice.scaling import _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
 
 
@@ -661,3 +664,18 @@ def hermite_quadrature(npts):
     # an exact double-precision zero too, so the node contributes nothing
     what = np.where(hsq > 0, 1.0 / np.where(hsq > 0, hsq, 1.0), 0.0)
     return u, what
+
+
+def hermite_galerkin_matrix(cfg):
+    """Matrix of -h^2 d^2 + i x^2 in the h-scaled Hermite eigenbasis.
+
+    The basis diagonalizes -h^2 d^2 + x^2 with eigenvalues (2n+1)h, and
+    x^2 is pentadiagonal (h times the u^2 ladder matrix), so the operator
+    is diag((2n+1)h) + (i-1)*[x^2].
+    """
+    n = cfg.basis_size
+    h = cfg.h
+    k = np.arange(n)
+    mat = np.diag((2.0 * k + 1.0) * h).astype(complex)
+    mat += (1j - 1.0) * h * _u2_matrix(n)
+    return mat

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from qnmlattice import pseudospectrum
 from qnmlattice.pseudospectrum import (RotatedHOConfig, exact_rotated_ho_eigs,
-                                       hermite_galerkin_matrix,
                                        instability_report)
-from qnmlattice.scaling import hermite_basis
+from qnmlattice.scaling import eigensolve, hermite_basis
+from reference import hermite_galerkin_matrix
 
 
 def test_config_validation():
@@ -54,7 +55,6 @@ def test_parity_blocks_exact_and_split_spectrum():
     # x^2 couples Hermite index k only to k and k +- 2, so the matrix is
     # exactly 0 where j - k is odd, and instability_report solves the even
     # and odd blocks apart.  Odd N: the blocks have 76 and 75 rows.
-    from qnmlattice.scaling import eigensolve
     cfg = RotatedHOConfig(h=0.05, basis_size=151)
     mat = hermite_galerkin_matrix(cfg)
     j, k = np.indices(mat.shape)
@@ -76,19 +76,55 @@ def test_parity_blocks_exact_and_split_spectrum():
 
 def test_trace_identity():
     # the sum of computed eigenvalues must equal the matrix trace even
-    # where the individual eigenvalues are wildly wrong
-    from qnmlattice.scaling import eigensolve
+    # where the individual eigenvalues are wildly wrong, on the complex
+    # matrix and on the real parity blocks alike
     cfg = RotatedHOConfig(h=0.05, basis_size=151)
     mat = hermite_galerkin_matrix(cfg)
     vals = eigensolve(mat)
     tr = np.trace(mat)
     assert abs(np.sum(vals) - tr) <= 1e-9 * abs(tr)
+    split = sum(row["computed"] for row in instability_report(cfg)["rows"])
+    assert abs(split - tr) <= 1e-9 * abs(tr)
+
+
+def test_real_blocks_similar_to_complex_blocks(monkeypatch):
+    # one real dgeev per parity, so a return to complex blocks (zgeev) or to
+    # one dense solve fails here; and the parity-p block of the complex
+    # matrix is (1+i) h S T_p S^-1 with T_p real tridiagonal and
+    # S = diag(i^j), i^j from a table, as 1j**j drifts by 1e-14 at j ~ 200
+    seen = []
+
+    def spy(mat):
+        seen.append(mat)
+        return eigensolve(mat)
+    monkeypatch.setattr(pseudospectrum, "eigensolve", spy)
+    u = np.finfo(float).eps / 2
+    for n in (151, 302):
+        seen.clear()
+        cfg = RotatedHOConfig(h=0.05, basis_size=n)
+        instability_report(cfg)
+        assert [(m.dtype, m.shape) for m in seen] == [
+            (np.float64, ((n + 1) // 2,) * 2), (np.float64, (n // 2,) * 2)]
+        mat = hermite_galerkin_matrix(cfg)
+        for p, t in enumerate(seen):
+            assert np.all(np.triu(t, 2) == 0) and np.all(np.tril(t, -2) == 0)
+            s = np.array([1, 1j, -1, -1j])[np.arange(len(t)) % 4]
+            got = (1 + 1j) * cfg.h * (s[:, None] * t * s.conj())
+            block = mat[p::2, p::2]
+            assert (np.max(np.abs(got - block))
+                    <= 2 * u * np.max(np.abs(block))), (n, p)
 
 
 def test_low_modes_accurate():
-    rep = instability_report(RotatedHOConfig(h=0.05, basis_size=151))
-    for row in rep["rows"][:6]:
-        assert row["distance"] <= 1e-8 * abs(row["exact"]), row["n"]
+    # the pseudo workload of perfbench/ reads the relative error of the
+    # first 20 rows at h = 0.05 against its floor 1e-8
+    h = 0.05
+    rot = cmath.exp(0.25j * math.pi)
+    for n in (151, 302, 400):
+        rows = instability_report(RotatedHOConfig(h=h, basis_size=n))["rows"]
+        for k, row in enumerate(rows[:20]):
+            exact = rot * h * (2 * k + 1)
+            assert abs(row["computed"] - exact) <= 1e-8 * abs(exact), (n, k)
 
 
 # n* is the lesser of two limits.  Basis truncation caps it near 0.31*N,
@@ -154,14 +190,16 @@ def test_divergence_index_h_independent():
 
 
 def test_h_covariance_of_computed_spectrum():
-    # the matrix is h times an h-independent matrix, so computed
-    # eigenvalues scale linearly in h
-    from qnmlattice.scaling import eigensolve
-    va = eigensolve(hermite_galerkin_matrix(RotatedHOConfig(h=0.05,
-                                                            basis_size=80)))
-    vb = eigensolve(hermite_galerkin_matrix(RotatedHOConfig(h=0.1,
-                                                            basis_size=80)))
-    assert np.max(np.abs(vb - 2.0 * va)) <= 1e-6 * np.max(np.abs(vb))
+    # computed = (1+i) h eig(T_p) with T_p free of h, and 0.1 = 2 * 0.05
+    # exactly, so doubling h doubles every row bit for bit
+    for n in (151, 302, 400):
+        a = instability_report(RotatedHOConfig(h=0.05, basis_size=n))
+        b = instability_report(RotatedHOConfig(h=0.1, basis_size=n))
+        assert b["divergence_index"] == a["divergence_index"], n
+        for ra, rb in zip(a["rows"], b["rows"]):
+            assert rb["exact"] == 2 * ra["exact"], (n, ra["n"])
+            assert rb["computed"] == 2 * ra["computed"], (n, ra["n"])
+            assert rb["distance"] == 2 * ra["distance"], (n, ra["n"])
 
 
 def test_report_is_deterministic():
