@@ -142,39 +142,14 @@ def _wright_omega(z):
 def inverse_tortoise(x, p):
     """r(x) on the real line for a scalar or an array x: for lam = 0,
     r = 2m (1 + omega(x/2m - 1 - log 2m)) with the Wright omega function
-    `_wright_omega`; for lam > 0, safeguarded Newton (per point)."""
+    `_wright_omega`; for lam > 0, `inverse_tortoise_complex` at Im x = 0."""
+    if p.lam > 0:
+        r = inverse_tortoise_complex(x, p)[0].real
+        return r if np.ndim(x) else float(r)
     xf = np.array(x, dtype=float).ravel()
-    if p.lam == 0:
-        # x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)
-        r = 2.0 * p.m * (1.0 + _wright_omega(
-            xf / (2.0 * p.m) - 1.0 - math.log(2.0 * p.m)))
-        return r.reshape(np.shape(x)) if np.ndim(x) else float(r[0])
-    tt = _tortoise_terms(p)
-    r = np.full(xf.shape, 3.0 * p.m)
-    # bracketed by the horizons r_minus and r_plus, roots 1 and 2
-    lo = np.full(xf.shape, tt.roots[1][0])
-    hi = np.full(xf.shape, tt.roots[2][0])
-    todo = np.arange(xf.size)
-    for _ in range(200):
-        rt, xt = r[todo], xf[todo]
-        f = tt.x(rt) - xt
-        go = ~(np.abs(f) < 1e-14 * np.maximum(1.0, np.abs(xt)))
-        todo, rt, f = todo[go], rt[go], f[go]
-        if not todo.size:
-            break
-        rn = rt - f * tt.alpha2(rt)
-        # bisection safeguard
-        out = ~((lo[todo] < rn) & (rn < hi[todo]))
-        up = f > 0
-        hi[todo[out & up]] = rt[out & up]
-        lo[todo[out & ~up]] = rt[out & ~up]
-        rn = np.where(out, 0.5 * (lo[todo] + hi[todo]), rn)
-        r[todo] = rn
-        # at machine resolution next to a horizon, r is as good as it gets
-        todo = todo[~(np.abs(rn - rt) <= 4.0 * np.spacing(np.abs(rt)))]
-    if todo.size:
-        raise RuntimeError("inverse_tortoise: Newton failed in [%g, %g]"
-                           % (lo[todo[0]], hi[todo[0]]))
+    # x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)
+    r = 2.0 * p.m * (1.0 + _wright_omega(
+        xf / (2.0 * p.m) - 1.0 - math.log(2.0 * p.m)))
     return r.reshape(np.shape(x)) if np.ndim(x) else float(r[0])
 
 
@@ -215,25 +190,34 @@ def inverse_tortoise_complex(x, p):
     """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)).
 
     Vectorized over a complex array x; returns the pair (r, alpha^2).
-    Each point is continued in the log-distance to the root with the
-    smallest s (r - a) at r = r(Re x), its nearer horizon (never r0 < 0).
+    Each point is continued by `_continue` in the log-distance to one
+    horizon a from a real seed L.  At lam = 0 that is 2m, seeded from the
+    Wright omega root at Re x (from the asymptote where r - 2m
+    underflows).  At lam > 0 it is the horizon on Re x's side of the
+    barrier top, r_minus if Re x < x(3m) else r_plus, seeded at
+    L = min((Re x - the other terms of x at r = a)/c, log s (3m - a)):
+    the other terms grow from r = a to 3m, so both lie on the barrier-top
+    side of the root.  x(L) is increasing and convex on r_minus's chart,
+    decreasing and concave on r_plus's, so Newton moves monotonically to
+    the real root and stays in the chart.
     """
     x = np.asarray(x, dtype=complex)
     xf = x.ravel()
     tt = _tortoise_terms(p)
-    r_real = inverse_tortoise(xf.real, p)
-    eps = np.array([s * (r_real - a) for a, _, s in tt.roots])
-    nearer = np.argmin(eps, axis=0)
+    root = np.where(xf.real < tt.x(3.0 * p.m), 1, 2) if p.lam > 0 \
+        else np.zeros(xf.shape, dtype=int)
     r = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
     resid = np.zeros(xf.shape)
-    for i, (a, c, _) in enumerate(tt.roots):
-        mask = nearer == i
+    for i, (a, c, s) in enumerate(tt.roots):
+        mask = root == i
         if np.any(mask):
-            e = eps[i, mask]
-            # asymptotic seed where the real-line distance underflowed
-            L = np.where(e > 0, np.log(np.maximum(e, 1e-300)),
-                         (xf.real[mask] - tt.x(a, skip=i)) / c)
+            L = (xf.real[mask] - tt.x(a, skip=i)) / c
+            if p.lam == 0:
+                e = inverse_tortoise(xf.real[mask], p) - a
+                L = np.where(e > 0, np.log(np.maximum(e, 1e-300)), L)
+            else:
+                L = np.minimum(L, math.log(s * (3.0 * p.m - a)))
             r[mask], a2[mask], resid[mask] = _continue(
                 xf[mask], tt, L.astype(complex), i, p.m)
     bad = ~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))
@@ -267,17 +251,24 @@ def potential_W_parts(x_arr, p):
 
 def _barrier_series(p, N):
     """r(x0 + x) from dr/dx = alpha^2(r), r(0) = 3m, and 1/r and
-    W0 = alpha^2/r^2 along it, as series in x to order N."""
+    W0 = alpha^2/r^2 along it, as series in x to order N.  k r_k =
+    [alpha^2(r(x))]_{k-1} needs 1/r and r r only to order k - 1, so each
+    step adds one coefficient of each, summed as Series1 sums them."""
     m, lam = p.m, p.lam
-    c = [3.0 * m]
-    while True:
-        r = Series1(c)
-        inv_r = r.reciprocal()
-        a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
-        if len(c) > N:
-            return r, inv_r, a2 * inv_r * inv_r
-        # k r_k = [alpha^2(r(x))]_{k-1}, which needs r only to order k - 1
-        c.append(a2.coeffs[-1] / len(c))
+    c, inv, a2 = [3.0 * m], [1 / (3.0 * m)], []
+    for k in range(N + 1):
+        if k:
+            inv.append(-inv[0] * sum(c[j] * inv[k - j]
+                                     for j in range(1, k + 1) if c[j] != 0))
+        rr = sum((c[i] * c[k - i] for i in range(k + 1)
+                  if c[i] != 0 and c[k - i] != 0), 0j)
+        # alpha^2 = 1 - 2m/r - (lam/3) r r, negated as Series1 negates
+        a = -(inv[k] * (2.0 * m))
+        a2.append((a + 1.0 if k == 0 else a) + -(rr * (lam / 3.0)))
+        if k < N:
+            c.append(a2[k] / (k + 1))
+    inv_r = Series1(inv)
+    return Series1(c), inv_r, Series1(a2) * inv_r * inv_r
 
 
 def shifted_potential_taylor(p, N):

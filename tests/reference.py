@@ -14,8 +14,11 @@ Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
 barrier potential, `barrier_taylor_mp`, the real inverse tortoise
 coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`,
-and its complex continuation along a straight contour by RK4 on
-dr/dx = alpha^2(r), `inverse_tortoise_rk4`.
+at any lam as a bracketed mpmath root in the log-distance to a horizon,
+`inverse_tortoise_mp`, and its complex continuation along a straight
+contour by RK4 on dr/dx = alpha^2(r), `inverse_tortoise_rk4`; and the
+barrier-top series of r, 1/r and W0 by whole Series1 rebuilds,
+`barrier_series_rebuild`.
 For the direct solver, the Hermite functions by their three-term
 recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
 LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
@@ -38,6 +41,7 @@ import scipy.special
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _diag_levels, _graded,
                                    _reduce_step, _reduced_levels,
                                    homological_solve, quad_reduce)
+from qnmlattice.potentials import horizon_roots
 from qnmlattice.scaling import _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
 
@@ -585,11 +589,74 @@ def barrier_taylor_mp(m, lam, N):
                 [complex(c) for c in w1.compose(rho_of_x).coeffs])
 
 
+def barrier_series_rebuild(p, N):
+    """r(x0 + x), 1/r and W0 at the barrier top as `_barrier_series`
+    returns them, by Series1 arithmetic that rebuilds the reciprocal and
+    r r from all of r for each new coefficient r_k = [alpha^2]_{k-1}/k,
+    O(N^3): the reference its O(N^2) recurrence matches bit for bit."""
+    m, lam = p.m, p.lam
+    c = [3.0 * m]
+    while True:
+        r = Series1(c)
+        inv_r = r.reciprocal()
+        a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
+        if len(c) > N:
+            return r, inv_r, a2 * inv_r * inv_r
+        c.append(a2.coeffs[-1] / len(c))
+
+
 def inverse_tortoise_wright(x, m):
     """r(x) at lam = 0 and mass m from `scipy.special.wrightomega`:
     x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)."""
     return 2.0 * m * (1.0 + scipy.special.wrightomega(
         np.asarray(x, dtype=float) / (2.0 * m) - 1.0 - math.log(2.0 * m)))
+
+
+def inverse_tortoise_mp(x, p):
+    """r(x) and alpha^2(r(x)) at a real x to the working precision, for
+    the package's tortoise coordinate x(r) = lin r + sum c log(s (r - a))
+    with alpha^2 = k prod s (r - a) / r, its horizon roots a and residues
+    c from `horizon_roots` taken as exact; x below the barrier top at
+    lam = 0, anywhere between the horizons at lam > 0.
+
+    Solves x(L) = x in the log-distance L = log(s (r - a)) to the horizon
+    on x's side of the barrier top (2m or r_minus below x(3m), r_plus
+    above).  There x = c L + (the other terms), and the other terms lie
+    between their values at r = a and at r = 3m, which brackets L, and L
+    is at most log(s (3m - a)); the bracket goes to mpmath's
+    Anderson-Bjorck solver.
+    """
+    if p.lam == 0:
+        lin, k, roots = 1, 1, [(2 * p.m, 2 * p.m, 1)]
+    else:
+        hz = horizon_roots(p)
+        lin, k = 0, mpmath.mpf(p.lam) / 3
+        roots = [(hz.r0, hz.a0, 1), (hz.r_minus, hz.a_minus, 1),
+                 (hz.r_plus, hz.a_plus, -1)]
+    roots = [(mpmath.mpf(a), mpmath.mpf(c), s) for a, c, s in roots]
+    x = mpmath.mpf(x)
+    r_top = 3 * mpmath.mpf(p.m)
+
+    def x_of(r, skip=None):
+        return lin * r + sum(c * mpmath.log(s * (r - a))
+                             for i, (a, c, s) in enumerate(roots)
+                             if i != skip)
+
+    above = x >= x_of(r_top)
+    if p.lam == 0 and above:
+        raise ValueError("lam = 0 needs x below the barrier top")
+    root = 0 if p.lam == 0 else (2 if above else 1)
+    a, c, s = roots[root]
+    bracket = ((x - x_of(r_top, skip=root)) / c,
+               min((x - x_of(a, skip=root)) / c, mpmath.log(s * (r_top - a))))
+    L = mpmath.findroot(lambda L: c * L + x_of(a + s * mpmath.exp(L),
+                                               skip=root) - x,
+                        bracket, solver="anderson")
+    r = a + s * mpmath.exp(L)
+    a2 = k / r
+    for aa, _, ss in roots:
+        a2 *= ss * (r - aa)
+    return r, a2
 
 
 def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):

@@ -320,12 +320,17 @@ def test_extreme_mass_symbol_exits_3(tmp_path):
 
 
 def test_potential_large_mass(tmp_path):
-    # the continuation counts its steps and its residual in units of m
-    code, text = run_to_file(tmp_path, ["potential", "--m", "1e8"])
-    assert code == 0
-    _, _, rows = parse_csv(text)
-    assert len(rows) == 121
-    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    # the continuation counts its steps and its residual in units of m,
+    # and at lam m^2 = 0.02 its real-axis seeds hold at every m
+    for argv, n in ((["--m", "1e8"], 121),
+                    (["--m", "1e8", "--lam", "2e-18"], 121),
+                    (["--m", "10", "--lam", "2e-4", "--x-min", "0",
+                      "--x-max", "20", "--x-points", "3"], 3)):
+        code, text = run_to_file(tmp_path, ["potential"] + argv)
+        assert code == 0, argv
+        _, _, rows = parse_csv(text)
+        assert len(rows) == n
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_no_temp_files_left(tmp_path):

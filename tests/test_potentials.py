@@ -7,15 +7,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from qnmlattice.potentials import (BlackHoleParams, alpha_squared,
-                                   critical_data, horizon_roots,
+from qnmlattice.potentials import (BlackHoleParams, _barrier_series,
+                                   alpha_squared, critical_data,
+                                   horizon_roots,
                                    inverse_tortoise,
                                    inverse_tortoise_complex,
                                    potential_W_parts,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
-from reference import (barrier_taylor_mp, inverse_tortoise_rk4,
+from reference import (barrier_series_rebuild, barrier_taylor_mp,
+                       inverse_tortoise_mp, inverse_tortoise_rk4,
                        inverse_tortoise_wright)
 
 P1 = BlackHoleParams(m=1.0)
@@ -123,40 +125,6 @@ def test_tortoise_round_trip_lambda_positive():
     assert np.all(np.abs(back - rs) <= 1e-12 * np.maximum(1.0, rs))
 
 
-def newton_one_point(x, p, hz):
-    """The scalar safeguarded Newton for lam > 0, one point at a time:
-    the loop the array version replaced, kept as its reference."""
-    roots = ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
-             (hz.r_plus, hz.a_plus, -1.0))
-
-    def x_of(r):
-        return 0.0 * r + sum(c * np.log(s * (r - a)) for a, c, s in roots)
-
-    def alpha2(r):
-        out = p.lam / 3.0 / r
-        for a, _, s in roots:
-            out = out * (s * (r - a))
-        return out
-
-    lo, hi = hz.r_minus, hz.r_plus
-    r = 3.0 * p.m
-    for _ in range(200):
-        f = x_of(r) - x
-        if abs(f) < 1e-14 * max(1.0, abs(x)):
-            return r
-        rn = r - f * alpha2(r)
-        if not (lo < rn < hi):
-            if f > 0:
-                hi = r
-            else:
-                lo = r
-            rn = 0.5 * (lo + hi)
-        if abs(rn - r) <= 4.0 * np.spacing(abs(r)):
-            return rn
-        r = rn
-    raise AssertionError("reference Newton did not converge at %g" % x)
-
-
 def test_inverse_tortoise_array_matches_scalar_calls():
     # 121 points from r - r_minus ~ 1e-15 to r_plus - r ~ 1e-14
     p = BlackHoleParams(m=1.0, lam=0.02)
@@ -164,13 +132,28 @@ def test_inverse_tortoise_array_matches_scalar_calls():
     xs = np.linspace(-80.0, 250.0, 121)
     r = inverse_tortoise(xs, p)
     one = np.array([inverse_tortoise(float(x), p) for x in xs])
-    ref = np.array([newton_one_point(float(x), p, hz) for x in xs])
+    with mpmath.workdps(40):
+        ref = np.array([float(inverse_tortoise_mp(x, p)[0]) for x in xs])
     assert isinstance(inverse_tortoise(1.0, p), float)
     assert np.all(np.abs(r - one) <= 4.0 * np.spacing(one))
     assert np.all(np.abs(r - ref) <= 4.0 * np.spacing(ref))
     assert r.min() - hz.r_minus < 1e-14 and hz.r_plus - r.max() < 1e-13
     grid = inverse_tortoise(xs.reshape(11, 11), p)
     assert np.array_equal(grid.ravel(), r)
+
+
+def test_inverse_tortoise_lambda_positive_matches_mpmath_root():
+    # at lam m^2 = 0.02 over |x| <= 900m, at the l = 6 quadrature node
+    # x = -477m and at x = +-m, which is (m, x) = (10, 10) at m = 10:
+    # forward error in r against the 40-digit root
+    for m in (1e-6, 1.0, 10.0, 1e3, 1e8):
+        p = BlackHoleParams(m=m, lam=0.02 / m ** 2)
+        xs = m * np.concatenate([np.linspace(-900.0, 900.0, 61),
+                                 [-477.0, -1.0, 1.0]])
+        r = inverse_tortoise(xs, p)
+        with mpmath.workdps(40):
+            ref = np.array([float(inverse_tortoise_mp(x, p)[0]) for x in xs])
+        assert np.all(np.abs(r - ref) <= 1e-14 * ref), m
 
 
 def test_inverse_tortoise_complex_matches_real_axis():
@@ -194,13 +177,13 @@ def test_inverse_tortoise_complex_is_holomorphic():
             assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.02])
-@pytest.mark.parametrize("theta", [0.4, 1.0, 1.6, 2.0])
+@pytest.mark.parametrize("theta, lam", [
+    (theta, lam) for theta in (0.4, 1.0, 1.6, 2.0) for lam in (0.02, 0.0)]
+    + [(2.5, 0.02), (3.0, 0.02)])
 def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     # r(x) along the scaled contour x0 + (1 + i theta) t, |t| <= 25, which
     # covers the quadrature nodes of the l = 8 operator; at lam = 0.02 the
-    # points near r_plus used to be continued in r and failed from
-    # theta = 1.6 on
+    # contour's r(x) winds around r_plus from theta ~ 2.7 on
     p = BlackHoleParams(m=1.0, lam=lam)
     x0 = critical_data(p).x0
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
@@ -218,33 +201,8 @@ def test_inverse_tortoise_complex_failure_raises():
 
 
 def mp_potential_W_parts(x, p):
-    """W0, W1 at a real x near a horizon, to 50 digits.
-
-    Inverts the package's tortoise coordinate x(r) = lin r +
-    sum c log(s (r - a)) (its horizon roots a and residues c taken as
-    exact) in the log distance L = log(s (r - a)) of the nearest horizon,
-    and forms alpha^2 = k prod s (r - a) / r.
-    """
-    if p.lam == 0:
-        lin, k, roots = 1, 1, [(2 * p.m, 2 * p.m, 1)]
-    else:
-        hz = horizon_roots(p)
-        lin, k = 0, mpmath.mpf(p.lam) / 3
-        roots = [(hz.r0, hz.a0, 1), (hz.r_minus, hz.a_minus, 1),
-                 (hz.r_plus, hz.a_plus, -1)]
-    roots = [(mpmath.mpf(a), mpmath.mpf(c), s) for a, c, s in roots]
-    a, c, s = roots[0 if p.lam == 0 else (1 if x < 0 else 2)]
-
-    def x_of(L):
-        r = a + s * mpmath.exp(L)
-        return lin * r + sum(cc * mpmath.log(ss * (r - aa))
-                             for aa, cc, ss in roots)
-
-    L = mpmath.findroot(lambda L: x_of(L) - x, (x - x_of(0)) / c)
-    r = a + s * mpmath.exp(L)
-    a2 = k / r
-    for aa, _, ss in roots:
-        a2 *= ss * (r - aa)
+    """W0, W1 at a real x from the root of `inverse_tortoise_mp`."""
+    r, a2 = inverse_tortoise_mp(x, p)
     w0 = a2 / r ** 2
     dalpha2 = 2 * p.m / r ** 2 - 2 * mpmath.mpf(p.lam) * r / 3
     return complex(w0), complex(w0 * (r * dalpha2 - 0.25))
@@ -359,6 +317,10 @@ def test_barrier_taylor_vs_mpmath_oracle(lam):
     for j in range(N + 1):
         assert abs(complex(W1.coeffs[j]) - W1_ref[j]) \
             <= 1e-12 * abs(W1_ref[j]), j
+    # the O(N^2) recurrence does Series1's operations in Series1's order,
+    # so it equals the O(N^3) rebuild bit for bit, signed zeros included
+    for got, want in zip(_barrier_series(p, N), barrier_series_rebuild(p, N)):
+        assert list(map(repr, got.coeffs)) == list(map(repr, want.coeffs))
 
 
 def test_scaling_covariance():
