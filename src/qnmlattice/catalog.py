@@ -47,13 +47,23 @@ def validity_radius(G0):
     return lo
 
 
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule: the float operations of
+    np.polyval, in its order, without its per-call array overhead."""
+    y = 0.0
+    for c in reversed(coeffs):
+        y = y * x + c
+    return y
+
+
 def eval_symbol(G, x, h):
-    """G(x; h) = sum_k G_k(x) h^k for scalar or array x and h."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
+    """G(x; h) = sum_k G_k(x) h^k for scalar or array x and h.
+
+    A scalar x gives a Python complex, an array x a complex array."""
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    out = 0j
     for k, lvl in G.levels.items():
-        cs = np.asarray(lvl.coeffs, dtype=complex)
-        out += np.polyval(cs[::-1], x) * h ** k
+        out += _horner(lvl.coeffs, x) * h ** k
     return out
 
 
@@ -73,18 +83,18 @@ def lattice(G, ell, rad, n_max=None):
 def _unwrapped_arg_crossing(G0, t, rad):
     """Smallest x > 0 with (continuously tracked) arg G0(x) = -t."""
     xs = np.linspace(0.0, rad, 4001)
-    vals = np.polyval(np.asarray(G0.coeffs, dtype=complex)[::-1], xs)
+    vals = _horner(G0.coeffs, xs)
     args = np.unwrap(np.angle(vals))
     args = args - args[0]  # branch continuous from arg G0(0) = 0
     below = args <= -t
     if not np.any(below):
         raise ValueError("arg G0 never reaches -t within validity radius")
     i = int(np.argmax(below))
-    lo, hi = xs[i - 1], xs[i]
+    lo, hi = float(xs[i - 1]), float(xs[i])
     alo = args[i - 1]
 
     def arg_at(x):
-        v = complex(np.polyval(np.asarray(G0.coeffs, dtype=complex)[::-1], x))
+        v = _horner(G0.coeffs, x)
         # local branch continuation from the grid value
         a = math.atan2(v.imag, v.real)
         k = round((alo - a) / (2.0 * math.pi))

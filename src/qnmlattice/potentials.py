@@ -159,7 +159,8 @@ def inverse_tortoise(x, p):
 def _continue(x, tt, L, root, m):
     """Homotopy-Newton continuation of x(r) = x in the log-distance
     L = log(s (r - a)) to the root (a, c, s) of index `root`, from
-    real-axis seeds L, with Im(x) switched on in steps of at most m/2.
+    real-axis seeds L, with Im(x) switched on in steps of at most m/2
+    (one step if Im(x) = 0 throughout).
     r = a + s e^L and x(r) = c L + (the other terms) avoid forming r - a
     when it is exponentially small and make winding in Im(x) automatic.
     Returns r, alpha^2(r), formed from e^L for full relative precision,
@@ -172,7 +173,9 @@ def _continue(x, tt, L, root, m):
         # finite when e^L underflows below the ulp of r
         r = a + s * np.exp(L)
         return r, c * L + tt.x(r, skip=root), tt.alpha2(r, skip=root) / s
-    nsteps = max(4, math.ceil(2.0 * float(np.max(np.abs(x.imag))) / m))
+    # with Im(x) = 0 every step would solve for the same target
+    im_max = float(np.max(np.abs(x.imag)))
+    nsteps = max(4, math.ceil(2.0 * im_max / m)) if im_max else 1
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
         for _ in range(40):

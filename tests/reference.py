@@ -24,7 +24,10 @@ recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
 LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
 oracles for `hermite_basis`.  For the rotated oscillator, its complex
 Galerkin matrix, `hermite_galerkin_matrix`: the oracle for the real
-parity blocks that `instability_report` solves.
+parity blocks that `instability_report` solves.  For the lattice rule,
+the symbol G(x; h) by `np.polyval` on complex coefficient arrays,
+`eval_symbol_polyval`: the bit-for-bit oracle of the Horner loop in
+`catalog`.
 """
 
 import cmath
@@ -746,3 +749,17 @@ def hermite_galerkin_matrix(cfg):
     mat = np.diag((2.0 * k + 1.0) * h).astype(complex)
     mat += (1j - 1.0) * h * _u2_matrix(n)
     return mat
+
+
+def polyval_ascending(coeffs, x):
+    """sum_j coeffs[j] x^j by `np.polyval` on the complex array."""
+    return np.polyval(np.asarray(coeffs, dtype=complex)[::-1], x)
+
+
+def eval_symbol_polyval(G, x, h):
+    """G(x; h) = sum_k G_k(x) h^k as a complex array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for k, lvl in G.levels.items():
+        out += polyval_ascending(lvl.coeffs, x) * h ** k
+    return out

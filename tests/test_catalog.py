@@ -13,6 +13,8 @@ from qnmlattice import catalog
 from qnmlattice.catalog import (asymptotic_check, counting_constant,
                                 eval_symbol, lattice, validity_radius)
 
+from reference import eval_symbol_polyval, polyval_ascending
+
 P1 = BlackHoleParams(m=1.0)
 
 
@@ -56,6 +58,43 @@ def test_eval_symbol_matches_manual_sum():
                     for j, c in enumerate(lvl.coeffs)) * h ** k
     got = complex(eval_symbol(G, x, h))
     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+@pytest.mark.parametrize("degree,K",
+                         [(20, 2), (16, 4), (18, 4), (10, 2), (28, 10)])
+def test_eval_symbol_bitwise_equals_polyval(degree, K, lam):
+    # the Horner loop runs np.polyval's float operations in its order
+    p = BlackHoleParams(m=1.0, lam=lam)
+    G = qnm_symbol(p, degree=degree, h_order=K)
+    rad = validity_radius(G.levels[0])
+    xs = np.linspace(0.0, 1.5 * rad, 97)
+    for h in (1.0 / 1.5, 1.0 / 12.5, 0.0):
+        got = eval_symbol(G, xs, h)
+        want = eval_symbol_polyval(G, xs, h)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for x in (xs[5], float(xs[40]), np.asarray(xs[96]), 0):
+            got = eval_symbol(G, x, h)
+            assert type(got) is complex
+            assert np.complex128(got).tobytes() == \
+                eval_symbol_polyval(G, x, h).tobytes()
+    # an array h, as the count walk passes one h per ell
+    ells = np.arange(1, 300)
+    h = 1.0 / (ells + 0.5)
+    x = 2.0 * math.pi * 2.5 * h
+    assert eval_symbol(G, x, h).tobytes() == \
+        eval_symbol_polyval(G, x, h).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.02])
+def test_counting_constant_unchanged_by_horner(monkeypatch, lam):
+    p = BlackHoleParams(m=1.0, lam=lam)
+    G0 = qnm_symbol(p, degree=10, h_order=2).levels[0]
+    ts = (0.01, 0.05, 0.1, 0.3)
+    got = [counting_constant(t, p, G0) for t in ts]
+    # the arg crossing by the np.polyval route, grid and bisection alike
+    monkeypatch.setattr(catalog, "_horner", polyval_ascending)
+    assert got == [counting_constant(t, p, G0) for t in ts]
 
 
 def walk(G, ell_max, r, t):

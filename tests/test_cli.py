@@ -350,7 +350,8 @@ def test_cli_runs_without_loading_scipy():
     script = (
         "import contextlib, io, sys\n"
         "import qnmlattice.cli as cli\n"
-        "for argv in (['potential'], ['direct', '--ell-range', '4', '4'],\n"
+        "for argv in (['potential'], ['gsymbol'], ['lattice'], ['count'],\n"
+        "             ['direct', '--ell-range', '4', '4'],\n"
         "             ['pseudo', '--basis-size', '20']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
