@@ -5,11 +5,14 @@ diagonal symbol G(z*zeta; h), level by level in h and degree by degree,
 by polynomial generators conjugating it in the Weyl (Moyal) calculus; at
 h-order 0 it is the classical Birkhoff normal form.  The loop runs on
 dense graded arrays, one complex vector per h-level over the monomials
-z^m zeta^n in graded order.  Each generator is homogeneous, so its Moyal
-commutator with a level is, per odd bidifferential order k, one gather
-from a table of the integers S_k (summed exactly, rounded to float64
-once) times the outer product of the coefficient vectors, scattered to
-the target monomials with `np.bincount`.  G is converted to
+z^m zeta^n in graded order, built straight from the barrier's Taylor
+coefficients and read back as diagonals; `qnm_symbol` supplies the black
+hole's, and `_mode_symbol` takes any barrier's.  Each generator is
+homogeneous, so its Moyal commutator with a level is, per odd
+bidifferential order k, one gather from a table of the integers S_k
+(summed exactly, rounded to float64 once) times the outer product of the
+coefficient vectors, scattered to the target monomials with
+`np.bincount`.  G is converted to
 the spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
 -i(n+1/2)h, by the integer recurrence of Op_w((z*zeta)^n) on monomials.  The
 assembled output G(x; h), the square root of E0 plus that spectral
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import HGraded, Series1, Series2
+from .series import HGraded, Series1
 from .potentials import critical_data, shifted_potential_taylor, \
     subprincipal_taylor
 
@@ -80,62 +83,83 @@ def quad_reduce(q):
     return QuadraticReduction(mu=mu, linmap=lin)
 
 
-def homological_solve(r):
-    """Solve i(z d_z - zeta d_zeta) a = -r + <r> termwise.
+def _birkhoff(levels, mu, K, N):
+    """Birkhoff normal form of dense levels whose h^0 level is mu z zeta +
+    O(3), level ell kept to degree N - 2ell.
 
-    Returns a with a_{mn} = i r_{mn}/(m-n) off the diagonal; the average
-    <r> is the diagonal part, `r.diagonal()`.
-    """
-    return Series2({(m, n): 1j * c / (m - n)
-                    for (m, n), c in r.coeffs.items() if m != n},
-                   r.trunc_order)
-
-
-def _birkhoff(sym, K, N):
-    """Birkhoff normal form of a graded symbol whose h^0 level is q + O(3).
-
-    Maps every level through the symplectic reduction of q to mu z zeta.
-    Then for each h-level ell = 0..K and degree (3..N at ell = 0, 0..N-2ell
+    For each h-level ell = 0..K and degree (3..N at ell = 0, 0..N-2ell
     above) conjugates by exp((i/h) h^ell a), where i mu a solves the
     homological equation for the off-diagonal part there; the rest of
     h^ell {a, g(w)} + O(h^(ell+2)) lands at a higher degree or two levels
-    up.  At h-order 0 this is the classical flow exp({a, .}).  Level ell is
-    kept to degree N - 2ell, which fixes w^j at level ell for
-    2j + 2ell <= N.  Returns mu and the diagonal symbol.
+    up.  At h-order 0 this is the classical flow exp({a, .}).  Level ell
+    fixes w^j for 2j + 2ell <= N.  Returns the diagonal levels.
     """
-    mu, levels = _reduced_levels(sym, K, N)
     for ell in range(K + 1):
         for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
             levels = _reduce_step(levels, ell, dgr, mu, K, N)
-    return mu, _graded(levels, K)
+    return levels
 
 
-def _reduced_levels(sym, K, N):
-    """mu and the dense levels of `sym` after the linear reduction of its
-    quadratic part, level ell kept to degree N - 2ell."""
-    red = quad_reduce(sym.level(0).homogeneous_part(2))
+def _taylor_levels(V, W1, N, K):
+    """mu and the dense levels of xi^2 + V(x), with h^2 W1(x) when K >= 2,
+    after the linear reduction of the quadratic part to mu z zeta, level
+    ell kept to degree N - 2ell.  x^k becomes the binomial row of
+    (a z + b zeta)^k and xi^2 that of (c z + d zeta)^2; a slot sums
+    c_k * (p * 1) over V's nonzero terms, then 1.0 * (1 * q) for xi^2: the
+    float operations, in order, of the generic linear substitution.
+    """
+    red = quad_reduce({(2, 0): V[2], (1, 1): 0j, (0, 2): 1.0})
     (a, b), (c, d) = red.linmap
-    return red.mu, {k: _dense(s.truncate(N - 2 * k).subs_linear(a, b, c, d))
-                    for k, s in sym.levels.items() if 2 * k <= N}
+
+    def rows(u, v, n):
+        # (u z + v zeta)^k for k = 0..n, each row from the one before
+        out = [[1]]
+        for _ in range(n):
+            out.append([x * u + y * v for x, y in zip(out[-1] + [0],
+                                                      [0] + out[-1])])
+        return out
+
+    zp = rows(a, b, N)
+
+    def level(coeffs, D):
+        acc = [0] * _start(D + 1)
+        for k, ck in enumerate(coeffs[:D + 1]):
+            if ck != 0:
+                for i, p in enumerate(zp[k]):
+                    acc[_start(k) + i] += ck * (p * 1)
+        return acc
+
+    lvl0 = level(V, N)
+    for j, q in enumerate(rows(c, d, 2)[2]):
+        lvl0[_start(2) + j] += 1.0 * (1 * q)
+    levels = {0: lvl0}
+    if K >= 2:
+        levels[2] = level(W1, N - 4)
+    # a slot whose sum is 0 holds 0j
+    return red.mu, {k: np.array([c if c != 0 else 0j for c in v], complex)
+                    for k, v in levels.items()}
 
 
 def _reduce_step(levels, ell, dgr, mu, K, N):
     """The loop's step at level ell and degree dgr on dense levels.
 
     Conjugates by exp((i/h) h^ell a) with i mu a the homological solution
-    for the off-diagonal part of level ell at degree dgr; returns the
-    levels unchanged when that part is 0.
+    for the off-diagonal part of level ell at degree dgr, a_n = i r_n /
+    (dgr - 2n) for 2n != dgr; returns the levels unchanged when that part
+    is 0.
     """
     r = levels.get(ell)
     if r is None or len(r) < _start(dgr + 1):
         return levels
-    r_off = Series2({(dgr - n, n): c for n, c in
-                     enumerate(r[_start(dgr):_start(dgr + 1)].tolist())
-                     if 2 * n != dgr}, dgr)
-    if not r_off.coeffs:
+    off = [(n, c) for n, c in
+           enumerate(r[_start(dgr):_start(dgr + 1)].tolist())
+           if 2 * n != dgr and c != 0]
+    if not off:
         return levels
-    gen = 1j * ((1.0 / (1j * mu)) * homological_solve(r_off))
-    a = np.array([complex(gen[(dgr - n, n)]) for n in range(dgr + 1)])
+    inv = 1.0 / (1j * mu)
+    a = np.zeros(dgr + 1, complex)
+    for n, c in off:
+        a[n] = 1j * c / (dgr - 2 * n) * inv * 1j
     # exp(ad_gen) levels; (i/h) h^ell a is the generator at h-level ell - 1
     out = dict(levels)
     term = levels
@@ -174,23 +198,6 @@ def _columns(lo, hi):
     graded order."""
     d = np.repeat(np.arange(lo, hi + 1), np.arange(lo + 1, hi + 2))
     return d, np.arange(_start(lo), _start(hi + 1)) - _start(d)
-
-
-def _dense(s):
-    v = np.zeros(_start(s.trunc_order + 1), complex)
-    for (m, n), c in s.coeffs.items():
-        v[_start(m + n) + n] = c
-    return v
-
-
-def _graded(levels, K):
-    """HGraded of Series2 from dense levels."""
-    out = {}
-    for k, v in levels.items():
-        D = _degree(len(v) - 1)
-        out[k] = Series2({(d - n, n): c for d in range(D + 1) for n, c in
-                          enumerate(v[_start(d):_start(d + 1)].tolist())}, D)
-    return HGraded(out, K)
 
 
 _S_TABLES = {}  # (k, row degree) -> float64 S_k against graded columns
@@ -287,20 +294,23 @@ def moyal_commutator(a, gl, levels, K, N):
     return out
 
 
-def _diag_levels(sym):
-    """Extract levels of a diagonal graded symbol as Series1 in w.
+def _diag_levels(levels):
+    """Diagonal of dense levels as Series1 in w = z zeta.
 
     Level k is refused when an off-diagonal coefficient exceeds DIAG_REL
-    times the largest coefficient of levels 0..k.
+    times the largest coefficient of levels 0..k (NaN is passed over).
     """
     out = {}
     scale = 0.0
-    for k, s in sorted(sym.levels.items()):
-        scale = max([scale] + [abs(complex(c)) for c in s.coeffs.values()])
-        if any(abs(complex(c)) > DIAG_REL * scale
-               for c in s.off_diagonal().coeffs.values()):
+    for k, v in sorted(levels.items()):
+        D = _degree(len(v) - 1)
+        d, n = _columns(0, D)
+        diag = d == 2 * n
+        mag = np.abs(v)
+        scale = np.fmax.reduce(mag, initial=scale)
+        if (mag[~diag] > DIAG_REL * scale).any():
             raise ValueError("symbol level %d is not diagonal" % k)
-        out[k] = s.diagonal()
+        out[k] = Series1(v[diag].tolist(), D // 2)
     return out
 
 
@@ -351,26 +361,32 @@ def qnm_symbol(p, degree=10, h_order=2):
     if N < 2 * K + 4:
         raise ValueError("need degree >= 2*h_order + 4")
     cd = critical_data(p)
-    V = shifted_potential_taylor(p, N)
-    p0 = Series2({(k, 0): c for k, c in enumerate(V.coeffs) if c != 0}, N)
-    p0 = p0 + Series2.monomial(0, 2, 1.0, N)
-    levels = {0: p0}
-    if K >= 2:
-        W1 = subprincipal_taylor(p, N)
-        levels[2] = Series2({(k, 0): c for k, c in enumerate(W1.coeffs)
-                             if c != 0}, N)
-    # the linear reduction of the quadratic part is exact for Weyl symbols
-    _, sym = _birkhoff(HGraded(levels, K), K, N)
-    gs = weyl_to_spectral(_diag_levels(sym), K)
+    V = shifted_potential_taylor(p, N).coeffs
+    W1 = subprincipal_taylor(p, N).coeffs if K >= 2 else ()
+    G = _mode_symbol(V, W1, cd.E0, N, K)
+    # powers of 1/m in the Taylor coefficients overflow at extreme masses
+    if not all(cmath.isfinite(c) for lvl in G.levels.values()
+               for c in lvl.coeffs):
+        raise RuntimeError("mode symbol not finite at m = %g" % p.m)
+    return G
+
+
+def _mode_symbol(V, W1, E0, N, K):
+    """Mode symbol of the barrier xi^2 + E0 + V(x) + h^2 W1(x) to degree
+    N >= 2K + 4 and h-order K, from the Taylor coefficients V and W1 of
+    x^0..x^N at the barrier top (V(0) = V'(0) = 0; W1 read when K >= 2).
+    """
+    mu, levels = _taylor_levels(V, W1, N, K)
+    gs = weyl_to_spectral(_diag_levels(_birkhoff(levels, mu, K, N)), K)
     # substitute s = SPECTRAL_ARG * x and build sqrt(E0 + .)
     nx = gs.trunc_order()
     u = [Series1([cc * SPECTRAL_ARG ** j for j, cc in enumerate(s.coeffs)],
                  nx) for _, s in sorted(gs.levels.items())]
     # Taylor of sqrt(E0 + w) in w
-    root = math.sqrt(cd.E0)
+    root = math.sqrt(E0)
     cs = [root]
     for j in range(1, nx + 1):
-        cs.append(cs[-1] * (0.5 - (j - 1)) / j / cd.E0)
+        cs.append(cs[-1] * (0.5 - (j - 1)) / j / E0)
     # G = sqrt(E0 + u) level by level: G_0 = sqrt(E0 + u_0), and the h^k
     # part of G^2 = E0 + u gives 2 G_0 G_k = u_k - sum_{0<i<k} G_i G_{k-i}
     G = [Series1(cs, nx).compose(u[0])]
@@ -382,8 +398,5 @@ def qnm_symbol(p, degree=10, h_order=2):
         G.append(rest * inv_2g0)
     # coefficient of x^j at h-level k needs bivariate degree 2j + 2k; keep
     # only the fully resolved part of each level
-    G = {k: lvl.truncate(max(N // 2 - k, 0)) for k, lvl in enumerate(G)}
-    # powers of 1/m in the Taylor coefficients overflow at extreme masses
-    if not all(cmath.isfinite(c) for lvl in G.values() for c in lvl.coeffs):
-        raise RuntimeError("mode symbol not finite at m = %g" % p.m)
-    return HGraded(G, K)
+    return HGraded({k: lvl.truncate(max(N // 2 - k, 0))
+                    for k, lvl in enumerate(G)}, K)

@@ -100,7 +100,11 @@ class Series1:
 
 
 class Series2:
-    """Truncated power series sum_{m+n<=N} c_{mn} z^m zeta^n."""
+    """Truncated power series sum_{m+n<=N} c_{mn} z^m zeta^n.
+
+    A dict of monomials: the format of the symbol calculus' reference
+    implementations; the mode-symbol pipeline runs on dense vectors.
+    """
 
     __slots__ = ("coeffs", "trunc_order")
 
@@ -214,21 +218,3 @@ class HGraded:
     def trunc_order(self):
         return min(s.trunc_order for s in self.levels.values()) \
             if self.levels else 0
-
-    def __add__(self, other):
-        ko = min(self.h_order, other.h_order)
-        out = {}
-        for k in range(ko + 1):
-            a, b = self.levels.get(k), other.levels.get(k)
-            if a is None and b is None:
-                continue
-            out[k] = b if a is None else (a if b is None else a + b)
-        return HGraded(out, ko)
-
-    def scale(self, c):
-        return HGraded({k: c * s for k, s in self.levels.items()},
-                       self.h_order)
-
-    def __repr__(self):
-        return "HGraded(%r, h_order=%d)" % (self.levels, self.h_order)
-

@@ -9,7 +9,15 @@ commutator by repeated series derivatives (`_moyal_term`), the closed-form
 commutator on dicts of monomials (`moyal_commutator_dict`) and the
 reduction loop built on it (`birkhoff_dict`), and quantum averaging by
 the round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
-reduction alone.  Also the classical normal form with its
+reduction alone.  The dict-of-monomials (`Series2`) side of the
+normal form: the level sum and scaling of graded symbols, the
+homological solution `homological_solve`, the linear reduction by
+`Series2.subs_linear` into dense levels, `reduced_levels` (the
+bit-for-bit oracle of `normalform._taylor_levels`), and `birkhoff` and
+`diag_levels`, which run the dense loop and diagonal check on `Series2`
+symbols.  The Taylor series of the Poschl-Teller barrier sech^2(x) - 1,
+whose mode symbol is known exactly, `poschl_teller_taylor`.  Also the
+classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
 barrier potential, `barrier_taylor_mp`, the real inverse tortoise
@@ -41,9 +49,8 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from qnmlattice.normalform import (TWO_PI, _birkhoff, _diag_levels, _graded,
-                                   _reduce_step, _reduced_levels,
-                                   homological_solve, quad_reduce)
+from qnmlattice.normalform import (TWO_PI, _birkhoff, _degree, _diag_levels,
+                                   _reduce_step, _start, quad_reduce)
 from qnmlattice.potentials import horizon_roots
 from qnmlattice.scaling import _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
@@ -404,7 +411,7 @@ def moyal_product(a, b, K, degree):
 def moyal_function(fs, q, h_order, degree):
     """Weyl symbol of f(Q) for a scalar series f and graded symbol q."""
     one = HGraded({0: Series2({(0, 0): 1.0}, degree)}, h_order)
-    out = one.scale(complex(fs.coeffs[0]))
+    out = graded_scale(one, complex(fs.coeffs[0]))
     power = one
     tmax = degree + 2 * h_order + 2
     for t in range(1, min(fs.trunc_order, tmax) + 1):
@@ -413,8 +420,93 @@ def moyal_function(fs, q, h_order, degree):
             break
         c = complex(fs.coeffs[t])
         if c != 0:
-            out = out + power.scale(c)
+            out = graded_add(out, graded_scale(power, c))
     return out
+
+
+def graded_add(a, b):
+    """Level-wise sum of two h-graded symbols, to the lower h-order."""
+    ko = min(a.h_order, b.h_order)
+    out = {}
+    for k in range(ko + 1):
+        x, y = a.levels.get(k), b.levels.get(k)
+        if x is None and y is None:
+            continue
+        out[k] = y if x is None else (x if y is None else x + y)
+    return HGraded(out, ko)
+
+
+def graded_scale(a, c):
+    """Every level of an h-graded symbol times the scalar c."""
+    return HGraded({k: c * s for k, s in a.levels.items()}, a.h_order)
+
+
+def homological_solve(r):
+    """Solve i(z d_z - zeta d_zeta) a = -r + <r> termwise on a Series2.
+
+    Returns a with a_{mn} = i r_{mn}/(m-n) off the diagonal; the average
+    <r> is the diagonal part, `r.diagonal()`.
+    """
+    return Series2({(m, n): 1j * c / (m - n)
+                    for (m, n), c in r.coeffs.items() if m != n},
+                   r.trunc_order)
+
+
+def series2_to_dense(s):
+    """Dense graded vector of a Series2: z^m zeta^n at (m+n)(m+n+1)/2 + n,
+    to its truncation order."""
+    v = np.zeros(_start(s.trunc_order + 1), complex)
+    for (m, n), c in s.coeffs.items():
+        v[_start(m + n) + n] = c
+    return v
+
+
+def dense_to_graded(levels, K):
+    """HGraded of Series2 from dense levels."""
+    out = {}
+    for k, v in levels.items():
+        D = _degree(len(v) - 1)
+        out[k] = Series2({(d - n, n): c for d in range(D + 1) for n, c in
+                          enumerate(v[_start(d):_start(d + 1)].tolist())}, D)
+    return HGraded(out, K)
+
+
+def reduced_levels(sym, K, N):
+    """mu and the dense levels of a graded Series2 symbol after the linear
+    reduction of its quadratic part by `Series2.subs_linear`, level ell
+    kept to degree N - 2ell.  Bit-for-bit oracle of
+    `normalform._taylor_levels`."""
+    red = quad_reduce(sym.level(0).homogeneous_part(2))
+    (a, b), (c, d) = red.linmap
+    return red.mu, {k: series2_to_dense(s.truncate(N - 2 * k)
+                                        .subs_linear(a, b, c, d))
+                    for k, s in sym.levels.items() if 2 * k <= N}
+
+
+def birkhoff(sym, K, N):
+    """`normalform._birkhoff` on a graded Series2 symbol whose h^0 level is
+    q + O(3): mu and the diagonal symbol as HGraded of Series2."""
+    mu, levels = reduced_levels(sym, K, N)
+    return mu, dense_to_graded(_birkhoff(levels, mu, K, N), K)
+
+
+def diag_levels(sym):
+    """`normalform._diag_levels` on a graded Series2 symbol."""
+    return _diag_levels({k: series2_to_dense(s)
+                         for k, s in sym.levels.items()})
+
+
+def poschl_teller_taylor(N):
+    """Taylor coefficients of sech^2(x) - 1 = -tanh^2(x) to x^N, in double
+    precision, from the tanh recurrence T' = 1 - T^2, T(0) = 0.
+
+    The barrier xi^2 + sech^2(x) has the exact mode symbol
+    G(x; h) = sqrt(1 - h^2/4) - i x/(2 pi) (Ferrari-Mashhoon 1984)."""
+    t = [0.0]
+    for n in range(N):
+        tt = sum(t[i] * t[n - i] for i in range(n + 1))
+        t.append(((1.0 if n == 0 else 0.0) - tt) / (n + 1))
+    return [-sum(t[i] * t[k - i] for i in range(k + 1)) for k in range(N + 1)]
 
 
 def birkhoff_h0(sym, K, N):
@@ -427,10 +519,10 @@ def birkhoff_h0(sym, K, N):
     degree.  The h^0 level comes out diagonal through degree N; the higher
     levels are conjugated but not reduced.  Returns mu and the symbol.
     """
-    mu, levels = _reduced_levels(sym, K, N)
+    mu, levels = reduced_levels(sym, K, N)
     for dgr in range(3, N + 1):
         levels = _reduce_step(levels, 0, dgr, mu, K, N)
-    return mu, _graded(levels, K)
+    return mu, dense_to_graded(levels, K)
 
 
 def moyal_commutator_dict(a, b, K, degree):
@@ -482,11 +574,11 @@ def _ad_exp(gen, sym, h_order, degree):
     out = sym
     term = sym
     for k in range(1, 4 * (h_order + degree + 3)):
-        term = moyal_commutator_dict(gen, term, h_order, degree) \
-            .scale(1.0 / k)
+        term = graded_scale(moyal_commutator_dict(gen, term, h_order, degree),
+                            1.0 / k)
         if not any(s.coeffs for s in term.levels.values()):
             break
-        out = out + term
+        out = graded_add(out, term)
     return out
 
 
@@ -529,13 +621,13 @@ def average_through_inverse(qsym, K, N):
         # exp(ad_gen) cur on the derivative-route commutator
         term = cur
         for k in range(1, 4 * (K + N + 3)):
-            term = moyal_commutator_ref(gen, term, K, N).scale(1.0 / k)
+            term = graded_scale(moyal_commutator_ref(gen, term, K, N), 1.0 / k)
             if not any(s.coeffs for s in term.levels.values()):
                 break
-            cur = cur + term
+            cur = graded_add(cur, term)
     # w^m -> z^m zeta^m; Series2 drops the terms beyond degree N
     dsym = HGraded({k: Series2({(m, m): c for m, c in enumerate(s.coeffs)}, N)
-                    for k, s in _diag_levels(cur).items()}, K)
+                    for k, s in diag_levels(cur).items()}, K)
     out = moyal_function(Series1(g.coeffs, tmax), dsym, K, N)
     return {k: s.diagonal() for k, s in out.levels.items()}
 
@@ -555,7 +647,7 @@ def classical_bnf(p_taylor, degree):
     if not all(abs(complex(p[(m, n)])) < 1e-14
                for m in range(2) for n in range(2 - m)):
         raise ValueError("constant/linear part of the symbol must vanish")
-    mu, sym = _birkhoff(HGraded({0: p}, 0), 0, N)
+    mu, sym = birkhoff(HGraded({0: p}, 0), 0, N)
     g_eig = sym.level(0).diagonal()
     # Vey normalization: g(t) = g_eig(t/mu), so g'(0) = 1
     g = Series1([gc * (1.0 / mu) ** k for k, gc in enumerate(g_eig.coeffs)])

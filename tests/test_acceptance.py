@@ -14,8 +14,7 @@ import numpy as np
 from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    horizon_roots, inverse_tortoise, tortoise)
-from qnmlattice.normalform import (homological_solve, qnm_symbol,
-                                   quad_reduce, weyl_to_spectral)
+from qnmlattice.normalform import qnm_symbol, quad_reduce, weyl_to_spectral
 from qnmlattice.catalog import asymptotic_check, eval_symbol
 from qnmlattice.scaling import (ScalingConfig, build_scaled_operator,
                                 eigensolve, qnm_direct)
@@ -23,7 +22,8 @@ from qnmlattice.pseudospectrum import RotatedHOConfig, instability_report
 from qnmlattice.cli import main as cli_main
 
 from reference import (GaussianRational, classical_bnf, functional_inverse,
-                       hcompose, moyal_product, weyl_monomial_action)
+                       hcompose, homological_solve, moyal_product,
+                       weyl_monomial_action)
 from test_normalform import (barrier_symbol, contour_action,
                              triple_identity_residuals)
 from test_pseudospectrum import (ROUNDING_SIZES, TRUNCATION_SIZES,

@@ -97,6 +97,20 @@ def test_counting_constant_unchanged_by_horner(monkeypatch, lam):
     assert got == [counting_constant(t, p, G0) for t in ts]
 
 
+def test_asymptotic_check_bisects_validity_radius_once(monkeypatch):
+    G = g_symbol()
+    want = asymptotic_check(P1, G, 0.1, [5.0, 10.0])
+    calls = []
+
+    def counted(G0):
+        calls.append(G0)
+        return validity_radius(G0)
+
+    monkeypatch.setattr(catalog, "validity_radius", counted)
+    assert asymptotic_check(P1, G, 0.1, [5.0, 10.0]) == want
+    assert calls == [G.levels[0]]
+
+
 def walk(G, ell_max, r, t):
     """(ell, n) -> lam for the walker's modes with |lam| <= r, arg > -t."""
     rad = validity_radius(G.levels[0])

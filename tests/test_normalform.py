@@ -12,16 +12,17 @@ from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
-from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
-                                   _dense, _diag_levels, _graded, _s_table,
-                                   _start, homological_solve,
+from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _mode_symbol,
+                                   _s_table, _start, _taylor_levels,
                                    moyal_commutator, qnm_symbol, quad_reduce,
                                    weyl_to_spectral)
 
 from reference import (GaussianRational, average_by_flow_quadrature,
-                       average_through_inverse, birkhoff_dict, birkhoff_h0,
-                       classical_bnf, deriv, moyal_commutator_dict,
+                       average_through_inverse, birkhoff, birkhoff_dict,
+                       birkhoff_h0, classical_bnf, dense_to_graded, deriv,
+                       diag_levels, homological_solve, moyal_commutator_dict,
                        moyal_commutator_ref, moyal_product, poisson,
+                       poschl_teller_taylor, reduced_levels, series2_to_dense,
                        weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
@@ -299,7 +300,8 @@ def levels_close(a, b, tol=1e-11):
 def dense_commutator(gen, sym, K, N):
     """[gen, sym] from the dense kernel: one call per homogeneous part of
     each generator level, on the levels of sym kept to degree N - 2k."""
-    levels = {k: _dense(s.truncate(N - 2 * k)) for k, s in sym.levels.items()}
+    levels = {k: series2_to_dense(s.truncate(N - 2 * k))
+              for k, s in sym.levels.items()}
     out = {}
     for gl, g in gen.levels.items():
         for d in range(g.trunc_order + 1):
@@ -308,7 +310,7 @@ def dense_commutator(gen, sym, K, N):
                 continue
             for lvl, v in moyal_commutator(a, gl, levels, K, N).items():
                 out[lvl] = out[lvl] + v if lvl in out else v
-    return _graded(out, K)
+    return dense_to_graded(out, K)
 
 
 def test_moyal_unit():
@@ -417,7 +419,7 @@ def test_birkhoff_dense_loop_matches_dict_loop():
     # the scale of levels 0..k, as `_diag_levels` does
     for lam, N, K in ((0.0, 12, 2), (0.02, 16, 4)):
         sym = barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K)
-        mu, got = _birkhoff(sym, K, N)
+        mu, got = birkhoff(sym, K, N)
         mu_ref, want = birkhoff_dict(sym, K, N)
         assert mu == mu_ref
         assert sorted(got.levels) == sorted(want.levels)
@@ -459,7 +461,7 @@ def eigen_levels(levels_s1, K, n):
 def test_quantum_average_output_is_diagonal():
     q = graded({0: {(1, 1): 1.0, (2, 2): 0.3},
                 1: {(3, 1): 0.2, (2, 2): 0.1}}, 2, 10)
-    _, G = _birkhoff(q, 2, 10)
+    _, G = birkhoff(q, 2, 10)
     for k, s in G.levels.items():
         off = s.off_diagonal()
         assert all(abs(complex(c)) <= 1e-12 for c in off.coeffs.values()), k
@@ -470,10 +472,10 @@ def test_diagonal_check_refuses_real_off_diagonal_terms():
     # above rounding: refused at h^0 and at a higher level
     q = graded({0: {(1, 1): 1.0, (2, 2): 0.3, (2, 1): 1e-6}}, 2, 10)
     with pytest.raises(ValueError, match="symbol level 0 is not diagonal"):
-        _diag_levels(q)
+        diag_levels(q)
     sym = graded({0: {(1, 1): 1.0}, 2: {(2, 2): 0.5, (3, 1): 1e-6}}, 2, 10)
     with pytest.raises(ValueError, match="symbol level 2 is not diagonal"):
-        _diag_levels(sym)
+        diag_levels(sym)
 
 
 def test_quantum_average_preserves_triangular_eigenvalues():
@@ -485,7 +487,7 @@ def test_quantum_average_preserves_triangular_eigenvalues():
                 1: {(3, 1): 0.2, (2, 2): 0.1},
                 2: {(4, 2): -0.4, (1, 1): 0.25}}, K, N)
     q_diag = {k: s.diagonal() for k, s in q.levels.items()}
-    G_diag = _diag_levels(_birkhoff(q, K, N)[1])
+    G_diag = diag_levels(birkhoff(q, K, N)[1])
     for n in range(5):
         want = eigen_levels(q_diag, K, n)
         got = eigen_levels(G_diag, K, n)
@@ -497,7 +499,7 @@ def test_quantum_average_preserves_triangular_eigenvalues():
 def test_quantum_average_no_spurious_odd_level():
     q = graded({0: {(1, 1): 1.0, (3, 3): 0.2},
                 2: {(2, 2): 0.4}}, 2, 10)
-    lvl1 = _diag_levels(_birkhoff(q, 2, 10)[1]).get(1)
+    lvl1 = diag_levels(birkhoff(q, 2, 10)[1]).get(1)
     assert lvl1 is None or all(abs(complex(c)) <= 1e-12
                                for c in lvl1.coeffs)
 
@@ -512,11 +514,47 @@ def barrier_levels(p, N, K):
     return HGraded(levels, K)
 
 
+def test_taylor_levels_match_series2_substitution_bitwise():
+    # the dense levels built from the Taylor coefficients against the
+    # linear substitution of the Series2 symbol, byte for byte
+    for m in (1e-3, 1.0, 1e3):
+        for lam9 in (0.0, 0.02):
+            p = BlackHoleParams(m=m, lam=lam9 / (m * m))
+            for N, K in ((10, 2), (18, 4), (28, 10)):
+                mu, got = _taylor_levels(
+                    shifted_potential_taylor(p, N).coeffs,
+                    subprincipal_taylor(p, N).coeffs, N, K)
+                mu_ref, want = reduced_levels(barrier_levels(p, N, K), K, N)
+                assert mu == mu_ref, (m, lam9, N, K)
+                assert sorted(got) == sorted(want) == [0, 2]
+                for k, v in want.items():
+                    assert got[k].tobytes() == v.tobytes(), (m, lam9, N, K, k)
+
+
+def test_mode_symbol_of_poschl_teller_is_exact():
+    # xi^2 + sech^2(x): G = sqrt(1 - h^2/4) - i x/2pi, so G_0 = 1 - i x/2pi,
+    # G_2 = -1/8, G_4 = -1/128 and every other coefficient is 0; errors
+    # relative to |G_k(0)|, odd levels exactly 0
+    N, K = 20, 4
+    G = _mode_symbol(poschl_teller_taylor(N), [0.0] * (N + 1), 1.0, N, K)
+    exact = {0: [1.0, -1j / TWO_PI], 2: [-1 / 8], 4: [-1 / 128]}
+    bound = {0: 1e-16, 2: 1e-15, 4: 1e-12}
+    assert sorted(G.levels) == list(range(K + 1))
+    for k, lvl in G.levels.items():
+        assert len(lvl.coeffs) == N // 2 - k + 1
+        if k % 2:
+            assert all(c == 0 for c in lvl.coeffs), k
+            continue
+        want = exact[k] + [0] * N
+        err = max(abs(c - w) for c, w in zip(lvl.coeffs, want))
+        assert err <= bound[k] * abs(want[0]), k
+
+
 def test_quantum_average_keeps_principal_level_exactly():
     # the steps at h^ell >= 1 leave the h^0 level as the h^0 pass left it
     for N, K in ((10, 2), (14, 4)):
         sym = barrier_levels(P1, N, K)
-        G = _diag_levels(_birkhoff(sym, K, N)[1])
+        G = diag_levels(birkhoff(sym, K, N)[1])
         assert G[0].coeffs == birkhoff_h0(sym, K, N)[1].level(0) \
             .diagonal().coeffs
 
@@ -526,8 +564,8 @@ def test_quantum_average_keeps_principal_level_exactly():
 def test_birkhoff_leaves_every_level_diagonal(lam, N, K):
     # level ell is carried to degree N - 2 ell, the part the mode symbol
     # resolves, and comes out diagonal there
-    _, sym = _birkhoff(barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K),
-                       K, N)
+    _, sym = birkhoff(barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K),
+                      K, N)
     assert sorted(sym.levels) == list(range(0, K + 1, 2))
     for k, s in sym.levels.items():
         assert s.trunc_order == N - 2 * k
@@ -543,7 +581,7 @@ def test_quantum_average_vs_average_through_inverse(m, lam, N, K):
     # reaches the same levels on every resolved coefficient, w^j at level k
     # with 2j + 2k <= N
     sym = barrier_levels(BlackHoleParams(m=m, lam=lam), N, K)
-    got = _diag_levels(_birkhoff(sym, K, N)[1])
+    got = diag_levels(birkhoff(sym, K, N)[1])
     want = average_through_inverse(birkhoff_h0(sym, K, N)[1], K, N)
 
     def resolved(G, k):
