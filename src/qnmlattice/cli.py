@@ -183,8 +183,47 @@ def csv_table(cfg, header, rows):
 
 
 def json_doc(cfg, payload):
-    return json.dumps({"config": cfg, "data": payload}, sort_keys=True,
-                      indent=1) + "\n"
+    """`json.dumps({"config": cfg, "data": payload}, sort_keys=True,
+    indent=1) + "\n"`, byte for byte, without the pure-Python encoder that
+    `indent` selects."""
+    out = []
+    _json_write({"config": cfg, "data": payload}, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(o, nl, out):
+    """Append the text of o to out, a container one item a line indented
+    by one space a level, nl the newline and indent of o's own line;
+    scalars and empty containers go to json's C encoder."""
+    inner = nl + " "
+    if isinstance(o, dict) and o:
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, (str, int, float, type(None))):
+                raise TypeError("keys must be str, int, float, bool or None,"
+                                " not %s" % type(k).__name__)
+            key = k if isinstance(k, str) else json.dumps(k)
+            out.append(sep + json.dumps(key) + ": ")
+            _json_write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        if set(map(type, o)) <= {int, float}:
+            # a row of plain numbers in one join; repr spells nan and inf
+            # with an "n", which JSON writes as words
+            text = ("," + inner).join(map(repr, o))
+            if "n" not in text:
+                out.append("[" + inner + text + nl + "]")
+                return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _json_write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(o))
 
 
 def cmd_potential(cfg):

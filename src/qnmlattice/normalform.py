@@ -11,13 +11,13 @@ hole's, and `_mode_symbol` takes any barrier's.  Each generator is
 homogeneous, so its Moyal commutator with a level is, per odd
 bidifferential order k, one gather from a table of the integers S_k
 (summed exactly, rounded to float64 once) times the outer product of the
-coefficient vectors, scattered to the target monomials with
-`np.bincount`.  G is converted to
-the spectral variable s = z h D_z + h/2i, whose eigenvalue on z^n is
--i(n+1/2)h, by the integer recurrence of Op_w((z*zeta)^n) on monomials.  The
-assembled output G(x; h), the square root of E0 plus that spectral
-symbol taken level by level in h, gives the mode lattice
-lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
+coefficient vectors; the target monomials come from offsets kept beside
+S_k, and one `np.bincount` scatters every level and k of a commutator.
+G is converted to the spectral variable s = z h D_z + h/2i, whose
+eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
+Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
+root of E0 plus that spectral symbol taken level by level in h, gives
+the mode lattice lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 """
 
 import cmath
@@ -200,25 +200,28 @@ def _columns(lo, hi):
     return d, np.arange(_start(lo), _start(hi + 1)) - _start(d)
 
 
-_S_TABLES = {}  # (k, row degree) -> float64 S_k against graded columns
+_S_TABLES = {}  # (k, row degree) -> (S_k, target offsets) by graded column
 
 
 def _s_table(k, dgr, hi):
     """S_k of the rows z^(dgr-n1) zeta^n1 against every monomial of
-    degree <= hi (at least), as float64.
+    degree <= hi (at least), as float64, and the target offsets T.
 
     S_k(m1, n1, m2, n2) = sum_j u_j v_j with u_j = C(k,j) (-1)^(k-j)
     (m1)_(k-j) (n1)_j and v_j = (m2)_j (n2)_(k-j), (m)_i the falling
     factorial, is summed exactly in integers and rounded to float64 once.
     |u_j| <= C(k,j) (dgr)_k and |v_j| <= (d2)_k for a column of degree d2,
     so int64 holds every partial sum while 2^k (dgr)_k (d2)_k < 2^63;
-    columns above that are summed in Python ints.  The table grows by
-    columns, so its size is bounded by the largest degree asked for.
+    columns above that are summed in Python ints.  Row n1 and column
+    z^m2 zeta^n2 of degree d2 map to z^(m1+m2-k) zeta^(n1+n2-k), whose
+    graded index plus k is T[column] + n1 with T = _start(dgr + d2 - 2k)
+    + n2.  Both tables grow by columns, so their size is bounded by the
+    largest degree asked for.
     """
     t = _S_TABLES.get((k, dgr))
-    lo = 0 if t is None else _degree(t.shape[1] - 1) + 1
-    if lo > hi:
+    if t is not None and len(t[1]) >= _start(hi + 1):
         return t
+    lo = 0 if t is None else _degree(len(t[1]) - 1) + 1
     n1 = np.arange(dgr + 1)
     d2, n2 = _columns(lo, hi)
     # perm[m, i] = (m)_i and sign[j] = C(k,j) (-1)^(k-j), Python ints
@@ -240,10 +243,13 @@ def _s_table(k, dgr, hi):
         u = cs * ff[dgr - n1, ::-1] * ff[n1]      # (rows, j)
         v = ff[m2] * ff[r2, ::-1]                 # (columns, j)
         blocks.append((u @ v.T).astype(np.float64))
-    new = np.concatenate(blocks, axis=1)
-    t = new if t is None else np.concatenate([t, new], axis=1)
-    _S_TABLES[(k, dgr)] = t
-    return t
+    td = dgr + d2 - 2 * k
+    new = (np.concatenate(blocks, axis=1), td * (td + 1) // 2 + n2)
+    if t is not None:
+        new = (np.concatenate([t[0], new[0]], axis=1),
+               np.concatenate([t[1], new[1]]))
+    _S_TABLES[(k, dgr)] = new
+    return new
 
 
 def moyal_commutator(a, gl, levels, K, N):
@@ -255,23 +261,25 @@ def moyal_commutator(a, gl, levels, K, N):
     z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k); even k
     cancel, odd k count twice.  For each level pair and odd k that is one
     gather from the S_k table times the outer product of the coefficient
-    vectors, scattered to its targets with `np.bincount`.  Result level
-    lvl is kept to total degree N - 2 lvl.  Returns {lvl: dense vector}.
+    vectors, with target indices from the offsets kept beside S_k; every
+    pair's bins lie in a range of their own, so one `np.bincount` per
+    real and imaginary part scatters the whole call.  Result level lvl is
+    kept to total degree N - 2 lvl.  Returns {lvl: dense vector}.
     """
     dgr = len(a) - 1
     n1 = np.arange(dgr + 1)[:, None]
-    out = {}
+    ws, targets, segs = [], [], []
+    end = 0
     for kb, b in levels.items():
-        nz = np.flatnonzero(b)
+        nz = b.nonzero()[0]
         if not nz.size:
             continue
         # columns of b whose products stay within the kept degree
-        hi = min(N - 2 * (gl + kb) - dgr, _degree(nz[-1]))
-        lo0 = _degree(nz[0])
+        hi = min(N - 2 * (gl + kb) - dgr, _degree(int(nz[-1])))
+        lo0 = _degree(int(nz[0]))
         c0 = _start(lo0)
         if hi < lo0:
             continue
-        d2, n2 = _columns(lo0, hi)
         outer = a[:, None] * b[None, c0:_start(hi + 1)]
         for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
             lo = max(lo0, k)
@@ -279,18 +287,24 @@ def moyal_commutator(a, gl, levels, K, N):
                 continue
             lvl = gl + kb + k
             size = _start(N - 2 * lvl + 1)
-            s = _start(lo) - c0
-            w = _s_table(k, dgr, hi)[:, _start(lo):_start(hi + 1)] \
-                * outer[:, s:]
-            # target z^(m1+m2-k) zeta^(n1+n2-k) at index + k; where that
-            # is not a monomial, S_k = 0 and the index lies in [0, size + 2k)
-            td = dgr + d2[s:] - 2 * k
-            idx = (td * (td + 1) // 2 + n2[s:] + n1).ravel()
-            acc = (np.bincount(idx, w.real.ravel(), size + 2 * k)
-                   + 1j * np.bincount(idx, w.imag.ravel(), size + 2 * k)
-                   )[k:size + k]
-            pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
-            out[lvl] = out[lvl] + pref * acc if lvl in out else pref * acc
+            S, T = _s_table(k, dgr, hi)
+            cols = slice(_start(lo), _start(hi + 1))
+            ws.append(S[:, cols] * outer[:, _start(lo) - c0:])
+            # target z^(m1+m2-k) zeta^(n1+n2-k) at end + index + k; where
+            # that is not a monomial, S_k = 0 and the bin lies in
+            # [end, end + size + 2k)
+            targets.append(T[cols] + (n1 + end))
+            segs.append((lvl, k, end + k, size))
+            end += size + 2 * k
+    if not segs:
+        return {}
+    w = np.concatenate(ws, axis=None)
+    idx = np.concatenate(targets, axis=None)
+    acc = np.bincount(idx, w.real, end) + 1j * np.bincount(idx, w.imag, end)
+    out = {}
+    for lvl, k, s, size in segs:
+        v = 2.0 * (1.0 / (2j)) ** k / math.factorial(k) * acc[s:s + size]
+        out[lvl] = out[lvl] + v if lvl in out else v
     return out
 
 

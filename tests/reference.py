@@ -7,9 +7,11 @@ action of a Weyl symbol on monomials, graded composition `hcompose` and
 the graded functional inverse built on it, the graded Weyl product and
 commutator by repeated series derivatives (`_moyal_term`), the closed-form
 commutator on dicts of monomials (`moyal_commutator_dict`) and the
-reduction loop built on it (`birkhoff_dict`), and quantum averaging by
-the round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
-reduction alone.  The dict-of-monomials (`Series2`) side of the
+reduction loop built on it (`birkhoff_dict`), the dense commutator with
+one scatter per level pair and odd k (`moyal_commutator_pairwise`, the
+bit-for-bit oracle of `normalform.moyal_commutator`), and quantum
+averaging by the round trip through g^{-1}(Q) after the h^0 pass of the
+Birkhoff reduction alone.  The dict-of-monomials (`Series2`) side of the
 normal form: the level sum and scaling of graded symbols, the
 homological solution `homological_solve`, the linear reduction by
 `Series2.subs_linear` into dense levels, `reduced_levels` (the
@@ -49,8 +51,9 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from qnmlattice.normalform import (TWO_PI, _birkhoff, _degree, _diag_levels,
-                                   _reduce_step, _start, quad_reduce)
+from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
+                                   _diag_levels, _reduce_step, _s_table,
+                                   _start, quad_reduce)
 from qnmlattice.potentials import horizon_roots
 from qnmlattice.scaling import _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
@@ -564,6 +567,46 @@ def moyal_commutator_dict(a, b, K, degree):
                             acc[key] = acc.get(key, 0) + pref * s * ca * cb
     return HGraded({lvl: Series2(coeffs, degree - 2 * lvl)
                     for lvl, coeffs in out.items()}, K)
+
+
+def moyal_commutator_pairwise(a, gl, levels, K, N):
+    """`normalform.moyal_commutator` with one scatter per level pair and
+    odd k: the target indices formed from the columns' degrees and zeta
+    exponents, and two `np.bincount` calls of their own per pair.  The
+    bit-for-bit oracle of the kernel, which runs the same bins in one
+    scatter per call.
+    """
+    dgr = len(a) - 1
+    n1 = np.arange(dgr + 1)[:, None]
+    out = {}
+    for kb, b in levels.items():
+        nz = np.flatnonzero(b)
+        if not nz.size:
+            continue
+        hi = min(N - 2 * (gl + kb) - dgr, _degree(nz[-1]))
+        lo0 = _degree(nz[0])
+        c0 = _start(lo0)
+        if hi < lo0:
+            continue
+        d2, n2 = _columns(lo0, hi)
+        outer = a[:, None] * b[None, c0:_start(hi + 1)]
+        for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
+            lo = max(lo0, k)
+            if k > dgr or lo > hi:
+                continue
+            lvl = gl + kb + k
+            size = _start(N - 2 * lvl + 1)
+            s = _start(lo) - c0
+            w = _s_table(k, dgr, hi)[0][:, _start(lo):_start(hi + 1)] \
+                * outer[:, s:]
+            td = dgr + d2[s:] - 2 * k
+            idx = (td * (td + 1) // 2 + n2[s:] + n1).ravel()
+            acc = (np.bincount(idx, w.real.ravel(), size + 2 * k)
+                   + 1j * np.bincount(idx, w.imag.ravel(), size + 2 * k)
+                   )[k:size + k]
+            pref = 2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+            out[lvl] = out[lvl] + pref * acc if lvl in out else pref * acc
+    return out
 
 
 def _ad_exp(gen, sym, h_order, degree):

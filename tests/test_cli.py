@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnmlattice import (catalog, cli, normalform, potentials, pseudospectrum,
                         scaling, series)
@@ -244,6 +246,59 @@ def test_determinism_byte_identical(tmp_path):
     _, c = run_to_file(tmp_path, args2, "c.csv")
     _, d = run_to_file(tmp_path, args2, "c.csv")
     assert c == d
+
+
+README_COMMANDS = [
+    ["potential", "--m", "1", "--lam", "0", "--x-min", "-20", "--x-max",
+     "40", "--x-points", "121"],
+    ["gsymbol", "--series-degree", "10", "--h-order", "2"],
+    ["lattice", "--ell-range", "1", "4", "--n-max", "4"],
+    ["count", "--t", "0.05", "--r-list", "50", "100", "200"],
+    ["direct", "--ell-range", "4", "16", "--theta", "0.3", "--basis-size",
+     "160"],
+    ["pseudo", "--basis-size", "151", "--pseudo-h", "0.05"],
+]
+
+
+def dumps_doc(cfg, payload):
+    return json.dumps({"config": cfg, "data": payload}, sort_keys=True,
+                      indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_json_doc_matches_json_dumps_on_readme_outputs(tmp_path, monkeypatch,
+                                                       argv):
+    # the writer against json.dumps(sort_keys=True, indent=1), byte for
+    # byte, on the payload of each README command
+    docs = []
+    json_doc = cli.json_doc
+
+    def record(cfg, payload):
+        docs.append(dumps_doc(cfg, payload))
+        return json_doc(cfg, payload)
+
+    monkeypatch.setattr(cli, "json_doc", record)
+    code, text = run_to_file(tmp_path, argv + ["--format", "json"])
+    assert code == 0
+    assert docs == [text]
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.floats().map(np.float64), st.text())
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple),
+    st.lists(st.one_of(st.integers(), st.floats(), st.booleans())),
+    st.dictionaries(st.text(), kids), st.dictionaries(st.integers(), kids),
+    st.dictionaries(st.floats(allow_nan=False), kids),
+    st.dictionaries(st.booleans(), kids)), max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES, JSON_VALUES)
+def test_json_doc_matches_json_dumps(cfg, payload):
+    # nested payloads with NaN, infinities, -0.0, float subclasses, bools
+    # next to ints, non-ASCII strings, tuples and non-str keys
+    assert cli.json_doc(cfg, payload) == dumps_doc(cfg, payload)
 
 
 def test_bad_config_exits_2(tmp_path):

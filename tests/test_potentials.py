@@ -193,6 +193,22 @@ def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("theta, lam", [(4.0, 0.0), (4.1, 0.02)])
+def test_inverse_tortoise_complex_leaves_rk4_past_theta_c(lam, theta):
+    # past theta_c (3.894 at lam = 0, 4.06 at lam = 0.02 and m = 1) the
+    # contour and the vertical homotopy enclose an image of r = 0, where W
+    # is singular and complex scaling is no longer valid; on the same
+    # contour as above the continuation and RK4 disagree by 1.45 and 1.53
+    # relative there, against 1.7e-12 at theta = 3
+    p = BlackHoleParams(m=1.0, lam=lam)
+    x0 = critical_data(p).x0
+    t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
+                                    20000)
+    t, r_ref = t[::400], r_ref[::400]
+    r, _ = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p)
+    assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) > 0.5
+
+
 def test_inverse_tortoise_complex_failure_raises():
     # Newton diverges here; the NaN residual must not pass the check
     with pytest.raises(RuntimeError, match="tortoise continuation failed"):
