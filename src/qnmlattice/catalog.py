@@ -111,12 +111,8 @@ def _unwrapped_arg_crossing(G0, t, rad):
 
 def counting_constant(t, p, G0):
     """c(t, m, lam) = pi^{-1}(1-9 lam m^2)^{-3/2} 3^{7/2} m^3 |I_t|,
-    where I_t = {x > 0 : arg G0(x) > -t} for the leading symbol G0."""
-    return _counting_constant(t, p, G0)[0]
-
-
-def _counting_constant(t, p, G0):
-    """`counting_constant` and the validity radius of G0 it measured."""
+    where I_t = {x > 0 : arg G0(x) > -t} for the leading symbol G0, and
+    the validity radius of G0 it measured: (c, rad)."""
     if not (0.0 < t <= 0.3):
         raise ValueError("need 0 < t <= 0.3")
     rad = validity_radius(G0)
@@ -150,7 +146,7 @@ def asymptotic_check(p, G, t, r_list):
         raise ValueError("r_list must be increasing")
     if radii.size and radii[0] < 1.0:
         raise ValueError("sector radius must be >= 1")
-    c, rad = _counting_constant(t, p, G.levels[0])
+    c, rad = counting_constant(t, p, G.levels[0])
     g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
     if radii.size and radii[-1] / g0 > MAX_ELL - 2:
         raise ValueError("radius %g counts ell above %d"

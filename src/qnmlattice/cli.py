@@ -296,12 +296,23 @@ def cmd_direct(cfg):
     lo, hi = int(cfg["ell_range"][0]), int(cfg["ell_range"][1])
     scfg = scaling.ScalingConfig(theta=float(cfg["theta"]),
                                  basis_size=int(cfg["basis_size"]))
-    payload = []
+    payload, failed = [], []
     for ell in range(lo, hi + 1):
-        lams = scaling.qnm_direct(ell, scfg, p,
-                                  max_modes=int(cfg["n_max"]) + 1)
+        try:
+            lams = scaling.qnm_direct(
+                ell, scfg, p, max_modes=int(cfg["n_max"]) + 1).tolist()
+        except RuntimeError as e:
+            # the message only: a kept exception would hold this frame,
+            # and the matrices below it, in a cycle until the next gc
+            failed.append((ell, str(e)))
+            lams = []
         payload.append({"ell": ell, "theta": float(cfg["theta"]),
-                        "qnm": [[z.real, z.imag] for z in lams.tolist()]})
+                        "qnm": [[z.real, z.imag] for z in lams]})
+    # an ell without a mode is a note; every ell failing is a failure
+    if len(failed) == len(payload):
+        raise RuntimeError(failed[0][1])
+    for ell, msg in failed:
+        print("ell %d: %s" % (ell, msg), file=sys.stderr)
     if cfg["format"] == "json":
         return json_doc(cfg, payload)
     rows = []

@@ -10,9 +10,10 @@ coefficients and read back as diagonals; `qnm_symbol` supplies the black
 hole's, and `_mode_symbol` takes any barrier's.  Each generator is
 homogeneous, so its Moyal commutator with a level is, per odd
 bidifferential order k, one gather from a table of the integers S_k
-(summed exactly, rounded to float64 once) times the outer product of the
-coefficient vectors; the target monomials come from offsets kept beside
-S_k, and one `np.bincount` scatters every level and k of a commutator.
+(summed exactly in Python ints, rounded to float64 once) times the
+outer product of the coefficient vectors; the target monomials come
+from offsets kept beside S_k, and one `np.bincount` scatters every level
+and k of a commutator.
 G is converted to the spectral variable s = z h D_z + h/2i, whose
 eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
 Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
@@ -209,14 +210,11 @@ def _s_table(k, dgr, hi):
 
     S_k(m1, n1, m2, n2) = sum_j u_j v_j with u_j = C(k,j) (-1)^(k-j)
     (m1)_(k-j) (n1)_j and v_j = (m2)_j (n2)_(k-j), (m)_i the falling
-    factorial, is summed exactly in integers and rounded to float64 once.
-    |u_j| <= C(k,j) (dgr)_k and |v_j| <= (d2)_k for a column of degree d2,
-    so int64 holds every partial sum while 2^k (dgr)_k (d2)_k < 2^63;
-    columns above that are summed in Python ints.  Row n1 and column
-    z^m2 zeta^n2 of degree d2 map to z^(m1+m2-k) zeta^(n1+n2-k), whose
-    graded index plus k is T[column] + n1 with T = _start(dgr + d2 - 2k)
-    + n2.  Both tables grow by columns, so their size is bounded by the
-    largest degree asked for.
+    factorial, is summed exactly in Python ints and rounded to float64
+    once.  Row n1 and column z^m2 zeta^n2 of degree d2 map to
+    z^(m1+m2-k) zeta^(n1+n2-k), whose graded index plus k is T[column] +
+    n1 with T = _start(dgr + d2 - 2k) + n2.  Both tables grow by columns,
+    so their size is bounded by the largest degree asked for.
     """
     t = _S_TABLES.get((k, dgr))
     if t is not None and len(t[1]) >= _start(hi + 1):
@@ -229,22 +227,10 @@ def _s_table(k, dgr, hi):
                      for m in range(max(dgr, hi) + 1)], dtype=object)
     sign = np.array([math.comb(k, j) * (-1) ** (k - j)
                      for j in range(k + 1)], dtype=object)
-    bound = 2 ** k * max(math.perm(dgr, k), 1)
-    fit = [d for d in range(lo, hi + 1)
-           if bound * max(math.perm(d, k), 1) < 2 ** 63]
-    cut = _start(fit[-1] + 1) - _start(lo) if fit else 0
-    blocks = []
-    for dtype, cols, rows in ((np.int64, slice(0, cut), max(fit + [dgr])),
-                              (object, slice(cut, None), max(dgr, hi))):
-        m2, r2 = (d2 - n2)[cols], n2[cols]
-        if not r2.size:
-            continue
-        ff, cs = perm[:rows + 1].astype(dtype), sign.astype(dtype)
-        u = cs * ff[dgr - n1, ::-1] * ff[n1]      # (rows, j)
-        v = ff[m2] * ff[r2, ::-1]                 # (columns, j)
-        blocks.append((u @ v.T).astype(np.float64))
+    u = sign * perm[dgr - n1, ::-1] * perm[n1]   # (rows, j)
+    v = perm[d2 - n2] * perm[n2, ::-1]            # (columns, j)
     td = dgr + d2 - 2 * k
-    new = (np.concatenate(blocks, axis=1), td * (td + 1) // 2 + n2)
+    new = ((u @ v.T).astype(np.float64), td * (td + 1) // 2 + n2)
     if t is not None:
         new = (np.concatenate([t[0], new[0]], axis=1),
                np.concatenate([t[1], new[1]]))

@@ -124,10 +124,11 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     1e-9 at l = 1, 2, where no mode survives.  The drift filter compares
     the two spectra, so it measures basis convergence only.
 
-    Eigenvalues z of the basis_size matrix with |z - E0| < WINDOW*E0 are
-    mapped to lambda = h^{-1} sqrt(z) (branch Re > 0).  Returns the
-    complex array of lambda by increasing damping (index n = 0 least
-    damped).
+    Of the eigenvalues z of the basis_size matrix, those with |z - E0|
+    <= WINDOW*E0 whose relative drift to the nearest eigenvalue of the
+    larger build is at most STAB_REL are kept and mapped to lambda =
+    h^{-1} sqrt(z) (branch Re > 0).  Returns the complex array of lambda
+    by increasing damping (index n = 0 least damped).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -138,23 +139,17 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     n = cfg.basis_size
     vals = eigensolve(mat2[:n, :n])
     vals2 = eigensolve(mat2)
-    win = np.abs(vals - cd.E0) <= WINDOW * cd.E0
-    # the discretized, scaling-rotated continuum clusters near z = 0;
-    # barrier-top modes stay at |z| comparable to the barrier height
-    zs = vals[win & (np.abs(vals) >= 0.6 * cd.E0)]
+    zs = vals[np.abs(vals - cd.E0) <= WINDOW * cd.E0]
     # self-convergence filter: keep eigenvalues stable under basis enlargement
-    drift = np.array([np.min(np.abs(vals2 - z)) for z in zs])
+    drift = np.abs(zs[:, None] - vals2).min(axis=1)
     drift /= np.maximum(np.abs(zs), 1e-3 * cd.E0)
     kept = zs[drift <= STAB_REL]
     if kept.size == 0:
         raise RuntimeError(
             "no eigenvalues in the spectral window (candidates left after "
-            "the window, |z| >= 0.6 E0 and drift filters: %d/%d/0%s)"
-            % (np.count_nonzero(win), zs.size,
-               "; smallest relative drift %.2g > STAB_REL %.2g"
+            "the window and drift filters: %d/0%s)"
+            % (zs.size, "; smallest relative drift %.2g > STAB_REL %.2g"
                % (drift.min(), STAB_REL) if zs.size else ""))
     lams = np.sqrt(kept) / h
     lams = np.where(lams.real < 0, -lams, lams)
-    keep = np.angle(lams) > -2.0 * cfg.theta
-    lams = lams[keep]
     return lams[np.argsort(-lams.imag)][:max_modes]

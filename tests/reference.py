@@ -34,7 +34,10 @@ recurrence and the Gauss-Hermite rule built on it, and Golub-Welsch by
 LAPACK's tridiagonal eigensolver, `hermite_basis_tridiagonal`: the
 oracles for `hermite_basis`.  For the rotated oscillator, its complex
 Galerkin matrix, `hermite_galerkin_matrix`: the oracle for the real
-parity blocks that `instability_report` solves.  For the lattice rule,
+parity blocks that `instability_report` solves.  For the direct solver's
+mode selection, the four filters it once ran, `direct_modes_four_filters`
+with its drift `relative_drift`: the bit-for-bit oracle of the window and
+drift filters `qnm_direct` keeps.  For the lattice rule,
 the symbol G(x; h) by `np.polyval` on complex coefficient arrays,
 `eval_symbol_polyval`: the bit-for-bit oracle of the Horner loop in
 `catalog`.
@@ -55,7 +58,7 @@ from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
                                    _diag_levels, _reduce_step, _s_table,
                                    _start, quad_reduce)
 from qnmlattice.potentials import horizon_roots
-from qnmlattice.scaling import _u2_matrix
+from qnmlattice.scaling import STAB_REL, WINDOW, _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
 
 
@@ -884,6 +887,28 @@ def hermite_galerkin_matrix(cfg):
     mat = np.diag((2.0 * k + 1.0) * h).astype(complex)
     mat += (1j - 1.0) * h * _u2_matrix(n)
     return mat
+
+
+def relative_drift(zs, vals2, E0):
+    """Distance of each z in zs to the nearest eigenvalue in vals2,
+    relative to max(|z|, 1e-3 E0), one candidate at a time."""
+    drift = np.array([np.min(np.abs(vals2 - z)) for z in zs])
+    return drift / np.maximum(np.abs(zs), 1e-3 * E0)
+
+
+def direct_modes_four_filters(vals, vals2, E0, h, theta):
+    """Mode frequencies from the spectra vals (basis_size block) and vals2
+    (the enlarged build) by four filters in turn: the window |z - E0| <=
+    WINDOW E0, |z| >= 0.6 E0 against the continuum near z = 0, relative
+    drift <= STAB_REL, and arg lambda > -2 theta on lambda = h^{-1}
+    sqrt(z) (branch Re > 0).  By increasing damping; empty where no
+    eigenvalue passes."""
+    zs = vals[(np.abs(vals - E0) <= WINDOW * E0) & (np.abs(vals) >= 0.6 * E0)]
+    kept = zs[relative_drift(zs, vals2, E0) <= STAB_REL]
+    lams = np.sqrt(kept) / h
+    lams = np.where(lams.real < 0, -lams, lams)
+    lams = lams[np.angle(lams) > -2.0 * theta]
+    return lams[np.argsort(-lams.imag)]
 
 
 def polyval_ascending(coeffs, x):

@@ -91,10 +91,10 @@ def test_counting_constant_unchanged_by_horner(monkeypatch, lam):
     p = BlackHoleParams(m=1.0, lam=lam)
     G0 = qnm_symbol(p, degree=10, h_order=2).levels[0]
     ts = (0.01, 0.05, 0.1, 0.3)
-    got = [counting_constant(t, p, G0) for t in ts]
+    got = [counting_constant(t, p, G0)[0] for t in ts]
     # the arg crossing by the np.polyval route, grid and bisection alike
     monkeypatch.setattr(catalog, "_horner", polyval_ascending)
-    assert got == [counting_constant(t, p, G0) for t in ts]
+    assert got == [counting_constant(t, p, G0)[0] for t in ts]
 
 
 def test_asymptotic_check_bisects_validity_radius_once(monkeypatch):
@@ -215,8 +215,8 @@ def test_count_weights_multiplicity():
 def test_counting_constant_positive_and_linear_in_small_t():
     G = g_symbol()
     g0 = G.levels[0]
-    c1 = counting_constant(0.01, P1, g0)
-    c2 = counting_constant(0.02, P1, g0)
+    c1 = counting_constant(0.01, P1, g0)[0]
+    c2 = counting_constant(0.02, P1, g0)[0]
     assert c1 > 0
     # arg G0 decreases approximately linearly near x = 0, so c ~ t
     assert abs(c2 / c1 - 2.0) <= 0.05
@@ -227,7 +227,7 @@ def test_counting_constant_small_t_closed_form():
     # giving c ~ 2 * 3^{3.5} m^3 t / (1 - 9 Lam m^2)^{3/2}
     G = g_symbol()
     t = 0.003
-    c = counting_constant(t, P1, G.levels[0])
+    c = counting_constant(t, P1, G.levels[0])[0]
     want = 2.0 * 3.0 ** 3.5 * t
     assert abs(c - want) <= 0.02 * want
 

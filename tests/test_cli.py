@@ -165,6 +165,43 @@ def test_direct_vs_lattice_join(tmp_path):
     assert abs(lam_l - lam_d) <= 1e-3 * abs(lam_d)
 
 
+def test_direct_keeps_the_ells_that_keep_a_mode(tmp_path, capsys):
+    # at all defaults (l = 1..4, N = 151) only l = 4 keeps a mode: the
+    # others print no row and are named on stderr, one line each
+    code, text = run_to_file(tmp_path, ["direct"])
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert [r[:2] for r in rows] == [["4", "0"]]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["ell 1", "ell 2", "ell 3"]
+    assert all("no eigenvalues in the spectral window" in line
+               for line in err)
+    # de Sitter: l = 2, 3 keep nothing, l = 4 its least-damped mode, whose
+    # last digits follow the BLAS thread count (these are one thread's);
+    # the JSON lists every l, with an empty mode list where none is kept
+    argv = ["direct", "--ell-range", "2", "4", "--lam", "0.02"]
+    code, text = run_to_file(tmp_path, argv)
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert [r[:2] for r in rows] == [["4", "0"]]
+    lam = complex(float(rows[0][2]), float(rows[0][3]))
+    want = complex(0.78354203811302225, -0.087585672791712851)
+    assert abs(lam - want) <= 1e-13 * abs(want)
+    code, text = run_to_file(tmp_path, argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(text)["data"]
+    assert [(b["ell"], len(b["qnm"]), b["theta"]) for b in data] == \
+        [(2, 0, 0.3), (3, 0, 0.3), (4, 1, 0.3)]
+    # when no l keeps a mode the first failure is the command's
+    capsys.readouterr()
+    code, text = run_to_file(tmp_path, ["direct", "--ell-range", "1", "3"],
+                             "none.csv")
+    assert code == 3 and text is None
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: no eigenvalues in the spectral window "
+        "(candidates left after the window and drift filters: ")
+
+
 # ---------------------------------------------------------------------------
 # count and pseudo
 
@@ -423,7 +460,8 @@ def test_cli_runs_without_loading_scipy():
 
 
 def test_bench_trace_hooks_cover_the_lattice_pipeline(tmp_path):
-    # perfbench/run.py --trace 1 wraps these modules and methods by name
+    # perfbench/run.py --trace 1 wraps these modules and methods by name;
+    # `count` reaches the counting constant through the wrapped name
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -441,12 +479,15 @@ def test_bench_trace_hooks_cover_the_lattice_pipeline(tmp_path):
     try:
         assert cli.main(["lattice", "--output", str(tmp_path / "l.csv")]) \
             == 0
+        assert cli.main(["count", "--output", str(tmp_path / "c.csv")]) \
+            == 0
     finally:
         spans.uninstall(undo)
     for label in ("normalform.qnm_symbol", "normalform.moyal_commutator",
                   "series.Series1.compose",
                   "potentials.shifted_potential_taylor",
-                  "potentials.subprincipal_taylor"):
+                  "potentials.subprincipal_taylor",
+                  "catalog.counting_constant"):
         assert tracer.calls[label] > 0, label
     # the symbol pipeline is dense: Series2 is wrapped but never called
     assert tracer.calls["series.Series2.mul"] == 0

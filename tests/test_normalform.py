@@ -363,7 +363,7 @@ def test_moyal_commutator_matches_derivative_oracle():
     # the dense kernel against the same closed form summed per monomial
     # pair and against repeated series derivatives; the generators are
     # split into homogeneous parts.  At (10, 28) the generator at h^-1 is
-    # homogeneous of degree 15, whose k = 11 tables leave int64
+    # homogeneous of degree 15, whose k = 11 tables pass 2^63
     rng = random.Random(31)
 
     def rand_level(N, d=None):
@@ -394,13 +394,14 @@ def test_moyal_commutator_matches_derivative_oracle():
 def test_s_table_is_exact_integer_sum_rounded_once():
     # k = 11 against rows of degree 11..23 and columns up to degree
     # 34 - dgr, the tables of a degree-32 reduction: many entries exceed
-    # 2^63, where an int64 sum would wrap without a sign.  The target
-    # offsets grow with S_k: T + n1 is the graded index of
+    # 2^63.  And k = 1, 3, 5 against rows and columns of degree <= 20, the
+    # tables of the CLI's and the benchmark's symbols.  The target offsets
+    # grow with S_k: T + n1 is the graded index of
     # z^(m1+m2-k) zeta^(n1+n2-k) plus k
-    k = 11
     biggest = 0
-    for dgr in range(k, 24):
-        hi = 34 - dgr
+    cases = [(11, dgr, 34 - dgr) for dgr in range(11, 24)]
+    cases += [(k, dgr, 20) for k in (1, 3, 5) for dgr in range(k, 21)]
+    for k, dgr, hi in cases:
         _s_table(k, dgr, hi - 4)
         table, target = _s_table(k, dgr, hi)
         assert len(target) == table.shape[1]
@@ -415,10 +416,10 @@ def test_s_table_is_exact_integer_sum_rounded_once():
                             for j, ui in enumerate(u))
                     biggest = max(biggest, abs(s))
                     assert table[n1, _start(d2) + n2] == float(s), \
-                        (dgr, n1, d2, n2)
+                        (k, dgr, n1, d2, n2)
                     if n1 == 0:
                         assert target[_start(d2) + n2] == \
-                            _start(dgr + d2 - 2 * k) + n2, (dgr, d2, n2)
+                            _start(dgr + d2 - 2 * k) + n2, (k, dgr, d2, n2)
     assert biggest >= 2 ** 63
 
 
@@ -426,7 +427,7 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     # the kernel's one scatter per call against one scatter per level pair
     # and odd k, byte for byte: random levels, one of them all zero and one
     # whose nonzero degrees start at 3, at gl = -1, 0, 1; a degree-15
-    # generator at (10, 28), whose k = 11 tables leave int64; and every
+    # generator at (10, 28), whose k = 11 tables pass 2^63; and every
     # call of the reduction loop on the barrier levels at (20,2) and (18,4)
     rng = np.random.default_rng(37)
     calls = []

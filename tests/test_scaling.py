@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from qnmlattice import scaling
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts)
-from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, THETA_MAX,
-                                ScalingConfig, _d2_matrix,
+from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
+                                THETA_MAX, WINDOW, ScalingConfig, _d2_matrix,
                                 build_scaled_operator, eigensolve,
                                 hermite_basis, qnm_direct)
-from reference import (hermite_basis_tridiagonal, hermite_function_values,
-                       hermite_quadrature)
+from reference import (direct_modes_four_filters, hermite_basis_tridiagonal,
+                       hermite_function_values, hermite_quadrature,
+                       relative_drift)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -291,7 +293,8 @@ def test_qnm_direct_basic_structure():
     cfg = ScalingConfig(theta=0.4, basis_size=480)
     lams = qnm_direct(8, cfg, P1, max_modes=3)
     assert len(lams) == 3
-    # least-damped first, all decaying, all in the admissible sector
+    # least-damped first, all decaying, and all in the admissible sector
+    # arg lambda > -2 theta, though no filter imposes it
     assert lams[0].imag > lams[1].imag > lams[2].imag
     for lam in lams:
         assert lam.imag < 0 and lam.real > 0
@@ -370,6 +373,58 @@ def test_qnm_direct_numerical_failure():
         qnm_direct(8, cfg, P1)
     # at l = 2 window candidates exist, and the drift filter removes them
     cfg = ScalingConfig(theta=0.3, basis_size=160)
-    with pytest.raises(RuntimeError, match=r"drift filters: \d+/\d+/0; "
+    with pytest.raises(RuntimeError, match=r"drift filters: \d+/0; "
                        r"smallest relative drift"):
         qnm_direct(2, cfg, P1)
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """The spectra `qnm_direct` computes, in the order it computes them."""
+    out = []
+
+    def recording(mat):
+        out.append(eigensolve(mat))
+        return out[-1]
+
+    monkeypatch.setattr(scaling, "eigensolve", recording)
+    return out
+
+
+def test_qnm_direct_selection_matches_four_filter_oracle(spectra):
+    # the window and drift filters keep, byte for byte, what the window,
+    # |z| >= 0.6 E0, drift and arg lambda > -2 theta filters kept, on the
+    # same pair of spectra.  At N = 160 neither keeps a mode at l = 2 or
+    # at theta = 0.1; l = 8 and 16 at theta = 0.4 keep 2 and 4
+    kept = 0
+    for lam in (0.0, 0.02):
+        p = BlackHoleParams(m=1.0, lam=lam)
+        E0 = critical_data(p).E0
+        for theta in (0.1, 0.4):
+            cfg = ScalingConfig(theta=theta, basis_size=160)
+            for ell in (2, 8, 16):
+                spectra.clear()
+                try:
+                    got = qnm_direct(ell, cfg, p)
+                except RuntimeError:
+                    got = np.zeros(0, complex)
+                vals, vals2 = spectra
+                want = direct_modes_four_filters(vals, vals2, E0,
+                                                 1.0 / (ell + 0.5), theta)
+                assert got.tobytes() == want.tobytes(), (lam, theta, ell)
+                kept += got.size
+    assert kept == 12
+
+
+def test_qnm_direct_window_rejects_a_drift_stable_continuum_value(spectra):
+    # at theta = 0.05, N = 800, l = 2 a rotated-continuum eigenvalue near
+    # z = 149 E0 is stable under basis enlargement; only the window
+    # removes it, and no mode is left
+    cfg = ScalingConfig(theta=0.05, basis_size=800)
+    with pytest.raises(RuntimeError,
+                       match="no eigenvalues in the spectral window"):
+        qnm_direct(2, cfg, P1)
+    vals, vals2 = spectra
+    E0 = critical_data(P1).E0
+    outside = vals[np.abs(vals - E0) > WINDOW * E0]
+    assert (relative_drift(outside, vals2, E0) <= STAB_REL).any()
