@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 VALIDITY_FRAC = 0.05  # share of the sum the top retained term may reach
-# largest ell a count walk visits, whose time grows as the square of it;
-# radius 1e4 at m = 1 needs 52 000
+# largest ell a count searches, at a time and memory linear in it; radius
+# 1e4 at m = 1 needs 52 000
 MAX_ELL = 100_000
 
 
@@ -112,7 +112,8 @@ def _unwrapped_arg_crossing(G0, t, rad):
 def counting_constant(t, p, G0):
     """c(t, m, lam) = pi^{-1}(1-9 lam m^2)^{-3/2} 3^{7/2} m^3 |I_t|,
     where I_t = {x > 0 : arg G0(x) > -t} for the leading symbol G0, and
-    the validity radius of G0 it measured: (c, rad)."""
+    the validity radius and the crossing of G0 it measured:
+    (c, rad, x_cross)."""
     if not (0.0 < t <= 0.3):
         raise ValueError("need 0 < t <= 0.3")
     rad = validity_radius(G0)
@@ -127,7 +128,7 @@ def counting_constant(t, p, G0):
     c_alt = (interval / (3.0 * math.pi)) * (3.0 * math.sqrt(3.0) * m) ** 3 \
         * pref
     assert abs(c - c_alt) <= 1e-12 * abs(c)
-    return c, rad
+    return c, rad, x_cross
 
 
 def asymptotic_check(p, G, t, r_list):
@@ -135,43 +136,99 @@ def asymptotic_check(p, G, t, r_list):
 
     N(r) is the multiplicity-weighted number of lattice modes in the
     sector {1 <= |lam| <= r, arg lam > -t}; radius r counts
-    ell <= ceil(r / |G(0)|) + 2.  One walk in n = 0, 1, ... serves every
-    ell and radius: step n evaluates the symbol once on the array of ell
-    still walking.  An ell leaves the walk at its first mode with
-    arg lam <= -t, or once x = 2 pi (n+1/2) h passes the validity radius;
-    the latter is a coverage gap of every radius counting that ell.
+    ell <= ceil(r / |G(0)|) + 2.  An ell counts its modes n < n_exit, the
+    first n with arg lam <= -t, or with x = 2 pi (n+1/2) h past the
+    validity radius; the latter is a coverage gap of every radius counting
+    that ell.  Inside the wedge |lam| increases with n, so the count of
+    ell at radius r is the first n with |lam| > r less the first n with
+    |lam| >= 1.  Each of these is a bisection over the array of all ell.
+    The search for n_exit starts at the first x at or past the arg
+    crossing of G0 and gallops from there, up while inside the wedge but
+    never past the validity radius, down while outside it, so that modes
+    back inside the wedge past an exit are not counted.  A probe that shows
+    |lam| decreasing in n inside the wedge raises RuntimeError rather than
+    miscount.
     """
     radii = np.array(r_list, dtype=float)
     if list(radii) != sorted(radii):
         raise ValueError("r_list must be increasing")
     if radii.size and radii[0] < 1.0:
         raise ValueError("sector radius must be >= 1")
-    c, rad = counting_constant(t, p, G.levels[0])
+    c, rad, x_cross = counting_constant(t, p, G.levels[0])
     g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
     if radii.size and radii[-1] / g0 > MAX_ELL - 2:
         raise ValueError("radius %g counts ell above %d"
                          % (radii[-1], MAX_ELL))
     ell_max = np.ceil(radii / g0).astype(int) + 2
     ells = np.arange(1, int(ell_max.max(initial=0)) + 1)
-    counts = np.zeros(radii.size, dtype=int)
-    gaps = np.zeros(radii.size, dtype=int)
-    n = 0
-    # counting_constant refused a radius that is not finite, so every ell
-    # leaves by n = rad / (2 pi h)
-    while ells.size:
-        h = 1.0 / (ells + 0.5)
-        x = 2.0 * math.pi * (n + 0.5) * h
-        past = x > rad
-        gaps += np.count_nonzero(ells[past] <= ell_max[:, None], axis=1)
-        ells, h, x = ells[~past], h[~past], x[~past]
-        lams = eval_symbol(G, x, h) / h
-        mags = np.abs(lams)
-        wedge = np.angle(lams) > -t
-        weight = np.where(wedge & (mags >= 1.0), 2 * ells + 1, 0)
-        counts += ((mags <= radii[:, None]) & (ells <= ell_max[:, None])
-                   ) @ weight
-        ells = ells[wedge]
-        n += 1
+    h = 1.0 / (ells + 0.5)
+
+    def at(e, n):
+        """|lam| at mode n of ells[e], and whether lam is outside the
+        wedge; x by the float expression of `lattice`."""
+        he = h[e]
+        lams = eval_symbol(G, 2.0 * math.pi * (n + 0.5) * he, he) / he
+        return np.abs(lams), ~(np.angle(lams) > -t)
+
+    def first(e, lo, hi, mlo, nxt, thr=None, mhi=None):
+        """First n in (lo, hi] of each ells[e] with |lam| > thr, or outside
+        the wedge for thr None, and |lam| at the n before it.  Probes nxt
+        while it lies inside the bracket, moving it 1, 2, 4, ... toward
+        the answer, then bisects.  |lam| at lo is mlo, and at hi mhi: a
+        probe below the answer with |lam| < mlo, or above it with
+        |lam| > mhi, refutes the order the search rests on."""
+        step = 1
+        while True:
+            k = np.flatnonzero(hi - lo > 1)
+            if not k.size:
+                return hi, mlo
+            gal = (lo[k] < nxt[k]) & (nxt[k] < hi[k])
+            n = np.where(gal, nxt[k], (lo[k] + hi[k]) // 2)
+            mag, out = at(e[k], n)
+            up = out if thr is None else mag > thr[k]
+            bad = ~up & (mag < mlo[k])
+            if mhi is not None:
+                bad |= up & (mag > mhi[k])
+                mhi[k] = np.where(up, mag, mhi[k])
+            if np.any(bad):
+                raise RuntimeError(
+                    "|lambda| decreases in n inside the wedge at ell = %d; "
+                    "the count cannot bisect" % ells[e[k[bad]][0]])
+            lo[k] = np.where(up, lo[k], n)
+            mlo[k] = np.where(up, mlo[k], mag)
+            hi[k] = np.where(up, n, hi[k])
+            nxt[k] = np.where(gal, np.where(up, n - step, n + step), hi[k])
+            step *= 2
+
+    # first n with x > rad, x computed as in `at`
+    n_rad = np.maximum(np.floor(rad / (2.0 * math.pi * h) - 0.5) + 1,
+                       0).astype(int)
+    n_rad += ~(2.0 * math.pi * (n_rad + 0.5) * h > rad)
+    n_rad -= (n_rad > 0) & (2.0 * math.pi * (n_rad - 0.5) * h > rad)
+    live = np.flatnonzero(n_rad > 0)
+    m0, out = at(live, 0)
+    lo = np.full(ells.size, -1)
+    lo[live[~out]] = 0
+    hi = n_rad.copy()
+    hi[live[out]] = 0
+    mfirst = np.full(ells.size, np.inf)
+    mfirst[live] = m0
+    # bracket from the first n at or past the arg crossing of G0
+    n_cross = np.ceil(x_cross / (2.0 * math.pi * h) - 0.5)
+    nxt = np.maximum(n_cross, 1).astype(int)
+    n_exit, mlast = first(np.arange(ells.size), lo, hi, mfirst.copy(), nxt)
+    # first n with |lam| >= 1 (> the float below 1), then > each r
+    thr = np.concatenate([[np.nextafter(1.0, 0.0)], radii])[:, None]
+    first_n = np.where(mfirst > thr, 0, n_exit)
+    j, e = np.nonzero((mfirst <= thr) & (mlast > thr) & (n_exit > 0)
+                      & (ells <= np.append(ells.size, ell_max)[:, None]))
+    first_n[j, e], _ = first(e, np.zeros(e.size, dtype=int), n_exit[e] - 1,
+                             mfirst[e], n_exit[e] - 1, thr[j, 0], mlast[e])
+    # bisections of one ell share their probes until one goes up and the
+    # other down, so no first |lam| > r precedes the first |lam| >= 1
+    counted = ells <= ell_max[:, None]
+    counts = ((first_n[1:] - first_n[0]) * counted) @ (2 * ells + 1)
+    gaps = np.count_nonzero(counted & (n_exit == n_rad), axis=1)
     return [{"r": r, "count": N, "c_r3": c * r ** 3,
              "ratio": N / (c * r ** 3), "coverage_gaps": g}
             for r, N, g in zip(radii.tolist(), counts.tolist(),

@@ -40,7 +40,9 @@ with its drift `relative_drift`: the bit-for-bit oracle of the window and
 drift filters `qnm_direct` keeps.  For the lattice rule,
 the symbol G(x; h) by `np.polyval` on complex coefficient arrays,
 `eval_symbol_polyval`: the bit-for-bit oracle of the Horner loop in
-`catalog`.
+`catalog`.  For sector counting, the walk in n over all ell at once,
+`count_walk`: the integer-for-integer oracle of the bisections in
+`catalog.asymptotic_check`.
 """
 
 import cmath
@@ -54,6 +56,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from qnmlattice.catalog import MAX_ELL, counting_constant, eval_symbol
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
                                    _diag_levels, _reduce_step, _s_table,
                                    _start, quad_reduce)
@@ -923,3 +926,51 @@ def eval_symbol_polyval(G, x, h):
     for k, lvl in G.levels.items():
         out += polyval_ascending(lvl.coeffs, x) * h ** k
     return out
+
+
+def count_walk(p, G, t, r_list):
+    """Table of N(r) / (c r^3) for increasing radii r.
+
+    N(r) is the multiplicity-weighted number of lattice modes in the
+    sector {1 <= |lam| <= r, arg lam > -t}; radius r counts
+    ell <= ceil(r / |G(0)|) + 2.  One walk in n = 0, 1, ... serves every
+    ell and radius: step n evaluates the symbol once on the array of ell
+    still walking.  An ell leaves the walk at its first mode with
+    arg lam <= -t, or once x = 2 pi (n+1/2) h passes the validity radius;
+    the latter is a coverage gap of every radius counting that ell.
+    """
+    radii = np.array(r_list, dtype=float)
+    if list(radii) != sorted(radii):
+        raise ValueError("r_list must be increasing")
+    if radii.size and radii[0] < 1.0:
+        raise ValueError("sector radius must be >= 1")
+    c, rad, _ = counting_constant(t, p, G.levels[0])
+    g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
+    if radii.size and radii[-1] / g0 > MAX_ELL - 2:
+        raise ValueError("radius %g counts ell above %d"
+                         % (radii[-1], MAX_ELL))
+    ell_max = np.ceil(radii / g0).astype(int) + 2
+    ells = np.arange(1, int(ell_max.max(initial=0)) + 1)
+    counts = np.zeros(radii.size, dtype=int)
+    gaps = np.zeros(radii.size, dtype=int)
+    n = 0
+    # counting_constant refused a radius that is not finite, so every ell
+    # leaves by n = rad / (2 pi h)
+    while ells.size:
+        h = 1.0 / (ells + 0.5)
+        x = 2.0 * math.pi * (n + 0.5) * h
+        past = x > rad
+        gaps += np.count_nonzero(ells[past] <= ell_max[:, None], axis=1)
+        ells, h, x = ells[~past], h[~past], x[~past]
+        lams = eval_symbol(G, x, h) / h
+        mags = np.abs(lams)
+        wedge = np.angle(lams) > -t
+        weight = np.where(wedge & (mags >= 1.0), 2 * ells + 1, 0)
+        counts += ((mags <= radii[:, None]) & (ells <= ell_max[:, None])
+                   ) @ weight
+        ells = ells[wedge]
+        n += 1
+    return [{"r": r, "count": N, "c_r3": c * r ** 3,
+             "ratio": N / (c * r ** 3), "coverage_gaps": g}
+            for r, N, g in zip(radii.tolist(), counts.tolist(),
+                               gaps.tolist())]

@@ -1,10 +1,12 @@
 """Unit tests for the mode lattice, sector counting, and the cubic law."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnmlattice.series import HGraded, Series1
 from qnmlattice.potentials import BlackHoleParams
@@ -13,7 +15,7 @@ from qnmlattice import catalog
 from qnmlattice.catalog import (asymptotic_check, counting_constant,
                                 eval_symbol, lattice, validity_radius)
 
-from reference import eval_symbol_polyval, polyval_ascending
+from reference import count_walk, eval_symbol_polyval, polyval_ascending
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -78,7 +80,7 @@ def test_eval_symbol_bitwise_equals_polyval(degree, K, lam):
             assert type(got) is complex
             assert np.complex128(got).tobytes() == \
                 eval_symbol_polyval(G, x, h).tobytes()
-    # an array h, as the count walk passes one h per ell
+    # an array h, as the count passes one h per ell
     ells = np.arange(1, 300)
     h = 1.0 / (ells + 0.5)
     x = 2.0 * math.pi * 2.5 * h
@@ -324,10 +326,10 @@ def test_count_stops_each_ell_at_first_mode_outside_wedge():
     assert rows[0]["coverage_gaps"] == 0
 
 
-def test_count_walk_evaluates_symbol_once_per_n(monkeypatch):
-    # the count bench config at lam = 0.01 (validity radius about 75):
-    # one symbol evaluation per step n over all ell still in the walk,
-    # where a walk per ell up to the validity radius makes about 2180
+def test_count_bisects_with_few_symbol_evaluations(monkeypatch):
+    # the count bench config at lam = 0.01 (validity radius about 75, far
+    # past the arg crossing near x = 0.31): the walk in n makes 111 calls
+    # on 121 000 points, the bisections 11 on about 6 500
     p = BlackHoleParams(m=1.0, lam=0.01)
     G = g_symbol(p)
     evals = []
@@ -339,8 +341,81 @@ def test_count_walk_evaluates_symbol_once_per_n(monkeypatch):
     monkeypatch.setattr(catalog, "eval_symbol", counted)
     rows = asymptotic_check(p, G, 0.05, [50.0, 100.0, 200.0, 400.0])
     assert all(row["coverage_gaps"] == 0 for row in rows)
-    assert len(evals) <= 150
-    assert sum(evals) <= 200_000
+    assert len(evals) <= 20
+    assert sum(evals) <= 10_000
+
+
+def assert_count_is_walk(p, G, t, r_list):
+    """asymptotic_check gives the walk's rows, or refuses as it does."""
+    try:
+        want = count_walk(p, G, t, r_list)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            asymptotic_check(p, G, t, r_list)
+    else:
+        assert asymptotic_check(p, G, t, r_list) == want
+
+
+@pytest.mark.parametrize("lam,t,r_list", [
+    # the count bench configs
+    (0.0, 0.05, [50.0, 100.0, 200.0, 400.0]),
+    (0.01, 0.05, [50.0, 100.0, 200.0, 400.0]),
+    (0.02, 0.05, [50.0, 100.0, 200.0, 400.0]),
+    # the README command, and acceptance test 5
+    (0.0, 0.05, [50.0, 100.0, 200.0]),
+    (0.0, 0.05, [50.0, 100.0, 200.0, 2000.0]),
+    (0.02, 0.05, [50.0, 100.0, 200.0, 2000.0]),
+])
+def test_count_equals_walk(lam, t, r_list):
+    p = BlackHoleParams(m=1.0, lam=lam)
+    assert_count_is_walk(p, g_symbol(p), t, r_list)
+
+
+@pytest.mark.parametrize("coeffs,t,r_list", [
+    # re-enters the wedge past its exit
+    ([1.0, -0.1j, 0.01j, 1e-6], 0.1, [4.0]),
+    # coverage gaps, one of them an ell without any mode
+    ([1.0, -0.036j, 5.6e-4], 0.3, [1.0, 3.0]),
+    ([1.0, -0.036j, 0.02], 0.05, [1.0]),
+    # |lam| just above 2 ell + 1
+    ([2.0, -0.001j], 0.04, [4.0, 6.0]),
+])
+def test_count_equals_walk_on_synthetic_symbols(coeffs, t, r_list):
+    G = HGraded({0: Series1(coeffs, len(coeffs) - 1)}, 0)
+    assert_count_is_walk(P1, G, t, r_list)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.floats(1e-6, 0.1)),
+       t=st.floats(0.0, 0.3, exclude_min=True),
+       degree_k=st.sampled_from([(10, 2), (10, 0), (20, 2), (12, 1),
+                                 (16, 2), (8, 0)]),
+       radii=st.lists(st.floats(1.0, 300.0), min_size=1, max_size=4))
+def test_count_equals_walk_hypothesis(lam, t, degree_k, radii):
+    p = BlackHoleParams(m=1.0, lam=lam)
+    G = qnm_symbol(p, degree=degree_k[0], h_order=degree_k[1])
+    assert_count_is_walk(p, G, t, sorted(radii))
+
+
+@pytest.mark.parametrize("coeffs,r_list", [
+    # G0 = 1 - (0.1 + 0.01i) x + 1e-7 x^3: |G0| falls from 1 while arg G0
+    # stays above -0.1 up to x ~ 5 (validity radius ~214); the search for
+    # the wedge exit sees it
+    ([1.0, -0.1 - 0.01j, 0.0, 1e-7], [1.0, 3.0]),
+    # G0 = 1 + (1 - 0.1017i) x - x^2 / 2 + 1e-9 x^5: |G0| peaks at 1.50
+    # near x = 1 and falls to 1.43 at the arg crossing x = 1.40, above its
+    # value at the first mode of every ell with two modes in the wedge;
+    # only the radius searches see it, and without their check the count
+    # at r = 24 is 878, where the walk gives 845
+    ([1.0, 1.0 - 0.1017j, -0.5, 0.0, 0.0, 1e-9], [1.0, 24.0]),
+])
+def test_count_refuses_lam_decreasing_inside_wedge(coeffs, r_list):
+    # |lam| decreases in n inside the wedge, against the order the
+    # count's bisections rest on
+    G = HGraded({0: Series1(coeffs, len(coeffs) - 1)}, 0)
+    with pytest.raises(RuntimeError,
+                       match="decreases in n inside the wedge at ell = "):
+        asymptotic_check(P1, G, 0.1, r_list)
 
 
 def test_nonfinite_walk_radius_is_refused():

@@ -218,6 +218,21 @@ def test_count_rows(tmp_path):
         assert r[4] == "0"
 
 
+def test_count_refuses_a_symbol_it_cannot_bisect(tmp_path, monkeypatch,
+                                                 capsys):
+    # |lam| decreases in n inside the wedge (see test_catalog.py)
+    G = series.HGraded(
+        {0: series.Series1([1.0, -0.1 - 0.01j, 0.0, 1e-7], 3)}, 0)
+    monkeypatch.setattr(cli, "_symbol", lambda cfg, p: G)
+    code, text = run_to_file(tmp_path, ["count", "--t", "0.1",
+                                        "--r-list", "1", "3"])
+    assert code == 3 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: |lambda| decreases in n "
+                          "inside the wedge at ell = ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_count_json_note(tmp_path):
     code, text = run_to_file(tmp_path, [
         "count", "--r-list", "20", "--format", "json"])
