@@ -11,9 +11,9 @@ import math
 import numpy as np
 
 VALIDITY_FRAC = 0.05  # share of the sum the top retained term may reach
-# largest ell a count searches, at a time and memory linear in it; radius
-# 1e4 at m = 1 needs 52 000
-MAX_ELL = 100_000
+# largest ell a count searches, at a time and memory linear in it (about
+# 200 B an ell); radius 1e5 at m = 1 needs 520 000
+MAX_ELL = 600_000
 
 
 def validity_radius(G0):
@@ -150,6 +150,8 @@ def asymptotic_check(p, G, t, r_list):
     miscount.
     """
     radii = np.array(r_list, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("sector radius must be finite")
     if list(radii) != sorted(radii):
         raise ValueError("r_list must be increasing")
     if radii.size and radii[0] < 1.0:

@@ -9,6 +9,7 @@ environment variables (e.g. OMP_NUM_THREADS).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -96,10 +97,14 @@ def _check_config(cfg, command):
         # lacks; `potential` only tabulates W
         if command in ("gsymbol", "lattice", "count", "direct"):
             cd = potentials.critical_data(p)
+        # these invert the tortoise coordinate, which needs both horizons
+        if command in ("potential", "direct"):
+            potentials.tortoise(3.0 * p.m, p)
+        scaling.ScalingConfig(float(cfg["theta"]), int(cfg["basis_size"]))
+        pseudospectrum.RotatedHOConfig(float(cfg["pseudo_h"]),
+                                       int(cfg["basis_size"]))
     except ValueError as e:
         raise ConfigError(str(e))
-    if not (0.0 <= float(cfg["theta"]) <= scaling.THETA_MAX):
-        raise ConfigError("theta out of range [0, %g]" % scaling.THETA_MAX)
     if not isinstance(cfg["ell_range"], list) or len(cfg["ell_range"]) != 2:
         raise ConfigError("ell_range must be a list of two integers")
     lo, hi = cfg["ell_range"]
@@ -128,8 +133,6 @@ def _check_config(cfg, command):
     if not (deg_min <= int(cfg["series_degree"]) <= 20):
         raise ConfigError("series_degree out of [%d, 20] for h_order %d"
                           % (deg_min, int(cfg["h_order"])))
-    if int(cfg["basis_size"]) < 8:
-        raise ConfigError("basis_size must be >= 8")
     if int(cfg["basis_size"]) > BASIS_LIMIT.get(command, math.inf):
         raise ConfigError("basis_size above %d for %s"
                           % (BASIS_LIMIT[command], command))
@@ -137,8 +140,6 @@ def _check_config(cfg, command):
         raise ConfigError("x_min and x_max must be finite")
     if int(cfg["x_points"]) < 0:
         raise ConfigError("x_points must be >= 0")
-    if not (0 < float(cfg["pseudo_h"]) < math.inf):
-        raise ConfigError("pseudo_h must be positive and finite")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     if not isinstance(cfg["output_path"], str):
@@ -183,47 +184,8 @@ def csv_table(cfg, header, rows):
 
 
 def json_doc(cfg, payload):
-    """`json.dumps({"config": cfg, "data": payload}, sort_keys=True,
-    indent=1) + "\n"`, byte for byte, without the pure-Python encoder that
-    `indent` selects."""
-    out = []
-    _json_write({"config": cfg, "data": payload}, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _json_write(o, nl, out):
-    """Append the text of o to out, a container one item a line indented
-    by one space a level, nl the newline and indent of o's own line;
-    scalars and empty containers go to json's C encoder."""
-    inner = nl + " "
-    if isinstance(o, dict) and o:
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            if not isinstance(k, (str, int, float, type(None))):
-                raise TypeError("keys must be str, int, float, bool or None,"
-                                " not %s" % type(k).__name__)
-            key = k if isinstance(k, str) else json.dumps(k)
-            out.append(sep + json.dumps(key) + ": ")
-            _json_write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)) and o:
-        if set(map(type, o)) <= {int, float}:
-            # a row of plain numbers in one join; repr spells nan and inf
-            # with an "n", which JSON writes as words
-            text = ("," + inner).join(map(repr, o))
-            if "n" not in text:
-                out.append("[" + inner + text + nl + "]")
-                return
-        sep = "[" + inner
-        for v in o:
-            out.append(sep)
-            _json_write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:
-        out.append(json.dumps(o))
+    return json.dumps({"config": cfg, "data": payload}, sort_keys=True,
+                      indent=1) + "\n"
 
 
 def cmd_potential(cfg):
@@ -346,6 +308,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="qnmlattice")
     ap.add_argument("command", choices=sorted(COMMANDS))

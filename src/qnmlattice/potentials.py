@@ -40,7 +40,6 @@ class HorizonData:
 @dataclass(frozen=True)
 class CriticalData:
     r_crit: float
-    x0: float
     E0: float
     c0: float
 
@@ -66,7 +65,11 @@ def horizon_roots(p):
     if len(roots) != 3:
         raise ValueError("ill-conditioned horizon roots (near-extremal?)")
     r0, rm, rp = roots
-    if not (r0 < 0 < rm < rp):
+    # the root 2m collapses to 0 next to the roots near +-sqrt(3/lam)
+    if not (r0 < 0 < rm):
+        raise ValueError("lam m^2 = %g is too small to resolve the "
+                         "cosmological horizon" % (p.lam * p.m * p.m))
+    if not rm < rp:
         raise ValueError("unexpected root ordering; parameters near-extremal")
     a0, am, ap = (1.0 / _dalpha2_dr(r, p) for r in (r0, rm, rp))
     return HorizonData(r0=r0, r_minus=rm, r_plus=rp,
@@ -237,11 +240,10 @@ def critical_data(p):
     E0 = (1.0 - 9.0 * lam * m * m) / (27.0 * m * m)
     if E0 < 1e-6 / (m * m):
         raise ValueError("degenerate barrier: E0 too small (near-extremal)")
-    x0 = tortoise(r_crit, p)
     # construction-time consistency check
     val = alpha_squared(r_crit, p) / r_crit ** 2
     assert abs(val - E0) <= 1e-12 * abs(E0)
-    return CriticalData(r_crit=r_crit, x0=x0, E0=E0, c0=E0 * E0)
+    return CriticalData(r_crit=r_crit, E0=E0, c0=E0 * E0)
 
 
 def potential_W_parts(x_arr, p):

@@ -42,8 +42,8 @@ class RotatedHOConfig:
     basis_size: int = 151
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (0 < self.h < math.inf):
+            raise ValueError("h must be positive and finite")
         if self.basis_size < 8:
             raise ValueError("basis_size must be >= 8")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .potentials import critical_data, potential_W_parts
+from .potentials import critical_data, potential_W_parts, tortoise
 
 WINDOW = 2.0        # spectral window |z - E0| <= WINDOW * E0
 QUAD_FACTOR = 2     # quadrature nodes = QUAD_FACTOR * basis size built
@@ -87,7 +87,8 @@ def build_scaled_operator(cfg, p, h):
     cd = critical_data(p)
     sigma = cd.c0 ** -0.25 * math.sqrt(h)
     u, b = hermite_basis(n, max(QUAD_FACTOR * n, n + 8))
-    w0, w1 = potential_W_parts(cd.x0 + (1.0 + 1j * th) * (sigma * u), p)
+    x0 = tortoise(3.0 * p.m, p)
+    w0, w1 = potential_W_parts(x0 + (1.0 + 1j * th) * (sigma * u), p)
     w = w0 + h * h * w1
     # two real products: a complex w would promote b.T to a complex gemm
     pot = (b * w.real) @ b.T + 1j * ((b * w.imag) @ b.T)

@@ -32,10 +32,15 @@ def test_asymptotic_check_validates_sector():
         asymptotic_check(P1, G, 0.0, [10.0])
     with pytest.raises(ValueError):
         asymptotic_check(P1, G, 0.4, [10.0])
-    # an ell range above MAX_ELL is refused before the walk: at m = 1,
-    # |G(0)| = 0.19, so r = 1e5 counts ell up to 5.2e5
+    # an ell range above MAX_ELL is refused before the search: at m = 1,
+    # |G(0)| = 0.19, so r = 2e5 counts ell up to 1.04e6
     with pytest.raises(ValueError, match="above %d" % catalog.MAX_ELL):
-        asymptotic_check(P1, G, 0.1, [10.0, 1e5])
+        asymptotic_check(P1, G, 0.1, [10.0, 2e5])
+    # refused as not finite, before the order check that nan fails too
+    for r_list in ([math.nan], [50.0, math.nan], [50.0, math.inf],
+                   [-math.inf, 50.0]):
+        with pytest.raises(ValueError, match="sector radius must be finite"):
+            asymptotic_check(P1, G, 0.05, r_list)
 
 
 def test_validity_radius_linear_symbol():

@@ -844,6 +844,19 @@ def test_qnm_symbol_odd_degree_equals_even_below(lam, N, K):
         assert G_odd.level(k).coeffs == lvl.coeffs, k
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-300, 1e-100, 1e-40, 1e-20])
+def test_qnm_symbol_at_tiny_lambda_is_the_lambda_zero_symbol(lam):
+    # lam enters the barrier series as lam r^2 / 3 next to terms of order
+    # 1, so below about 1e-17 it rounds away; the horizons, which the
+    # cubic cannot resolve below lam m^2 ~ 1e-62, are never asked for
+    G0 = qnm_symbol(P1, 10, 2)
+    G = qnm_symbol(BlackHoleParams(m=1.0, lam=lam), 10, 2)
+    assert sorted(G.levels) == sorted(G0.levels)
+    for k, lvl in G0.levels.items():
+        assert np.array(G.level(k).coeffs).tobytes() == \
+            np.array(lvl.coeffs).tobytes(), k
+
+
 def test_qnm_symbol_degree_guard():
     with pytest.raises(ValueError):
         qnm_symbol(P1, degree=6, h_order=2)

@@ -185,7 +185,7 @@ def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     # covers the quadrature nodes of the l = 8 operator; at lam = 0.02 the
     # contour's r(x) winds around r_plus from theta ~ 2.7 on
     p = BlackHoleParams(m=1.0, lam=lam)
-    x0 = critical_data(p).x0
+    x0 = tortoise(3.0 * p.m, p)
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
     t, r_ref = t[::400], r_ref[::400]
@@ -201,7 +201,7 @@ def test_inverse_tortoise_complex_leaves_rk4_past_theta_c(lam, theta):
     # contour as above the continuation and RK4 disagree by 1.45 and 1.53
     # relative there, against 1.7e-12 at theta = 3
     p = BlackHoleParams(m=1.0, lam=lam)
-    x0 = critical_data(p).x0
+    x0 = tortoise(3.0 * p.m, p)
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
     t, r_ref = t[::400], r_ref[::400]
@@ -238,9 +238,10 @@ def test_potential_W_parts_near_horizons_mpmath():
 def test_potential_peak_value_and_flatness():
     for p in (P1, BlackHoleParams(m=2.0, lam=0.01)):
         cd = critical_data(p)
-        assert abs(W0(cd.x0, p) - cd.E0) <= 1e-12 * cd.E0
+        x0 = tortoise(3.0 * p.m, p)
+        assert abs(W0(x0, p) - cd.E0) <= 1e-12 * cd.E0
         d = 1e-4
-        fd = (W0(cd.x0 + d, p) - W0(cd.x0 - d, p)) / (2 * d)
+        fd = (W0(x0 + d, p) - W0(x0 - d, p)) / (2 * d)
         assert abs(fd) <= 1e-8
 
 
@@ -256,7 +257,7 @@ def test_potential_decay():
 def test_critical_data_values():
     cd = critical_data(P1)
     assert cd.r_crit == 3.0
-    assert abs(cd.x0 - 3.0) <= 1e-14
+    assert abs(tortoise(3.0, P1) - 3.0) <= 1e-14
     assert abs(cd.E0 - 1.0 / 27.0) <= 1e-16
     assert abs(cd.c0 - cd.E0 ** 2) == 0
 
@@ -274,7 +275,7 @@ def test_curvature_identity_random_params():
         p = BlackHoleParams(m=m, lam=lam)
         cd = critical_data(p)
         d = 1e-2 * m
-        w = W0(cd.x0 + d * np.arange(-2, 3), p)
+        w = W0(tortoise(3.0 * m, p) + d * np.arange(-2, 3), p)
         # fourth-order central second difference
         w2 = (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12 * d * d)
         assert abs(-2.0 * w2 - 4.0 * cd.E0 ** 2) <= 1e-8 * 4.0 * cd.E0 ** 2
@@ -288,7 +289,7 @@ def _cauchy_taylor(p, nodes=64):
     cd = critical_data(p)
     rho = 2.0 * p.m
     z = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    w0, _ = potential_W_parts(cd.x0 + z, p)
+    w0, _ = potential_W_parts(tortoise(3.0 * p.m, p) + z, p)
     c = np.fft.fft(w0) / nodes / rho ** np.arange(nodes)
     c[0] -= cd.E0
     return c
@@ -314,10 +315,10 @@ def test_shifted_potential_taylor_vs_cauchy_oracle():
 
 def test_subprincipal_taylor_matches_values():
     p = BlackHoleParams(m=1.0, lam=0.01)
-    cd = critical_data(p)
+    x0 = tortoise(3.0, p)
     W1 = subprincipal_taylor(p, 6)
     for x in (-0.2, 0.0, 0.15):
-        _, w1 = potential_W_parts(np.array([cd.x0 + x], dtype=complex), p)
+        _, w1 = potential_W_parts(np.array([x0 + x], dtype=complex), p)
         approx = sum(complex(c) * x ** j for j, c in enumerate(W1.coeffs))
         assert abs(approx - complex(w1[0])) <= 1e-6 * abs(w1[0])
 
@@ -357,10 +358,10 @@ def test_scaling_covariance():
 
 def test_barrier_monotonicity():
     # x V'(x) < 0 away from the top: W0 increases up to x0, decreases after
-    cd = critical_data(P1)
-    xs = cd.x0 + np.linspace(-6.0, 6.0, 25)
+    x0 = tortoise(3.0, P1)
+    xs = x0 + np.linspace(-6.0, 6.0, 25)
     w = W0(xs, P1)
-    i0 = np.argmin(np.abs(xs - cd.x0))
+    i0 = np.argmin(np.abs(xs - x0))
     assert np.all(np.diff(w[:i0 + 1]) > 0)
     assert np.all(np.diff(w[i0:]) < 0)
 

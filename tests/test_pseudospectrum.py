@@ -18,6 +18,10 @@ def test_config_validation():
         RotatedHOConfig(h=0.0)
     with pytest.raises(ValueError):
         RotatedHOConfig(basis_size=4)
+    # a NaN h would give NaN rows and no divergence index
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            RotatedHOConfig(h=h)
 
 
 def test_exact_eigenvalues():

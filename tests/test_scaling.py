@@ -7,7 +7,7 @@ import pytest
 
 from qnmlattice import scaling
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
-                                   potential_W_parts)
+                                   potential_W_parts, tortoise)
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
                                 THETA_MAX, WINDOW, ScalingConfig, _d2_matrix,
                                 build_scaled_operator, eigensolve,
@@ -105,7 +105,7 @@ def scaled_symbol(x, xi, cfg, p):
     """
     cd = critical_data(p)
     th = cfg.theta
-    xc = cd.x0 + x * (1.0 + 1j * th)
+    xc = tortoise(3.0 * p.m, p) + x * (1.0 + 1j * th)
     w0, _ = potential_W_parts(np.array([xc]), p)
     v = complex(w0[0]) - cd.E0
     return ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
@@ -116,7 +116,7 @@ def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
     cd = critical_data(p)
     th = cfg.theta
     xg = np.asarray(x_grid, float)
-    xc = cd.x0 + xg * (1.0 + 1j * th)
+    xc = tortoise(3.0 * p.m, p) + xg * (1.0 + 1j * th)
     w0, _ = potential_W_parts(xc, p)
     v = w0 - cd.E0
     best = None
