@@ -228,8 +228,18 @@ def inverse_tortoise_complex(x, p):
                 xf[mask], tt, L.astype(complex), i, p.m)
     bad = ~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))
     if np.any(bad):
-        raise RuntimeError("tortoise continuation failed at %d points"
-                           % int(np.sum(bad)))
+        msg = "tortoise continuation failed at %d points" % int(np.sum(bad))
+        if p.lam > 0:
+            # the outer horizons' residues grow as sqrt(3/lam)/2, so below
+            # lam m^2 of about 1e-12 the rounding of their cancelling
+            # c log terms in x(r) alone passes the residual test
+            cmax = max(abs(c) for _, c, _ in tt.roots)
+            msg += (" (lam m^2 = %.3g: x(r) sums cancelling horizon terms "
+                    "c log(r - a) with |c| up to %.3g m, whose rounding, "
+                    "about %.2g m, is held to 1e-9 max(m, |x|))"
+                    % (p.lam * p.m ** 2, cmax / p.m, np.finfo(float).eps
+                       * cmax * max(1.0, abs(math.log(cmax / p.m))) / p.m))
+        raise RuntimeError(msg)
     return r.reshape(x.shape), a2.reshape(x.shape)
 
 

@@ -19,7 +19,9 @@ QUAD_FACTOR = 2     # quadrature nodes = QUAD_FACTOR * basis size built
 MAX_MATRIX = 2000   # largest matrix `eigensolve` accepts
 # basis enlargement of the self-convergence filter: `qnm_direct` builds one
 # operator at basis_size + DRIFT_EXTRA (with QUAD_FACTOR times that many
-# nodes) and takes its leading basis_size block as the basis_size matrix
+# nodes), solves its leading basis_size block, and reads each eigenvalue's
+# move under the enlargement from that block's eigenpairs and the
+# DRIFT_EXTRA added rows
 DRIFT_EXTRA = 40
 STAB_REL = 1e-6     # largest relative drift a kept eigenvalue may show
 THETA_MAX = 0.4     # largest scaling angle theta accepted
@@ -96,22 +98,66 @@ def build_scaled_operator(cfg, p, h):
     return kin + pot
 
 
-def eigensolve(mat):
+def eigensolve(mat, vectors=False):
     """All eigenvalues of a dense real or complex matrix, deterministically
-    sorted.
+    sorted; with `vectors`, the pair (eigenvalues, right eigenvectors as
+    the columns of a second array, in the same order).
 
-    The result is complex even where the spectrum is real; a matrix with a
-    NaN or inf entry raises `np.linalg.LinAlgError`, a `ValueError`.
+    The eigenvalues are complex even where the spectrum is real; a matrix
+    with a NaN or inf entry raises `np.linalg.LinAlgError`, a `ValueError`.
     """
     m = np.asarray(mat)
     if m.shape[0] > MAX_MATRIX:
         raise ValueError("matrix too large")
-    return _lexsorted(np.linalg.eigvals(m).astype(complex, copy=False))
+    if not vectors:
+        return _lexsorted(np.linalg.eigvals(m).astype(complex, copy=False))
+    vals, vecs = np.linalg.eig(m)
+    order = _lexorder(vals)
+    return vals[order].astype(complex, copy=False), vecs[:, order]
+
+
+def _lexorder(vals):
+    """Indices that sort `vals` by real part, ties by imaginary part."""
+    return np.lexsort((vals.imag, vals.real))
 
 
 def _lexsorted(vals):
     """`vals` sorted by real part, ties by imaginary part."""
-    return vals[np.lexsort((vals.imag, vals.real))]
+    return vals[_lexorder(vals)]
+
+
+def _enlarged_shift(mat, vals, vecs, idx):
+    """|delta_j| for each j in idx: how far the eigenvalue of the complex
+    symmetric `mat` that continues the eigenvalue z_j = vals[j] of its
+    leading n x n block A11 lies from z_j, to first order.
+
+    With the right eigenvectors v_i of A11 (the columns of `vecs`) and
+    s_i = v_i^T v_i, unconjugated, (mu - A11)^{-1} = sum_i v_i v_i^T /
+    (s_i (mu - z_i)).  The Schur complement of A11 and the determinant
+    lemma then put an eigenvalue mu of `mat` at mu - z_j = y_j^T M_j^{-1}
+    y_j / s_j, with y_i = mat[n:, :n] v_i and M_j = mu - mat[n:, n:] -
+    sum_{i != j} y_i y_i^T / (s_i (mu - z_i)); delta_j is that right-hand
+    side at mu = z_j.  A zero s_i (a defective block) or a z_i equal to
+    z_j, i != j, leaves the expansion undefined and gives inf.  The
+    candidates are taken one at a time, so the work array stays
+    (rows added) x n.
+    """
+    n = vals.size
+    s = np.einsum("ij,ij->j", vecs, vecs)
+    y = mat[n:, :n] @ vecs
+    c = mat[n:, n:]
+    eye = np.eye(c.shape[0])
+    out = np.full(len(idx), np.inf)
+    for k, j in enumerate(idx):
+        d = s * (vals[j] - vals)
+        d[j] = 1.0
+        if s[j] == 0 or not d.all():
+            continue
+        w = 1.0 / d
+        w[j] = 0.0
+        m = vals[j] * eye - c - (y * w) @ y.T
+        out[k] = abs(y[:, j] @ np.linalg.solve(m, y[:, j]) / s[j])
+    return out
 
 
 def qnm_direct(ell, cfg, p, max_modes=None):
@@ -123,13 +169,16 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     separate basis_size build only by the quadrature error of the
     potential: below 1e-13 of max|A| for l >= 4, up to 1e-12 at l = 3 and
     1e-9 at l = 1, 2, where no mode survives.  The drift filter compares
-    the two spectra, so it measures basis convergence only.
+    the block with the whole build, so it measures basis convergence only.
 
     Of the eigenvalues z of the basis_size matrix, those with |z - E0|
-    <= WINDOW*E0 whose relative drift to the nearest eigenvalue of the
-    larger build is at most STAB_REL are kept and mapped to lambda =
-    h^{-1} sqrt(z) (branch Re > 0).  Returns the complex array of lambda
-    by increasing damping (index n = 0 least damped).
+    <= WINDOW*E0 whose relative drift |delta|/max(|z|, 1e-3 E0) is at most
+    STAB_REL are kept and mapped to lambda = h^{-1} sqrt(z) (branch
+    Re > 0).  delta is the first-order move of z to the eigenvalue of the
+    larger build that continues it (`_enlarged_shift`), read from the
+    block's eigenpairs, so the one dense eigensolve per l is that of the
+    basis_size block.  Returns the complex array of lambda by increasing
+    damping (index n = 0 least damped).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -138,11 +187,11 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     big = replace(cfg, basis_size=cfg.basis_size + DRIFT_EXTRA)
     mat2 = build_scaled_operator(big, p, h)
     n = cfg.basis_size
-    vals = eigensolve(mat2[:n, :n])
-    vals2 = eigensolve(mat2)
-    zs = vals[np.abs(vals - cd.E0) <= WINDOW * cd.E0]
+    vals, vecs = eigensolve(mat2[:n, :n], vectors=True)
+    inside = np.flatnonzero(np.abs(vals - cd.E0) <= WINDOW * cd.E0)
+    zs = vals[inside]
     # self-convergence filter: keep eigenvalues stable under basis enlargement
-    drift = np.abs(zs[:, None] - vals2).min(axis=1)
+    drift = _enlarged_shift(mat2, vals, vecs, inside)
     drift /= np.maximum(np.abs(zs), 1e-3 * cd.E0)
     kept = zs[drift <= STAB_REL]
     if kept.size == 0:

@@ -914,6 +914,30 @@ def direct_modes_four_filters(vals, vals2, E0, h, theta):
     return lams[np.argsort(-lams.imag)]
 
 
+def continued_eigenvalue(mat, vals, vecs, j, tol=1e-15, max_iter=200):
+    """The eigenvalue mu of the complex symmetric `mat` that continues the
+    eigenvalue z_j = vals[j] of its leading n x n block (right eigenvectors
+    `vecs`): the fixed point of mu = z_j + y_j^T M_j(mu)^{-1} y_j / s_j,
+    the secular equation whose first step from mu = z_j is
+    `scaling._enlarged_shift`, iterated to a relative step below `tol`."""
+    n = vals.size
+    s = np.einsum("ij,ij->j", vecs, vecs)
+    y = mat[n:, :n] @ vecs
+    c = mat[n:, n:]
+    z = mu = vals[j]
+    for _ in range(max_iter):
+        d = s * (mu - vals)
+        d[j] = 1.0
+        w = 1.0 / d
+        w[j] = 0.0
+        m = mu * np.eye(len(c)) - c - (y * w) @ y.T
+        new = z + y[:, j] @ np.linalg.solve(m, y[:, j]) / s[j]
+        if abs(new - mu) <= tol * abs(z):
+            return new
+        mu = new
+    raise RuntimeError("secular iteration did not converge")
+
+
 def polyval_ascending(coeffs, x):
     """sum_j coeffs[j] x^j by `np.polyval` on the complex array."""
     return np.polyval(np.asarray(coeffs, dtype=complex)[::-1], x)

@@ -394,6 +394,20 @@ def test_tiny_lambda_keeps_the_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "config error: lam m^2 = 1e-300 is too small to resolve the "
             "cosmological horizon\n")
+    # above that, and below lam m^2 of about 1e-12, the horizons resolve,
+    # but the rounding of x(r)'s cancelling horizon terms fails the
+    # continuation: a numerical failure that names lam m^2 and the
+    # cancellation.  3e-12 still runs
+    direct = ["direct", "--ell-range", "8", "8", "--basis-size", "160"]
+    for argv in (["potential"], direct):
+        assert main(argv + ["--lam", "1e-40"]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: tortoise continuation "
+                              "failed at "), argv
+        assert "(lam m^2 = 1e-40: x(r) sums cancelling horizon terms " \
+            "c log(r - a) with |c| up to 8.66e+19 m," in err, argv
+        code, text = run_to_file(tmp_path, argv + ["--lam", "3e-12"])
+        assert code == 0 and len(parse_csv(text)[2]) > 0, argv
 
 
 def test_unwritable_output_exits_2_without_partial(tmp_path):

@@ -10,11 +10,12 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts, tortoise)
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
                                 THETA_MAX, WINDOW, ScalingConfig, _d2_matrix,
+                                _enlarged_shift, _lexsorted,
                                 build_scaled_operator, eigensolve,
                                 hermite_basis, qnm_direct)
-from reference import (direct_modes_four_filters, hermite_basis_tridiagonal,
-                       hermite_function_values, hermite_quadrature,
-                       relative_drift)
+from reference import (continued_eigenvalue, direct_modes_four_filters,
+                       hermite_basis_tridiagonal, hermite_function_values,
+                       hermite_quadrature, relative_drift)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -270,16 +271,32 @@ def test_eigensolve_trace_identity_and_residuals():
     assert np.max(res) <= 1e-8 * np.linalg.norm(m)
 
 
+def test_eigensolve_vectors_sorted_with_their_values():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    m = m + m.T
+    vals, vecs = eigensolve(m, vectors=True)
+    assert vals.dtype == np.complex128
+    assert vals.tobytes() == _lexsorted(vals).tobytes()
+    assert np.max(np.abs(vals - eigensolve(m))) <= 1e-12 * np.max(np.abs(vals))
+    assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(m)
+    # a real matrix with a real spectrum still gives complex eigenvalues
+    vals, _ = eigensolve(np.diag([3.0, 1.0, 2.0]), vectors=True)
+    assert vals.dtype == np.complex128 and np.allclose(vals, [1, 2, 3])
+
+
 def test_eigensolve_nan_raises_value_error():
     m = np.eye(4, dtype=complex)
     m[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        eigensolve(m)
+    for vectors in (False, True):
+        with pytest.raises(ValueError):
+            eigensolve(m, vectors)
 
 
 def test_eigensolve_size_guard():
-    with pytest.raises(ValueError):
-        eigensolve(np.zeros((2001, 2001), dtype=complex))
+    for vectors in (False, True):
+        with pytest.raises(ValueError):
+            eigensolve(np.zeros((2001, 2001), dtype=complex), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -380,51 +397,135 @@ def test_qnm_direct_numerical_failure():
 
 @pytest.fixture
 def spectra(monkeypatch):
-    """The spectra `qnm_direct` computes, in the order it computes them."""
+    """What each `eigensolve` call of `qnm_direct` returns, in call order."""
     out = []
 
-    def recording(mat):
-        out.append(eigensolve(mat))
+    def recording(mat, vectors=False):
+        out.append(eigensolve(mat, vectors))
         return out[-1]
 
     monkeypatch.setattr(scaling, "eigensolve", recording)
     return out
 
 
+def test_qnm_direct_one_eigensolve_per_ell(monkeypatch):
+    # the drift is read from the basis_size block's eigenpairs, so the
+    # basis_size + DRIFT_EXTRA build is never solved, whether modes are
+    # kept (l = 8) or not (l = 2)
+    rows = []
+    for name in ("eig", "eigvals"):
+        solve = getattr(np.linalg, name)
+
+        def spy(mat, solve=solve, name=name):
+            rows.append((name, mat.shape))
+            return solve(mat)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    assert qnm_direct(8, cfg, P1).size == 1
+    assert rows == [("eig", (160, 160))]
+    rows.clear()
+    with pytest.raises(RuntimeError, match="drift filters"):
+        qnm_direct(2, cfg, P1)
+    assert rows == [("eig", (160, 160))]
+
+
+# a share of the (lam, theta, N, l) grid {0, 0.02} x {0.05, 0.1, 0.2, 0.3,
+# 0.4} x {100, 160, 240} x {1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 30}, on all
+# 330 of which the one-step drift keeps what the nearest-eigenvalue drift
+# of the two spectra kept (327 modes)
+ORACLE_GRID = [(lam, theta, n, ell) for lam in (0.0, 0.02)
+               for theta, n in ((0.05, 240), (0.1, 160), (0.2, 100),
+                                (0.3, 240), (0.4, 160))
+               for ell in (2, 8, 16)]
+
+
 def test_qnm_direct_selection_matches_four_filter_oracle(spectra):
-    # the window and drift filters keep, byte for byte, what the window,
-    # |z| >= 0.6 E0, drift and arg lambda > -2 theta filters kept, on the
-    # same pair of spectra.  At N = 160 neither keeps a mode at l = 2 or
-    # at theta = 0.1; l = 8 and 16 at theta = 0.4 keep 2 and 4
-    kept = 0
-    for lam in (0.0, 0.02):
+    # the window and the one-step drift keep, byte for byte, what the
+    # window, |z| >= 0.6 E0, nearest-eigenvalue drift and arg lambda >
+    # -2 theta filters keep on the spectra of the block and of the whole
+    # N + 40 build; where that drift lies in [1e-8, 1e-4] the two drifts
+    # agree within 1e-3 relative (4e-4 measured on the whole grid)
+    kept = compared = 0
+    for lam, theta, n, ell in ORACLE_GRID:
         p = BlackHoleParams(m=1.0, lam=lam)
         E0 = critical_data(p).E0
-        for theta in (0.1, 0.4):
-            cfg = ScalingConfig(theta=theta, basis_size=160)
-            for ell in (2, 8, 16):
-                spectra.clear()
-                try:
-                    got = qnm_direct(ell, cfg, p)
-                except RuntimeError:
-                    got = np.zeros(0, complex)
-                vals, vals2 = spectra
-                want = direct_modes_four_filters(vals, vals2, E0,
-                                                 1.0 / (ell + 0.5), theta)
-                assert got.tobytes() == want.tobytes(), (lam, theta, ell)
-                kept += got.size
-    assert kept == 12
+        h = 1.0 / (ell + 0.5)
+        cfg = ScalingConfig(theta=theta, basis_size=n)
+        spectra.clear()
+        try:
+            got = qnm_direct(ell, cfg, p)
+        except RuntimeError:
+            got = np.zeros(0, complex)
+        ((vals, vecs),) = spectra
+        mat2 = build_scaled_operator(
+            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), p, h)
+        vals2 = eigensolve(mat2)
+        want = direct_modes_four_filters(vals, vals2, E0, h, theta)
+        assert got.tobytes() == want.tobytes(), (lam, theta, n, ell)
+        kept += got.size
+        inside = np.flatnonzero(np.abs(vals - E0) <= WINDOW * E0)
+        zs = vals[inside]
+        drift = _enlarged_shift(mat2, vals, vecs, inside) \
+            / np.maximum(np.abs(zs), 1e-3 * E0)
+        ref = relative_drift(zs, vals2, E0)
+        sel = (ref >= 1e-8) & (ref <= 1e-4)
+        assert np.all(np.abs(drift[sel] - ref[sel]) <= 1e-3 * ref[sel]), \
+            (lam, theta, n, ell)
+        compared += int(sel.sum())
+    # N = 160 keeps 2 and 4 modes per lam at l = 8 and 16 for theta = 0.4,
+    # none for theta = 0.1: 12 of the 23; 11 drifts fall in the compared range
+    assert kept == 23
+    assert compared >= 10
 
 
-def test_qnm_direct_window_rejects_a_drift_stable_continuum_value(spectra):
-    # at theta = 0.05, N = 800, l = 2 a rotated-continuum eigenvalue near
-    # z = 149 E0 is stable under basis enlargement; only the window
-    # removes it, and no mode is left
+def test_enlarged_shift_refuses_degenerate_pairs():
+    # a self-orthogonal eigenvector (s_i = v_i^T v_i = 0, a defective
+    # block) leaves the resolvent expansion undefined for every candidate,
+    # and a repeated eigenvalue for its copies: inf, without a RuntimeWarning
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    mat = mat + mat.T
+    vals, vecs = eigensolve(mat[:3, :3], vectors=True)
+    shift = _enlarged_shift(mat, vals, vecs, np.arange(3))
+    assert np.all(np.isfinite(shift))
+    null = vecs.copy()
+    null[:, 1] = [1.0, 1j, 0.0]
+    shift = _enlarged_shift(mat, vals, null, np.arange(3))
+    assert np.all(shift == np.inf)
+    twin = vals.copy()
+    twin[2] = twin[0]
+    shift = _enlarged_shift(mat, twin, vecs, np.arange(3))
+    assert shift[0] == shift[2] == np.inf and np.isfinite(shift[1])
+
+
+def test_qnm_direct_drift_follows_the_continued_eigenvalue(spectra):
+    # at theta = 0.05, N = 800, l = 2 the window removes every candidate.
+    # Outside it, the continuum value z ~ (148.75 - 14.91i) E0 lies within
+    # 8.7e-7 |z| of an eigenvalue of the N + 40 build, so the nearest-
+    # eigenvalue drift of the two spectra would call it stable.  That
+    # neighbour is another continuum value: the eigenvalue that continues
+    # z, the secular equation's root, lies 3.1e-3 |z| away, and the one
+    # step qnm_direct takes gives 5.5e-3 |z|, far above STAB_REL
     cfg = ScalingConfig(theta=0.05, basis_size=800)
+    h = 1.0 / 2.5
     with pytest.raises(RuntimeError,
                        match="no eigenvalues in the spectral window"):
         qnm_direct(2, cfg, P1)
-    vals, vals2 = spectra
+    ((vals, vecs),) = spectra
+    mat2 = build_scaled_operator(ScalingConfig(theta=0.05, basis_size=840),
+                                 P1, h)
+    vals2 = eigensolve(mat2)
     E0 = critical_data(P1).E0
-    outside = vals[np.abs(vals - E0) > WINDOW * E0]
-    assert (relative_drift(outside, vals2, E0) <= STAB_REL).any()
+    outside = np.flatnonzero(np.abs(vals - E0) > WINDOW * E0)
+    near = relative_drift(vals[outside], vals2, E0)
+    ((j,),) = np.nonzero(near <= STAB_REL)
+    j = outside[j]
+    z = vals[j]
+    assert abs(z / E0 - (148.75 - 14.91j)) <= 0.01
+    assert 8.6e-7 <= np.min(np.abs(vals2 - z)) / abs(z) <= 8.8e-7
+    root = continued_eigenvalue(mat2, vals, vecs, j)
+    assert np.min(np.abs(vals2 - root)) <= 1e-12 * abs(z)
+    assert 3.0e-3 <= abs(root - z) / abs(z) <= 3.2e-3
+    step = _enlarged_shift(mat2, vals, vecs, [j])[0] / abs(z)
+    assert 5.4e-3 <= step <= 5.6e-3
