@@ -18,6 +18,8 @@ import tempfile
 
 from . import catalog, normalform, potentials, pseudospectrum, scaling
 
+# the config schema: each key's default, whose type (its entries' for a
+# list) types the key's flag and config-file value
 DEFAULTS = {
     "m": 1.0,
     "lambda": 0.0,
@@ -38,7 +40,8 @@ DEFAULTS = {
 }
 
 
-# the largest basis_size whose matrices a command can eigensolve
+# the largest basis_size of a command: pseudo's matrices, and direct's
+# build of basis_size + DRIFT_EXTRA rows, stay within MAX_MATRIX rows
 BASIS_LIMIT = {
     "direct": scaling.MAX_MATRIX - scaling.DRIFT_EXTRA,
     "pseudo": scaling.MAX_MATRIX,
@@ -52,6 +55,40 @@ class ConfigError(ValueError):
 def fmt(v):
     """17-significant-digit decimal rendering (lossless doubles)."""
     return "%.17g" % float(v)
+
+
+def _option(key):
+    """Flag, (element) type and nargs of config key `key`; the flag is the
+    key with dashes but for `--lam` (lambda) and `--output` (output_path)."""
+    default = DEFAULTS[key]
+    name = {"lambda": "lam", "output_path": "output"}.get(key, key)
+    kind = type(default[0] if isinstance(default, list) else default)
+    nargs = {"ell_range": 2, "r_list": "+"}.get(key)
+    return "--" + name.replace("_", "-"), kind, nargs
+
+
+def _typed(key, value):
+    """A config-file value as `key`'s type, or a ConfigError naming the
+    key: a float key takes any JSON number, an int key an integer, a str
+    key a string, and a list key a list of two (nargs 2) or of one or more
+    (nargs "+") of those; a bool or a null is never taken."""
+    _, kind, nargs = _option(key)
+    what = {float: "number", int: "integer", str: "string"}[kind]
+    items = value if nargs else [value]
+    # bool is an int, and an integer is a float key's number too
+    takes = (int, float) if kind is float else kind
+    if not (isinstance(items, list) and items
+            and (nargs != 2 or len(items) == 2)
+            and all(isinstance(v, takes) and not isinstance(v, bool)
+                    for v in items)):
+        raise ConfigError("%s must be a JSON %s" % (key, {
+            None: "%s", 2: "list of two %ss", "+": "list of one or more %ss"
+        }[nargs] % what))
+    try:
+        items = [kind(v) for v in items]
+    except OverflowError:
+        raise ConfigError("%s is too large for a float" % key) from None
+    return items if nargs else items[0]
 
 
 def resolve_config(args):
@@ -68,31 +105,17 @@ def resolve_config(args):
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError("unknown config keys: %s" % sorted(unknown))
-        cfg.update(file_cfg)
-    for key in DEFAULTS:
-        flag = key.replace("lambda", "lam")
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    validate_config(cfg, args.command)
+        cfg.update((k, _typed(k, v)) for k, v in file_cfg.items())
+    cfg.update((k, v) for k, v in vars(args).items()
+               if k in DEFAULTS and v is not None)
+    _check_config(cfg, args.command)
     return cfg
 
 
-def validate_config(cfg, command):
-    """Raise ConfigError for any value `command` cannot run with,
-    including values of the wrong type or shape."""
-    try:
-        _check_config(cfg, command)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, ArithmeticError) as e:
-        raise ConfigError("bad value (%s)" % e) from None
-
-
 def _check_config(cfg, command):
+    """Raise ConfigError for any value `command` cannot run with."""
     try:
-        p = potentials.BlackHoleParams(m=float(cfg["m"]),
-                                       lam=float(cfg["lambda"]))
+        p = params_from(cfg)
         # these expand about the barrier top, which a near-extremal lambda
         # lacks; `potential` only tabulates W
         if command in ("gsymbol", "lattice", "count", "direct"):
@@ -100,23 +123,18 @@ def _check_config(cfg, command):
         # these invert the tortoise coordinate, which needs both horizons
         if command in ("potential", "direct"):
             potentials.tortoise(3.0 * p.m, p)
-        scaling.ScalingConfig(float(cfg["theta"]), int(cfg["basis_size"]))
-        pseudospectrum.RotatedHOConfig(float(cfg["pseudo_h"]),
-                                       int(cfg["basis_size"]))
-    except ValueError as e:
+        scaling.ScalingConfig(cfg["theta"], cfg["basis_size"])
+        pseudospectrum.RotatedHOConfig(cfg["pseudo_h"], cfg["basis_size"])
+    except (ValueError, ArithmeticError) as e:
         raise ConfigError(str(e))
-    if not isinstance(cfg["ell_range"], list) or len(cfg["ell_range"]) != 2:
-        raise ConfigError("ell_range must be a list of two integers")
     lo, hi = cfg["ell_range"]
-    if not (1 <= int(lo) <= int(hi)):
+    if not (1 <= lo <= hi):
         raise ConfigError("bad ell_range")
-    if int(cfg["n_max"]) < 0:
+    if cfg["n_max"] < 0:
         raise ConfigError("n_max must be >= 0")
-    if not (0.0 < float(cfg["t"]) <= 0.3):
+    if not (0.0 < cfg["t"] <= 0.3):
         raise ConfigError("t out of (0, 0.3]")
-    if not isinstance(cfg["r_list"], list) or not cfg["r_list"]:
-        raise ConfigError("r_list must be a non-empty list")
-    radii = [float(r) for r in cfg["r_list"]]
+    radii = cfg["r_list"]
     if not all(math.isfinite(r) for r in radii):
         raise ConfigError("r_list entries must be finite")
     if radii != sorted(radii):
@@ -127,28 +145,25 @@ def _check_config(cfg, command):
     if command == "count" and \
             radii[-1] > (catalog.MAX_ELL - 2) * math.sqrt(cd.E0):
         raise ConfigError("r_list reaches ell above %d" % catalog.MAX_ELL)
-    if int(cfg["h_order"]) not in (0, 1, 2):
+    if cfg["h_order"] not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
-    deg_min = 2 * int(cfg["h_order"]) + 4
-    if not (deg_min <= int(cfg["series_degree"]) <= 20):
+    deg_min = 2 * cfg["h_order"] + 4
+    if not (deg_min <= cfg["series_degree"] <= 20):
         raise ConfigError("series_degree out of [%d, 20] for h_order %d"
-                          % (deg_min, int(cfg["h_order"])))
-    if int(cfg["basis_size"]) > BASIS_LIMIT.get(command, math.inf):
+                          % (deg_min, cfg["h_order"]))
+    if cfg["basis_size"] > BASIS_LIMIT.get(command, math.inf):
         raise ConfigError("basis_size above %d for %s"
                           % (BASIS_LIMIT[command], command))
-    if not all(math.isfinite(float(cfg[k])) for k in ("x_min", "x_max")):
+    if not all(math.isfinite(cfg[k]) for k in ("x_min", "x_max")):
         raise ConfigError("x_min and x_max must be finite")
-    if int(cfg["x_points"]) < 0:
+    if cfg["x_points"] < 0:
         raise ConfigError("x_points must be >= 0")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    if not isinstance(cfg["output_path"], str):
-        raise ConfigError("output_path must be a string")
 
 
 def params_from(cfg):
-    return potentials.BlackHoleParams(m=float(cfg["m"]),
-                                      lam=float(cfg["lambda"]))
+    return potentials.BlackHoleParams(m=cfg["m"], lam=cfg["lambda"])
 
 
 def write_atomic(path, text):
@@ -190,11 +205,11 @@ def json_doc(cfg, payload):
 
 def cmd_potential(cfg):
     p = params_from(cfg)
-    npts = int(cfg["x_points"])
+    npts = cfg["x_points"]
     rows = []
     if npts > 0:
         import numpy as np
-        xs = np.linspace(float(cfg["x_min"]), float(cfg["x_max"]), npts)
+        xs = np.linspace(cfg["x_min"], cfg["x_max"], npts)
         w0, w1 = potentials.potential_W_parts(xs.astype(complex), p)
         rows = [(float(x), float(a.real), float(b.real))
                 for x, a, b in zip(xs, w0, w1)]
@@ -204,8 +219,8 @@ def cmd_potential(cfg):
 
 
 def _symbol(cfg, p):
-    return normalform.qnm_symbol(p, degree=int(cfg["series_degree"]),
-                                 h_order=int(cfg["h_order"]))
+    return normalform.qnm_symbol(p, degree=cfg["series_degree"],
+                                 h_order=cfg["h_order"])
 
 
 def cmd_gsymbol(cfg):
@@ -226,10 +241,10 @@ def cmd_lattice(cfg):
     p = params_from(cfg)
     G = _symbol(cfg, p)
     rad = catalog.validity_radius(G.levels[0])
-    lo, hi = int(cfg["ell_range"][0]), int(cfg["ell_range"][1])
+    lo, hi = cfg["ell_range"]
     rows = []
     for ell in range(lo, hi + 1):
-        lams = catalog.lattice(G, ell, rad, int(cfg["n_max"]))
+        lams = catalog.lattice(G, ell, rad, cfg["n_max"])
         rows += [(ell, n, float(lam.real), float(lam.imag), 2 * ell + 1)
                  for n, lam in enumerate(lams)]
     if cfg["format"] == "json":
@@ -241,8 +256,7 @@ def cmd_lattice(cfg):
 def cmd_count(cfg):
     p = params_from(cfg)
     G = _symbol(cfg, p)
-    rows = catalog.asymptotic_check(p, G, float(cfg["t"]),
-                                    [float(r) for r in cfg["r_list"]])
+    rows = catalog.asymptotic_check(p, G, cfg["t"], cfg["r_list"])
     note = ("lambda=0: the cubic asymptotic is a lower-bound statement; "
             "ratios are reported as-is" if p.lam == 0 else "")
     if cfg["format"] == "json":
@@ -255,20 +269,20 @@ def cmd_count(cfg):
 
 def cmd_direct(cfg):
     p = params_from(cfg)
-    lo, hi = int(cfg["ell_range"][0]), int(cfg["ell_range"][1])
-    scfg = scaling.ScalingConfig(theta=float(cfg["theta"]),
-                                 basis_size=int(cfg["basis_size"]))
+    lo, hi = cfg["ell_range"]
+    scfg = scaling.ScalingConfig(theta=cfg["theta"],
+                                 basis_size=cfg["basis_size"])
     payload, failed = [], []
     for ell in range(lo, hi + 1):
         try:
             lams = scaling.qnm_direct(
-                ell, scfg, p, max_modes=int(cfg["n_max"]) + 1).tolist()
+                ell, scfg, p, max_modes=cfg["n_max"] + 1).tolist()
         except RuntimeError as e:
             # the message only: a kept exception would hold this frame,
             # and the matrices below it, in a cycle until the next gc
             failed.append((ell, str(e)))
             lams = []
-        payload.append({"ell": ell, "theta": float(cfg["theta"]),
+        payload.append({"ell": ell, "theta": cfg["theta"],
                         "qnm": [[z.real, z.imag] for z in lams]})
     # an ell without a mode is a note; every ell failing is a failure
     if len(failed) == len(payload):
@@ -285,8 +299,8 @@ def cmd_direct(cfg):
 
 
 def cmd_pseudo(cfg):
-    pcfg = pseudospectrum.RotatedHOConfig(h=float(cfg["pseudo_h"]),
-                                          basis_size=int(cfg["basis_size"]))
+    pcfg = pseudospectrum.RotatedHOConfig(h=cfg["pseudo_h"],
+                                          basis_size=cfg["basis_size"])
     rep = pseudospectrum.instability_report(pcfg)
     rows = [(r["n"], float(r["exact"].real), float(r["exact"].imag),
              float(r["computed"].real), float(r["computed"].imag),
@@ -313,22 +327,9 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="qnmlattice")
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file")
-    ap.add_argument("--m", type=float)
-    ap.add_argument("--lam", type=float, help="cosmological constant")
-    ap.add_argument("--theta", type=float)
-    ap.add_argument("--ell-range", dest="ell_range", type=int, nargs=2)
-    ap.add_argument("--n-max", dest="n_max", type=int)
-    ap.add_argument("--t", type=float)
-    ap.add_argument("--r-list", dest="r_list", type=float, nargs="+")
-    ap.add_argument("--series-degree", dest="series_degree", type=int)
-    ap.add_argument("--h-order", dest="h_order", type=int)
-    ap.add_argument("--basis-size", dest="basis_size", type=int)
-    ap.add_argument("--x-min", dest="x_min", type=float)
-    ap.add_argument("--x-max", dest="x_max", type=float)
-    ap.add_argument("--x-points", dest="x_points", type=int)
-    ap.add_argument("--pseudo-h", dest="pseudo_h", type=float)
-    ap.add_argument("--output", dest="output_path")
-    ap.add_argument("--format", dest="format", choices=["csv", "json"])
+    for key in DEFAULTS:
+        flag, kind, nargs = _option(key)
+        ap.add_argument(flag, dest=key, type=kind, nargs=nargs)
     return ap
 
 

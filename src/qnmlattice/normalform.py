@@ -349,7 +349,7 @@ def weyl_to_spectral(levels, h_order):
 # assembly of the mode symbol
 
 
-def qnm_symbol(p, degree=10, h_order=2):
+def qnm_symbol(p, degree, h_order):
     """Mode symbol G(x; h): lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
     G_0(x) = sqrt(E0 + g_eig(SPECTRAL_ARG * x)) with g_eig the classical

@@ -38,8 +38,8 @@ from .scaling import _lexsorted, _u2_matrix, eigensolve
 
 @dataclass(frozen=True)
 class RotatedHOConfig:
-    h: float = 0.05
-    basis_size: int = 151
+    h: float
+    basis_size: int
 
     def __post_init__(self):
         if not (0 < self.h < math.inf):
@@ -61,8 +61,8 @@ def instability_report(cfg):
     where the distance exceeds 10% of |lam_exact|.
 
     The computed spectrum is (1+i) h times the eigenvalues of T_0 and T_1,
-    real dgeev solves of ceil(N/2) and floor(N/2) rows, sorted as
-    `eigensolve` sorts; see the module docstring for the similarity.
+    real dgeev solves of ceil(N/2) and floor(N/2) rows, sorted by (real,
+    imaginary) part; see the module docstring for the similarity.
 
     Returns {"rows": [...], "divergence_index": n* or None}.  Matching is
     nearest-neighbor in order of increasing |lam_exact| (a heuristic; the

@@ -29,8 +29,8 @@ THETA_MAX = 0.4     # largest scaling angle theta accepted
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    theta: float = 0.3
-    basis_size: int = 128
+    theta: float
+    basis_size: int
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= THETA_MAX):
@@ -99,9 +99,10 @@ def build_scaled_operator(cfg, p, h):
 
 
 def eigensolve(mat, vectors=False):
-    """All eigenvalues of a dense real or complex matrix, deterministically
-    sorted; with `vectors`, the pair (eigenvalues, right eigenvectors as
-    the columns of a second array, in the same order).
+    """All eigenvalues of a dense real or complex matrix, in LAPACK's order;
+    with `vectors`, the pair (eigenvalues, right eigenvectors as the
+    columns of a second array, in the same order).  No caller reads the
+    order: sort what is kept.
 
     The eigenvalues are complex even where the spectrum is real; a matrix
     with a NaN or inf entry raises `np.linalg.LinAlgError`, a `ValueError`.
@@ -110,20 +111,14 @@ def eigensolve(mat, vectors=False):
     if m.shape[0] > MAX_MATRIX:
         raise ValueError("matrix too large")
     if not vectors:
-        return _lexsorted(np.linalg.eigvals(m).astype(complex, copy=False))
+        return np.linalg.eigvals(m).astype(complex, copy=False)
     vals, vecs = np.linalg.eig(m)
-    order = _lexorder(vals)
-    return vals[order].astype(complex, copy=False), vecs[:, order]
-
-
-def _lexorder(vals):
-    """Indices that sort `vals` by real part, ties by imaginary part."""
-    return np.lexsort((vals.imag, vals.real))
+    return vals.astype(complex, copy=False), vecs
 
 
 def _lexsorted(vals):
     """`vals` sorted by real part, ties by imaginary part."""
-    return vals[_lexorder(vals)]
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def _enlarged_shift(mat, vals, vecs, idx):

@@ -351,8 +351,9 @@ def test_bad_config_exits_2(tmp_path):
                 {"r_list": "ab"}):
         cfg_path.write_text(json.dumps(bad))
         assert main(["count", "--config", str(cfg_path)]) == 2, bad
-    # a basis whose matrices eigensolve refuses: direct builds one
-    # matrix of basis_size + 40, so its limit is 1960
+    # a basis whose matrices eigensolve refuses: direct solves only the
+    # basis_size block, but its build of basis_size + 40 rows must stay
+    # within the 2000 rows, so its limit is 1960
     assert main(["direct", "--basis-size", "2001", "--ell-range", "4", "4"]) \
         == 2
     assert main(["direct", "--basis-size", "1961", "--ell-range", "4", "4"]) \
@@ -376,6 +377,88 @@ def test_bad_config_exits_2(tmp_path):
     for doc in ("5", "null", '[["m", 2]]'):
         cfg_path.write_text(doc)
         assert main(["lattice", "--config", str(cfg_path)]) == 2, doc
+
+
+# every config key's flag at the parent of the schema change: name, type
+# and nargs
+FLAGS = {
+    "m": ("--m", float, None),
+    "lambda": ("--lam", float, None),
+    "theta": ("--theta", float, None),
+    "ell_range": ("--ell-range", int, 2),
+    "n_max": ("--n-max", int, None),
+    "t": ("--t", float, None),
+    "r_list": ("--r-list", float, "+"),
+    "series_degree": ("--series-degree", int, None),
+    "h_order": ("--h-order", int, None),
+    "basis_size": ("--basis-size", int, None),
+    "x_min": ("--x-min", float, None),
+    "x_max": ("--x-max", float, None),
+    "x_points": ("--x-points", int, None),
+    "pseudo_h": ("--pseudo-h", float, None),
+    "output_path": ("--output", str, None),
+    "format": ("--format", str, None),
+}
+
+
+def test_flag_table():
+    actions = cli.build_parser()._actions
+    assert sorted(a.dest for a in actions) == sorted(
+        list(cli.DEFAULTS) + ["command", "config", "help"])
+    for a in actions:
+        if a.dest in cli.DEFAULTS:
+            # argparse reads an untyped option as a string
+            assert (*a.option_strings, a.type or str, a.nargs) == \
+                FLAGS[a.dest], a.dest
+
+
+MALFORMED = [("h_order", 1.5), ("basis_size", 20.9), ("basis_size", 160.0),
+             ("series_degree", 10.9), ("x_points", 2.5), ("n_max", True),
+             ("m", True), ("theta", "0.3"), ("ell_range", [4.7, 5]),
+             ("ell_range", [1, "4"]), ("ell_range", [1]), ("r_list", []),
+             ("r_list", [50, "100"]), ("format", 5), ("output_path", 3)] \
+    + [(key, None) for key in cli.DEFAULTS]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED)
+def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, key,
+                                                     value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code, text = run_to_file(tmp_path, ["count", "--config", str(cfg_path)])
+    assert code == 2 and text is None
+    assert capsys.readouterr().err.startswith("config error: %s " % key)
+
+
+def test_config_file_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text('{"m": 1%s}' % ("0" * 399))
+    code, text = run_to_file(tmp_path, ["count", "--config", str(cfg_path)])
+    assert code == 2 and text is None
+    assert capsys.readouterr().err == \
+        "config error: m is too large for a float\n"
+
+
+def test_format_flag_refused_by_the_config_check(capsys):
+    assert main(["potential", "--format", "xml"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: format must be csv or json\n"
+
+
+def test_config_file_integers_for_float_keys(tmp_path):
+    # an integer is a number for a float key, embedded as a float, and the
+    # embedded config replays the run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 2, "r_list": [50, 100]}))
+    code, text = run_to_file(tmp_path, ["count", "--config", str(cfg_path)])
+    assert code == 0
+    header = text.splitlines()[0]
+    assert '"m": 2.0,' in header and '"r_list": [50.0, 100.0],' in header
+    cfg, _, rows = parse_csv(text)
+    assert len(rows) == 2
+    cfg_path.write_text(json.dumps(cfg))
+    code, replay = run_to_file(tmp_path, ["count", "--config", str(cfg_path)])
+    assert code == 0 and replay == text
 
 
 def test_tiny_lambda_keeps_the_exit_codes(tmp_path, capsys):

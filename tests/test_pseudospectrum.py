@@ -15,13 +15,13 @@ from reference import hermite_galerkin_matrix
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RotatedHOConfig(h=0.0)
+        RotatedHOConfig(h=0.0, basis_size=151)
     with pytest.raises(ValueError):
-        RotatedHOConfig(basis_size=4)
+        RotatedHOConfig(h=0.05, basis_size=4)
     # a NaN h would give NaN rows and no divergence index
     for h in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="h must be positive and finite"):
-            RotatedHOConfig(h=h)
+            RotatedHOConfig(h=h, basis_size=151)
 
 
 def test_exact_eigenvalues():
@@ -51,7 +51,7 @@ def test_matrix_entries_against_quadrature():
 
 
 def test_matrix_complex_symmetric():
-    m = hermite_galerkin_matrix(RotatedHOConfig(basis_size=40))
+    m = hermite_galerkin_matrix(RotatedHOConfig(h=0.05, basis_size=40))
     assert np.max(np.abs(m - m.T)) == 0.0
 
 

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qnmlattice import scaling
+from qnmlattice import pseudospectrum, scaling
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts, tortoise)
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
                                 THETA_MAX, WINDOW, ScalingConfig, _d2_matrix,
-                                _enlarged_shift, _lexsorted,
-                                build_scaled_operator, eigensolve,
-                                hermite_basis, qnm_direct)
+                                _enlarged_shift, build_scaled_operator,
+                                eigensolve, hermite_basis, qnm_direct)
 from reference import (continued_eigenvalue, direct_modes_four_filters,
                        hermite_basis_tridiagonal, hermite_function_values,
                        hermite_quadrature, relative_drift)
@@ -21,13 +20,13 @@ P1 = BlackHoleParams(m=1.0)
 
 
 def test_config_validation():
-    ScalingConfig(theta=THETA_MAX)
+    ScalingConfig(theta=THETA_MAX, basis_size=128)
     with pytest.raises(ValueError):
-        ScalingConfig(theta=0.7)
+        ScalingConfig(theta=0.7, basis_size=128)
     with pytest.raises(ValueError):
-        ScalingConfig(theta=THETA_MAX + 0.01)
+        ScalingConfig(theta=THETA_MAX + 0.01, basis_size=128)
     with pytest.raises(ValueError):
-        ScalingConfig(basis_size=0)
+        ScalingConfig(theta=0.3, basis_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +137,13 @@ def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
 
 
 def test_scaled_symbol_unrotated_and_origin():
-    cfg0 = ScalingConfig(theta=0.0)
+    cfg0 = ScalingConfig(theta=0.0, basis_size=128)
     cd = critical_data(P1)
     # theta = 0: p = xi^2 + (W0(x0+x) - E0)
     assert abs(scaled_symbol(0.0, 0.5, cfg0, P1) - 0.25) <= 1e-12
     assert abs(scaled_symbol(0.0, 0.0, cfg0, P1)) <= 1e-14
     # critical point: gradient vanishes for any theta
-    cfg = ScalingConfig(theta=0.3)
+    cfg = ScalingConfig(theta=0.3, basis_size=128)
     d = 1e-5
     gx = (scaled_symbol(d, 0.0, cfg, P1)
           - scaled_symbol(-d, 0.0, cfg, P1)) / (2 * d)
@@ -156,7 +155,7 @@ def test_scaled_symbol_sign_of_imaginary_part():
     # constant along the x-direction is of order E0^2 (the barrier
     # curvature), much smaller than the O(1) xi-direction constant
     cd = critical_data(P1)
-    cfg = ScalingConfig(theta=0.2)
+    cfg = ScalingConfig(theta=0.2, basis_size=128)
     worst = -np.inf
     for x in np.linspace(-1.0, 1.0, 9):
         for xi in np.linspace(-1.0, 1.0, 9):
@@ -168,7 +167,7 @@ def test_scaled_symbol_sign_of_imaginary_part():
 
 
 def test_ellipticity_scan_positive():
-    cfg = ScalingConfig(theta=0.2)
+    cfg = ScalingConfig(theta=0.2, basis_size=128)
     grid = np.linspace(-2.0, 2.0, 41)
     rep = ellipticity_scan(cfg, P1, 0.3, grid, grid)
     assert not rep["empty_domain"]
@@ -178,7 +177,7 @@ def test_ellipticity_scan_positive():
 
 
 def test_ellipticity_scan_empty():
-    cfg = ScalingConfig(theta=0.2)
+    cfg = ScalingConfig(theta=0.2, basis_size=128)
     grid = np.linspace(-0.05, 0.05, 5)
     rep = ellipticity_scan(cfg, P1, 1.0, grid, grid)
     assert rep["empty_domain"]
@@ -186,8 +185,10 @@ def test_ellipticity_scan_empty():
 
 def test_ellipticity_scales_with_theta():
     grid = np.linspace(-1.5, 1.5, 61)
-    r1 = ellipticity_scan(ScalingConfig(theta=0.1), P1, 0.3, grid, grid)
-    r2 = ellipticity_scan(ScalingConfig(theta=0.2), P1, 0.3, grid, grid)
+    r1 = ellipticity_scan(ScalingConfig(theta=0.1, basis_size=128), P1,
+                          0.3, grid, grid)
+    r2 = ellipticity_scan(ScalingConfig(theta=0.2, basis_size=128), P1,
+                          0.3, grid, grid)
     ratio = r2["min_ratio"] / r1["min_ratio"]
     assert 1.0 < ratio < 4.0
 
@@ -248,15 +249,27 @@ def test_leading_block_of_enlarged_build(n, theta, lam):
             <= 1e-12 * np.max(np.abs(mat)), ell
 
 
+def same_multiset(a, b, tol):
+    """Whether each value of `a` lies within `tol` of its own value of `b`
+    (greedy nearest matching; `eigensolve` keeps LAPACK's order)."""
+    left = list(b)
+    for z in a:
+        j = int(np.argmin(np.abs(np.subtract(left, z))))
+        if abs(left.pop(j) - z) > tol:
+            return False
+    return len(a) == len(b)
+
+
 def test_eigensolve_basics():
-    d = np.diag([3.0, 1.0, 2.0])
-    vals = eigensolve(d)
-    assert np.allclose(vals, [1.0, 2.0, 3.0])
-    # LAPACK returns a real array for a real matrix with a real spectrum
-    assert vals.dtype == np.complex128
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    vals = eigensolve(rot)
-    assert np.allclose(vals, [-1j, 1j])
+    for mat, want in ((np.diag([3.0, 1.0, 2.0]), [1.0, 2.0, 3.0]),
+                      (np.array([[0.0, 1.0], [-1.0, 0.0]]), [-1j, 1j])):
+        vals = eigensolve(mat)
+        assert same_multiset(vals, want, 1e-14), mat
+        # LAPACK returns a real array for a real matrix with a real spectrum
+        assert vals.dtype == np.complex128
+        vals, vecs = eigensolve(mat, vectors=True)
+        assert same_multiset(vals, want, 1e-14), mat
+        assert np.max(np.abs(mat @ vecs - vecs * vals)) <= 1e-14
 
 
 def test_eigensolve_trace_identity_and_residuals():
@@ -272,17 +285,53 @@ def test_eigensolve_trace_identity_and_residuals():
 
 
 def test_eigensolve_vectors_sorted_with_their_values():
+    # column i of the vectors belongs to value i, and both modes give the
+    # same values, in whatever order LAPACK leaves them
     rng = np.random.default_rng(3)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     m = m + m.T
     vals, vecs = eigensolve(m, vectors=True)
     assert vals.dtype == np.complex128
-    assert vals.tobytes() == _lexsorted(vals).tobytes()
-    assert np.max(np.abs(vals - eigensolve(m))) <= 1e-12 * np.max(np.abs(vals))
+    scale = np.max(np.abs(vals))
+    assert same_multiset(vals, eigensolve(m), 1e-12 * scale)
     assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(m)
+    assert np.all(np.linalg.norm(vecs, axis=0) > 0.5)
     # a real matrix with a real spectrum still gives complex eigenvalues
     vals, _ = eigensolve(np.diag([3.0, 1.0, 2.0]), vectors=True)
-    assert vals.dtype == np.complex128 and np.allclose(vals, [1, 2, 3])
+    assert vals.dtype == np.complex128
+    assert same_multiset(vals, [1.0, 2.0, 3.0], 1e-14)
+
+
+def test_outputs_do_not_read_the_eigensolve_order(monkeypatch):
+    # with every spectrum `eigensolve` returns reversed, pairs together,
+    # qnm_direct on the bench grid and on an l that keeps no mode (by its
+    # message) and instability_report give the same bytes
+    def run():
+        cfg = ScalingConfig(theta=0.3, basis_size=160)
+        out = [qnm_direct(ell, cfg, P1).tobytes() for ell in range(4, 17)]
+        with pytest.raises(RuntimeError, match="drift filters") as err:
+            qnm_direct(2, cfg, P1)
+        out.append(str(err.value))
+        for n in (151, 302):
+            out.append(repr(pseudospectrum.instability_report(
+                pseudospectrum.RotatedHOConfig(h=0.05, basis_size=n))))
+        return out
+
+    calls = []
+
+    def reversing(mat, vectors=False):
+        calls.append(vectors)
+        if vectors:
+            vals, vecs = eigensolve(mat, vectors)
+            return vals[::-1], vecs[:, ::-1]
+        return eigensolve(mat)[::-1]
+
+    want = run()
+    monkeypatch.setattr(scaling, "eigensolve", reversing)
+    monkeypatch.setattr(pseudospectrum, "eigensolve", reversing)
+    assert run() == want
+    # one eig per l, one dgeev per parity block
+    assert calls == [True] * 14 + [False] * 4
 
 
 def test_eigensolve_nan_raises_value_error():
@@ -379,7 +428,7 @@ def test_qnm_direct_de_sitter():
 
 def test_qnm_direct_ell_guard():
     with pytest.raises(ValueError):
-        qnm_direct(0, ScalingConfig(), P1)
+        qnm_direct(0, ScalingConfig(theta=0.3, basis_size=128), P1)
 
 
 def test_qnm_direct_numerical_failure():

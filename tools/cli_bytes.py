@@ -1,0 +1,78 @@
+"""Byte check of the qnmlattice CLI, a parent commit against the working tree.
+
+    python3 tools/cli_bytes.py --parent REV
+
+Run from the root of a source checkout.  The parent commit is exported
+with `bench_pairs.export_tree` into a temporary directory.  Every argv of
+ARGVS runs in both trees, once with `--format csv` and once with `--format
+json`, as `python -m qnmlattice.cli` with the tree's `src` first on the
+path and OPENBLAS_NUM_THREADS=1 (the last digits of `direct` follow the
+BLAS thread count).  One line per argv and format says `same` or `DIFF`
+for stdout, stderr and the exit code; the script exits 1 if any differs.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import ROOT, export_tree, git
+
+ARGVS = [
+    # the README commands
+    ["potential", "--m", "1", "--lam", "0", "--x-min", "-20", "--x-max",
+     "40", "--x-points", "121"],
+    ["gsymbol", "--series-degree", "10", "--h-order", "2"],
+    ["lattice", "--ell-range", "1", "4", "--n-max", "4"],
+    ["count", "--t", "0.05", "--r-list", "50", "100", "200"],
+    ["direct", "--ell-range", "4", "16", "--theta", "0.3", "--basis-size",
+     "160"],
+    ["pseudo", "--basis-size", "151", "--pseudo-h", "0.05"],
+    # de Sitter, deeper symbols, the bench's commands and direct's defaults
+    ["potential", "--lam", "0.02"],
+    ["gsymbol", "--lam", "0.02", "--series-degree", "16"],
+    ["lattice", "--lam", "0.02", "--series-degree", "20", "--ell-range",
+     "1", "30", "--n-max", "40"],
+    ["count", "--t", "0.05", "--r-list", "50.0", "100.0", "200.0", "400.0",
+     "--lam", "0.01"],
+    ["count", "--t", "0.05", "--r-list", "50.0", "100.0", "200.0", "400.0",
+     "--lam", "0.02"],
+    ["direct"],
+    ["direct", "--ell-range", "4", "16", "--theta", "0.3", "--basis-size",
+     "160", "--n-max", "4"],
+    ["direct", "--lam", "0.02", "--ell-range", "2", "6"],
+    ["pseudo", "--basis-size", "302"],
+    ["pseudo", "--basis-size", "400"],
+]
+
+
+def run(tree, argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-m", "qnmlattice.cli", *argv],
+                          cwd=tree, env=env, capture_output=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="parent revision")
+    args = ap.parse_args(argv)
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="cli_bytes_parent_") as tmp:
+        export_tree(git("rev-parse", args.parent), tmp)
+        for fmt in ("csv", "json"):
+            for cmd in ARGVS:
+                line = cmd + ["--format", fmt]
+                same = [a == b
+                        for a, b in zip(run(tmp, line), run(ROOT, line))]
+                differ = differ or not all(same)
+                print("%s: stdout %s, stderr %s, exit %s" % (
+                    " ".join(line), *("same" if s else "DIFF" for s in same)),
+                    flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
