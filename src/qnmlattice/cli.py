@@ -327,9 +327,11 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="qnmlattice")
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file")
-    for key in DEFAULTS:
+    for key, default in DEFAULTS.items():
         flag, kind, nargs = _option(key)
-        ap.add_argument(flag, dest=key, type=kind, nargs=nargs)
+        shown = " ".join(map(str, default)) if nargs else default
+        ap.add_argument(flag, dest=key, type=kind, nargs=nargs,
+                        help="default: %s" % shown)
     return ap
 
 

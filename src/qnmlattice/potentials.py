@@ -7,6 +7,7 @@ coordinate x, and the barrier top sits at r = 3m.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,13 @@ class BlackHoleParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.m < math.inf):
-            raise ValueError("mass must be positive and finite")
+        # E0 = (1 - 9 lam m^2)/(27 m^2) needs 27 m^2 a normal, finite float
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        if not (0 < self.m and tiny <= 27.0 * self.m * self.m <= huge):
+            raise ValueError(
+                "m = %r is out of range: need m > 0 with 27 m^2 a normal, "
+                "finite float, about %.2g <= m <= %.2g"
+                % (self.m, math.sqrt(tiny / 27.0), math.sqrt(huge / 27.0)))
         # written so that a NaN lam fails it too
         if not (0 <= self.lam and 9.0 * self.lam * self.m ** 2 < 1.0):
             raise ValueError("need 0 <= lam < 1/(9 m^2)")
@@ -122,38 +128,11 @@ def tortoise(r, p):
     return float(tt.x(r))
 
 
-def _wright_omega(z):
-    """Wright omega of a real array z: the solution w > 0 of w + log w = z.
-
-    Three Fritsch-Shafer-Crowley steps (the iteration of Lawrence, Corless
-    and Jeffrey, ACM TOMS 38 (2012) 20), written in r / (1 + w) so that
-    each step rescales w by a factor and nothing overflows at large z; two
-    steps leave 2e-11 near z = 1, the third reaches rounding.  Below
-    z = -40, w = e^z to double precision, and e^z may underflow to 0.
-    """
-    zc = np.maximum(z, -40.0)
-    w = np.where(zc > 1.0, zc - np.log(np.maximum(zc, 1.0)),
-                 np.exp(np.minimum(zc, 1.0)))
-    for _ in range(3):
-        r = zc - w - np.log(w)
-        t = r / (1.0 + w)
-        s = 2.0 * (1.0 + w) + (4.0 / 3.0) * r
-        w = w * (1.0 + t * (s - t) / (s - 2.0 * t))
-    return np.where(z > -40.0, w, np.exp(np.minimum(z, -40.0)))
-
-
 def inverse_tortoise(x, p):
-    """r(x) on the real line for a scalar or an array x: for lam = 0,
-    r = 2m (1 + omega(x/2m - 1 - log 2m)) with the Wright omega function
-    `_wright_omega`; for lam > 0, `inverse_tortoise_complex` at Im x = 0."""
-    if p.lam > 0:
-        r = inverse_tortoise_complex(x, p)[0].real
-        return r if np.ndim(x) else float(r)
-    xf = np.array(x, dtype=float).ravel()
-    # x = r + 2m log(r - 2m) <=> (r - 2m)/2m = omega(x/2m - 1 - log 2m)
-    r = 2.0 * p.m * (1.0 + _wright_omega(
-        xf / (2.0 * p.m) - 1.0 - math.log(2.0 * p.m)))
-    return r.reshape(np.shape(x)) if np.ndim(x) else float(r[0])
+    """r(x) on the real line for a scalar or an array x: the real part of
+    `inverse_tortoise_complex` at Im x = 0."""
+    r = inverse_tortoise_complex(x, p)[0].real
+    return r if np.ndim(x) else float(r)
 
 
 # a diverging run may overflow to inf or nan: the callers' residual check
@@ -163,7 +142,8 @@ def _continue(x, tt, L, root, m):
     """Homotopy-Newton continuation of x(r) = x in the log-distance
     L = log(s (r - a)) to the root (a, c, s) of index `root`, from
     real-axis seeds L, with Im(x) switched on in steps of at most m/2
-    (one step if Im(x) = 0 throughout).
+    (one step if Im(x) = 0 throughout).  Each homotopy step's Newton
+    stops once every point's own step in L is below 1e-13 max(1, |L|).
     r = a + s e^L and x(r) = c L + (the other terms) avoid forming r - a
     when it is exponentially small and make winding in Im(x) automatic.
     Returns r, alpha^2(r), formed from e^L for full relative precision,
@@ -185,7 +165,7 @@ def _continue(x, tt, L, root, m):
             _, xL, dL_dx = solve(L)
             dL = -(xL - xt) * dL_dx
             L = L + dL
-            if np.max(np.abs(dL)) < 1e-13 * max(1.0, np.max(np.abs(L))):
+            if np.all(np.abs(dL) < 1e-13 * np.maximum(1.0, np.abs(L))):
                 break
     r, xL, _ = solve(L)
     # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
@@ -197,20 +177,22 @@ def inverse_tortoise_complex(x, p):
 
     Vectorized over a complex array x; returns the pair (r, alpha^2).
     Each point is continued by `_continue` in the log-distance to one
-    horizon a from a real seed L.  At lam = 0 that is 2m, seeded from the
-    Wright omega root at Re x (from the asymptote where r - 2m
-    underflows).  At lam > 0 it is the horizon on Re x's side of the
-    barrier top, r_minus if Re x < x(3m) else r_plus, seeded at
-    L = min((Re x - the other terms of x at r = a)/c, log s (3m - a)):
-    the other terms grow from r = a to 3m, so both lie on the barrier-top
-    side of the root.  x(L) is increasing and convex on r_minus's chart,
-    decreasing and concave on r_plus's, so Newton moves monotonically to
-    the real root and stays in the chart.
+    horizon a from a real seed L: to 2m at lam = 0, and at lam > 0 to the
+    horizon on Re x's side of the barrier top, r_minus if Re x < x(3m)
+    else r_plus.  The seed is L = min((Re x - the other terms of x at
+    r = a)/c, log s (3m - a)): the other terms grow from r = a to 3m, so
+    both lie on the barrier-top side of the root.  At lam = 0 past the
+    barrier top it is L = log(Re x - x(3m) + m), r = Re x - 2m log m,
+    where x(r) - Re x = 2m log((r - 2m)/m) >= 0.  x(L) is increasing and
+    convex on 2m's and r_minus's chart, decreasing and concave on
+    r_plus's, so Newton moves monotonically to the real root and stays in
+    the chart.
     """
     x = np.asarray(x, dtype=complex)
     xf = x.ravel()
     tt = _tortoise_terms(p)
-    root = np.where(xf.real < tt.x(3.0 * p.m), 1, 2) if p.lam > 0 \
+    x3 = tt.x(3.0 * p.m)
+    root = np.where(xf.real < x3, 1, 2) if p.lam > 0 \
         else np.zeros(xf.shape, dtype=int)
     r = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
@@ -218,12 +200,12 @@ def inverse_tortoise_complex(x, p):
     for i, (a, c, s) in enumerate(tt.roots):
         mask = root == i
         if np.any(mask):
-            L = (xf.real[mask] - tt.x(a, skip=i)) / c
+            xr = xf.real[mask]
+            L = np.minimum((xr - tt.x(a, skip=i)) / c,
+                           math.log(s * (3.0 * p.m - a)))
             if p.lam == 0:
-                e = inverse_tortoise(xf.real[mask], p) - a
-                L = np.where(e > 0, np.log(np.maximum(e, 1e-300)), L)
-            else:
-                L = np.minimum(L, math.log(s * (3.0 * p.m - a)))
+                L = np.where(xr < x3, L,
+                             np.log(np.maximum(xr - x3, 0.0) + p.m))
             r[mask], a2[mask], resid[mask] = _continue(
                 xf[mask], tt, L.astype(complex), i, p.m)
     bad = ~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))
@@ -250,9 +232,11 @@ def critical_data(p):
     E0 = (1.0 - 9.0 * lam * m * m) / (27.0 * m * m)
     if E0 < 1e-6 / (m * m):
         raise ValueError("degenerate barrier: E0 too small (near-extremal)")
-    # construction-time consistency check
+    # construction-time consistency check: alpha^2(3m) sums O(1) terms
+    # that cancel down to 1 - 9 lam m^2, so its rounding is O(eps), not
+    # O(eps E0), near extremality
     val = alpha_squared(r_crit, p) / r_crit ** 2
-    assert abs(val - E0) <= 1e-12 * abs(E0)
+    assert abs(val - E0) <= 1e-12 / r_crit ** 2
     return CriticalData(r_crit=r_crit, E0=E0, c0=E0 * E0)
 
 

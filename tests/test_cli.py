@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -493,6 +494,51 @@ def test_tiny_lambda_keeps_the_exit_codes(tmp_path, capsys):
         assert code == 0 and len(parse_csv(text)[2]) > 0, argv
 
 
+def test_near_extremal_lambda_runs(tmp_path):
+    # delta = 1 - 9 lam m^2 = 2.7e-5, next to the E0 refusal at m = 1
+    for command in ("gsymbol", "lattice", "count", "direct"):
+        code, text = run_to_file(
+            tmp_path, [command, "--lam", "0.11110810840027086"])
+        assert code == 0, command
+        assert text is not None
+
+
+@pytest.mark.parametrize("m", ["1e-160", "1e-300", "1e155", "-1", "nan"])
+def test_mass_out_of_range_exits_2(tmp_path, capsys, m):
+    # 27 m^2 must be a normal, finite float: about 2.9e-155 <= m <= 2.6e153
+    for command in sorted(cli.COMMANDS):
+        code, text = run_to_file(tmp_path, [command, "--m=" + m])
+        assert code == 2, (command, m)
+        assert text is None
+        err = capsys.readouterr().err
+        assert err.startswith("config error: m = %r is out of range"
+                              % float(m)), err
+
+
+def test_mass_in_range_runs(tmp_path):
+    for m in ("1e-8", "1e8"):
+        for argv in (["potential", "--x-points", "5"], ["gsymbol"],
+                     ["lattice"], ["direct", "--ell-range", "4", "4"],
+                     ["pseudo", "--basis-size", "20"]):
+            code, text = run_to_file(tmp_path, argv + ["--m", m])
+            assert code == 0, (argv, m)
+            assert "nan" not in text
+    code, _ = run_to_file(tmp_path, ["count", "--m", "1e-8"])
+    assert code == 0
+
+
+def test_help_shows_every_default(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, default in cli.DEFAULTS.items():
+        flag = cli._option(key)[0]
+        shown = " ".join(map(str, default)) if isinstance(default, list) \
+            else str(default)
+        # the flag, its metavars, then its default
+        assert re.search(r"%s [A-Z_\[\]. ]+ default: %s( |$)"
+                         % (re.escape(flag), re.escape(shown)), text), key
+
+
 def test_unwritable_output_exits_2_without_partial(tmp_path):
     target = tmp_path / "no_such_dir" / "out.csv"
     code = main(["potential", "--x-points", "2", "--output", str(target)])
@@ -522,11 +568,14 @@ def test_extreme_mass_symbol_exits_3(tmp_path):
 
 def test_potential_large_mass(tmp_path):
     # the continuation counts its steps and its residual in units of m,
-    # and at lam m^2 = 0.02 its real-axis seeds hold at every m
+    # and at lam m^2 = 0.02 its real-axis seeds hold at every m; each
+    # point's Newton stops on its own step, so x = 0 next to +-1e300 runs
     for argv, n in ((["--m", "1e8"], 121),
                     (["--m", "1e8", "--lam", "2e-18"], 121),
                     (["--m", "10", "--lam", "2e-4", "--x-min", "0",
-                      "--x-max", "20", "--x-points", "3"], 3)):
+                      "--x-max", "20", "--x-points", "3"], 3),
+                    (["--lam", "0.02", "--x-min=-1e300", "--x-max=1e300",
+                      "--x-points", "3"], 3)):
         code, text = run_to_file(tmp_path, ["potential"] + argv)
         assert code == 0, argv
         _, _, rows = parse_csv(text)

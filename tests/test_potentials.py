@@ -104,6 +104,12 @@ def test_inverse_tortoise_lambda_zero_matches_wright_omega_oracle(m):
     ref = inverse_tortoise_wright(xs, m)
     assert np.all(np.abs(r - ref) <= 1e-14 * ref), np.abs(r / ref - 1.0)
     assert [inverse_tortoise(float(x), p) for x in xs] == list(r)
+    # across the barrier top x(3m), where the seed switches from the
+    # asymptote r = 2m + e^((x - 2m)/2m) to r = x - 2m log m
+    near = tortoise(3.0 * m, p) \
+        + m * np.array([-1.0, -1e-9, -1e-12, 1e-12, 1e-9, 1.0])
+    ref = inverse_tortoise_wright(near, m)
+    assert np.all(np.abs(inverse_tortoise(near, p) - ref) <= 1e-14 * ref)
     # further in, (r - 2m)/2m = omega ~ e^(x/2m - 1)/2m underflows to 0;
     # r is 2m there, not NaN
     deep_x = m * np.array([-1600.0, -1e5, -1e300])
@@ -157,11 +163,25 @@ def test_inverse_tortoise_lambda_positive_matches_mpmath_root():
 
 
 def test_inverse_tortoise_complex_matches_real_axis():
-    p = BlackHoleParams(m=1.0, lam=0.02)
-    xs = np.linspace(-30.0, 30.0, 31)
-    r1 = inverse_tortoise_complex(xs.astype(complex), p)[0]
-    r2 = np.array([inverse_tortoise(float(x), p) for x in xs])
-    assert np.max(np.abs(r1 - r2)) <= 1e-9
+    for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
+        xs = np.linspace(-30.0, 30.0, 31)
+        r1 = inverse_tortoise_complex(xs.astype(complex), p)[0]
+        r2 = np.array([inverse_tortoise(float(x), p) for x in xs])
+        assert np.max(np.abs(r1 - r2)) <= 1e-9
+
+
+@pytest.mark.parametrize("lam, xs", [
+    (0.0, [-1e15, 1.0 + 0.5j]), (0.02, [1.0, 1e300])])
+def test_inverse_tortoise_mixed_magnitudes_match_each_point(lam, xs):
+    # each point's Newton stops on its own step: a far point, whose step
+    # bound 1e-13 |L| is large, must not end a near point's iteration
+    p = BlackHoleParams(m=1.0, lam=lam)
+    r, a2 = inverse_tortoise_complex(np.array(xs, dtype=complex), p)
+    for x, ri, a2i in zip(xs, r, a2):
+        one, one_a2 = inverse_tortoise_complex(np.array([x], dtype=complex),
+                                               p)
+        assert abs(ri - one[0]) <= 4.0 * np.spacing(abs(one[0])), x
+        assert abs(a2i - one_a2[0]) <= 1e-14 * abs(one_a2[0]), x
 
 
 def test_inverse_tortoise_complex_is_holomorphic():
@@ -265,6 +285,18 @@ def test_critical_data_values():
 def test_critical_data_extremal_refusal():
     with pytest.raises(ValueError):
         critical_data(BlackHoleParams(m=1.0, lam=(1.0 - 1e-9) / 9.0))
+
+
+def test_critical_data_near_extremal_sweep():
+    # alpha^2(3m)/(3m)^2 sums terms of order 1/m^2 that cancel down to
+    # E0 = delta/(27 m^2), delta = 1 - 9 lam m^2, so its consistency check
+    # is bounded by their rounding and holds down to the E0 refusal
+    for m in (1e-3, 1.0, 1e3):
+        for delta in np.concatenate([np.linspace(2.71e-5, 1e-4, 300),
+                                     np.geomspace(1e-4, 1.0, 300)]):
+            cd = critical_data(BlackHoleParams(
+                m=m, lam=(1.0 - delta) / (9.0 * m * m)))
+            assert abs(cd.E0 * 27.0 * m * m - delta) <= 1e-10, (m, delta)
 
 
 def test_curvature_identity_random_params():

@@ -9,10 +9,14 @@ json`, as `python -m qnmlattice.cli` with the tree's `src` first on the
 path and OPENBLAS_NUM_THREADS=1 (the last digits of `direct` follow the
 BLAS thread count).  One line per argv and format says `same` or `DIFF`
 for stdout, stderr and the exit code; the script exits 1 if any differs.
+A stdout DIFF also gives its size: the largest relative difference between
+the numbers at the same positions of the two outputs, or "structure
+differs" when the text between the numbers, or their count, differs.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,6 +51,20 @@ ARGVS = [
 ]
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def size(a, b):
+    """How far stdout b is from stdout a, as a phrase."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return "structure differs"
+    rel = max((abs(x - y) / max(abs(x), abs(y))
+               for x, y in zip(map(float, NUMBER.findall(a)),
+                               map(float, NUMBER.findall(b))) if x != y),
+              default=0.0)
+    return "max rel %.2g" % rel
+
+
 def run(tree, argv):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(tree, "src"))
@@ -65,11 +83,12 @@ def main(argv=None):
         for fmt in ("csv", "json"):
             for cmd in ARGVS:
                 line = cmd + ["--format", fmt]
-                same = [a == b
-                        for a, b in zip(run(tmp, line), run(ROOT, line))]
+                old, new = run(tmp, line), run(ROOT, line)
+                same = [a == b for a, b in zip(old, new)]
                 differ = differ or not all(same)
                 print("%s: stdout %s, stderr %s, exit %s" % (
-                    " ".join(line), *("same" if s else "DIFF" for s in same)),
+                    " ".join(line), *("same" if s else "DIFF" for s in same))
+                    + ("" if same[0] else " (%s)" % size(old[0], new[0])),
                     flush=True)
     return 1 if differ else 0
 
