@@ -361,12 +361,17 @@ def qnm_symbol(p, degree, h_order):
     if N < 2 * K + 4:
         raise ValueError("need degree >= 2*h_order + 4")
     cd = critical_data(p)
-    V = shifted_potential_taylor(p, N).coeffs
-    W1 = subprincipal_taylor(p, N).coeffs if K >= 2 else ()
-    G = _mode_symbol(V, W1, cd.E0, N, K)
-    # powers of 1/m in the Taylor coefficients overflow at extreme masses
-    if not all(cmath.isfinite(c) for lvl in G.levels.values()
-               for c in lvl.coeffs):
+    # powers of 1/m in the Taylor coefficients overflow at extreme masses,
+    # to inf or nan in numpy and to an ArithmeticError in Python floats
+    try:
+        with np.errstate(all="ignore"):
+            V = shifted_potential_taylor(p, N).coeffs
+            W1 = subprincipal_taylor(p, N).coeffs if K >= 2 else ()
+            G = _mode_symbol(V, W1, cd.E0, N, K)
+    except ArithmeticError:
+        G = None
+    if G is None or not all(cmath.isfinite(c) for lvl in G.levels.values()
+                            for c in lvl.coeffs):
         raise RuntimeError("mode symbol not finite at m = %g" % p.m)
     return G
 

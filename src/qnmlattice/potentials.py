@@ -6,6 +6,7 @@ potential splits as W(x, h) = W0(x) + h^2 W1(x) in the tortoise
 coordinate x, and the barrier top sits at r = 3m.
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -102,22 +103,38 @@ class _Tortoise:
                                   for i, (a, c, s) in enumerate(self.roots)
                                   if i != skip)
 
-    def alpha2(self, r, skip=None):
-        """alpha^2(r), divided by s (r - a) of root `skip`."""
-        out = self.k / r
-        for i, (a, _, s) in enumerate(self.roots):
-            if i != skip:
-                out = out * (s * (r - a))
-        return out
+    def chart(self, root, exp, log):
+        """The log chart L = log(s (r - a)) of root (a, c, s): a function
+        of L giving r = a + s e^L, x(r) = c L + (the other terms) and
+        dL/dx = alpha^2 / (s e^L), with `exp` and `log` of numpy (arrays)
+        or of cmath (scalars).  None of them forms r - a, which may be
+        exponentially small: alpha^2 / e^L is the product of the other
+        roots' factors, finite when e^L underflows below the ulp of r, and
+        winding in Im(x) is carried by L itself."""
+        a, c, s = self.roots[root]
+        lin, k = self.lin, self.k
+        others = [rt for i, rt in enumerate(self.roots) if i != root]
+
+        def at(L):
+            r = a + s * exp(L)
+            xo, q = 0, k / r
+            for ai, ci, si in others:
+                d = si * (r - ai)
+                xo = xo + ci * log(d)
+                q = q * d
+            return r, c * L + (lin * r + xo), q / s
+        return at
 
 
 def _tortoise_terms(p):
     if p.lam == 0:
         return _Tortoise(1.0, 1.0, ((2.0 * p.m, 2.0 * p.m, 1.0),))
     hz = horizon_roots(p)
-    return _Tortoise(0.0, p.lam / 3.0,
-                     ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
-                      (hz.r_plus, hz.a_plus, -1.0)))
+    # Python floats: numpy scalars would slow `_march`'s scalar arithmetic
+    return _Tortoise(0.0, p.lam / 3.0, tuple(
+        (float(a), float(c), s) for a, c, s in
+        ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
+         (hz.r_plus, hz.a_plus, -1.0))))
 
 
 def tortoise(r, p):
@@ -139,37 +156,50 @@ def inverse_tortoise(x, p):
 # on |x(r) - x| catches it, so the floating-point warnings are muted
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _continue(x, tt, L, root, m):
-    """Homotopy-Newton continuation of x(r) = x in the log-distance
-    L = log(s (r - a)) to the root (a, c, s) of index `root`, from
-    real-axis seeds L, with Im(x) switched on in steps of at most m/2
-    (one step if Im(x) = 0 throughout).  Each homotopy step's Newton
-    stops once every point's own step in L is below 1e-13 max(1, |L|).
-    r = a + s e^L and x(r) = c L + (the other terms) avoid forming r - a
-    when it is exponentially small and make winding in Im(x) automatic.
-    Returns r, alpha^2(r), formed from e^L for full relative precision,
-    and |x(r) - x|.
+    """Homotopy-Newton continuation of x(r) = x on the log chart of the
+    root of index `root` (`_Tortoise.chart`), from real-axis seeds L, with
+    Im(x) switched on in steps of at most m/2 (one step if Im(x) = 0
+    throughout).  In each homotopy step a point leaves the Newton iteration
+    once its own step in L is below 1e-13 max(1, |L|), so its result does
+    not depend on the other points of the array.  Returns r, alpha^2(r),
+    formed from e^L for full relative precision, and |x(r) - x|.
     """
-    a, c, s = tt.roots[root]
-
-    def solve(L):
-        # dx/dL = s e^L / alpha^2; alpha^2 / e^L in factored form stays
-        # finite when e^L underflows below the ulp of r
-        r = a + s * np.exp(L)
-        return r, c * L + tt.x(r, skip=root), tt.alpha2(r, skip=root) / s
+    s = tt.roots[root][2]
+    chart = tt.chart(root, np.exp, np.log)
     # with Im(x) = 0 every step would solve for the same target
     im_max = float(np.max(np.abs(x.imag)))
     nsteps = max(4, math.ceil(2.0 * im_max / m)) if im_max else 1
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
+        live = np.arange(L.size)
         for _ in range(40):
-            _, xL, dL_dx = solve(L)
-            dL = -(xL - xt) * dL_dx
-            L = L + dL
-            if np.all(np.abs(dL) < 1e-13 * np.maximum(1.0, np.abs(L))):
+            _, xL, dL_dx = chart(L[live])
+            dL = -(xL - xt[live]) * dL_dx
+            L[live] += dL
+            live = live[~(np.abs(dL)
+                          < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
+            if not live.size:
                 break
-    r, xL, _ = solve(L)
+    r, xL, dL_dx = chart(L)
     # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
-    return r, tt.alpha2(r, skip=root) * np.exp(L), np.abs(xL - x)
+    return r, s * dL_dx * np.exp(L), np.abs(xL - x)
+
+
+def _failed(count, tt, p):
+    """The error for `count` points whose residual |x(r) - x| exceeds
+    1e-9 max(m, |x|)."""
+    msg = "tortoise continuation failed at %d points" % count
+    if p.lam > 0:
+        # the outer horizons' residues grow as sqrt(3/lam)/2, so below
+        # lam m^2 of about 1e-12 the rounding of their cancelling c log
+        # terms in x(r) alone passes the residual test
+        cmax = max(abs(c) for _, c, _ in tt.roots)
+        msg += (" (lam m^2 = %.3g: x(r) sums cancelling horizon terms "
+                "c log(r - a) with |c| up to %.3g m, whose rounding, "
+                "about %.2g m, is held to 1e-9 max(m, |x|))"
+                % (p.lam * p.m ** 2, cmax / p.m, np.finfo(float).eps
+                   * cmax * max(1.0, abs(math.log(cmax / p.m))) / p.m))
+    return RuntimeError(msg)
 
 
 def inverse_tortoise_complex(x, p):
@@ -208,21 +238,87 @@ def inverse_tortoise_complex(x, p):
                              np.log(np.maximum(xr - x3, 0.0) + p.m))
             r[mask], a2[mask], resid[mask] = _continue(
                 xf[mask], tt, L.astype(complex), i, p.m)
-    bad = ~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))
-    if np.any(bad):
-        msg = "tortoise continuation failed at %d points" % int(np.sum(bad))
-        if p.lam > 0:
-            # the outer horizons' residues grow as sqrt(3/lam)/2, so below
-            # lam m^2 of about 1e-12 the rounding of their cancelling
-            # c log terms in x(r) alone passes the residual test
-            cmax = max(abs(c) for _, c, _ in tt.roots)
-            msg += (" (lam m^2 = %.3g: x(r) sums cancelling horizon terms "
-                    "c log(r - a) with |c| up to %.3g m, whose rounding, "
-                    "about %.2g m, is held to 1e-9 max(m, |x|))"
-                    % (p.lam * p.m ** 2, cmax / p.m, np.finfo(float).eps
-                       * cmax * max(1.0, abs(math.log(cmax / p.m))) / p.m))
-        raise RuntimeError(msg)
+    bad = int(np.sum(~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))))
+    if bad:
+        raise _failed(bad, tt, p)
     return r.reshape(x.shape), a2.reshape(x.shape)
+
+
+def _march(xs, x3, tt, root, m):
+    """(r, alpha^2) pairs at the points xs (Python complex numbers, in
+    order along a path from x3 = x(3m)), each node's Newton seeded from
+    the one before.  The march stops at the first node that fails, so on
+    failure fewer pairs than points come back."""
+    a, _, s = tt.roots[root]
+    chart = tt.chart(root, cmath.exp, cmath.log)
+    L = complex(math.log(s * (3.0 * m - a)))
+    x_prev = x3
+    _, _, dL_dx = chart(L)
+    out = []
+    for x in xs:
+        try:
+            # one Euler step from the previous node, then Newton
+            L += (x - x_prev) * dL_dx
+            for _ in range(40):
+                _, xL, dL_dx = chart(L)
+                dL = -(xL - x) * dL_dx
+                L += dL
+                if abs(dL) < 1e-13 * max(1.0, abs(L)):
+                    break
+            r, xL, dL_dx = chart(L)
+            if not abs(xL - x) <= 1e-9 * max(m, abs(x)):
+                break
+        except (ArithmeticError, ValueError):
+            # cmath raises where numpy gives inf or nan
+            break
+        out.append((r, s * dL_dx * cmath.exp(L)))
+        x_prev = x
+    return out
+
+
+def inverse_tortoise_ray(t, theta, p):
+    """r(x) and alpha^2(r(x)) at x = x(3m) + (1 + i theta) t for a real
+    array t: the values of `inverse_tortoise_complex`, by one Newton pass
+    along the ray.  Each side of t = 0 is sorted by |t| and marched outward
+    from r = 3m on the chart `inverse_tortoise_complex` takes there (2m's
+    at lam = 0; r_minus's for t < 0 and r_plus's for t >= 0 at lam > 0).
+    A node's Newton starts from its neighbour's L plus one Euler step,
+    (x - x_prev) dL/dx, and stops on its own step as `_continue`'s does;
+    its residual is held to the same 1e-9 max(m, |x|).  A node that fails
+    ends its side's march, and it and the nodes past it count as failed.
+    The cost is two or three chart evaluations per node, whatever theta.
+    """
+    t = np.asarray(t, dtype=float)
+    tt = _tortoise_terms(p)
+    x3 = float(tt.x(3.0 * p.m))
+    xf = (x3 + (1.0 + 1j * theta) * t).ravel()
+    tf = t.ravel()
+    r = np.empty(xf.shape, dtype=complex)
+    a2 = np.empty(xf.shape, dtype=complex)
+    bad = 0
+    for side, root in ((tf < 0, 1), (tf >= 0, 2)):
+        idx = np.flatnonzero(side)
+        idx = idx[np.argsort(np.abs(tf[idx]), kind="stable")]
+        out = _march(xf[idx].tolist(), x3, tt,
+                     root if p.lam > 0 else 0, p.m)
+        bad += idx.size - len(out)
+        if out:
+            r[idx[:len(out)]], a2[idx[:len(out)]] = zip(*out)
+    if bad:
+        raise _failed(bad, tt, p)
+    return r.reshape(t.shape), a2.reshape(t.shape)
+
+
+def potential_from_r(r, a2, p):
+    """(W0, W1) at the radii r, with a2 = alpha^2(r)."""
+    # W0 ~ 1/(27 m^2) is finite in the mass range, but r^2 leaves the
+    # normal floats below m of about 4e-155
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w0 = a2 / r ** 2
+        w1 = w0 * (r * _dalpha2_dr(r, p) - 0.25)
+    if not (np.all(np.isfinite(w0)) and np.all(np.isfinite(w1))):
+        raise RuntimeError("potential not finite at m = %g" % p.m)
+    return w0, w1
 
 
 def critical_data(p):
@@ -243,9 +339,7 @@ def critical_data(p):
 def potential_W_parts(x_arr, p):
     """Vectorized (W0, W1) on a complex array of tortoise coordinates,
     with W = W0 + h^2 W1."""
-    r, a2 = inverse_tortoise_complex(x_arr, p)
-    w0 = a2 / r ** 2
-    return w0, w0 * (r * _dalpha2_dr(r, p) - 0.25)
+    return potential_from_r(*inverse_tortoise_complex(x_arr, p), p)
 
 
 def _barrier_series(p, N):

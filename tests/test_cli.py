@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,18 @@ def test_direct_keeps_the_ells_that_keep_a_mode(tmp_path, capsys):
     data = json.loads(text)["data"]
     assert [(b["ell"], len(b["qnm"]), b["theta"]) for b in data] == \
         [(2, 0, 0.3), (3, 0, 0.3), (4, 1, 0.3)]
+    # up to the cap theta = 1.2 every l keeps its least-damped mode, here
+    # with a small basis (within 1e-8 of Leaver's at l = 1)
+    code, text = run_to_file(tmp_path, [
+        "direct", "--theta", "1.0", "--basis-size", "60", "--ell-range", "1",
+        "4"])
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert [r[:2] for r in rows if r[1] == "0"] == \
+        [[str(ell), "0"] for ell in range(1, 5)]
+    lam = complex(float(rows[0][2]), float(rows[0][3]))
+    want = complex(0.29293613627511, -0.09765998746640)
+    assert abs(lam - want) <= 1e-12 * abs(want)
     # when no l keeps a mode the first failure is the command's
     capsys.readouterr()
     code, text = run_to_file(tmp_path, ["direct", "--ell-range", "1", "3"],
@@ -368,7 +381,7 @@ def test_bad_config_exits_2(tmp_path):
                  ["count", "--r-list", "1", "nan"]):
         assert main(argv) == 2, argv
     # the scaling angle's cap
-    assert main(["direct", "--theta", "0.41", "--ell-range", "4", "4"]) == 2
+    assert main(["direct", "--theta", "1.21", "--ell-range", "4", "4"]) == 2
     # extreme masses: E0 = 1/(27 m^2) divides by an m^2 that underflows,
     # and the count walk's ell range grows as r m
     for argv in (["gsymbol", "--m", "1e-300"], ["count", "--m", "1e8"],
@@ -513,6 +526,29 @@ def test_mass_out_of_range_exits_2(tmp_path, capsys, m):
         err = capsys.readouterr().err
         assert err.startswith("config error: m = %r is out of range"
                               % float(m)), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--m", "2.9e-155"],
+    ["gsymbol", "--m", "1e-150"], ["lattice", "--m", "1e-150"],
+    ["count", "--m", "1e-150"],
+    ["gsymbol", "--m", "1e100"], ["lattice", "--m", "1e100"],
+    ["gsymbol", "--m", "1e-50"], ["lattice", "--m", "1e-50"],
+    ["count", "--m", "1e-50"],
+    ["direct", "--m", "2.9e-155"], ["direct", "--m", "2.5e153"]])
+def test_mass_range_ends_fail_by_name(tmp_path, capsys, argv):
+    # accepted masses at which a command's numbers leave the float range:
+    # W0 ~ 1/(27 m^2) over an r^2 that underflows, the symbol's Taylor
+    # coefficients (powers of 1/m), direct's c0 = E0^2.  Exit 3 with one
+    # line naming m, no warning, no output
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run_to_file(tmp_path, argv)
+    err = capsys.readouterr().err
+    assert code == 3 and text is None, argv
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "at m = %g" % float(argv[-1]) in err, err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_mass_in_range_runs(tmp_path):

@@ -6,13 +6,14 @@ import random
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qnmlattice.potentials import (BlackHoleParams, _barrier_series,
                                    alpha_squared, critical_data,
                                    horizon_roots,
                                    inverse_tortoise,
                                    inverse_tortoise_complex,
-                                   potential_W_parts,
+                                   inverse_tortoise_ray, potential_W_parts,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
@@ -21,6 +22,7 @@ from reference import (barrier_series_rebuild, barrier_taylor_mp,
                        inverse_tortoise_wright)
 
 P1 = BlackHoleParams(m=1.0)
+P900 = BlackHoleParams(m=900.0)
 
 
 def W0(x, p):
@@ -170,18 +172,27 @@ def test_inverse_tortoise_complex_matches_real_axis():
         assert np.max(np.abs(r1 - r2)) <= 1e-9
 
 
-@pytest.mark.parametrize("lam, xs", [
-    (0.0, [-1e15, 1.0 + 0.5j]), (0.02, [1.0, 1e300])])
-def test_inverse_tortoise_mixed_magnitudes_match_each_point(lam, xs):
-    # each point's Newton stops on its own step: a far point, whose step
-    # bound 1e-13 |L| is large, must not end a near point's iteration
-    p = BlackHoleParams(m=1.0, lam=lam)
+@pytest.mark.parametrize("m, lam, xs", [
+    pytest.param(1.0, 0.0, [-1e15, 1.0 + 0.5j], id="0.0-xs0"),
+    pytest.param(1.0, 0.02, [1.0, 1e300], id="0.02-xs1"),
+    # next to the barrier top, whose Newton needs more steps than the far
+    # points beside it
+    pytest.param(1.0, 0.0, [tortoise(3.0, P1) + 1e-12, -1e15, 5.0],
+                 id="0.0-xs2"),
+    pytest.param(900.0, 0.0, [tortoise(2700.0, P900) - 900e-12, 900e8],
+                 id="0.0-xs3-m900")])
+def test_inverse_tortoise_mixed_magnitudes_match_each_point(m, lam, xs):
+    # each point leaves the Newton on its own step: a far point, whose
+    # step bound 1e-13 |L| is large, must not end a near point's iteration,
+    # nor a slow point prolong a converged one's
+    p = BlackHoleParams(m=m, lam=lam)
     r, a2 = inverse_tortoise_complex(np.array(xs, dtype=complex), p)
     for x, ri, a2i in zip(xs, r, a2):
         one, one_a2 = inverse_tortoise_complex(np.array([x], dtype=complex),
                                                p)
-        assert abs(ri - one[0]) <= 4.0 * np.spacing(abs(one[0])), x
-        assert abs(a2i - one_a2[0]) <= 1e-14 * abs(one_a2[0]), x
+        assert ri == one[0] and a2i == one_a2[0], x
+        if not complex(x).imag:
+            assert inverse_tortoise(x, p) == ri.real, x
 
 
 def test_inverse_tortoise_complex_is_holomorphic():
@@ -209,8 +220,30 @@ def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
     t, r_ref = t[::400], r_ref[::400]
-    r, _ = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p)
-    assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-12
+    for r, _ in (inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p),
+                 inverse_tortoise_ray(t, theta, p)):
+        assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+def test_inverse_tortoise_ray_matches_homotopy(lam):
+    # the march and the homotopy on direct's quadrature nodes sigma u_j:
+    # the bench grid (l = 4..16, theta = 0.3, 2(160 + 40) nodes) and l = 1
+    # at the cap theta = 1.2 with 4000 nodes (N = 1960), where the nodes
+    # reach |t| of 110 m
+    p = BlackHoleParams(m=1.0, lam=lam)
+    x0 = tortoise(3.0 * p.m, p)
+    c0 = critical_data(p).c0
+    grid = [(ell, 0.3, 400) for ell in range(4, 17)] + [(1, 1.2, 4000)]
+    for ell, theta, npts in grid:
+        u = scipy.linalg.eigvalsh_tridiagonal(
+            np.zeros(npts), np.sqrt(0.5 * np.arange(1, npts)))
+        t = c0 ** -0.25 * math.sqrt(1.0 / (ell + 0.5)) * u
+        r, a2 = inverse_tortoise_ray(t, theta, p)
+        r_ref, a2_ref = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t,
+                                                 p)
+        assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-13, ell
+        assert np.max(np.abs(a2 - a2_ref) / np.abs(a2_ref)) <= 1e-13, ell
 
 
 @pytest.mark.parametrize("theta, lam", [(4.0, 0.0), (4.1, 0.02)])
@@ -234,6 +267,17 @@ def test_inverse_tortoise_complex_failure_raises():
     with pytest.raises(RuntimeError, match="tortoise continuation failed"):
         inverse_tortoise_complex(np.array([50j]),
                                  BlackHoleParams(m=1.0, lam=0.02))
+    # a lone node 1000 m out at theta = 1: the Euler step from r = 3m
+    # lands at Re L = 332, and Newton's steps of about 1 down the
+    # exponential do not return within its 40 steps; the march ends there,
+    # so the node past it fails too
+    with pytest.raises(RuntimeError,
+                       match="tortoise continuation failed at 2 points"):
+        inverse_tortoise_ray(np.array([2000.0, 1000.0]), 1.0, P1)
+    # at 3000 m the seed's e^L overflows, which cmath raises
+    with pytest.raises(RuntimeError,
+                       match="tortoise continuation failed at 1 points"):
+        inverse_tortoise_ray(np.array([-1.0, 3000.0]), 1.0, P1)
 
 
 def mp_potential_W_parts(x, p):

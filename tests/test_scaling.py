@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qnmlattice import pseudospectrum, scaling
+from qnmlattice import potentials, pseudospectrum, scaling
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    potential_W_parts, tortoise)
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
@@ -22,7 +22,7 @@ P1 = BlackHoleParams(m=1.0)
 def test_config_validation():
     ScalingConfig(theta=THETA_MAX, basis_size=128)
     with pytest.raises(ValueError):
-        ScalingConfig(theta=0.7, basis_size=128)
+        ScalingConfig(theta=1.21, basis_size=128)
     with pytest.raises(ValueError):
         ScalingConfig(theta=THETA_MAX + 0.01, basis_size=128)
     with pytest.raises(ValueError):
@@ -409,8 +409,8 @@ def scaled_mode_move(m, lam_m2):
 
 
 def test_qnm_direct_mass_scaling():
-    # the continuation counts its homotopy steps and its residual in
-    # units of m, so the scaled problem runs the same steps
+    # the march's nodes and residual scale with m, so the scaled problem
+    # runs the same Newton steps
     for m, lam_m2 in ((1e-3, 0.0), (2.0, 0.0), (1e3, 0.0), (1e-3, 0.02),
                       (2.0, 0.02), (1e3, 0.02)):
         assert scaled_mode_move(m, lam_m2) <= 1e-12, (m, lam_m2)
@@ -442,6 +442,17 @@ def test_qnm_direct_numerical_failure():
     with pytest.raises(RuntimeError, match=r"drift filters: \d+/0; "
                        r"smallest relative drift"):
         qnm_direct(2, cfg, P1)
+
+
+def test_qnm_direct_marches_without_the_homotopy(monkeypatch):
+    # the contour's r(x) comes from the march along the ray alone
+    def refuse(*args):
+        raise AssertionError("homotopy called")
+
+    monkeypatch.setattr(potentials, "_continue", refuse)
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
+        assert qnm_direct(8, cfg, p).size == 1
 
 
 @pytest.fixture

@@ -48,6 +48,13 @@ ARGVS = [
     ["direct", "--lam", "0.02", "--ell-range", "2", "6"],
     ["pseudo", "--basis-size", "302"],
     ["pseudo", "--basis-size", "400"],
+    # direct's march at lam > 0 on the bench grid, and the ends of the
+    # mass range
+    ["direct", "--lam", "0.02", "--ell-range", "4", "16", "--theta", "0.3",
+     "--basis-size", "160"],
+    ["potential", "--m", "2.9e-155", "--x-points", "5"],
+    ["gsymbol", "--m", "1e-150"],
+    ["direct", "--m", "2.5e153", "--ell-range", "4", "4"],
 ]
 
 
