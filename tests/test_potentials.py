@@ -230,7 +230,7 @@ def test_inverse_tortoise_ray_matches_homotopy(lam):
     # the march and the homotopy on direct's quadrature nodes sigma u_j:
     # the bench grid (l = 4..16, theta = 0.3, 2(160 + 40) nodes) and l = 1
     # at the cap theta = 1.2 with 4000 nodes (N = 1960), where the nodes
-    # reach |t| of 110 m
+    # reach |t| = 378 m and the largest gap |dx| is 2.1 m
     p = BlackHoleParams(m=1.0, lam=lam)
     x0 = tortoise(3.0 * p.m, p)
     c0 = critical_data(p).c0
@@ -267,10 +267,10 @@ def test_inverse_tortoise_complex_failure_raises():
     with pytest.raises(RuntimeError, match="tortoise continuation failed"):
         inverse_tortoise_complex(np.array([50j]),
                                  BlackHoleParams(m=1.0, lam=0.02))
-    # a lone node 1000 m out at theta = 1: the Euler step from r = 3m
+    # the first node 1000 m out at theta = 1: the Euler step from r = 3m
     # lands at Re L = 332, and Newton's steps of about 1 down the
     # exponential do not return within its 40 steps; the march ends there,
-    # so the node past it fails too
+    # so the node at 2000 m fails too
     with pytest.raises(RuntimeError,
                        match="tortoise continuation failed at 2 points"):
         inverse_tortoise_ray(np.array([2000.0, 1000.0]), 1.0, P1)
