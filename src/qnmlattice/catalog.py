@@ -59,10 +59,14 @@ def _horner(coeffs, x):
 def eval_symbol(G, x, h):
     """G(x; h) = sum_k G_k(x) h^k for scalar or array x and h.
 
-    A scalar x gives a Python complex, an array x a complex array."""
+    A scalar x gives a Python complex, an array x a complex array.  An
+    h-level above 0 whose coefficients are all zero is skipped: it adds
+    only zeros (every odd level of `qnm_symbol` is one)."""
     x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     out = 0j
     for k, lvl in G.levels.items():
+        if k and not any(lvl.coeffs):
+            continue
         out += _horner(lvl.coeffs, x) * h ** k
     return out
 

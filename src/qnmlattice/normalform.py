@@ -12,8 +12,8 @@ homogeneous, so its Moyal commutator with a level is, per odd
 bidifferential order k, one gather from a table of the integers S_k
 (summed exactly in Python ints, rounded to float64 once) times the
 outer product of the coefficient vectors; the target monomials come
-from offsets kept beside S_k, and one `np.bincount` scatters every level
-and k of a commutator.
+from offsets kept beside S_k, and one `np.add.at` on a complex
+accumulator scatters every level and k of a commutator.
 G is converted to the spectral variable s = z h D_z + h/2i, whose
 eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
 Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
@@ -202,6 +202,10 @@ def _columns(lo, hi):
 
 
 _S_TABLES = {}  # (k, row degree) -> (S_k, target offsets) by graded column
+# 2 (2i)^-k / k!, the odd-k weight of the commutator; k! leaves the float
+# range past k = 170
+_PREFACTOR = [2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+              for k in range(171)]
 
 
 def _s_table(k, dgr, hi):
@@ -248,8 +252,8 @@ def moyal_commutator(a, gl, levels, K, N):
     cancel, odd k count twice.  For each level pair and odd k that is one
     gather from the S_k table times the outer product of the coefficient
     vectors, with target indices from the offsets kept beside S_k; every
-    pair's bins lie in a range of their own, so one `np.bincount` per
-    real and imaginary part scatters the whole call.  Result level lvl is
+    pair's bins lie in a range of their own, so one `np.add.at` on a
+    complex accumulator scatters the whole call.  Result level lvl is
     kept to total degree N - 2 lvl.  Returns {lvl: dense vector}.
     """
     dgr = len(a) - 1
@@ -263,33 +267,36 @@ def moyal_commutator(a, gl, levels, K, N):
         # columns of b whose products stay within the kept degree
         hi = min(N - 2 * (gl + kb) - dgr, _degree(int(nz[-1])))
         lo0 = _degree(int(nz[0]))
-        c0 = _start(lo0)
         if hi < lo0:
             continue
-        outer = a[:, None] * b[None, c0:_start(hi + 1)]
+        # graded offsets d(d+1)/2 inline: this loop is the normal form's
+        # hot path
+        c0 = lo0 * (lo0 + 1) // 2
+        c1 = (hi + 1) * (hi + 2) // 2
+        outer = a[:, None] * b[None, c0:c1]
         for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
             lo = max(lo0, k)
             if k > dgr or lo > hi:
                 continue
             lvl = gl + kb + k
-            size = _start(N - 2 * lvl + 1)
+            size = (N - 2 * lvl + 1) * (N - 2 * lvl + 2) // 2
             S, T = _s_table(k, dgr, hi)
-            cols = slice(_start(lo), _start(hi + 1))
-            ws.append(S[:, cols] * outer[:, _start(lo) - c0:])
+            cl = lo * (lo + 1) // 2
+            ws.append(S[:, cl:c1] * outer[:, cl - c0:])
             # target z^(m1+m2-k) zeta^(n1+n2-k) at end + index + k; where
             # that is not a monomial, S_k = 0 and the bin lies in
             # [end, end + size + 2k)
-            targets.append(T[cols] + (n1 + end))
+            targets.append(T[cl:c1] + (n1 + end))
             segs.append((lvl, k, end + k, size))
             end += size + 2 * k
     if not segs:
         return {}
-    w = np.concatenate(ws, axis=None)
-    idx = np.concatenate(targets, axis=None)
-    acc = np.bincount(idx, w.real, end) + 1j * np.bincount(idx, w.imag, end)
+    acc = np.zeros(end, complex)
+    np.add.at(acc, np.concatenate(targets, axis=None),
+              np.concatenate(ws, axis=None))
     out = {}
     for lvl, k, s, size in segs:
-        v = 2.0 * (1.0 / (2j)) ** k / math.factorial(k) * acc[s:s + size]
+        v = _PREFACTOR[k] * acc[s:s + size]
         out[lvl] = out[lvl] + v if lvl in out else v
     return out
 

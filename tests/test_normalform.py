@@ -428,7 +428,9 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     # and odd k, byte for byte: random levels, one of them all zero and one
     # whose nonzero degrees start at 3, at gl = -1, 0, 1; a degree-15
     # generator at (10, 28), whose k = 11 tables pass 2^63; and every
-    # call of the reduction loop on the barrier levels at (20,2) and (18,4)
+    # call of the reduction loop on the barrier levels of each lattice
+    # bench symbol, (20,2), (16,4) and (18,4) at lambda = 0, and of (10,2)
+    # and (20,2) at lambda = 0.02
     rng = np.random.default_rng(37)
     calls = []
 
@@ -456,11 +458,15 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     assert min(calls) > 0
     calls.clear()
     monkeypatch.setattr(normalform, "moyal_commutator", check)
-    for N, K in ((20, 2), (18, 4)):
-        mu, levels = _taylor_levels(shifted_potential_taylor(P1, N).coeffs,
-                                    subprincipal_taylor(P1, N).coeffs, N, K)
+    for lam, N, K in ((0.0, 20, 2), (0.0, 16, 4), (0.0, 18, 4),
+                      (0.02, 10, 2), (0.02, 20, 2)):
+        p = BlackHoleParams(m=1.0, lam=lam)
+        mu, levels = _taylor_levels(shifted_potential_taylor(p, N).coeffs,
+                                    subprincipal_taylor(p, N).coeffs, N, K)
+        start = len(calls)
         _birkhoff(levels, mu, K, N)
-    assert len(calls) > 100 and max(calls) > 1
+        assert len(calls) > start and max(calls[start:]) > 1, (lam, N, K)
+    assert len(calls) > 450
 
 
 def test_birkhoff_dense_loop_matches_dict_loop():

@@ -22,7 +22,9 @@ and metric, each side's median and quartiles, the change's median
 relative to the parent's, the share of pairs the change wins and whether
 the gap between the medians exceeds the parent's interquartile range;
 plus the environment: both revisions, the host, the interpreter and the
-load average before and after.
+load average before and after.  A run that exits nonzero is kept with
+its exit code and the tail of its stderr, counts as one failed op of its
+side, and leaves its pair out of the metrics; the session goes on.
 """
 
 import argparse
@@ -63,6 +65,8 @@ def counts(specs):
 
 
 def run_once(tree, workload, seed, seconds, trace):
+    """One perfbench run: {"record", "result"} from its last two lines, or
+    {"failure"} with its exit code and the tail of its stderr."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -70,9 +74,9 @@ def run_once(tree, workload, seed, seconds, trace):
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError("perfbench failed in %s (exit %d): %s"
-                           % (tree, proc.returncode, proc.stderr.strip()))
-    return json.loads(lines[-2]), json.loads(lines[-1])
+        return {"failure": {"exit": proc.returncode,
+                            "stderr_tail": proc.stderr.strip()[-2000:]}}
+    return {"record": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
 def span_seconds(tree, workload, seed, ops):
@@ -104,13 +108,21 @@ def quartiles(values):
 
 
 def summarize(runs, better):
-    """Per metric: both sides' quartiles and the change's pair wins.
-    `better` maps a metric name to "lower" or "higher"."""
+    """Per metric: both sides' quartiles and the change's pair wins, over
+    the pairs whose two runs both finished.  A failed run counts as one
+    failed op of its side.  `better` maps a metric name to "lower" or
+    "higher"."""
     sides = {}
     for run in runs:
-        sides.setdefault(run["pair"], {})[run["side"]] = run
+        if "result" in run:
+            sides.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [p for p in sides.values() if len(p) == 2]
+    failed = {side: sum(run["result"]["failed"] if "result" in run else 1
+                        for run in runs if run["side"] == side)
+              for side in ("parent", "change")}
     out = {}
+    if not pairs:
+        return {"metrics": out, "failed_ops": failed}
     for name in sorted(pairs[0]["parent"]["result"]["metrics"]):
         vals = {side: [p[side]["result"]["metrics"][name]["value"]
                        for p in pairs] for side in ("parent", "change")}
@@ -132,8 +144,6 @@ def summarize(runs, better):
             "win_fraction": wins / len(pairs),
             "median_gap_exceeds_parent_iqr": gap > iqr,
         }
-    failed = {side: sum(p[side]["result"]["failed"] for p in pairs)
-              for side in ("parent", "change")}
     summary = {"metrics": out, "failed_ops": failed}
     if "span_s" in pairs[0]["parent"]:
         # median self seconds per op of every span label, by side
@@ -188,22 +198,23 @@ def main(argv=None):
                     else ("change", "parent")
                 for side in order:
                     t0 = time.time()
-                    record, result = run_once(trees[side], workload,
-                                              args.seed + i, seconds,
-                                              trace)
-                    runs.append({"side": side, "workload": workload,
-                                 "trace": trace, "pair": i,
-                                 "seed": args.seed + i,
-                                 "record": record, "result": result})
-                    if trace:
-                        runs[-1]["span_s"] = span_seconds(
+                    run = {"side": side, "workload": workload,
+                           "trace": trace, "pair": i, "seed": args.seed + i,
+                           **run_once(trees[side], workload, args.seed + i,
+                                      seconds, trace)}
+                    if trace and "record" in run:
+                        run["span_s"] = span_seconds(
                             trees[side], workload, args.seed + i,
-                            record["traced_samples"])
-                    print("%s trace=%d pair %d %s: %.0f s" % (
-                        workload, trace, i, side, time.time() - t0),
+                            run["record"]["traced_samples"])
+                    runs.append(run)
+                    print("%s trace=%d pair %d %s: %.0f s%s" % (
+                        workload, trace, i, side, time.time() - t0,
+                        " FAILED, exit %d" % run["failure"]["exit"]
+                        if "failure" in run else ""),
                         file=sys.stderr, flush=True)
     env["host"]["loadavg_end"] = os.getloadavg()
-    env["bench_env"] = runs[0]["record"]["env"] if runs else None
+    env["bench_env"] = next((r["record"]["env"] for r in runs
+                             if "record" in r), None)
     summary = {}
     for workload, _, trace in plan:
         key = workload + (" traced" if trace else "")

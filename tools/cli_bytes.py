@@ -9,12 +9,19 @@ json`, as `python -m qnmlattice.cli` with the tree's `src` first on the
 path and OPENBLAS_NUM_THREADS=1 (the last digits of `direct` follow the
 BLAS thread count).  One line per argv and format says `same` or `DIFF`
 for stdout, stderr and the exit code; the script exits 1 if any differs.
-A stdout DIFF also gives its size: the largest relative difference between
-the numbers at the same positions of the two outputs, or "structure
-differs" when the text between the numbers, or their count, differs.
+A stdout DIFF also gives its size, or "structure differs" when the text
+between the numbers, or their count, differs.  The size is two largest
+relative differences: of single numbers at the same positions of the two
+outputs, and of rows, ||row b - row a|| / ||row||, a row being a
+CSV line or an innermost JSON list.  A row's norm leaves out the numbers
+written as integers on both sides (its labels l, n, multiplicity), so for
+a mode row it reads |dlambda|/|lambda|, where a small imaginary part
+alone would overstate the move of the complex lambda.
 """
 
 import argparse
+import json
+import math
 import os
 import re
 import subprocess
@@ -55,10 +62,51 @@ ARGVS = [
     ["potential", "--m", "2.9e-155", "--x-points", "5"],
     ["gsymbol", "--m", "1e-150"],
     ["direct", "--m", "2.5e153", "--ell-range", "4", "4"],
+    # the lattice bench's degree-20 symbol at lambda = 0
+    ["gsymbol", "--series-degree", "20"],
+    ["lattice", "--series-degree", "20", "--ell-range", "1", "32",
+     "--n-max", "4"],
 ]
 
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+FLOAT = re.compile(rb"[.eE]")
+
+
+def rows(out):
+    """The rows of a stdout, each a list of (number, written as a float):
+    the innermost lists of a JSON output, else the lines."""
+    try:
+        tree = json.loads(out)
+    except ValueError:
+        return [[(float(t), bool(FLOAT.search(t)))
+                 for t in NUMBER.findall(line)] for line in out.splitlines()]
+    found = []
+
+    def walk(node):
+        items = list(node.values() if isinstance(node, dict) else node)
+        inner = [v for v in items if isinstance(v, (list, dict))]
+        if isinstance(node, list) and not inner:
+            found.append([(float(v), isinstance(v, float)) for v in items
+                          if isinstance(v, (int, float))
+                          and not isinstance(v, bool)])
+        for v in inner:
+            walk(v)
+
+    if isinstance(tree, (list, dict)):
+        walk(tree)
+    return found
+
+
+def row_rel(ra, rb):
+    """||rb - ra|| / max(||ra||, ||rb||) over the numbers that either row
+    writes as a float."""
+    pairs = [(x, y) for (x, fx), (y, fy) in zip(ra, rb) if fx or fy]
+    diff = math.hypot(*(x - y for x, y in pairs))
+    if not diff:
+        return 0.0
+    return diff / max(math.hypot(*(x for x, _ in pairs)),
+                      math.hypot(*(y for _, y in pairs)))
 
 
 def size(a, b):
@@ -69,7 +117,8 @@ def size(a, b):
                for x, y in zip(map(float, NUMBER.findall(a)),
                                map(float, NUMBER.findall(b))) if x != y),
               default=0.0)
-    return "max rel %.2g" % rel
+    row = max(map(row_rel, rows(a), rows(b)), default=0.0)
+    return "max rel %.2g, max row rel %.2g" % (rel, row)
 
 
 def run(tree, argv):
