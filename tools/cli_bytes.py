@@ -84,7 +84,7 @@ def rows(out):
     found = []
 
     def walk(node):
-        items = list(node.values() if isinstance(node, dict) else node)
+        items = node.values() if isinstance(node, dict) else node
         inner = [v for v in items if isinstance(v, (list, dict))]
         if isinstance(node, list) and not inner:
             found.append([(float(v), isinstance(v, float)) for v in items
@@ -93,8 +93,7 @@ def rows(out):
         for v in inner:
             walk(v)
 
-    if isinstance(tree, (list, dict)):
-        walk(tree)
+    walk(tree)
     return found
 
 
