@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -210,7 +211,8 @@ def cmd_potential(cfg):
     if npts > 0:
         import numpy as np
         xs = np.linspace(cfg["x_min"], cfg["x_max"], npts)
-        w0, w1 = potentials.potential_W_parts(xs.astype(complex), p)
+        w0, w1 = potentials.potential_from_r(
+            *potentials.inverse_tortoise(xs, p), p)
         rows = [(float(x), float(a.real), float(b.real))
                 for x, a, b in zip(xs, w0, w1)]
     if cfg["format"] == "json":
@@ -325,6 +327,10 @@ COMMANDS = {
 @functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="qnmlattice")
+    # argparse's own pattern for a negative number reads "-1e3" and "-inf"
+    # as options
+    ap._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file")
     for key, default in DEFAULTS.items():

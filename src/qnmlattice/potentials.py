@@ -145,46 +145,6 @@ def tortoise(r, p):
     return float(tt.x(r))
 
 
-def inverse_tortoise(x, p):
-    """r(x) on the real line for a scalar or an array x: the real part of
-    `inverse_tortoise_complex` at Im x = 0."""
-    r = inverse_tortoise_complex(x, p)[0].real
-    return r if np.ndim(x) else float(r)
-
-
-# a diverging run may overflow to inf or nan: the callers' residual check
-# on |x(r) - x| catches it, so the floating-point warnings are muted
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _continue(x, tt, L, root, m):
-    """Homotopy-Newton continuation of x(r) = x on the log chart of the
-    root of index `root` (`_Tortoise.chart`), from real-axis seeds L, with
-    Im(x) switched on in steps of at most m/2 (one step if Im(x) = 0
-    throughout).  In each homotopy step a point leaves the Newton iteration
-    once its own step in L is below 1e-13 max(1, |L|), so its result does
-    not depend on the other points of the array.  Returns r, alpha^2(r),
-    formed from e^L for full relative precision, and |x(r) - x|.
-    """
-    s = tt.roots[root][2]
-    chart = tt.chart(root, np.exp, np.log)
-    # with Im(x) = 0 every step would solve for the same target
-    im_max = float(np.max(np.abs(x.imag)))
-    nsteps = max(4, math.ceil(2.0 * im_max / m)) if im_max else 1
-    for j in range(1, nsteps + 1):
-        xt = x.real + 1j * x.imag * (j / nsteps)
-        live = np.arange(L.size)
-        for _ in range(40):
-            _, xL, dL_dx = chart(L[live])
-            dL = -(xL - xt[live]) * dL_dx
-            L[live] += dL
-            live = live[~(np.abs(dL)
-                          < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
-            if not live.size:
-                break
-    r, xL, dL_dx = chart(L)
-    # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
-    return r, s * dL_dx * np.exp(L), np.abs(xL - x)
-
-
 def _failed(count, tt, p):
     """The error for `count` points whose residual |x(r) - x| exceeds
     1e-9 max(m, |x|)."""
@@ -202,43 +162,61 @@ def _failed(count, tt, p):
     return RuntimeError(msg)
 
 
-def inverse_tortoise_complex(x, p):
-    """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)).
+def inverse_tortoise(x, p):
+    """r(x) and alpha^2(r(x)) on the real line for a real array x, as
+    complex arrays of x's shape with zero imaginary parts.
 
-    Vectorized over a complex array x; returns the pair (r, alpha^2).
-    Each point is continued by `_continue` in the log-distance to one
-    horizon a from a real seed L: to 2m at lam = 0, and at lam > 0 to the
-    horizon on Re x's side of the barrier top, r_minus if Re x < x(3m)
-    else r_plus.  The seed is L = min((Re x - the other terms of x at
+    Each point is solved by Newton in the log-distance L = log(s (r - a))
+    to one horizon a (`_Tortoise.chart`): to 2m at lam = 0, and at lam > 0
+    to the horizon on x's side of the barrier top, r_minus if x < x(3m)
+    else r_plus.  The seed is L = min((x - the other terms of x at
     r = a)/c, log s (3m - a)): the other terms grow from r = a to 3m, so
     both lie on the barrier-top side of the root.  At lam = 0 past the
-    barrier top it is L = log(Re x - x(3m) + m), r = Re x - 2m log m,
-    where x(r) - Re x = 2m log((r - 2m)/m) >= 0.  x(L) is increasing and
-    convex on 2m's and r_minus's chart, decreasing and concave on
-    r_plus's, so Newton moves monotonically to the real root and stays in
-    the chart.
+    barrier top it is L = log(x - x(3m) + m), r = x - 2m log m, where
+    x(r) - x = 2m log((r - 2m)/m) >= 0.  x(L) is increasing and convex on
+    2m's and r_minus's chart, decreasing and concave on r_plus's, so
+    Newton moves monotonically to the root and stays in the chart.  A
+    point leaves the iteration once its own step in L is below
+    1e-13 max(1, |L|), so its result does not depend on the other points.
+    alpha^2 is formed from e^L for full relative precision; a residual
+    |x(r) - x| above 1e-9 max(m, |x|) fails the call.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=float)
     xf = x.ravel()
     tt = _tortoise_terms(p)
     x3 = tt.x(3.0 * p.m)
-    root = np.where(xf.real < x3, 1, 2) if p.lam > 0 \
+    root = np.where(xf < x3, 1, 2) if p.lam > 0 \
         else np.zeros(xf.shape, dtype=int)
     r = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
-    resid = np.zeros(xf.shape)
-    for i, (a, c, s) in enumerate(tt.roots):
+    bad = 0
+    for i in np.unique(root):
+        a, c, s = tt.roots[i]
         mask = root == i
-        if np.any(mask):
-            xr = xf.real[mask]
-            L = np.minimum((xr - tt.x(a, skip=i)) / c,
-                           math.log(s * (3.0 * p.m - a)))
-            if p.lam == 0:
-                L = np.where(xr < x3, L,
-                             np.log(np.maximum(xr - x3, 0.0) + p.m))
-            r[mask], a2[mask], resid[mask] = _continue(
-                xf[mask], tt, L.astype(complex), i, p.m)
-    bad = int(np.sum(~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))))
+        xr = xf[mask]
+        L = np.minimum((xr - tt.x(a, skip=i)) / c,
+                       math.log(s * (3.0 * p.m - a)))
+        if p.lam == 0:
+            L = np.where(xr < x3, L, np.log(np.maximum(xr - x3, 0.0) + p.m))
+        L = L.astype(complex)
+        chart = tt.chart(i, np.exp, np.log)
+        # a diverging point may overflow to inf or nan: the residual check
+        # below catches it, so the floating-point warnings are muted
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            live = np.arange(L.size)
+            for _ in range(40):
+                _, xL, dL_dx = chart(L[live])
+                dL = -(xL - xr[live]) * dL_dx
+                L[live] += dL
+                live = live[~(np.abs(dL)
+                              < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
+                if not live.size:
+                    break
+            r[mask], xL, dL_dx = chart(L)
+            # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
+            a2[mask] = s * dL_dx * np.exp(L)
+            bad += int(np.sum(~(np.abs(xL - xr)
+                                <= 1e-9 * np.maximum(p.m, np.abs(xr)))))
     if bad:
         raise _failed(bad, tt, p)
     return r.reshape(x.shape), a2.reshape(x.shape)
@@ -278,15 +256,17 @@ def _march(xs, x3, tt, root, m):
 
 def inverse_tortoise_ray(t, theta, p):
     """r(x) and alpha^2(r(x)) at x = x(3m) + (1 + i theta) t for a real
-    array t: the values of `inverse_tortoise_complex`, by one Newton pass
-    along the ray.  Each side of t = 0 is sorted by |t| and marched outward
-    from r = 3m on the chart `inverse_tortoise_complex` takes there (2m's
-    at lam = 0; r_minus's for t < 0 and r_plus's for t >= 0 at lam > 0).
-    A node's Newton starts from its neighbour's L plus one Euler step,
-    (x - x_prev) dL/dx, and stops on its own step as `_continue`'s does;
-    its residual is held to the same 1e-9 max(m, |x|).  A node that fails
-    ends its side's march, and it and the nodes past it count as failed.
-    The cost is two or three chart evaluations per node, whatever theta.
+    array t: r(x) continued holomorphically off the real line from the
+    barrier top r(x(3m)) = 3m along the ray, by one Newton pass per node.
+    Each side of t = 0 is sorted by |t| and marched outward from r = 3m on
+    the horizon chart `inverse_tortoise` takes on that side of the barrier
+    top (2m's at lam = 0; r_minus's for t < 0 and r_plus's for t >= 0 at
+    lam > 0).  A node's Newton starts from its neighbour's L plus one
+    Euler step, (x - x_prev) dL/dx, and stops on its own step as
+    `inverse_tortoise`'s does; its residual is held to the same
+    1e-9 max(m, |x|).  A node that fails ends its side's march, and it
+    and the nodes past it count as failed.  The cost is two or three chart
+    evaluations per node, whatever theta.
     """
     t = np.asarray(t, dtype=float)
     tt = _tortoise_terms(p)
@@ -334,12 +314,6 @@ def critical_data(p):
     val = alpha_squared(r_crit, p) / r_crit ** 2
     assert abs(val - E0) <= 1e-12 / r_crit ** 2
     return CriticalData(r_crit=r_crit, E0=E0, c0=E0 * E0)
-
-
-def potential_W_parts(x_arr, p):
-    """Vectorized (W0, W1) on a complex array of tortoise coordinates,
-    with W = W0 + h^2 W1."""
-    return potential_from_r(*inverse_tortoise_complex(x_arr, p), p)
 
 
 def _barrier_series(p, N):

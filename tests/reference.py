@@ -26,7 +26,10 @@ barrier potential, `barrier_taylor_mp`, the real inverse tortoise
 coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`,
 at any lam as a bracketed mpmath root in the log-distance to a horizon,
 `inverse_tortoise_mp`, and its complex continuation along a straight
-contour by RK4 on dr/dx = alpha^2(r), `inverse_tortoise_rk4`; and the
+contour by RK4 on dr/dx = alpha^2(r), `inverse_tortoise_rk4`, and to
+any complex x by a homotopy in Im x, `inverse_tortoise_homotopy` (the
+oracle of the march along the direct solver's contour, and bit for bit
+the real-axis solver at Im x = 0); and the
 barrier-top series of r, 1/r and W0 by whole Series1 rebuilds,
 `barrier_series_rebuild`.
 For the direct solver, the Hermite functions by their three-term
@@ -60,7 +63,8 @@ from qnmlattice.catalog import MAX_ELL, counting_constant, eval_symbol
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
                                    _diag_levels, _reduce_step, _s_table,
                                    _start, quad_reduce)
-from qnmlattice.potentials import horizon_roots
+from qnmlattice.potentials import (_failed, _tortoise_terms,
+                                   horizon_roots)
 from qnmlattice.scaling import STAB_REL, WINDOW, _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
 
@@ -825,6 +829,84 @@ def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
         half.append(np.array(rs))
     t = np.arange(-steps, steps + 1) * (t_max / steps)
     return t, np.concatenate([half[0][:0:-1], half[1]])
+
+
+# a diverging run may overflow to inf or nan: the callers' residual check
+# on |x(r) - x| catches it, so the floating-point warnings are muted
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _continue(x, tt, L, root, m):
+    """Homotopy-Newton continuation of x(r) = x on the log chart of the
+    root of index `root` (`_Tortoise.chart`), from real-axis seeds L, with
+    Im(x) switched on in steps of at most m/2 (one step if Im(x) = 0
+    throughout).  In each homotopy step a point leaves the Newton iteration
+    once its own step in L is below 1e-13 max(1, |L|), so its result does
+    not depend on the other points of the array.  Returns r, alpha^2(r),
+    formed from e^L for full relative precision, and |x(r) - x|.
+    """
+    s = tt.roots[root][2]
+    chart = tt.chart(root, np.exp, np.log)
+    # with Im(x) = 0 every step would solve for the same target
+    im_max = float(np.max(np.abs(x.imag)))
+    nsteps = max(4, math.ceil(2.0 * im_max / m)) if im_max else 1
+    for j in range(1, nsteps + 1):
+        xt = x.real + 1j * x.imag * (j / nsteps)
+        live = np.arange(L.size)
+        for _ in range(40):
+            _, xL, dL_dx = chart(L[live])
+            dL = -(xL - xt[live]) * dL_dx
+            L[live] += dL
+            live = live[~(np.abs(dL)
+                          < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
+            if not live.size:
+                break
+    r, xL, dL_dx = chart(L)
+    # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
+    return r, s * dL_dx * np.exp(L), np.abs(xL - x)
+
+
+def inverse_tortoise_homotopy(x, p):
+    """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)):
+    the oracle of `potentials.inverse_tortoise_ray`, which marches along
+    the ray instead, and at Im x = 0 the bit-for-bit oracle of
+    `potentials.inverse_tortoise`.
+
+    Vectorized over a complex array x; returns the pair (r, alpha^2).
+    Each point is continued by `_continue` in the log-distance to one
+    horizon a from a real seed L: to 2m at lam = 0, and at lam > 0 to the
+    horizon on Re x's side of the barrier top, r_minus if Re x < x(3m)
+    else r_plus.  The seed is L = min((Re x - the other terms of x at
+    r = a)/c, log s (3m - a)): the other terms grow from r = a to 3m, so
+    both lie on the barrier-top side of the root.  At lam = 0 past the
+    barrier top it is L = log(Re x - x(3m) + m), r = Re x - 2m log m,
+    where x(r) - Re x = 2m log((r - 2m)/m) >= 0.  x(L) is increasing and
+    convex on 2m's and r_minus's chart, decreasing and concave on
+    r_plus's, so Newton moves monotonically to the real root and stays in
+    the chart.
+    """
+    x = np.asarray(x, dtype=complex)
+    xf = x.ravel()
+    tt = _tortoise_terms(p)
+    x3 = tt.x(3.0 * p.m)
+    root = np.where(xf.real < x3, 1, 2) if p.lam > 0 \
+        else np.zeros(xf.shape, dtype=int)
+    r = np.zeros(xf.shape, dtype=complex)
+    a2 = np.zeros(xf.shape, dtype=complex)
+    resid = np.zeros(xf.shape)
+    for i, (a, c, s) in enumerate(tt.roots):
+        mask = root == i
+        if np.any(mask):
+            xr = xf.real[mask]
+            L = np.minimum((xr - tt.x(a, skip=i)) / c,
+                           math.log(s * (3.0 * p.m - a)))
+            if p.lam == 0:
+                L = np.where(xr < x3, L,
+                             np.log(np.maximum(xr - x3, 0.0) + p.m))
+            r[mask], a2[mask], resid[mask] = _continue(
+                xf[mask], tt, L.astype(complex), i, p.m)
+    bad = int(np.sum(~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))))
+    if bad:
+        raise _failed(bad, tt, p)
+    return r.reshape(x.shape), a2.reshape(x.shape)
 
 
 def hermite_basis_tridiagonal(n, npts):

@@ -247,14 +247,16 @@ def test_acceptance_8_infrastructure(tmp_path):
     for r in np.geomspace(2.0 + 1e-6, 50.0, 60):
         x = tortoise(float(r), P1)
         worst_rt = max(worst_rt,
-                       abs(inverse_tortoise(x, P1) - r) / max(1.0, r))
+                       abs(inverse_tortoise(x, P1)[0].real - r)
+                       / max(1.0, r))
     p_ds = BlackHoleParams(m=1.0, lam=0.02)
     hz = horizon_roots(p_ds)
     for s in np.geomspace(1e-4, 0.999, 60):
         r = hz.r_minus + float(s) * (hz.r_plus - hz.r_minus)
         x = tortoise(r, p_ds)
         worst_rt = max(worst_rt,
-                       abs(inverse_tortoise(x, p_ds) - r) / max(1.0, r))
+                       abs(inverse_tortoise(x, p_ds)[0].real - r)
+                       / max(1.0, r))
     assert worst_rt <= 1e-12
     # eigensolver trace identity
     cfg = ScalingConfig(theta=0.3, basis_size=120)

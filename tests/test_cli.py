@@ -528,6 +528,24 @@ def test_mass_out_of_range_exits_2(tmp_path, capsys, m):
                               % float(m)), err
 
 
+def test_negative_flag_values_in_exponent_form(tmp_path, capsys):
+    # argparse's own pattern for a negative number takes "-1000" and "-.5"
+    # but not "-1e3" or "-inf"; a flag's value may be written either way
+    # (one output path: the config line names it)
+    spaced = run_to_file(tmp_path, ["potential", "--x-min", "-1e3",
+                                    "--x-max", "1e3"])
+    joined = run_to_file(tmp_path, ["potential", "--x-min=-1e3",
+                                    "--x-max=1e3"])
+    assert spaced[0] == 0 and spaced == joined
+    assert parse_csv(spaced[1])[0]["x_min"] == -1000.0
+    capsys.readouterr()
+    for argv, rule in ((["--lam", "-1e-3"], "need 0 <= lam < 1/(9 m^2)"),
+                       (["--x-min", "-inf"], "x_min and x_max must be finite")):
+        code, text = run_to_file(tmp_path, ["potential"] + argv, "err.txt")
+        assert code == 2 and text is None, argv
+        assert capsys.readouterr().err == "config error: %s\n" % rule
+
+
 @pytest.mark.parametrize("argv", [
     ["potential", "--m", "2.9e-155"],
     ["gsymbol", "--m", "1e-150"], ["lattice", "--m", "1e-150"],

@@ -10,16 +10,14 @@ import scipy.linalg
 
 from qnmlattice.potentials import (BlackHoleParams, _barrier_series,
                                    alpha_squared, critical_data,
-                                   horizon_roots,
-                                   inverse_tortoise,
-                                   inverse_tortoise_complex,
-                                   inverse_tortoise_ray, potential_W_parts,
+                                   horizon_roots, inverse_tortoise,
+                                   inverse_tortoise_ray, potential_from_r,
                                    shifted_potential_taylor,
                                    subprincipal_taylor, tortoise)
 
 from reference import (barrier_series_rebuild, barrier_taylor_mp,
-                       inverse_tortoise_mp, inverse_tortoise_rk4,
-                       inverse_tortoise_wright)
+                       inverse_tortoise_homotopy, inverse_tortoise_mp,
+                       inverse_tortoise_rk4, inverse_tortoise_wright)
 
 P1 = BlackHoleParams(m=1.0)
 P900 = BlackHoleParams(m=900.0)
@@ -27,8 +25,14 @@ P900 = BlackHoleParams(m=900.0)
 
 def W0(x, p):
     """W0 at real tortoise coordinates x (scalar or array)."""
-    w0, _ = potential_W_parts(np.atleast_1d(np.asarray(x, dtype=complex)), p)
-    return w0.real if np.ndim(x) else float(w0[0].real)
+    w0, _ = potential_from_r(*inverse_tortoise(x, p), p)
+    return w0.real if np.ndim(x) else float(w0.real)
+
+
+def r_of(x, p):
+    """r(x) at real tortoise coordinates x, a float for a scalar x."""
+    r = inverse_tortoise(x, p)[0].real
+    return r if np.ndim(x) else float(r)
 
 
 def test_params_validation():
@@ -92,30 +96,30 @@ def test_tortoise_closed_form_points():
 def test_tortoise_round_trip_lambda_zero():
     for r in np.geomspace(2.0 + 1e-6, 50.0, 100):
         x = tortoise(float(r), P1)
-        assert abs(inverse_tortoise(x, P1) - r) <= 1e-12 * max(1.0, r)
+        assert abs(r_of(x, P1) - r) <= 1e-12 * max(1.0, r)
     # far out, where e^{x/2m} overflows a double
     for x in (1500.0, 2000.0):
-        assert abs(tortoise(inverse_tortoise(x, P1), P1) - x) <= 1e-13 * x
+        assert abs(tortoise(r_of(x, P1), P1) - x) <= 1e-13 * x
 
 
 @pytest.mark.parametrize("m", [1e-8, 1.0, 900.0])
 def test_inverse_tortoise_lambda_zero_matches_wright_omega_oracle(m):
     p = BlackHoleParams(m=m)
     xs = m * np.array([-800.0, -60.0, -5.0, 0.0, 3.0, 40.0, 1e4, 1e8])
-    r = inverse_tortoise(xs, p)
+    r = r_of(xs, p)
     ref = inverse_tortoise_wright(xs, m)
     assert np.all(np.abs(r - ref) <= 1e-14 * ref), np.abs(r / ref - 1.0)
-    assert [inverse_tortoise(float(x), p) for x in xs] == list(r)
+    assert [r_of(float(x), p) for x in xs] == list(r)
     # across the barrier top x(3m), where the seed switches from the
     # asymptote r = 2m + e^((x - 2m)/2m) to r = x - 2m log m
     near = tortoise(3.0 * m, p) \
         + m * np.array([-1.0, -1e-9, -1e-12, 1e-12, 1e-9, 1.0])
     ref = inverse_tortoise_wright(near, m)
-    assert np.all(np.abs(inverse_tortoise(near, p) - ref) <= 1e-14 * ref)
+    assert np.all(np.abs(r_of(near, p) - ref) <= 1e-14 * ref)
     # further in, (r - 2m)/2m = omega ~ e^(x/2m - 1)/2m underflows to 0;
     # r is 2m there, not NaN
     deep_x = m * np.array([-1600.0, -1e5, -1e300])
-    deep = inverse_tortoise(deep_x, p)
+    deep = r_of(deep_x, p)
     assert np.array_equal(deep, np.full(3, 2.0 * m))
     assert np.array_equal(deep, inverse_tortoise_wright(deep_x, m))
 
@@ -127,8 +131,8 @@ def test_tortoise_round_trip_lambda_positive():
     rs = lo + np.geomspace(1e-5, 0.999, 100) * (hi - lo)
     xs = np.array([tortoise(float(r), p) for r in rs])
     for r, x in zip(rs, xs):
-        assert abs(inverse_tortoise(x, p) - r) <= 1e-12 * max(1.0, r)
-    back = inverse_tortoise(xs, p)
+        assert abs(r_of(x, p) - r) <= 1e-12 * max(1.0, r)
+    back = r_of(xs, p)
     assert back.shape == rs.shape
     assert np.all(np.abs(back - rs) <= 1e-12 * np.maximum(1.0, rs))
 
@@ -138,16 +142,22 @@ def test_inverse_tortoise_array_matches_scalar_calls():
     p = BlackHoleParams(m=1.0, lam=0.02)
     hz = horizon_roots(p)
     xs = np.linspace(-80.0, 250.0, 121)
-    r = inverse_tortoise(xs, p)
-    one = np.array([inverse_tortoise(float(x), p) for x in xs])
+    r = r_of(xs, p)
+    one = np.array([r_of(float(x), p) for x in xs])
     with mpmath.workdps(40):
         ref = np.array([float(inverse_tortoise_mp(x, p)[0]) for x in xs])
-    assert isinstance(inverse_tortoise(1.0, p), float)
     assert np.all(np.abs(r - one) <= 4.0 * np.spacing(one))
     assert np.all(np.abs(r - ref) <= 4.0 * np.spacing(ref))
     assert r.min() - hz.r_minus < 1e-14 and hz.r_plus - r.max() < 1e-13
-    grid = inverse_tortoise(xs.reshape(11, 11), p)
-    assert np.array_equal(grid.ravel(), r)
+    # (r, alpha^2) come back complex, of x's shape, with zero imaginary
+    # parts
+    assert [v.shape for v in inverse_tortoise(1.0, p)] == [(), ()]
+    grid, grid_a2 = inverse_tortoise(xs.reshape(11, 11), p)
+    _, a2 = inverse_tortoise(xs, p)
+    assert grid.shape == grid_a2.shape == (11, 11)
+    assert np.array_equal(grid.ravel(), r) and np.array_equal(grid_a2.ravel(),
+                                                               a2)
+    assert not np.any(grid.imag) and not np.any(grid_a2.imag)
 
 
 def test_inverse_tortoise_lambda_positive_matches_mpmath_root():
@@ -158,18 +168,32 @@ def test_inverse_tortoise_lambda_positive_matches_mpmath_root():
         p = BlackHoleParams(m=m, lam=0.02 / m ** 2)
         xs = m * np.concatenate([np.linspace(-900.0, 900.0, 61),
                                  [-477.0, -1.0, 1.0]])
-        r = inverse_tortoise(xs, p)
+        r = r_of(xs, p)
         with mpmath.workdps(40):
             ref = np.array([float(inverse_tortoise_mp(x, p)[0]) for x in xs])
         assert np.all(np.abs(r - ref) <= 1e-14 * ref), m
 
 
-def test_inverse_tortoise_complex_matches_real_axis():
-    for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
-        xs = np.linspace(-30.0, 30.0, 31)
-        r1 = inverse_tortoise_complex(xs.astype(complex), p)[0]
-        r2 = np.array([inverse_tortoise(float(x), p) for x in xs])
-        assert np.max(np.abs(r1 - r2)) <= 1e-9
+@pytest.mark.parametrize("m", [1e-8, 1.0, 900.0])
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+def test_inverse_tortoise_equals_homotopy_on_real_line(m, lam):
+    # the real-axis solver is the homotopy at Im x = 0, bit for bit, on
+    # the grids of the Wright omega and mpmath checks above and at the far
+    # points of the mixed-magnitude check below
+    p = BlackHoleParams(m=m, lam=lam / m ** 2)
+    far = [-1e300, -1e15, 1e300]
+    if lam == 0:
+        xs = m * np.array([-800.0, -60.0, -5.0, 0.0, 3.0, 40.0, 1e4, 1e8,
+                           -1600.0, -1e5, -1e300])
+        xs = np.concatenate([xs, tortoise(3.0 * m, p) + m * np.array(
+            [-1.0, -1e-9, -1e-12, 1e-12, 1e-9, 1.0])])
+    else:
+        xs = m * np.concatenate([np.linspace(-900.0, 900.0, 61),
+                                 [-477.0, -1.0, 1.0]])
+    xs = np.concatenate([xs, far])
+    r, a2 = inverse_tortoise(xs, p)
+    r_ref, a2_ref = inverse_tortoise_homotopy(xs.astype(complex), p)
+    assert np.array_equal(r, r_ref) and np.array_equal(a2, a2_ref)
 
 
 @pytest.mark.parametrize("m, lam, xs", [
@@ -186,26 +210,33 @@ def test_inverse_tortoise_mixed_magnitudes_match_each_point(m, lam, xs):
     # step bound 1e-13 |L| is large, must not end a near point's iteration,
     # nor a slow point prolong a converged one's
     p = BlackHoleParams(m=m, lam=lam)
-    r, a2 = inverse_tortoise_complex(np.array(xs, dtype=complex), p)
+    real = [x for x in xs if not complex(x).imag]
+    r, a2 = inverse_tortoise(np.array(real), p)
+    for x, ri, a2i in zip(real, r, a2):
+        one, one_a2 = inverse_tortoise(x, p)
+        assert ri == one and a2i == one_a2, x
+    # the same of the homotopy, the oracle, off the real line too
+    r, a2 = inverse_tortoise_homotopy(np.array(xs, dtype=complex), p)
     for x, ri, a2i in zip(xs, r, a2):
-        one, one_a2 = inverse_tortoise_complex(np.array([x], dtype=complex),
-                                               p)
+        one, one_a2 = inverse_tortoise_homotopy(np.array([x], dtype=complex),
+                                                p)
         assert ri == one[0] and a2i == one_a2[0], x
-        if not complex(x).imag:
-            assert inverse_tortoise(x, p) == ri.real, x
 
 
 def test_inverse_tortoise_complex_is_holomorphic():
-    # Cauchy-Riemann via centered differences at a few interior points
+    # the march solves dr/dx = alpha^2(r) along the ray: centered
+    # differences of r in t equal (1 + i theta) alpha^2(r), with alpha^2
+    # as the march returns it
+    eps = 1e-5
     for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
-        for x0 in (1.0 + 0.5j, -4.0 - 1.0j, 8.0 + 2.0j):
-            eps = 1e-5
-            pts = np.array([x0 + eps, x0 - eps, x0 + 1j * eps,
-                            x0 - 1j * eps])
-            r = inverse_tortoise_complex(pts, p)[0]
-            d_re = (r[0] - r[1]) / (2 * eps)
-            d_im = (r[2] - r[3]) / (2j * eps)
-            assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
+        for theta in (0.3, 1.2):
+            for t0 in (-4.0, 1.0, 8.0):
+                r, a2 = inverse_tortoise_ray(
+                    np.array([t0 - eps, t0, t0 + eps]), theta, p)
+                d = (r[2] - r[0]) / (2 * eps)
+                want = (1.0 + 1j * theta) * a2[1]
+                assert abs(d - want) <= 1e-6 * max(1.0, abs(want)), \
+                    (p.lam, theta, t0)
 
 
 @pytest.mark.parametrize("theta, lam", [
@@ -220,7 +251,7 @@ def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
     t, r_ref = t[::400], r_ref[::400]
-    for r, _ in (inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p),
+    for r, _ in (inverse_tortoise_homotopy(x0 + (1.0 + 1j * theta) * t, p),
                  inverse_tortoise_ray(t, theta, p)):
         assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-12
 
@@ -240,33 +271,38 @@ def test_inverse_tortoise_ray_matches_homotopy(lam):
             np.zeros(npts), np.sqrt(0.5 * np.arange(1, npts)))
         t = c0 ** -0.25 * math.sqrt(1.0 / (ell + 0.5)) * u
         r, a2 = inverse_tortoise_ray(t, theta, p)
-        r_ref, a2_ref = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t,
-                                                 p)
+        r_ref, a2_ref = inverse_tortoise_homotopy(
+            x0 + (1.0 + 1j * theta) * t, p)
         assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) <= 1e-13, ell
         assert np.max(np.abs(a2 - a2_ref) / np.abs(a2_ref)) <= 1e-13, ell
 
 
 @pytest.mark.parametrize("theta, lam", [(4.0, 0.0), (4.1, 0.02)])
 def test_inverse_tortoise_complex_leaves_rk4_past_theta_c(lam, theta):
-    # past theta_c (3.894 at lam = 0, 4.06 at lam = 0.02 and m = 1) the
-    # contour and the vertical homotopy enclose an image of r = 0, where W
-    # is singular and complex scaling is no longer valid; on the same
-    # contour as above the continuation and RK4 disagree by 1.45 and 1.53
-    # relative there, against 1.7e-12 at theta = 3
+    # past theta_c (3.894 at lam = 0, 4.06 at lam = 0.02 and m = 1), the
+    # bound of `ScalingConfig`, the contour's r(x) passes an image of
+    # r = 0, where W is singular and complex scaling is no longer valid;
+    # on the same contour as above the march of `direct` and RK4 disagree
+    # by 1.45 and 1.53 relative there (as the homotopy and RK4 do),
+    # against 1.7e-12 at theta = 3
     p = BlackHoleParams(m=1.0, lam=lam)
     x0 = tortoise(3.0 * p.m, p)
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
     t, r_ref = t[::400], r_ref[::400]
-    r, _ = inverse_tortoise_complex(x0 + (1.0 + 1j * theta) * t, p)
+    r, _ = inverse_tortoise_ray(t, theta, p)
     assert np.max(np.abs(r - r_ref) / np.abs(r_ref)) > 0.5
 
 
 def test_inverse_tortoise_complex_failure_raises():
-    # Newton diverges here; the NaN residual must not pass the check
-    with pytest.raises(RuntimeError, match="tortoise continuation failed"):
-        inverse_tortoise_complex(np.array([50j]),
-                                 BlackHoleParams(m=1.0, lam=0.02))
+    # at lam m^2 = 1e-40 the rounding of x(r)'s cancelling horizon terms
+    # alone exceeds the residual bound at every point, and the message
+    # says so
+    with pytest.raises(RuntimeError, match=(
+            r"tortoise continuation failed at 7 points \(lam m\^2 = 1e-40: "
+            r"x\(r\) sums cancelling horizon terms")):
+        inverse_tortoise(np.linspace(-20.0, 40.0, 7),
+                         BlackHoleParams(m=1.0, lam=1e-40))
     # the first node 1000 m out at theta = 1: the Euler step from r = 3m
     # lands at Re L = 332, and Newton's steps of about 1 down the
     # exponential do not return within its 40 steps; the march ends there,
@@ -294,7 +330,7 @@ def test_potential_W_parts_near_horizons_mpmath():
         p = BlackHoleParams(m=1.0, lam=lam)
         with mpmath.workdps(50):
             want0, want1 = mp_potential_W_parts(x, p)
-        got0, got1 = potential_W_parts(np.array([x], dtype=complex), p)
+        got0, got1 = potential_from_r(*inverse_tortoise(np.array([x]), p), p)
         assert abs(got0[0] - want0) <= 1e-13 * abs(want0), (lam, x)
         assert abs(got1[0] - want1) <= 1e-13 * abs(want1), (lam, x)
 
@@ -365,7 +401,8 @@ def _cauchy_taylor(p, nodes=64):
     cd = critical_data(p)
     rho = 2.0 * p.m
     z = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    w0, _ = potential_W_parts(tortoise(3.0 * p.m, p) + z, p)
+    w0, _ = potential_from_r(
+        *inverse_tortoise_homotopy(tortoise(3.0 * p.m, p) + z, p), p)
     c = np.fft.fft(w0) / nodes / rho ** np.arange(nodes)
     c[0] -= cd.E0
     return c
@@ -394,7 +431,7 @@ def test_subprincipal_taylor_matches_values():
     x0 = tortoise(3.0, p)
     W1 = subprincipal_taylor(p, 6)
     for x in (-0.2, 0.0, 0.15):
-        _, w1 = potential_W_parts(np.array([x0 + x], dtype=complex), p)
+        _, w1 = potential_from_r(*inverse_tortoise(np.array([x0 + x]), p), p)
         approx = sum(complex(c) * x ** j for j, c in enumerate(W1.coeffs))
         assert abs(approx - complex(w1[0])) <= 1e-6 * abs(w1[0])
 
@@ -447,11 +484,11 @@ def test_potential_W_h_combination():
     # at r = r(x) from the real-axis inverse
     p = BlackHoleParams(m=1.0, lam=0.01)
     x, h = 2.0, 0.25
-    r = inverse_tortoise(x, p)
+    r = r_of(x, p)
     a2 = alpha_squared(r, p)
     w0 = a2 / r ** 2
     full = w0 * (1.0 + h * h * (r * (2.0 / r ** 2 - 2.0 * p.lam * r / 3.0)
                                 - 0.25))
-    arr0, arr1 = potential_W_parts(np.array([x], dtype=complex), p)
+    arr0, arr1 = potential_from_r(*inverse_tortoise(np.array([x]), p), p)
     assert abs(w0 - arr0[0].real) <= 1e-12
     assert abs(full - (arr0[0] + h * h * arr1[0]).real) <= 1e-12

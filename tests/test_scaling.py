@@ -7,7 +7,7 @@ import pytest
 
 from qnmlattice import potentials, pseudospectrum, scaling
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
-                                   potential_W_parts, tortoise)
+                                   inverse_tortoise_ray, potential_from_r)
 from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
                                 THETA_MAX, WINDOW, ScalingConfig, _d2_matrix,
                                 _enlarged_shift, build_scaled_operator,
@@ -101,12 +101,12 @@ def scaled_symbol(x, xi, cfg, p):
     """p_theta(x, xi) = ((1+i theta)^{-1} xi)^2 + V(x + i theta x).
 
     x is measured from the barrier top (shifted coordinate); V is the
-    holomorphically continued shifted potential.
+    holomorphically continued shifted potential, from the march along the
+    ray.
     """
     cd = critical_data(p)
     th = cfg.theta
-    xc = tortoise(3.0 * p.m, p) + x * (1.0 + 1j * th)
-    w0, _ = potential_W_parts(np.array([xc]), p)
+    w0, _ = potential_from_r(*inverse_tortoise_ray(np.array([x]), th, p), p)
     v = complex(w0[0]) - cd.E0
     return ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
 
@@ -116,8 +116,7 @@ def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
     cd = critical_data(p)
     th = cfg.theta
     xg = np.asarray(x_grid, float)
-    xc = tortoise(3.0 * p.m, p) + xg * (1.0 + 1j * th)
-    w0, _ = potential_W_parts(xc, p)
+    w0, _ = potential_from_r(*inverse_tortoise_ray(xg, th, p), p)
     v = w0 - cd.E0
     best = None
     argmin = None
@@ -445,11 +444,12 @@ def test_qnm_direct_numerical_failure():
 
 
 def test_qnm_direct_marches_without_the_homotopy(monkeypatch):
-    # the contour's r(x) comes from the march along the ray alone
+    # the contour's r(x) comes from the march along the ray alone, not
+    # from the real-axis solver
     def refuse(*args):
-        raise AssertionError("homotopy called")
+        raise AssertionError("real-axis solver called")
 
-    monkeypatch.setattr(potentials, "_continue", refuse)
+    monkeypatch.setattr(potentials, "inverse_tortoise", refuse)
     cfg = ScalingConfig(theta=0.3, basis_size=160)
     for p in (P1, BlackHoleParams(m=1.0, lam=0.02)):
         assert qnm_direct(8, cfg, p).size == 1

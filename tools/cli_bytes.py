@@ -66,6 +66,15 @@ ARGVS = [
     ["gsymbol", "--series-degree", "20"],
     ["lattice", "--series-degree", "20", "--ell-range", "1", "32",
      "--n-max", "4"],
+    # the real-axis solver of `potential`: both lambda = 0 seeds (the
+    # ends of the float range), both lambda > 0 horizon charts, next to
+    # extremality, and the two exit-3 messages
+    ["potential", "--m", "900", "--lam", "1e-7", "--x-min=-3000", "--x-max",
+     "1e6", "--x-points", "4001"],
+    ["potential", "--x-min=-1e300", "--x-max", "1e300", "--x-points", "7"],
+    ["potential", "--lam", "0.11110810840027086"],
+    ["potential", "--lam", "1e-40"],
+    ["potential", "--m", "2.9e-155"],
 ]
 
 
