@@ -40,6 +40,9 @@ def validity_radius(G0):
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        # once mid is lo or hi no later step moves lo: bad(hi) holds
+        if mid == lo or mid == hi:
+            break
         if bad(mid):
             hi = mid
         else:

@@ -4,16 +4,18 @@ One reduction loop takes a graded symbol with h^0 level q + O(3) to a
 diagonal symbol G(z*zeta; h), level by level in h and degree by degree,
 by polynomial generators conjugating it in the Weyl (Moyal) calculus; at
 h-order 0 it is the classical Birkhoff normal form.  The loop runs on
-dense graded arrays, one complex vector per h-level over the monomials
-z^m zeta^n in graded order, built straight from the barrier's Taylor
-coefficients and read back as diagonals; `qnm_symbol` supplies the black
-hole's, and `_mode_symbol` takes any barrier's.  Each generator is
-homogeneous, so its Moyal commutator with a level is, per odd
-bidifferential order k, one gather from a table of the integers S_k
-(summed exactly in Python ints, rounded to float64 once) times the
-outer product of the coefficient vectors; the target monomials come
-from offsets kept beside S_k, and one `np.add.at` on a complex
-accumulator scatters every level and k of a commutator.
+one flat complex vector that holds every h-level at a fixed offset, each
+over the monomials z^m zeta^n in graded order, built straight from the
+barrier's Taylor coefficients and read back as diagonals; `qnm_symbol`
+supplies the black hole's, and `_mode_symbol` takes any barrier's.  Each
+generator is homogeneous, so its Moyal commutator is, per source level
+and odd bidifferential order k, a gather from a table of the integers
+S_k (summed exactly in Python ints, rounded to float64 once), with the
+target monomials from offsets kept beside S_k.  Each reduction step
+builds one gather/scatter plan of those products over every level its
+exp series can reach; each term of the series is then one gather, one
+`np.add.at` of the products into a complex accumulator and one more
+that folds its weighted bins into the next term.
 G is converted to the spectral variable s = z h D_z + h/2i, whose
 eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
 Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
@@ -23,6 +25,7 @@ the mode lattice lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +93,42 @@ def _birkhoff(levels, mu, K, N):
 
     For each h-level ell = 0..K and degree (3..N at ell = 0, 0..N-2ell
     above) conjugates by exp((i/h) h^ell a), where i mu a solves the
-    homological equation for the off-diagonal part there; the rest of
-    h^ell {a, g(w)} + O(h^(ell+2)) lands at a higher degree or two levels
-    up.  At h-order 0 this is the classical flow exp({a, .}).  Level ell
-    fixes w^j for 2j + 2ell <= N.  Returns the diagonal levels.
+    homological equation for the off-diagonal part there, a_n = i r_n /
+    (dgr - 2n) for 2n != dgr; the rest of h^ell {a, g(w)} + O(h^(ell+2))
+    lands at a higher degree or two levels up.  At h-order 0 this is the
+    classical flow exp({a, .}).  Level ell fixes w^j for 2j + 2ell <= N.
+    The levels live in one flat vector (`_level_offsets`), and each step
+    runs its exp series on one `_plan`.  Returns the diagonal levels: those
+    given and those the steps reach.
     """
-    for ell in range(K + 1):
+    off = _level_offsets(K, N)
+    flat = np.zeros(off[-1], complex)
+    for lvl, v in levels.items():
+        flat[off[lvl]:off[lvl] + len(v)] = v
+    present = [lvl in levels for lvl in range(len(off) - 1)]
+    inv = 1.0 / (1j * mu)
+    for ell in range(len(off) - 1):
+        if not present[ell]:
+            continue
         for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
-            levels = _reduce_step(levels, ell, dgr, mu, K, N)
-    return levels
+            s = off[ell] + _start(dgr)
+            offd = [(n, c) for n, c in enumerate(flat[s:s + dgr + 1].tolist())
+                    if 2 * n != dgr and c != 0]
+            if not offd:
+                continue
+            a = np.zeros(dgr + 1, complex)
+            for n, c in offd:
+                a[n] = 1j * c / (dgr - 2 * n) * inv * 1j
+            # exp(ad_gen); (i/h) h^ell a is the generator at h-level ell - 1
+            plan = _plan(a, ell - 1, present, K, N, off)
+            term = flat
+            for j in range(1, 4 * (K + N + 3)):
+                term = moyal_commutator(plan, term) * (1.0 / j)
+                if not term.any():
+                    break
+                flat += term
+    return {lvl: flat[off[lvl]:off[lvl + 1]]
+            for lvl, seen in enumerate(present) if seen}
 
 
 def _taylor_levels(V, W1, N, K):
@@ -141,47 +171,14 @@ def _taylor_levels(V, W1, N, K):
                     for k, v in levels.items()}
 
 
-def _reduce_step(levels, ell, dgr, mu, K, N):
-    """The loop's step at level ell and degree dgr on dense levels.
-
-    Conjugates by exp((i/h) h^ell a) with i mu a the homological solution
-    for the off-diagonal part of level ell at degree dgr, a_n = i r_n /
-    (dgr - 2n) for 2n != dgr; returns the levels unchanged when that part
-    is 0.
-    """
-    r = levels.get(ell)
-    if r is None or len(r) < _start(dgr + 1):
-        return levels
-    off = [(n, c) for n, c in
-           enumerate(r[_start(dgr):_start(dgr + 1)].tolist())
-           if 2 * n != dgr and c != 0]
-    if not off:
-        return levels
-    inv = 1.0 / (1j * mu)
-    a = np.zeros(dgr + 1, complex)
-    for n, c in off:
-        a[n] = 1j * c / (dgr - 2 * n) * inv * 1j
-    # exp(ad_gen) levels; (i/h) h^ell a is the generator at h-level ell - 1
-    out = dict(levels)
-    term = levels
-    for j in range(1, 4 * (K + N + 3)):
-        term = {lvl: v * (1.0 / j) for lvl, v in
-                moyal_commutator(a, ell - 1, term, K, N).items()}
-        if not any(v.any() for v in term.values()):
-            break
-        for lvl, v in term.items():
-            out[lvl] = v if lvl not in out else \
-                out[lvl] + v[:len(out[lvl])]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dense graded storage and the Moyal commutator on it
 #
 # Inside the loop a level is one complex vector over the monomials
 # z^m zeta^n, m + n <= D, in graded order: degree d starts at d(d+1)/2
 # and z^m zeta^n sits at d(d+1)/2 + n.  Truncation is a prefix and a
-# homogeneous part is a slice.
+# homogeneous part is a slice.  The loop keeps its levels end to end in
+# one flat vector, at the offsets of `_level_offsets`.
 
 
 def _start(d):
@@ -204,8 +201,8 @@ def _columns(lo, hi):
 _S_TABLES = {}  # (k, row degree) -> (S_k, target offsets) by graded column
 # 2 (2i)^-k / k!, the odd-k weight of the commutator; k! leaves the float
 # range past k = 170
-_PREFACTOR = [2.0 * (1.0 / (2j)) ** k / math.factorial(k)
-              for k in range(171)]
+_PREFACTOR = np.array([2.0 * (1.0 / (2j)) ** k / math.factorial(k)
+                       for k in range(171)])
 
 
 def _s_table(k, dgr, hi):
@@ -242,62 +239,100 @@ def _s_table(k, dgr, hi):
     return new
 
 
-def moyal_commutator(a, gl, levels, K, N):
-    """[a, b] = a # b - b # a for a homogeneous generator a at h-level gl.
+def _level_offsets(K, N):
+    """Offsets of the h-levels 0..min(K, N//2) in one flat vector: level
+    lvl, kept to degree N - 2 lvl, fills [off[lvl], off[lvl + 1])."""
+    off = [0]
+    for lvl in range(min(K, N // 2) + 1):
+        off.append(off[-1] + _start(N - 2 * lvl + 1))
+    return off
 
-    `a` holds the coefficients of z^(d-n) zeta^n, n = 0..d, of a degree-d
-    generator; `levels` maps h-levels to dense vectors.  The k-th
-    bidifferential term of the Weyl product takes z^m1 zeta^n1 and
-    z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k); even k
-    cancel, odd k count twice.  For each level pair and odd k that is one
-    gather from the S_k table times the outer product of the coefficient
-    vectors, with target indices from the offsets kept beside S_k; every
-    pair's bins lie in a range of their own, so one `np.add.at` on a
-    complex accumulator scatters the whole call.  Result level lvl is
-    kept to total degree N - 2 lvl.  Returns {lvl: dense vector}.
+
+# one generator's Moyal commutator on flat levels: per product, the
+# generator's coefficient, the flat index of the other factor, S_k and the
+# accumulator bin; per bin, 2 (2i)^-k/k! and the flat index it folds into
+_Plan = namedtuple("_Plan", "arow cols S bins pref dst")
+
+
+def _plan(a, gl, present, K, N, off):
+    """The commutator plan of a homogeneous generator a at h-level gl on
+    flat levels with offsets `off`, over the levels marked in `present`.
+
+    The k-th bidifferential term of the Weyl product takes z^m1 zeta^n1
+    and z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k); even k
+    cancel, odd k count twice.  For each source level kb, in ascending
+    order, and odd k the plan holds a block of products, row n1 of a
+    against the monomials of kb of degree k..hi, row by row, where hi
+    keeps the target within degree N - 2 lvl, lvl = gl + kb + k, and
+    S_k != 0 (where the target is not a monomial, S_k = 0).  Each product
+    has its S_k from `_s_table` and its bin, the target offset kept
+    beside S_k plus n1 - k, the target's graded index, in a segment of
+    bins of its own that maps onto level lvl.  Each target level is
+    marked in `present` as it is reached, so a level the series creates
+    is a source for the levels above it: the plan covers every level the
+    exp series can reach.
     """
     dgr = len(a) - 1
-    n1 = np.arange(dgr + 1)[:, None]
-    ws, targets, segs = [], [], []
+    cols, ws, bins, segs = [], [], [], []
     end = 0
-    for kb, b in levels.items():
-        nz = b.nonzero()[0]
-        if not nz.size:
+    for kb in range(len(off) - 1):
+        if not present[kb]:
             continue
-        # columns of b whose products stay within the kept degree
-        hi = min(N - 2 * (gl + kb) - dgr, _degree(int(nz[-1])))
-        lo0 = _degree(int(nz[0]))
-        if hi < lo0:
-            continue
-        # graded offsets d(d+1)/2 inline: this loop is the normal form's
-        # hot path
-        c0 = lo0 * (lo0 + 1) // 2
-        c1 = (hi + 1) * (hi + 2) // 2
-        outer = a[:, None] * b[None, c0:c1]
+        hi = min(N - 2 * (gl + kb) - dgr, N - 2 * kb)
         for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
-            lo = max(lo0, k)
-            if k > dgr or lo > hi:
-                continue
+            if k > dgr or k > hi:
+                break
             lvl = gl + kb + k
-            size = (N - 2 * lvl + 1) * (N - 2 * lvl + 2) // 2
+            present[lvl] = True
             S, T = _s_table(k, dgr, hi)
-            cl = lo * (lo + 1) // 2
-            ws.append(S[:, cl:c1] * outer[:, cl - c0:])
-            # target z^(m1+m2-k) zeta^(n1+n2-k) at end + index + k; where
-            # that is not a monomial, S_k = 0 and the bin lies in
-            # [end, end + size + 2k)
-            targets.append(T[cl:c1] + (n1 + end))
-            segs.append((lvl, k, end + k, size))
-            end += size + 2 * k
-    if not segs:
-        return {}
-    acc = np.zeros(end, complex)
-    np.add.at(acc, np.concatenate(targets, axis=None),
-              np.concatenate(ws, axis=None))
-    out = {}
-    for lvl, k, s, size in segs:
-        v = _PREFACTOR[k] * acc[s:s + size]
-        out[lvl] = out[lvl] + v if lvl in out else v
+            cl = k * (k + 1) // 2
+            c1 = (hi + 1) * (hi + 2) // 2
+            cols.append(np.arange(off[kb] + cl, off[kb] + c1))
+            ws.append(S[:, cl:c1])
+            bins.append(T[cl:c1] + (end - k))
+            segs.append((k, off[lvl] - end, off[lvl + 1] - off[lvl]))
+            end += off[lvl + 1] - off[lvl]
+    none = np.empty(0, np.intp)
+    S = np.concatenate(ws + [np.empty((dgr + 1, 0))], axis=1)
+    width = S.shape[1]
+    # the products with S_k != 0, row by row; each array is formed once
+    # the larger ones it needs are gone, to keep the step's peak memory low
+    nz = np.flatnonzero(S != 0)
+    S = S.ravel()[nz]
+    row = nz // width
+    nz -= row * width
+    bins = np.concatenate(bins + [none])[nz]
+    bins += row
+    cols = np.concatenate(cols + [none])[nz]
+    k, shift, size = np.array(segs, np.intp).reshape(-1, 3).T
+    return _Plan(a[row], cols, S, bins, _PREFACTOR[k].repeat(size),
+                 np.arange(end) + shift.repeat(size))
+
+
+def moyal_commutator(plan, term):
+    """[a, term] = a # term - term # a for the generator a the plan was
+    built for, on a flat vector of levels; level lvl of the result is
+    kept to total degree N - 2 lvl, and levels the plan does not reach
+    are -0.
+
+    One gather of the plan's products from term, times a and S_k; one
+    `np.add.at` of the products into a zeroed complex accumulator; then
+    each bin times 2 (2i)^-k/k!, and one `np.add.at` folds the bins into
+    their levels, in the plan's (source level, k) order, on -0, the zero
+    that leaves the first addend as it is.  The products are formed in
+    place with the operands in that order: numpy's complex multiply
+    rounds a * b and b * a apart, and may swap the operands of a large
+    temporary.
+    """
+    w = term[plan.cols]
+    np.multiply(plan.arow, w, out=w)
+    np.multiply(plan.S, w, out=w)
+    acc = np.zeros(len(plan.dst), complex)
+    np.add.at(acc, plan.bins, w)
+    np.multiply(plan.pref, acc, out=acc)
+    out = np.empty(len(term), complex)
+    out.fill(complex(-0.0, -0.0))
+    np.add.at(out, plan.dst, acc)
     return out
 
 

@@ -9,11 +9,15 @@ commutator by repeated series derivatives (`_moyal_term`), the closed-form
 commutator on dicts of monomials (`moyal_commutator_dict`) and the
 reduction loop built on it (`birkhoff_dict`), the dense commutator with
 one scatter per level pair and odd k (`moyal_commutator_pairwise`, the
-bit-for-bit oracle of `normalform.moyal_commutator`), and quantum
-averaging by the round trip through g^{-1}(Q) after the h^0 pass of the
-Birkhoff reduction alone.  The dict-of-monomials (`Series2`) side of the
-normal form: the level sum and scaling of graded symbols, the
-homological solution `homological_solve`, the linear reduction by
+bit-for-bit oracle of each term `normalform.moyal_commutator` forms),
+the reduction loop on a dict of dense levels with one scatter per
+commutator call (`moyal_commutator_levels`, `reduce_step_levels` and
+`birkhoff_levels`, the bit-for-bit oracle of the flat loop
+`normalform._birkhoff`), and quantum averaging by the round trip through
+g^{-1}(Q) after the h^0 pass of the Birkhoff reduction alone.  The
+dict-of-monomials (`Series2`) side of the normal form: the level sum and
+scaling of graded symbols, the homological solution `homological_solve`,
+the linear reduction by
 `Series2.subs_linear` into dense levels, `reduced_levels` (the
 bit-for-bit oracle of `normalform._taylor_levels`), and `birkhoff` and
 `diag_levels`, which run the dense loop and diagonal check on `Series2`
@@ -43,8 +47,10 @@ with its drift `relative_drift`: the bit-for-bit oracle of the window and
 drift filters `qnm_direct` keeps.  For the lattice rule,
 the symbol G(x; h) by `np.polyval` on complex coefficient arrays,
 `eval_symbol_polyval`: the bit-for-bit oracle of the Horner loop in
-`catalog`.  For sector counting, the walk in n over all ell at once,
-`count_walk`: the integer-for-integer oracle of the bisections in
+`catalog`, and the validity radius by all 80 bisection steps,
+`validity_radius_bisect80`.  For sector counting, the walk in n over
+all ell at once, `count_walk`: the integer-for-integer oracle of the
+bisections in
 `catalog.asymptotic_check`.
 """
 
@@ -59,10 +65,11 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from qnmlattice.catalog import MAX_ELL, counting_constant, eval_symbol
-from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
-                                   _diag_levels, _reduce_step, _s_table,
-                                   _start, quad_reduce)
+from qnmlattice.catalog import (MAX_ELL, VALIDITY_FRAC, counting_constant,
+                                eval_symbol)
+from qnmlattice.normalform import (_PREFACTOR, TWO_PI, _birkhoff, _columns,
+                                   _degree, _diag_levels, _s_table, _start,
+                                   quad_reduce)
 from qnmlattice.potentials import (_failed, _tortoise_terms,
                                    horizon_roots)
 from qnmlattice.scaling import STAB_REL, WINDOW, _u2_matrix
@@ -525,17 +532,122 @@ def poschl_teller_taylor(N):
 def birkhoff_h0(sym, K, N):
     """The h^0 pass of the Birkhoff reduction alone.
 
-    Runs the reduction loop's own step, `_reduce_step`, at h-level 0 for
-    each degree 3..N: every level goes through the symplectic reduction of
-    q to mu z zeta, then is conjugated by exp((i/h) a), where i mu a
-    solves the homological equation for the off-diagonal h^0 part of that
-    degree.  The h^0 level comes out diagonal through degree N; the higher
-    levels are conjugated but not reduced.  Returns mu and the symbol.
+    Runs the dict loop's step, `reduce_step_levels` (bit for bit a step
+    of `normalform._birkhoff`), at h-level 0 for each degree 3..N: every
+    level goes through the symplectic reduction of q to mu z zeta, then
+    is conjugated by exp((i/h) a), where i mu a solves the homological
+    equation for the off-diagonal h^0 part of that degree.  The h^0 level
+    comes out diagonal through degree N; the higher levels are conjugated
+    but not reduced.  Returns mu and the symbol.
     """
     mu, levels = reduced_levels(sym, K, N)
     for dgr in range(3, N + 1):
-        levels = _reduce_step(levels, 0, dgr, mu, K, N)
+        levels = reduce_step_levels(levels, 0, dgr, mu, K, N)
     return mu, dense_to_graded(levels, K)
+
+
+def moyal_commutator_levels(a, gl, levels, K, N):
+    """[a, b] = a # b - b # a for a homogeneous generator a at h-level gl
+    on a dict of dense levels, one scatter per call.
+
+    `a` holds the coefficients of z^(d-n) zeta^n, n = 0..d, of a degree-d
+    generator; `levels` maps h-levels to dense vectors.  For each level
+    with nonzero coefficients and odd k, one gather from the S_k table
+    times the outer product of a with the columns between the level's
+    first and last nonzero degree, with target indices from the offsets
+    kept beside S_k; every pair's bins lie in a range of their own, so
+    one `np.add.at` on a complex accumulator scatters the whole call, and
+    each (level, k) segment, times 2 (2i)^-k/k!, is summed into its level
+    in the order of `levels`.  Result level lvl is kept to total degree
+    N - 2 lvl.  Returns {lvl: dense vector}.  The commutator of the dict
+    loop `birkhoff_levels`, which `normalform.moyal_commutator` replaced.
+    """
+    dgr = len(a) - 1
+    n1 = np.arange(dgr + 1)[:, None]
+    ws, targets, segs = [], [], []
+    end = 0
+    for kb, b in levels.items():
+        nz = b.nonzero()[0]
+        if not nz.size:
+            continue
+        # columns of b whose products stay within the kept degree
+        hi = min(N - 2 * (gl + kb) - dgr, _degree(int(nz[-1])))
+        lo0 = _degree(int(nz[0]))
+        if hi < lo0:
+            continue
+        c0 = _start(lo0)
+        c1 = _start(hi + 1)
+        outer = a[:, None] * b[None, c0:c1]
+        for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
+            lo = max(lo0, k)
+            if k > dgr or lo > hi:
+                continue
+            lvl = gl + kb + k
+            size = _start(N - 2 * lvl + 1)
+            S, T = _s_table(k, dgr, hi)
+            cl = _start(lo)
+            ws.append(S[:, cl:c1] * outer[:, cl - c0:])
+            # target z^(m1+m2-k) zeta^(n1+n2-k) at end + index + k; where
+            # that is not a monomial, S_k = 0 and the bin lies in
+            # [end, end + size + 2k)
+            targets.append(T[cl:c1] + (n1 + end))
+            segs.append((lvl, k, end + k, size))
+            end += size + 2 * k
+    if not segs:
+        return {}
+    acc = np.zeros(end, complex)
+    np.add.at(acc, np.concatenate(targets, axis=None),
+              np.concatenate(ws, axis=None))
+    out = {}
+    for lvl, k, s, size in segs:
+        v = _PREFACTOR[k] * acc[s:s + size]
+        out[lvl] = out[lvl] + v if lvl in out else v
+    return out
+
+
+def reduce_step_levels(levels, ell, dgr, mu, K, N):
+    """The reduction loop's step at level ell and degree dgr on a dict of
+    dense levels: conjugates by exp((i/h) h^ell a) with i mu a the
+    homological solution for the off-diagonal part of level ell at degree
+    dgr, a_n = i r_n / (dgr - 2n) for 2n != dgr, each term from
+    `moyal_commutator_levels`; returns the levels unchanged when that
+    part is 0.  A level the series reaches joins the dict.
+    """
+    r = levels.get(ell)
+    if r is None or len(r) < _start(dgr + 1):
+        return levels
+    off = [(n, c) for n, c in
+           enumerate(r[_start(dgr):_start(dgr + 1)].tolist())
+           if 2 * n != dgr and c != 0]
+    if not off:
+        return levels
+    inv = 1.0 / (1j * mu)
+    a = np.zeros(dgr + 1, complex)
+    for n, c in off:
+        a[n] = 1j * c / (dgr - 2 * n) * inv * 1j
+    # exp(ad_gen) levels; (i/h) h^ell a is the generator at h-level ell - 1
+    out = dict(levels)
+    term = levels
+    for j in range(1, 4 * (K + N + 3)):
+        term = {lvl: v * (1.0 / j) for lvl, v in
+                moyal_commutator_levels(a, ell - 1, term, K, N).items()}
+        if not any(v.any() for v in term.values()):
+            break
+        for lvl, v in term.items():
+            out[lvl] = v if lvl not in out else \
+                out[lvl] + v[:len(out[lvl])]
+    return out
+
+
+def birkhoff_levels(levels, mu, K, N):
+    """The reduction loop of `normalform._birkhoff` on a dict of dense
+    levels, one `reduce_step_levels` per h-level and degree: the loop the
+    flat vector and its per-step plans replaced, and their bit-for-bit
+    oracle."""
+    for ell in range(K + 1):
+        for dgr in range(3 if ell == 0 else 0, N - 2 * ell + 1):
+            levels = reduce_step_levels(levels, ell, dgr, mu, K, N)
+    return levels
 
 
 def moyal_commutator_dict(a, b, K, degree):
@@ -580,11 +692,12 @@ def moyal_commutator_dict(a, b, K, degree):
 
 
 def moyal_commutator_pairwise(a, gl, levels, K, N):
-    """`normalform.moyal_commutator` with one scatter per level pair and
-    odd k: the target indices formed from the columns' degrees and zeta
-    exponents, and two `np.bincount` calls of their own per pair.  The
-    bit-for-bit oracle of the kernel, which runs the same bins in one
-    scatter per call.
+    """[a, b] for a homogeneous generator a at h-level gl on a dict of
+    dense levels, with one scatter per level pair and odd k: the target
+    indices formed from the columns' degrees and zeta exponents, and two
+    `np.bincount` calls of their own per pair.  The bit-for-bit oracle of
+    each term `normalform.moyal_commutator` forms on a step's plan, which
+    runs the same bins in one scatter per term.
     """
     dgr = len(a) - 1
     n1 = np.arange(dgr + 1)[:, None]
@@ -1032,6 +1145,34 @@ def eval_symbol_polyval(G, x, h):
     for k, lvl in G.levels.items():
         out += polyval_ascending(lvl.coeffs, x) * h ** k
     return out
+
+
+def validity_radius_bisect80(G0):
+    """`catalog.validity_radius` with all 80 bisection steps, none left
+    out once the midpoint meets an end: its bit-for-bit oracle."""
+    coeffs = list(G0.coeffs)
+    k = max(j for j, c in enumerate(coeffs) if abs(c) != 0)
+    if k == 0:
+        return math.inf
+    ck = coeffs[k]
+
+    def bad(x):
+        tot = sum(c * x ** j for j, c in enumerate(coeffs))
+        return abs(ck) * x ** k >= VALIDITY_FRAC * abs(tot)
+
+    hi = 1.0
+    while not bad(hi):
+        hi *= 2.0
+        if hi > 1e8:
+            return math.inf
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if bad(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def count_walk(p, G, t, r_list):

@@ -15,7 +15,8 @@ from qnmlattice import catalog
 from qnmlattice.catalog import (asymptotic_check, counting_constant,
                                 eval_symbol, lattice, validity_radius)
 
-from reference import count_walk, eval_symbol_polyval, polyval_ascending
+from reference import (count_walk, eval_symbol_polyval, polyval_ascending,
+                       validity_radius_bisect80)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -53,6 +54,21 @@ def test_validity_radius_linear_symbol():
 
 def test_validity_radius_constant_is_infinite():
     assert validity_radius(Series1([2.0], 0)) == math.inf
+
+
+def test_validity_radius_equals_full_bisection():
+    # the bisection stops once its midpoint meets an end, where no later
+    # step moves lo: the same float as all 80 steps on the bench symbols,
+    # lattice's (20,2), (16,4), (18,4) and count's (10,2) at each lambda,
+    # at h-level 0 and at each nonzero level above it
+    syms = [qnm_symbol(P1, N, K) for N, K in ((20, 2), (16, 4), (18, 4))]
+    syms += [qnm_symbol(BlackHoleParams(m=1.0, lam=lam), 10, 2)
+             for lam in (0.0, 0.01, 0.02)]
+    for G in syms:
+        for lvl in G.levels.values():
+            if any(lvl.coeffs):
+                assert validity_radius(lvl) == validity_radius_bisect80(lvl)
+    assert math.isfinite(validity_radius(syms[0].levels[0]))
 
 
 def test_eval_symbol_matches_manual_sum():

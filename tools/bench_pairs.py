@@ -10,7 +10,9 @@ metadata is left as it was.  For each workload the script runs
 `perfbench/run.py` on both trees, one pair after the other, the two runs
 of a pair with the same seed; which side runs first alternates from pair
 to pair, so that a drift of the host's speed falls on both sides alike.
-Every run lasts the `run_seconds` that `BENCHMARK.json` declares.
+Every run lasts the `run_seconds` that `BENCHMARK.json` declares.  By
+default each workload runs ten pairs: a gain is claimed only when the
+change wins at least nine of ten.
 `--traced` adds pairs of traced runs (`--trace 1`), whose per-layer
 metrics are summarized the same way; for these the record also keeps the
 calls and self time per op of every span label, and the summary each
@@ -161,8 +163,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--pr", required=True, help="number in BENCH_<pr>.json")
-    ap.add_argument("--pairs", nargs="+", default=["count=10", "lattice=3",
-                                                   "direct=3", "pseudo=3"],
+    ap.add_argument("--pairs", nargs="+", default=["count=10", "lattice=10",
+                                                   "direct=10", "pseudo=10"],
                     help="workload=N untraced pairs")
     ap.add_argument("--traced", nargs="*", default=[],
                     help="workload=N traced pairs (per-layer metrics)")

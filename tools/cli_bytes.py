@@ -75,6 +75,11 @@ ARGVS = [
     ["potential", "--lam", "0.11110810840027086"],
     ["potential", "--lam", "1e-40"],
     ["potential", "--m", "2.9e-155"],
+    # the symbol loop's flat levels: an odd h-order at a mass other than
+    # 1, and a lambda > 0 lattice at h-order 0
+    ["gsymbol", "--h-order", "1", "--series-degree", "20", "--m", "3.7"],
+    ["lattice", "--h-order", "0", "--series-degree", "20", "--lam", "0.01",
+     "--ell-range", "1", "8"],
 ]
 
 
