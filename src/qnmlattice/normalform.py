@@ -121,6 +121,7 @@ def _birkhoff(levels, mu, K, N):
                 a[n] = 1j * c / (dgr - 2 * n) * inv * 1j
             # exp(ad_gen); (i/h) h^ell a is the generator at h-level ell - 1
             plan = _plan(a, ell - 1, present, K, N, off)
+            present = plan.present
             term = flat
             for j in range(1, 4 * (K + N + 3)):
                 term = moyal_commutator(plan, term) * (1.0 / j)
@@ -250,8 +251,9 @@ def _level_offsets(K, N):
 
 # one generator's Moyal commutator on flat levels: per product, the
 # generator's coefficient, the flat index of the other factor, S_k and the
-# accumulator bin; per bin, 2 (2i)^-k/k! and the flat index it folds into
-_Plan = namedtuple("_Plan", "arow cols S bins pref dst")
+# accumulator bin; per bin, 2 (2i)^-k/k! and the flat index it folds into;
+# per level, whether it is given or the exp series can reach it
+_Plan = namedtuple("_Plan", "arow cols S bins pref dst present")
 
 
 def _plan(a, gl, present, K, N, off):
@@ -267,14 +269,15 @@ def _plan(a, gl, present, K, N, off):
     S_k != 0 (where the target is not a monomial, S_k = 0).  Each product
     has its S_k from `_s_table` and its bin, the target offset kept
     beside S_k plus n1 - k, the target's graded index, in a segment of
-    bins of its own that maps onto level lvl.  Each target level is
-    marked in `present` as it is reached, so a level the series creates
-    is a source for the levels above it: the plan covers every level the
-    exp series can reach.
+    bins of its own that maps onto level lvl.  A target level counts as
+    present from then on, so a level the series creates is a source for
+    the levels above it: the plan covers every level the exp series can
+    reach, and its `present` marks those and the levels given.
     """
     dgr = len(a) - 1
     cols, ws, bins, segs = [], [], [], []
     end = 0
+    present = list(present)
     for kb in range(len(off) - 1):
         if not present[kb]:
             continue
@@ -306,7 +309,7 @@ def _plan(a, gl, present, K, N, off):
     cols = np.concatenate(cols + [none])[nz]
     k, shift, size = np.array(segs, np.intp).reshape(-1, 3).T
     return _Plan(a[row], cols, S, bins, _PREFACTOR[k].repeat(size),
-                 np.arange(end) + shift.repeat(size))
+                 np.arange(end) + shift.repeat(size), present)
 
 
 def moyal_commutator(plan, term):

@@ -10,14 +10,13 @@ commutator on dicts of monomials (`moyal_commutator_dict`) and the
 reduction loop built on it (`birkhoff_dict`), the dense commutator with
 one scatter per level pair and odd k (`moyal_commutator_pairwise`, the
 bit-for-bit oracle of each term `normalform.moyal_commutator` forms),
-the reduction loop on a dict of dense levels with one scatter per
-commutator call (`moyal_commutator_levels`, `reduce_step_levels` and
-`birkhoff_levels`, the bit-for-bit oracle of the flat loop
-`normalform._birkhoff`), and quantum averaging by the round trip through
-g^{-1}(Q) after the h^0 pass of the Birkhoff reduction alone.  The
-dict-of-monomials (`Series2`) side of the normal form: the level sum and
-scaling of graded symbols, the homological solution `homological_solve`,
-the linear reduction by
+the reduction loop on a dict of dense levels built on it
+(`reduce_step_levels` and `birkhoff_levels`, the bit-for-bit oracle of
+the flat loop `normalform._birkhoff`), and quantum averaging by the
+round trip through g^{-1}(Q) after the h^0 pass of the Birkhoff
+reduction alone.  The dict-of-monomials (`Series2`) side of the normal
+form: the level sum and scaling of graded symbols, the homological
+solution `homological_solve`, the linear reduction by
 `Series2.subs_linear` into dense levels, `reduced_levels` (the
 bit-for-bit oracle of `normalform._taylor_levels`), and `birkhoff` and
 `diag_levels`, which run the dense loop and diagonal check on `Series2`
@@ -67,8 +66,8 @@ import scipy.special
 
 from qnmlattice.catalog import (MAX_ELL, VALIDITY_FRAC, counting_constant,
                                 eval_symbol)
-from qnmlattice.normalform import (_PREFACTOR, TWO_PI, _birkhoff, _columns,
-                                   _degree, _diag_levels, _s_table, _start,
+from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
+                                   _diag_levels, _s_table, _start,
                                    quad_reduce)
 from qnmlattice.potentials import (_failed, _tortoise_terms,
                                    horizon_roots)
@@ -546,71 +545,12 @@ def birkhoff_h0(sym, K, N):
     return mu, dense_to_graded(levels, K)
 
 
-def moyal_commutator_levels(a, gl, levels, K, N):
-    """[a, b] = a # b - b # a for a homogeneous generator a at h-level gl
-    on a dict of dense levels, one scatter per call.
-
-    `a` holds the coefficients of z^(d-n) zeta^n, n = 0..d, of a degree-d
-    generator; `levels` maps h-levels to dense vectors.  For each level
-    with nonzero coefficients and odd k, one gather from the S_k table
-    times the outer product of a with the columns between the level's
-    first and last nonzero degree, with target indices from the offsets
-    kept beside S_k; every pair's bins lie in a range of their own, so
-    one `np.add.at` on a complex accumulator scatters the whole call, and
-    each (level, k) segment, times 2 (2i)^-k/k!, is summed into its level
-    in the order of `levels`.  Result level lvl is kept to total degree
-    N - 2 lvl.  Returns {lvl: dense vector}.  The commutator of the dict
-    loop `birkhoff_levels`, which `normalform.moyal_commutator` replaced.
-    """
-    dgr = len(a) - 1
-    n1 = np.arange(dgr + 1)[:, None]
-    ws, targets, segs = [], [], []
-    end = 0
-    for kb, b in levels.items():
-        nz = b.nonzero()[0]
-        if not nz.size:
-            continue
-        # columns of b whose products stay within the kept degree
-        hi = min(N - 2 * (gl + kb) - dgr, _degree(int(nz[-1])))
-        lo0 = _degree(int(nz[0]))
-        if hi < lo0:
-            continue
-        c0 = _start(lo0)
-        c1 = _start(hi + 1)
-        outer = a[:, None] * b[None, c0:c1]
-        for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
-            lo = max(lo0, k)
-            if k > dgr or lo > hi:
-                continue
-            lvl = gl + kb + k
-            size = _start(N - 2 * lvl + 1)
-            S, T = _s_table(k, dgr, hi)
-            cl = _start(lo)
-            ws.append(S[:, cl:c1] * outer[:, cl - c0:])
-            # target z^(m1+m2-k) zeta^(n1+n2-k) at end + index + k; where
-            # that is not a monomial, S_k = 0 and the bin lies in
-            # [end, end + size + 2k)
-            targets.append(T[cl:c1] + (n1 + end))
-            segs.append((lvl, k, end + k, size))
-            end += size + 2 * k
-    if not segs:
-        return {}
-    acc = np.zeros(end, complex)
-    np.add.at(acc, np.concatenate(targets, axis=None),
-              np.concatenate(ws, axis=None))
-    out = {}
-    for lvl, k, s, size in segs:
-        v = _PREFACTOR[k] * acc[s:s + size]
-        out[lvl] = out[lvl] + v if lvl in out else v
-    return out
-
-
 def reduce_step_levels(levels, ell, dgr, mu, K, N):
     """The reduction loop's step at level ell and degree dgr on a dict of
     dense levels: conjugates by exp((i/h) h^ell a) with i mu a the
     homological solution for the off-diagonal part of level ell at degree
     dgr, a_n = i r_n / (dgr - 2n) for 2n != dgr, each term from
-    `moyal_commutator_levels`; returns the levels unchanged when that
+    `moyal_commutator_pairwise`; returns the levels unchanged when that
     part is 0.  A level the series reaches joins the dict.
     """
     r = levels.get(ell)
@@ -630,7 +570,7 @@ def reduce_step_levels(levels, ell, dgr, mu, K, N):
     term = levels
     for j in range(1, 4 * (K + N + 3)):
         term = {lvl: v * (1.0 / j) for lvl, v in
-                moyal_commutator_levels(a, ell - 1, term, K, N).items()}
+                moyal_commutator_pairwise(a, ell - 1, term, K, N).items()}
         if not any(v.any() for v in term.values()):
             break
         for lvl, v in term.items():
