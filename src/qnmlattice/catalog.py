@@ -65,7 +65,9 @@ def eval_symbol(G, x, h):
     A scalar x gives a Python complex, an array x a complex array.  An
     h-level above 0 whose coefficients are all zero is skipped: it adds
     only zeros (every odd level of `qnm_symbol` is one)."""
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    # a Python or numpy float skips np.ndim, the cost of a scalar call
+    x = float(x) if isinstance(x, (int, float)) or np.ndim(x) == 0 \
+        else np.asarray(x, dtype=float)
     out = 0j
     for k, lvl in G.levels.items():
         if k and not any(lvl.coeffs):

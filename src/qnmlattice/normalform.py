@@ -11,11 +11,15 @@ supplies the black hole's, and `_mode_symbol` takes any barrier's.  Each
 generator is homogeneous, so its Moyal commutator is, per source level
 and odd bidifferential order k, a gather from a table of the integers
 S_k (summed exactly in Python ints, rounded to float64 once), with the
-target monomials from offsets kept beside S_k.  Each reduction step
-builds one gather/scatter plan of those products over every level its
-exp series can reach; each term of the series is then one gather, one
-`np.add.at` of the products into a complex accumulator and one more
-that folds its weighted bins into the next term.
+target monomials from offsets kept beside S_k.  Beside each table its
+nonzero products are kept in column-degree order, so the products up to
+a degree are a prefix.  Each reduction step builds one gather/scatter
+plan of those prefixes over every level its exp series can reach, a
+bin of each (source level, k) fixing the column degree, so that the
+products of a bin come in the order of a row-by-row plan; each term of
+the series is then one gather, one `np.add.at` of the products into a
+complex accumulator and one more that folds its weighted bins into the
+next term.
 G is converted to the spectral variable s = z h D_z + h/2i, whose
 eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
 Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
@@ -25,8 +29,10 @@ the mode lattice lambda_{l,n} = h^{-1} G(2 pi (n+1/2) h; h).
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -199,7 +205,14 @@ def _columns(lo, hi):
     return d, np.arange(_start(lo), _start(hi + 1)) - _start(d)
 
 
-_S_TABLES = {}  # (k, row degree) -> (S_k, target offsets) by graded column
+# (k, row degree) -> (S_k, target offsets T, products), all by graded
+# column and grown by columns together; the products are the nonzero
+# entries of S_k in column-degree order (d2, then n1, then column), as
+# (idx, S, pos): idx stacks each product's row n1, graded column and
+# target offset T[column] + n1 - k in the narrowest unsigned type that
+# holds them, S its S_k, and pos[d] counts the products of column degree
+# < d, so the products of degree <= hi are the prefix [:pos[hi + 1]]
+_S_TABLES = {}
 # 2 (2i)^-k / k!, the odd-k weight of the commutator; k! leaves the float
 # range past k = 170
 _PREFACTOR = np.array([2.0 * (1.0 / (2j)) ** k / math.factorial(k)
@@ -212,32 +225,60 @@ def _s_table(k, dgr, hi):
 
     S_k(m1, n1, m2, n2) = sum_j u_j v_j with u_j = C(k,j) (-1)^(k-j)
     (m1)_(k-j) (n1)_j and v_j = (m2)_j (n2)_(k-j), (m)_i the falling
-    factorial, is summed exactly in Python ints and rounded to float64
-    once.  Row n1 and column z^m2 zeta^n2 of degree d2 map to
+    factorial, is summed exactly, in int64 where no factor, term or
+    partial sum can reach 2^63 and in Python ints elsewhere, and rounded to
+    float64 once.  Row n1 and column z^m2 zeta^n2 of degree d2 map to
     z^(m1+m2-k) zeta^(n1+n2-k), whose graded index plus k is T[column] +
     n1 with T = _start(dgr + d2 - 2k) + n2.  Both tables grow by columns,
-    so their size is bounded by the largest degree asked for.
+    and the nonzero products of the new columns, all of a higher degree
+    than the old ones, are appended to the entry's products; so their size
+    is bounded by the largest degree asked for.
     """
     t = _S_TABLES.get((k, dgr))
-    if t is not None and len(t[1]) >= _start(hi + 1):
-        return t
-    lo = 0 if t is None else _degree(len(t[1]) - 1) + 1
+    if t is not None and len(t[4]) > hi + 1:
+        return t[:2]
+    lo = 0 if t is None else len(t[4]) - 1   # pos runs over degrees 0..D+1
     n1 = np.arange(dgr + 1)
     d2, n2 = _columns(lo, hi)
-    # perm[m, i] = (m)_i and sign[j] = C(k,j) (-1)^(k-j), Python ints
-    perm = np.array([[math.perm(m, i) for i in range(k + 1)]
-                     for m in range(max(dgr, hi) + 1)], dtype=object)
-    sign = np.array([math.comb(k, j) * (-1) ** (k - j)
-                     for j in range(k + 1)], dtype=object)
+    # perm[m, i] = (m)_i and sign[j] = C(k,j) (-1)^(k-j); ub[j] and vb[j]
+    # bound |u_j| and |v_j|, and (big)_k every (m)_i
+    big = max(dgr, hi)
+    sign = [math.comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]
+    ub = [abs(c) * math.perm(dgr, k - j) * math.perm(dgr, j)
+          for j, c in enumerate(sign)]
+    vb = [math.perm(hi, j) * math.perm(hi, k - j) for j in range(k + 1)]
+    if max(ub + vb + [math.perm(big, min(k, big)),
+                      sum(map(operator.mul, ub, vb))]) < 2 ** 63:
+        perm = np.ones((big + 1, k + 1), np.int64)
+        np.cumprod(np.arange(big + 1)[:, None] - np.arange(k), axis=1,
+                   out=perm[:, 1:])
+        sign = np.array(sign, np.int64)
+    else:
+        perm = np.array([[math.perm(m, i) for i in range(k + 1)]
+                         for m in range(big + 1)], dtype=object)
+        sign = np.array(sign, dtype=object)
     u = sign * perm[dgr - n1, ::-1] * perm[n1]   # (rows, j)
     v = perm[d2 - n2] * perm[n2, ::-1]            # (columns, j)
     td = dgr + d2 - 2 * k
-    new = ((u @ v.T).astype(np.float64), td * (td + 1) // 2 + n2)
+    S, T = (u @ v.T).astype(np.float64), td * (td + 1) // 2 + n2
+    # the new nonzero products, row by row, stably sorted by column degree
+    row, col = np.nonzero(S)
+    deg = d2[col]
+    o = deg.argsort(kind="stable")
+    row, col = row[o], col[o]
+    idx = np.array([row, col + _start(lo), T[col] + row - k])
+    vals = S[row, col]
+    pos = [0]
     if t is not None:
-        new = (np.concatenate([t[0], new[0]], axis=1),
-               np.concatenate([t[1], new[1]]))
-    _S_TABLES[(k, dgr)] = new
-    return new
+        S, T = np.concatenate([t[0], S], axis=1), np.concatenate([t[1], T])
+        idx = np.concatenate([t[2], idx], axis=1)
+        vals = np.concatenate([t[3], vals])
+        pos = t[4]
+    counts = np.bincount(deg - lo, minlength=hi - lo + 1).tolist()
+    _S_TABLES[(k, dgr)] = (
+        S, T, idx.astype(np.min_scalar_type(idx.max(initial=0))), vals,
+        pos + list(accumulate(counts, initial=pos[-1]))[1:])
+    return S, T
 
 
 def _level_offsets(K, N):
@@ -254,6 +295,7 @@ def _level_offsets(K, N):
 # accumulator bin; per bin, 2 (2i)^-k/k! and the flat index it folds into;
 # per level, whether it is given or the exp series can reach it
 _Plan = namedtuple("_Plan", "arow cols S bins pref dst present")
+_NO_PRODUCTS = np.empty((3, 0), np.uint8)     # the products of no block
 
 
 def _plan(a, gl, present, K, N, off):
@@ -263,53 +305,52 @@ def _plan(a, gl, present, K, N, off):
     The k-th bidifferential term of the Weyl product takes z^m1 zeta^n1
     and z^m2 zeta^n2 to (2i)^-k/k! S_k z^(m1+m2-k) zeta^(n1+n2-k); even k
     cancel, odd k count twice.  For each source level kb, in ascending
-    order, and odd k the plan holds a block of products, row n1 of a
-    against the monomials of kb of degree k..hi, row by row, where hi
-    keeps the target within degree N - 2 lvl, lvl = gl + kb + k, and
-    S_k != 0 (where the target is not a monomial, S_k = 0).  Each product
-    has its S_k from `_s_table` and its bin, the target offset kept
-    beside S_k plus n1 - k, the target's graded index, in a segment of
-    bins of its own that maps onto level lvl.  A target level counts as
-    present from then on, so a level the series creates is a source for
-    the levels above it: the plan covers every level the exp series can
-    reach, and its `present` marks those and the levels given.
+    order, and odd k the plan holds a block of products, rows of a
+    against the monomials of kb up to degree hi, where hi keeps the target
+    within degree N - 2 lvl, lvl = gl + kb + k: the prefix of the S_k
+    table's nonzero products that ends at column degree hi (S_k = 0 where
+    the target is not a monomial, and below column degree k).  Each
+    product has its row, its flat column (the level's offset added), its
+    S_k and its bin, the stored target offset plus the start of a segment
+    of bins of its own that maps onto level lvl.  Blocks never share a
+    bin, and inside a block a bin fixes the target degree and so the
+    column degree; so the products of each bin come in the order (n1,
+    column) of a row-by-row plan, and `np.add.at` sums them alike.  A
+    target level counts as present from then on, so a level the series
+    creates is a source for the levels above it: the plan covers every
+    level the exp series can reach, and its `present` marks those and the
+    levels given.
     """
     dgr = len(a) - 1
-    cols, ws, bins, segs = [], [], [], []
+    idx, vals, blocks = [_NO_PRODUCTS], [_NO_PRODUCTS[0]], []
     end = 0
     present = list(present)
+    top = min(K, N // 2) - gl
     for kb in range(len(off) - 1):
         if not present[kb]:
             continue
         hi = min(N - 2 * (gl + kb) - dgr, N - 2 * kb)
-        for k in range(1, min(K, N // 2) - gl - kb + 1, 2):
-            if k > dgr or k > hi:
-                break
+        for k in range(1, min(top - kb, dgr, hi) + 1, 2):
             lvl = gl + kb + k
             present[lvl] = True
-            S, T = _s_table(k, dgr, hi)
-            cl = k * (k + 1) // 2
-            c1 = (hi + 1) * (hi + 2) // 2
-            cols.append(np.arange(off[kb] + cl, off[kb] + c1))
-            ws.append(S[:, cl:c1])
-            bins.append(T[cl:c1] + (end - k))
-            segs.append((k, off[lvl] - end, off[lvl + 1] - off[lvl]))
-            end += off[lvl + 1] - off[lvl]
-    none = np.empty(0, np.intp)
-    S = np.concatenate(ws + [np.empty((dgr + 1, 0))], axis=1)
-    width = S.shape[1]
-    # the products with S_k != 0, row by row; each array is formed once
-    # the larger ones it needs are gone, to keep the step's peak memory low
-    nz = np.flatnonzero(S != 0)
-    S = S.ravel()[nz]
-    row = nz // width
-    nz -= row * width
-    bins = np.concatenate(bins + [none])[nz]
-    bins += row
-    cols = np.concatenate(cols + [none])[nz]
-    k, shift, size = np.array(segs, np.intp).reshape(-1, 3).T
-    return _Plan(a[row], cols, S, bins, _PREFACTOR[k].repeat(size),
-                 np.arange(end) + shift.repeat(size), present)
+            _s_table(k, dgr, hi)
+            _, _, ix, v, pos = _S_TABLES[k, dgr]
+            p = pos[hi + 1]
+            idx.append(ix[:, :p])
+            vals.append(v[:p])
+            size = off[lvl + 1] - off[lvl]
+            blocks.append((0, off[kb], end, p, k, off[lvl] - end, size))
+            end += size
+    # per block the offsets of row, column and bin and the product count,
+    # then the weight's k, the fold's shift and the bin count
+    blocks = np.array(blocks, np.intp).reshape(-1, 7).T
+    idx = np.concatenate(idx, axis=1, dtype=np.intp)
+    idx += blocks[:3].repeat(blocks[3], axis=1)
+    row, cols, bins = idx
+    k, dst = blocks[4:6].repeat(blocks[6], axis=1)
+    dst += np.arange(end)
+    return _Plan(a[row], cols, np.concatenate(vals), bins, _PREFACTOR[k],
+                 dst, present)
 
 
 def moyal_commutator(plan, term):

@@ -21,7 +21,9 @@ solution `homological_solve`, the linear reduction by
 bit-for-bit oracle of `normalform._taylor_levels`), and `birkhoff` and
 `diag_levels`, which run the dense loop and diagonal check on `Series2`
 symbols.  The Taylor series of the Poschl-Teller barrier sech^2(x) - 1,
-whose mode symbol is known exactly, `poschl_teller_taylor`.  Also the
+whose mode symbol is known exactly, `poschl_teller_taylor`, and of the
+asymmetric Rosen-Morse barrier at its top, `rosen_morse_taylor`, with
+its exact mode symbol `rosen_morse_symbol`.  Also the
 classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
@@ -526,6 +528,40 @@ def poschl_teller_taylor(N):
         tt = sum(t[i] * t[n - i] for i in range(n + 1))
         t.append(((1.0 if n == 0 else 0.0) - tt) / (n + 1))
     return [-sum(t[i] * t[k - i] for i in range(k + 1)) for k in range(N + 1)]
+
+
+def rosen_morse_taylor(V0, V1, N):
+    """The top E0 = V0 + V1^2/(4 V0) of the Rosen-Morse barrier
+    V(y) = V0 sech^2(y) + V1 tanh(y) and the Taylor coefficients of
+    V(y* + x) - E0 to x^N, at tanh y* = V1/(2 V0), summed exactly in
+    rationals of the float inputs from the tanh recurrence T' = 1 - T^2,
+    T(0) = tanh y*, and rounded once.
+
+    The barrier is asymmetric for V1 != 0, and xi^2 + V has the exact mode
+    symbol `rosen_morse_symbol` (Rosen-Morse 1932)."""
+    t = Fraction(V1) / (2 * Fraction(V0))
+    T = [t]
+    for n in range(N):
+        tt = sum(T[i] * T[n - i] for i in range(n + 1))
+        T.append(((1 if n == 0 else 0) - tt) / (n + 1))
+    V = [Fraction(V0) * ((1 if k == 0 else 0)
+                         - sum(T[i] * T[k - i] for i in range(k + 1)))
+         + Fraction(V1) * T[k] for k in range(N + 1)]
+    return float(V[0]), [0.0] + [float(c) for c in V[1:]]
+
+
+def rosen_morse_symbol(V0, V1, x, h):
+    """The exact mode symbol G(x; h) of xi^2 + V0 sech^2(y) + V1 tanh(y),
+    in 40 digits: G^2 = -sigma^2 - V1^2/(4 sigma^2) with sigma = -x/2pi -
+    i sqrt(V0 - h^2/4), the resonances E_n = G(2 pi (n+1/2) h; h)^2 of
+    -h^2 d^2/dy^2 + V continued from the well's bound states; the root
+    with Re G > 0, G(0; 0) = sqrt(E0).  At V1 = 0 it is the Poschl-Teller
+    symbol."""
+    with mpmath.workdps(40):
+        s = -mpmath.mpf(x) / (2 * mpmath.pi) \
+            - 1j * mpmath.sqrt(mpmath.mpf(V0) - mpmath.mpf(h) ** 2 / 4)
+        return complex(mpmath.sqrt(-s * s - mpmath.mpf(V1) ** 2
+                                   / (4 * s * s)))
 
 
 def birkhoff_h0(sym, K, N):

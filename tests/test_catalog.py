@@ -109,6 +109,23 @@ def test_eval_symbol_bitwise_equals_polyval(degree, K, lam):
         eval_symbol_polyval(G, x, h).tobytes()
 
 
+@pytest.mark.parametrize("degree,K", [(20, 2), (16, 4), (18, 4)])
+def test_eval_symbol_scalar_equals_array_on_bench_points(degree, K):
+    # the lattice benchmark's points, x = 2 pi (n + 1/2) h for ell 1..32
+    # and n = 0..4 within the validity radius, one Python float at a time
+    # against one array per ell, byte for byte
+    G = qnm_symbol(BlackHoleParams(m=1.0), degree=degree, h_order=K)
+    rad = validity_radius(G.levels[0])
+    for ell in range(1, 33):
+        h = 1.0 / (ell + 0.5)
+        xs = [x for x in (2.0 * math.pi * (n + 0.5) * h for n in range(5))
+              if x <= rad]
+        got = [eval_symbol(G, x, h) for x in xs]
+        assert all(type(v) is complex for v in got)
+        assert np.array(got, complex).tobytes() == \
+            eval_symbol(G, np.array(xs), h).tobytes(), ell
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.01, 0.02])
 def test_counting_constant_unchanged_by_horner(monkeypatch, lam):
     p = BlackHoleParams(m=1.0, lam=lam)

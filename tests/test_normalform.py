@@ -13,6 +13,7 @@ from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
 from qnmlattice import normalform
+from qnmlattice.catalog import eval_symbol
 from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
                                    _degree, _level_offsets, _mode_symbol,
                                    _plan, _s_table, _start, _taylor_levels,
@@ -26,7 +27,8 @@ from reference import (GaussianRational, average_by_flow_quadrature,
                        homological_solve, moyal_commutator_dict,
                        moyal_commutator_pairwise, moyal_commutator_ref,
                        moyal_product, poisson, poschl_teller_taylor,
-                       reduced_levels, series2_to_dense,
+                       reduced_levels, rosen_morse_symbol,
+                       rosen_morse_taylor, series2_to_dense,
                        weyl_monomial_action)
 
 P1 = BlackHoleParams(m=1.0)
@@ -444,6 +446,56 @@ def test_s_table_is_exact_integer_sum_rounded_once():
     assert biggest >= 2 ** 63
 
 
+def store_state(store):
+    """Every stored array of the S_k tables and their products as bytes
+    and dtype, and the prefix index, by key."""
+    return {key: [(x.tobytes(), x.dtype.str, x.shape) for x in t[:4]] + [t[4]]
+            for key, t in store.items()}
+
+
+def symbol_bytes(G):
+    return {k: np.array(lvl.coeffs, complex).tobytes()
+            for k, lvl in G.levels.items()}
+
+
+def test_product_store_is_independent_of_growth_order(monkeypatch):
+    # the products of a table are built with the columns they belong to,
+    # whatever degree the plan that grows it asks for: (28,10) then (18,4)
+    # grows tables past what (18,4) asks for, (18,4) then (28,10) grows
+    # them in pieces, and a direct _s_table(k, 5, 30) is read by the
+    # (18,4) plans at degrees <= 15; symbols and stores equal bit for bit
+    p = BlackHoleParams(m=1.0)
+    runs = []
+    for order in (((28, 10), (18, 4)), ((18, 4), (28, 10))):
+        monkeypatch.setattr(normalform, "_S_TABLES", {})
+        got = {shape: symbol_bytes(qnm_symbol(p, *shape)) for shape in order}
+        runs.append((got, store_state(normalform._S_TABLES)))
+    assert runs[0] == runs[1]
+    monkeypatch.setattr(normalform, "_S_TABLES", {})
+    for k in (1, 3):
+        _s_table(k, 5, 30)
+    assert symbol_bytes(qnm_symbol(p, 18, 4)) == runs[0][0][(18, 4)]
+    wide = store_state(normalform._S_TABLES)
+    monkeypatch.setattr(normalform, "_S_TABLES", {})
+    for hi in (4, 15, 17, 30):
+        for k in (1, 3):
+            _s_table(k, 5, hi)
+    grown = store_state(normalform._S_TABLES)
+    assert all(wide[key] == grown[key] for key in ((1, 5), (3, 5)))
+
+
+def test_product_store_size_at_degree_32(monkeypatch):
+    # the products of every table a (32,12) symbol reads, indices in
+    # uint8 or uint16: 3.33 MB measured (beside 3.26 MB of S_k and T
+    # tables), bound 25% above
+    monkeypatch.setattr(normalform, "_S_TABLES", {})
+    qnm_symbol(BlackHoleParams(m=1.0), 32, 12)
+    store = normalform._S_TABLES.values()
+    assert {t[2].dtype for t in store} <= {np.dtype(np.uint8),
+                                           np.dtype(np.uint16)}
+    assert sum(t[2].nbytes + t[3].nbytes for t in store) <= 1.25 * 3.33e6
+
+
 def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     # the kernel's one gather and two scatters per exp-series term against
     # one scatter per level pair and odd k, byte for byte: random levels,
@@ -726,6 +778,32 @@ def test_mode_symbol_of_poschl_teller_is_exact():
             want = [g0] + ([-1j / TWO_PI] if k == 0 else []) + [0] * N
             err = max(abs(c - w) for c, w in zip(lvl.coeffs, want))
             assert err <= bound[k] * abs(g0), (N, k)
+
+
+def test_mode_symbol_of_rosen_morse_matches_closed_form():
+    # xi^2 + sech^2(y) + 0.6 tanh(y), an asymmetric barrier whose odd
+    # Taylor terms feed every odd-degree path of the reduction: G(x; h) at
+    # the modes x = 2 pi (n + 1/2) h, n = 0, 1, 2, against the closed form,
+    # relative error.  The bounds are twice the errors measured when the
+    # oracle was set up, and no less than 1e-15, a few units of rounding
+    # (0 and 2.1e-16 measured at (28,10))
+    table = {(16, 4): ((4e-8, 9e-7, 2e-4), (4e-10, 1e-9, 3e-7),
+                       (6e-12, 8e-12, 5e-10)),
+             (20, 6): ((6e-10, 5e-7, 2e-4), (2e-12, 2e-10, 8e-8),
+                       (7e-15, 1e-13, 4e-11)),
+             (28, 10): ((7e-14, 1e-8, 3e-5), (7e-18, 4e-13, 1e-9),
+                        (2e-16, 3e-17, 3e-14))}
+    V0, V1 = 1.0, 0.6
+    for (N, K), rows in table.items():
+        E0, V = rosen_morse_taylor(V0, V1, N)
+        assert V[1] == 0.0 and V[3] != 0.0
+        G = _mode_symbol(V, [0.0] * (N + 1), E0, N, K)
+        for h, bounds in zip((0.2, 0.1, 0.05), rows):
+            for n, bound in enumerate(bounds):
+                x = TWO_PI * (n + 0.5) * h
+                want = rosen_morse_symbol(V0, V1, x, h)
+                err = abs(complex(eval_symbol(G, x, h)) - want) / abs(want)
+                assert err <= max(2.0 * bound, 1e-15), (N, K, h, n, err)
 
 
 def test_quantum_average_keeps_principal_level_exactly():
