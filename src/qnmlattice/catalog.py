@@ -65,7 +65,7 @@ def eval_symbol(G, x, h):
     A scalar x gives a Python complex, an array x a complex array.  An
     h-level above 0 whose coefficients are all zero is skipped: it adds
     only zeros (every odd level of `qnm_symbol` is one)."""
-    # a Python or numpy float skips np.ndim, the cost of a scalar call
+    # np.ndim takes about a quarter of a scalar call; a float needs float()
     x = float(x) if isinstance(x, (int, float)) or np.ndim(x) == 0 \
         else np.asarray(x, dtype=float)
     out = 0j

@@ -784,9 +784,9 @@ def test_mode_symbol_of_rosen_morse_matches_closed_form():
     # xi^2 + sech^2(y) + 0.6 tanh(y), an asymmetric barrier whose odd
     # Taylor terms feed every odd-degree path of the reduction: G(x; h) at
     # the modes x = 2 pi (n + 1/2) h, n = 0, 1, 2, against the closed form,
-    # relative error.  The bounds are twice the errors measured when the
-    # oracle was set up, and no less than 1e-15, a few units of rounding
-    # (0 and 2.1e-16 measured at (28,10))
+    # relative error.  Each bound is twice the error measured there (to
+    # one digit), and no less than 1e-15, a few units of rounding (0 and
+    # 2.1e-16 measured at (28,10))
     table = {(16, 4): ((4e-8, 9e-7, 2e-4), (4e-10, 1e-9, 3e-7),
                        (6e-12, 8e-12, 5e-10)),
              (20, 6): ((6e-10, 5e-7, 2e-4), (2e-12, 2e-10, 8e-8),
