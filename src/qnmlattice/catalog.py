@@ -64,15 +64,14 @@ def eval_symbol(G, x, h):
 
     A scalar x gives a Python complex, an array x a complex array.  An
     h-level above 0 whose coefficients are all zero is skipped: it adds
-    only zeros (every odd level of `qnm_symbol` is one)."""
+    only zeros (every odd level of `qnm_symbol` is one); `G.terms` lists
+    the others once per symbol."""
     # np.ndim takes about a quarter of a scalar call; a float needs float()
     x = float(x) if isinstance(x, (int, float)) or np.ndim(x) == 0 \
         else np.asarray(x, dtype=float)
     out = 0j
-    for k, lvl in G.levels.items():
-        if k and not any(lvl.coeffs):
-            continue
-        out += _horner(lvl.coeffs, x) * h ** k
+    for k, coeffs in G.terms:
+        out += _horner(coeffs, x) * h ** k
     return out
 
 

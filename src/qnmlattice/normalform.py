@@ -37,8 +37,8 @@ from itertools import accumulate
 import numpy as np
 
 from .series import HGraded, Series1
-from .potentials import critical_data, shifted_potential_taylor, \
-    subprincipal_taylor
+from .potentials import _barrier_memo, critical_data, \
+    shifted_potential_taylor, subprincipal_taylor
 
 TWO_PI = 2.0 * math.pi
 # Argument calibration of the spectral variable against the lattice
@@ -106,6 +106,22 @@ def _birkhoff(levels, mu, K, N):
     The levels live in one flat vector (`_level_offsets`), and each step
     runs its exp series on one `_plan`.  Returns the diagonal levels: those
     given and those the steps reach.
+
+    The exp series of step (ell, dgr) has at most J = (N - 1) // (dgr +
+    2ell - 2) nonzero terms, for any input levels.  Call N - 2 lvl - d the
+    headroom of degree d on level lvl; the truncation keeps headroom >= 0.
+    The block (source level L, odd k) of the generator's plan takes a
+    column of degree d2 on level L to degree dgr + d2 - 2k on level
+    ell - 1 + L + k, so each commutator lowers the headroom by exactly
+    dgr + 2ell - 2.  S_k vanishes below column degree k >= 1, so a column
+    that yields a product has headroom at most N - 1, and a nonzero
+    coefficient of term j has headroom at most N - 1 - j (dgr + 2ell - 2).
+    The plan keeps only targets of headroom >= 0, so past J terms no
+    product lands inside the truncation.  dgr + 2ell - 2 >= 1 in every
+    step that runs: ell = 0 starts at degree 3, and degree 0 has no
+    off-diagonal coefficient.  A term can vanish earlier (symmetric
+    barriers reach a numerically zero term first), and the series stops
+    there too.
     """
     off = _level_offsets(K, N)
     flat = np.zeros(off[-1], complex)
@@ -129,8 +145,9 @@ def _birkhoff(levels, mu, K, N):
             plan = _plan(a, ell - 1, present, K, N, off)
             present = plan.present
             term = flat
-            for j in range(1, 4 * (K + N + 3)):
-                term = moyal_commutator(plan, term) * (1.0 / j)
+            for j in range(1, (N - 1) // (dgr + 2 * ell - 2) + 1):
+                term = moyal_commutator(plan, term)
+                term *= 1.0 / j
                 if not term.any():
                     break
                 flat += term
@@ -448,9 +465,10 @@ def qnm_symbol(p, degree, h_order):
         raise ValueError("need degree >= 2*h_order + 4")
     cd = critical_data(p)
     # powers of 1/m in the Taylor coefficients overflow at extreme masses,
-    # to inf or nan in numpy and to an ArithmeticError in Python floats
+    # to inf or nan in numpy and to an ArithmeticError in Python floats;
+    # both Taylor series read one barrier series, built once
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _barrier_memo():
             V = shifted_potential_taylor(p, N).coeffs
             W1 = subprincipal_taylor(p, N).coeffs if K >= 2 else ()
             G = _mode_symbol(V, W1, cd.E0, N, K)

@@ -9,6 +9,7 @@ coordinate x, and the barrier top sits at r = 3m.
 import cmath
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,11 +317,29 @@ def critical_data(p):
     return CriticalData(r_crit=r_crit, E0=E0, c0=E0 * E0)
 
 
+# (p, N) -> `_barrier_series(p, N)`, kept only while a `_barrier_memo`
+# block runs; `qnm_symbol` reads one series twice per symbol
+_MEMO = []
+
+
+@contextmanager
+def _barrier_memo():
+    """Inside the block, `_barrier_series` builds each (p, N) once; the
+    series are dropped when the block ends."""
+    _MEMO.append({})
+    try:
+        yield
+    finally:
+        _MEMO.pop()
+
+
 def _barrier_series(p, N):
     """r(x0 + x) from dr/dx = alpha^2(r), r(0) = 3m, and 1/r and
     W0 = alpha^2/r^2 along it, as series in x to order N.  k r_k =
     [alpha^2(r(x))]_{k-1} needs 1/r and r r only to order k - 1, so each
     step adds one coefficient of each, summed as Series1 sums them."""
+    if _MEMO and (p, N) in _MEMO[-1]:
+        return _MEMO[-1][p, N]
     m, lam = p.m, p.lam
     c, inv, a2 = [3.0 * m], [1 / (3.0 * m)], []
     for k in range(N + 1):
@@ -335,7 +354,10 @@ def _barrier_series(p, N):
         if k < N:
             c.append(a2[k] / (k + 1))
     inv_r = Series1(inv)
-    return Series1(c), inv_r, Series1(a2) * inv_r * inv_r
+    out = Series1(c), inv_r, Series1(a2) * inv_r * inv_r
+    if _MEMO:
+        _MEMO[-1][p, N] = out
+    return out
 
 
 def shifted_potential_taylor(p, N):

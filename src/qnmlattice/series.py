@@ -197,9 +197,12 @@ class Series2:
 
 
 class HGraded:
-    """Finite h-expansion sum_k h^k * level_k, levels Series1 or Series2."""
+    """Finite h-expansion sum_k h^k * level_k, levels Series1 or Series2.
 
-    __slots__ = ("levels", "h_order")
+    `terms` holds (k, coefficients) of level 0 and of every level with a
+    nonzero coefficient, in the order of `levels`."""
+
+    __slots__ = ("levels", "h_order", "terms")
 
     def __init__(self, levels, h_order):
         clean = {}
@@ -208,6 +211,8 @@ class HGraded:
                 clean[k] = s
         object.__setattr__(self, "levels", clean)
         object.__setattr__(self, "h_order", h_order)
+        object.__setattr__(self, "terms", tuple(
+            (k, s.coeffs) for k, s in clean.items() if not k or any(s.coeffs)))
 
     def __setattr__(self, *a):
         raise AttributeError("HGraded is immutable")

@@ -12,7 +12,7 @@ from qnmlattice.series import HGraded, Series1, Series2
 from qnmlattice.potentials import (BlackHoleParams, critical_data,
                                    shifted_potential_taylor,
                                    subprincipal_taylor)
-from qnmlattice import normalform
+from qnmlattice import normalform, potentials
 from qnmlattice.catalog import eval_symbol
 from qnmlattice.normalform import (SPECTRAL_ARG, TWO_PI, _birkhoff,
                                    _degree, _level_offsets, _mode_symbol,
@@ -504,8 +504,9 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     # tables pass 2^63 and whose products fill arrays past numpy's 256 KiB
     # temporary elision, which rounds a * tmp as tmp * a; and every term
     # of the reduction loop on the barrier levels of each lattice bench
-    # symbol, (20,2), (16,4) and (18,4) at lambda = 0, and of (10,2) and
-    # (20,2) at lambda = 0.02.  The oracle leaves out a (source level, k)
+    # symbol, (20,2), (16,4) and (18,4) at lambda = 0, of (10,2) and
+    # (20,2) at lambda = 0.02, and of (28,10) at lambda = 0 (214 of the
+    # 567 kernel calls).  The oracle leaves out a (source level, k)
     # block with no nonzero coefficient in its degree range, which the
     # kernel multiplies out to zeros and folds in; that can turn a -0 of
     # the sum into +0 and changes nothing else.  So in a level such a
@@ -580,7 +581,7 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     monkeypatch.setattr(normalform, "_plan", record)
     monkeypatch.setattr(normalform, "moyal_commutator", check)
     for lam, N, K in ((0.0, 20, 2), (0.0, 16, 4), (0.0, 18, 4),
-                      (0.02, 10, 2), (0.02, 20, 2)):
+                      (0.02, 10, 2), (0.02, 20, 2), (0.0, 28, 10)):
         p = BlackHoleParams(m=1.0, lam=lam)
         mu, levels = _taylor_levels(shifted_potential_taylor(p, N).coeffs,
                                     subprincipal_taylor(p, N).coeffs, N, K)
@@ -635,6 +636,64 @@ def test_birkhoff_equals_dict_loop_bitwise(monkeypatch):
             except ValueError:
                 pass
     assert len(runs) == len(shapes) * 14
+
+
+def test_exp_series_ends_at_its_last_possible_term(monkeypatch):
+    # the exp series of step (ell, dgr) makes at most J = (N - 1) // (dgr
+    # + 2 ell - 2) kernel calls (the bound `_birkhoff`'s docstring proves),
+    # every call but the last returns a nonzero term, and a series whose
+    # last term is nonzero ends at J: 108 symbols, m in {0.37, 1, 3.7},
+    # lambda m^2 in {0, 0.01, 0.02} and 12 shapes from (6,1) to (32,12),
+    # refusals included, and the Poschl-Teller and asymmetric barriers at
+    # each shape.  The lattice bench's symbols make 82, 73 and 86 calls at
+    # (20,2), (16,4) and (18,4)
+    steps, calls = [], {}
+
+    def plan(a, gl, present, K, N, off):
+        p = _plan(a, gl, present, K, N, off)
+        # ell = gl + 1, so dgr + 2 ell - 2 = dgr + 2 gl
+        steps.append((id(p), (N - 1) // (len(a) - 1 + 2 * gl), []))
+        return p
+
+    def commutator(p, term):
+        out = moyal_commutator(p, term)
+        assert id(p) == steps[-1][0]
+        steps[-1][2].append(bool(out.any()))
+        calls[key] = calls.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(normalform, "_plan", plan)
+    monkeypatch.setattr(normalform, "moyal_commutator", commutator)
+    shapes = [(6, 1), (8, 2), (10, 2), (12, 3), (16, 4), (18, 4), (20, 2),
+              (20, 6), (24, 8), (28, 10), (30, 12), (32, 12)]
+    refused = 0
+    for N, K in shapes:
+        for m in (0.37, 1.0, 3.7):
+            for lam9 in (0.0, 0.01, 0.02):
+                key = (N, K, m, lam9)
+                try:
+                    qnm_symbol(BlackHoleParams(m=m, lam=lam9 / (m * m)), N, K)
+                except (ValueError, RuntimeError):
+                    refused += 1
+        for key, (V, W1) in ((("PT", N, K), (poschl_teller_taylor(N),
+                                             [0.0] * (N + 1))),
+                             (("asym", N, K), asymmetric_barrier(N))):
+            try:
+                _mode_symbol(V, W1, 1.0, N, K)
+            except ValueError:
+                pass
+    assert 0 < refused < 108
+    at_bound = 0
+    for _, J, nonzero in steps:
+        assert 1 <= len(nonzero) <= J
+        assert all(nonzero[:-1])
+        if nonzero[-1]:
+            assert len(nonzero) == J
+            at_bound += 1
+    # the bound, not a zero term, ends most series (6211 of 6867 steps)
+    assert at_bound > len(steps) // 2, (at_bound, len(steps))
+    assert [calls[N, K, 1.0, 0.0] for N, K in ((20, 2), (16, 4), (18, 4))] \
+        == [82, 73, 86]
 
 
 def test_birkhoff_dense_loop_matches_dict_loop():
@@ -781,29 +840,53 @@ def test_mode_symbol_of_poschl_teller_is_exact():
 
 
 def test_mode_symbol_of_rosen_morse_matches_closed_form():
-    # xi^2 + sech^2(y) + 0.6 tanh(y), an asymmetric barrier whose odd
+    # xi^2 + sech^2(y) + V1 tanh(y), an asymmetric barrier whose odd
     # Taylor terms feed every odd-degree path of the reduction: G(x; h) at
     # the modes x = 2 pi (n + 1/2) h, n = 0, 1, 2, against the closed form,
-    # relative error.  Each bound is twice the error measured there (to
-    # one digit), and no less than 1e-15, a few units of rounding (0 and
-    # 2.1e-16 measured at (28,10))
-    table = {(16, 4): ((4e-8, 9e-7, 2e-4), (4e-10, 1e-9, 3e-7),
-                       (6e-12, 8e-12, 5e-10)),
-             (20, 6): ((6e-10, 5e-7, 2e-4), (2e-12, 2e-10, 8e-8),
-                       (7e-15, 1e-13, 4e-11)),
-             (28, 10): ((7e-14, 1e-8, 3e-5), (7e-18, 4e-13, 1e-9),
-                        (2e-16, 3e-17, 3e-14))}
-    V0, V1 = 1.0, 0.6
-    for (N, K), rows in table.items():
+    # relative error, at V1 = 0.6 and 0.2.  Each bound is twice the error
+    # measured there (to one digit), and no less than 1e-15, a few units
+    # of rounding (0 and 2.1e-16 measured at (28,10))
+    table = {(0.6, 16, 4): {0.2: (4e-8, 9e-7, 2e-4),
+                            0.1: (4e-10, 1e-9, 3e-7),
+                            0.05: (6e-12, 8e-12, 5e-10)},
+             (0.6, 20, 6): {0.2: (6e-10, 5e-7, 2e-4),
+                            0.1: (2e-12, 2e-10, 8e-8),
+                            0.05: (7e-15, 1e-13, 4e-11)},
+             (0.6, 28, 10): {0.2: (7e-14, 1e-8, 3e-5),
+                             0.1: (7e-18, 4e-13, 1e-9),
+                             0.05: (2e-16, 3e-17, 3e-14)},
+             (0.2, 16, 4): {0.1: (8e-10, 6e-9, 7e-7),
+                            0.05: (1e-11, 2e-11, 1e-9)},
+             (0.2, 28, 10): {0.1: (2e-16, 3e-14, 1e-10),
+                             0.05: (2e-16, 2e-16, 4e-15)}}
+    V0 = 1.0
+    for (V1, N, K), rows in table.items():
         E0, V = rosen_morse_taylor(V0, V1, N)
         assert V[1] == 0.0 and V[3] != 0.0
         G = _mode_symbol(V, [0.0] * (N + 1), E0, N, K)
-        for h, bounds in zip((0.2, 0.1, 0.05), rows):
+        for h, bounds in rows.items():
             for n, bound in enumerate(bounds):
                 x = TWO_PI * (n + 0.5) * h
                 want = rosen_morse_symbol(V0, V1, x, h)
                 err = abs(complex(eval_symbol(G, x, h)) - want) / abs(want)
-                assert err <= max(2.0 * bound, 1e-15), (N, K, h, n, err)
+                assert err <= max(2.0 * bound, 1e-15), (V1, N, K, h, n,
+                                                        err)
+
+
+def test_mode_symbol_of_a_flat_rosen_morse_barrier_is_refused_deep():
+    # as V1 -> 2 V0 the barrier top flattens and the level-0 off-diagonal
+    # residue of the reduction grows: relative to level 0 it measures
+    # 3.6e-13 and 1.1e-11 at (10,2), which runs, but 2.3e-9 and 1.5e-5
+    # at (16,4), past DIAG_REL = 1e-10, at V1 = 1.6 and 1.9
+    for V1 in (1.6, 1.9):
+        E0, V = rosen_morse_taylor(1.0, V1, 10)
+        G = _mode_symbol(V, [0.0] * 11, E0, 10, 2)
+        assert all(np.isfinite(c) for lvl in G.levels.values()
+                   for c in lvl.coeffs)
+        E0, V = rosen_morse_taylor(1.0, V1, 16)
+        with pytest.raises(ValueError,
+                           match="symbol level 0 is not diagonal"):
+            _mode_symbol(V, [0.0] * 17, E0, 16, 4)
 
 
 def test_quantum_average_keeps_principal_level_exactly():
@@ -1067,6 +1150,39 @@ def test_qnm_symbol_refuses_non_finite_coefficients(m):
     # powers of 1/m in the degree-20 Taylor series overflow to inf or nan
     with pytest.raises(RuntimeError, match="mode symbol not finite"):
         qnm_symbol(BlackHoleParams(m=m), degree=20, h_order=2)
+
+
+def test_qnm_symbol_builds_one_barrier_series(monkeypatch):
+    # `shifted_potential_taylor` and `subprincipal_taylor` share one
+    # barrier series per symbol and return, byte for byte, what each
+    # returns alone; no series outlives the call, a refused one included
+    built, taylor = [], {}
+    barrier_series = potentials._barrier_series
+
+    def record(p, N):
+        built.append(barrier_series(p, N))
+        return built[-1]
+
+    def keep(fn):
+        def run(p, N):
+            taylor[fn] = fn(p, N)
+            return taylor[fn]
+        return run
+
+    monkeypatch.setattr(potentials, "_barrier_series", record)
+    for fn in (shifted_potential_taylor, subprincipal_taylor):
+        monkeypatch.setattr(normalform, fn.__name__, keep(fn))
+    p = BlackHoleParams(m=3.7, lam=0.02 / 3.7 ** 2)
+    qnm_symbol(p, 18, 4)
+    assert len(built) == 2 and built[0] is built[1]
+    assert potentials._MEMO == []
+    for fn, got in taylor.items():
+        assert np.array(got.coeffs).tobytes() \
+            == np.array(fn(p, 18).coeffs).tobytes(), fn.__name__
+    assert built[2] is not built[0]
+    with pytest.raises(ValueError, match="not diagonal"):
+        qnm_symbol(BlackHoleParams(m=0.37), 32, 12)
+    assert potentials._MEMO == []
 
 
 @pytest.mark.parametrize("m,lam", [(1.0, 0.0), (1.0, 0.02), (2.5, 0.0)])

@@ -80,6 +80,12 @@ ARGVS = [
     ["gsymbol", "--h-order", "1", "--series-degree", "20", "--m", "3.7"],
     ["lattice", "--h-order", "0", "--series-degree", "20", "--lam", "0.01",
      "--ell-range", "1", "8"],
+    # the evaluation of a rescaled symbol with its h^2 level: lambda > 0
+    # at masses other than 1, h-order 2
+    ["lattice", "--m", "3.7", "--lam", "0.001", "--h-order", "2",
+     "--series-degree", "16", "--ell-range", "1", "12", "--n-max", "6"],
+    ["count", "--m", "0.37", "--lam", "0.1", "--h-order", "2", "--t",
+     "0.05", "--r-list", "20", "40", "80"],
 ]
 
 
