@@ -132,6 +132,8 @@ def counting_constant(t, p, G0):
     m, lam = p.m, p.lam
     pref = (1.0 - 9.0 * lam * m * m) ** -1.5
     c = interval * pref * 3.0 ** 3.5 * m ** 3 / math.pi
+    if not c >= np.finfo(float).tiny:
+        raise RuntimeError("counting constant underflows at m = %g" % m)
     # independent arithmetic path for the same prefactor
     c_alt = (interval / (3.0 * math.pi)) * (3.0 * math.sqrt(3.0) * m) ** 3 \
         * pref

@@ -463,21 +463,14 @@ def qnm_symbol(p, degree, h_order):
     K = h_order
     if N < 2 * K + 4:
         raise ValueError("need degree >= 2*h_order + 4")
-    cd = critical_data(p)
-    # powers of 1/m in the Taylor coefficients overflow at extreme masses,
-    # to inf or nan in numpy and to an ArithmeticError in Python floats;
+    p1 = p.unit_mass()
     # both Taylor series read one barrier series, built once
-    try:
-        with np.errstate(all="ignore"), _barrier_memo():
-            V = shifted_potential_taylor(p, N).coeffs
-            W1 = subprincipal_taylor(p, N).coeffs if K >= 2 else ()
-            G = _mode_symbol(V, W1, cd.E0, N, K)
-    except ArithmeticError:
-        G = None
-    if G is None or not all(cmath.isfinite(c) for lvl in G.levels.values()
-                            for c in lvl.coeffs):
-        raise RuntimeError("mode symbol not finite at m = %g" % p.m)
-    return G
+    with _barrier_memo():
+        V = shifted_potential_taylor(p1, N).coeffs
+        W1 = subprincipal_taylor(p1, N).coeffs if K >= 2 else ()
+    G = _mode_symbol(V, W1, critical_data(p1).E0, N, K)
+    return HGraded({k: Series1([c / p.m for c in lvl.coeffs])
+                    for k, lvl in G.levels.items()}, K)
 
 
 def _mode_symbol(V, W1, E0, N, K):

@@ -30,9 +30,15 @@ class BlackHoleParams:
                 "m = %r is out of range: need m > 0 with 27 m^2 a normal, "
                 "finite float, about %.2g <= m <= %.2g"
                 % (self.m, math.sqrt(tiny / 27.0), math.sqrt(huge / 27.0)))
-        # written so that a NaN lam fails it too
-        if not (0 <= self.lam and 9.0 * self.lam * self.m ** 2 < 1.0):
+        # NaN fails; lam m m first, as in unit_mass, since 9 lam may overflow
+        if not (0 <= self.lam and 9.0 * (self.lam * self.m * self.m) < 1.0):
             raise ValueError("need 0 <= lam < 1/(9 m^2)")
+
+    def unit_mass(self):
+        """(1, lam m^2): this hole in units of its mass.  r -> r/m takes
+        alpha^2 at (m, lam) to alpha^2 at (1, lam m^2), so each mode
+        frequency and mode-symbol coefficient is the unit-mass one over m."""
+        return BlackHoleParams(1.0, self.lam * self.m * self.m)
 
 
 @dataclass(frozen=True)

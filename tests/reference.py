@@ -23,7 +23,9 @@ bit-for-bit oracle of `normalform._taylor_levels`), and `birkhoff` and
 symbols.  The Taylor series of the Poschl-Teller barrier sech^2(x) - 1,
 whose mode symbol is known exactly, `poschl_teller_taylor`, and of the
 asymmetric Rosen-Morse barrier at its top, `rosen_morse_taylor`, with
-its exact mode symbol `rosen_morse_symbol`.  Also the
+its exact mode symbol `rosen_morse_symbol` and that symbol's coefficients,
+`rosen_morse_symbol_taylor`; the Poschl-Teller limit of the
+Schwarzschild-de Sitter symbol, `sds_poschl_teller_limit`.  Also the
 classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
@@ -562,6 +564,70 @@ def rosen_morse_symbol(V0, V1, x, h):
             - 1j * mpmath.sqrt(mpmath.mpf(V0) - mpmath.mpf(h) ** 2 / 4)
         return complex(mpmath.sqrt(-s * s - mpmath.mpf(V1) ** 2
                                    / (4 * s * s)))
+
+
+def sds_poschl_teller_limit(E0, k, j):
+    """G_k[x^j] of the Poschl-Teller limit of Schwarzschild-de Sitter,
+    G(x; h) = kappa (sqrt(1 - h^2/2) - i x/2pi) with kappa = sqrt(E0).
+
+    As delta = 1 - 9 lam m^2 -> 0 the barrier between the closing horizons
+    tends to kappa^2 l(l+1) sech^2(kappa x) (Cardoso-Lemos, Phys. Rev. D 67
+    (2003) 084020), whose modes kappa (sqrt((l+1/2)^2 - 1/2) - i(n+1/2))
+    are h^{-1} G(2 pi (n+1/2) h; h): G_0 = kappa (1 - i x/2pi), G_2j(0) =
+    kappa C(1/2, j) (-1/2)^j, and every other coefficient is 0."""
+    kappa = math.sqrt(E0)
+    if (k, j) == (0, 1):
+        return -1j * kappa / TWO_PI
+    if j or k % 2:
+        return 0.0
+    return kappa * math.prod(0.5 - i for i in range(k // 2)) \
+        / math.factorial(k // 2) * (-0.5) ** (k // 2)
+
+
+def rosen_morse_symbol_taylor(V0, V1, K, J):
+    """The coefficients G_k[x^j], k <= K, j <= J, of `rosen_morse_symbol`
+    in 40 digits, as rows of complex numbers by k.
+
+    sigma = -x/2pi - i sqrt(V0 - h^2/4) is expanded in h and x, and
+    G^2 = -sigma^2 - V1^2/(4 sigma^2) and G = sqrt(G^2), G_0[x^0] =
+    sqrt(E0) > 0, follow from the Cauchy-product recurrences of the square,
+    the reciprocal and the square root, each coefficient from those at
+    lower powers of h, or of x at the same power of h."""
+    with mpmath.workdps(40):
+        zero = mpmath.mpc(0)
+        idx = [(k, j) for k in range(K + 1) for j in range(J + 1)]
+
+        def mul(a, b, k, j, skip=()):
+            return mpmath.fsum(a[i][q] * b[k - i][j - q]
+                               for i in range(k + 1) for q in range(j + 1)
+                               if (i, q) not in skip)
+
+        def solve(lead, rhs):
+            # c with lead * c = rhs term by term, lead[0][0] != 0
+            c = [[zero] * (J + 1) for _ in range(K + 1)]
+            for k, j in idx:
+                c[k][j] = (rhs(c, k, j)
+                           - mul(lead, c, k, j, skip={(0, 0)})) \
+                    / lead[0][0]
+            return c
+
+        sig = [[zero] * (J + 1) for _ in range(K + 1)]
+        root = mpmath.sqrt(mpmath.mpf(V0))
+        for i in range(K // 2 + 1):
+            sig[2 * i][0] = -1j * root * mpmath.binomial(0.5, i) \
+                * (-1 / (4 * mpmath.mpf(V0))) ** i
+        sig[0][1] = -1 / (2 * mpmath.pi)
+        sq = [[mul(sig, sig, k, j) for j in range(J + 1)]
+              for k in range(K + 1)]
+        inv = solve(sq, lambda c, k, j: mpmath.mpf((k, j) == (0, 0)))
+        F = [[-sq[k][j] - mpmath.mpf(V1) ** 2 / 4 * inv[k][j]
+              for j in range(J + 1)] for k in range(K + 1)]
+        G = [[zero] * (J + 1) for _ in range(K + 1)]
+        G[0][0] = mpmath.sqrt(F[0][0])
+        for k, j in idx[1:]:
+            G[k][j] = (F[k][j] - mul(G, G, k, j, skip={(0, 0), (k, j)})) \
+                / (2 * G[0][0])
+        return [[complex(c) for c in row] for row in G]
 
 
 def birkhoff_h0(sym, K, N):

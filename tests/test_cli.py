@@ -546,19 +546,13 @@ def test_negative_flag_values_in_exponent_form(tmp_path, capsys):
         assert capsys.readouterr().err == "config error: %s\n" % rule
 
 
-@pytest.mark.parametrize("argv", [
-    ["potential", "--m", "2.9e-155"],
-    ["gsymbol", "--m", "1e-150"], ["lattice", "--m", "1e-150"],
-    ["count", "--m", "1e-150"],
-    ["gsymbol", "--m", "1e100"], ["lattice", "--m", "1e100"],
-    ["gsymbol", "--m", "1e-50"], ["lattice", "--m", "1e-50"],
-    ["count", "--m", "1e-50"],
-    ["direct", "--m", "2.9e-155"], ["direct", "--m", "2.5e153"]])
+@pytest.mark.parametrize("argv", [["potential", "--m", "2.9e-155"],
+                                  ["count", "--m", "1e-150"]])
 def test_mass_range_ends_fail_by_name(tmp_path, capsys, argv):
     # accepted masses at which a command's numbers leave the float range:
-    # W0 ~ 1/(27 m^2) over an r^2 that underflows, the symbol's Taylor
-    # coefficients (powers of 1/m), direct's c0 = E0^2.  Exit 3 with one
-    # line naming m, no warning, no output
+    # W0 ~ 1/(27 m^2) over an r^2 that underflows, and count's constant
+    # c ~ m^3 below the normal floats.  Exit 3 with one line naming m, no
+    # warning, no output
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, text = run_to_file(tmp_path, argv)
@@ -567,6 +561,24 @@ def test_mass_range_ends_fail_by_name(tmp_path, capsys, argv):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "at m = %g" % float(argv[-1]) in err, err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("m", ["2.9e-155", "1e-150", "1e-50", "1e100",
+                               "2.5e153"])
+def test_mass_range_ends_run(tmp_path, capsys, m):
+    # the symbol and the direct solve run at unit mass and are divided by
+    # m, so both ends of the mass range give finite rows and no warning
+    # (direct notes l = 1, 2, 3 on stderr, as at m = 1)
+    for command in ("gsymbol", "lattice", "direct"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run_to_file(tmp_path, [command, "--m", m])
+        assert code == 0, command
+        assert not caught, [str(w.message) for w in caught]
+        _, _, rows = parse_csv(text)
+        assert rows and all(math.isfinite(float(v)) for row in rows
+                            for v in row), command
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 def test_mass_in_range_runs(tmp_path):
@@ -609,15 +621,17 @@ def test_numerical_failure_exits_3(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_extreme_mass_symbol_exits_3(tmp_path):
-    # the symbol's Taylor coefficients overflow to inf or nan
+def test_extreme_mass_symbol_runs(tmp_path):
+    # masses at which the Taylor coefficients in units of m (powers of
+    # 1/m) would overflow: the symbol is built at unit mass
     for argv in (["gsymbol", "--series-degree", "20", "--m", "1e-20"],
                  ["gsymbol", "--series-degree", "20", "--m", "1e20"],
                  ["lattice", "--m", "1e-30"], ["lattice", "--m", "1e40"],
-                 ["count", "--m", "1e-30"]):
-        code = main(argv + ["--output", str(tmp_path / "x.csv")])
-        assert code == 3, argv
-        assert not (tmp_path / "x.csv").exists()
+                 ["count", "--m", "1e-30"], ["count", "--m", "1e-50"]):
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0, argv
+        _, _, rows = parse_csv(text)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_potential_large_mass(tmp_path):

@@ -408,11 +408,24 @@ def scaled_mode_move(m, lam_m2):
 
 
 def test_qnm_direct_mass_scaling():
-    # the march's nodes and residual scale with m, so the scaled problem
-    # runs the same Newton steps
+    # the solve runs at unit mass, so m lambda(m) is lambda(1) up to the
+    # rounding of the division by m and the product with it
     for m, lam_m2 in ((1e-3, 0.0), (2.0, 0.0), (1e3, 0.0), (1e-3, 0.02),
                       (2.0, 0.02), (1e3, 0.02)):
         assert scaled_mode_move(m, lam_m2) <= 1e-12, (m, lam_m2)
+
+
+@pytest.mark.parametrize("lam_m2", [0.0, 0.02])
+def test_qnm_direct_is_the_unit_mass_solve_over_m(lam_m2):
+    # the modes are those of the unit-mass solve divided by m, bit for
+    # bit, from the smallest accepted mass to the largest, where the
+    # operator in units of m would have c0 = E0^2 outside the floats
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    for m in (2.9e-155, 0.05, 3.7, 50.0, 1e100, 2.5e153):
+        p = BlackHoleParams(m=m, lam=lam_m2 / m ** 2)
+        got = qnm_direct(4, cfg, p)
+        want = qnm_direct(4, cfg, p.unit_mass()) / m
+        assert got.size and got.tobytes() == want.tobytes(), m
 
 
 def test_qnm_direct_de_sitter():

@@ -86,6 +86,13 @@ ARGVS = [
      "--series-degree", "16", "--ell-range", "1", "12", "--n-max", "6"],
     ["count", "--m", "0.37", "--lam", "0.1", "--h-order", "2", "--t",
      "0.05", "--r-list", "20", "40", "80"],
+    # the unit-mass symbol and solve divided by m: a direct mode at a
+    # mass other than 1, the ends of the mass range, and count's constant
+    # c ~ m^3 below the normal floats
+    ["direct", "--m", "3.7", "--lam", "0.001", "--ell-range", "4", "6"],
+    ["lattice", "--m", "2.5e153"],
+    ["gsymbol", "--m", "1e100"],
+    ["count", "--m", "1e-150"],
 ]
 
 
