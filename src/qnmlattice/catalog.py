@@ -129,8 +129,8 @@ def counting_constant(t, p, G0):
         raise ValueError("validity radius of G0 is not finite")
     x_cross = _unwrapped_arg_crossing(G0, t, rad)
     interval = x_cross  # I_t = (0, x_cross) since arg decreases from 0
-    m, lam = p.m, p.lam
-    pref = (1.0 - 9.0 * lam * m * m) ** -1.5
+    m = p.m
+    pref = (1.0 - 9.0 * p.unit_mass().lam) ** -1.5
     c = interval * pref * 3.0 ** 3.5 * m ** 3 / math.pi
     if not c >= np.finfo(float).tiny:
         raise RuntimeError("counting constant underflows at m = %g" % m)

@@ -117,13 +117,15 @@ def _check_config(cfg, command):
     """Raise ConfigError for any value `command` cannot run with."""
     try:
         p = params_from(cfg)
+        # the hole every command computes: in units of its mass
+        lam = p.unit_mass().lam
         # these expand about the barrier top, which a near-extremal lambda
         # lacks; `potential` only tabulates W
         if command in ("gsymbol", "lattice", "count", "direct"):
-            cd = potentials.critical_data(p)
+            E0 = potentials.critical_data(lam)
         # these invert the tortoise coordinate, which needs both horizons
         if command in ("potential", "direct"):
-            potentials.tortoise(3.0 * p.m, p)
+            potentials.tortoise(3.0, lam)
         scaling.ScalingConfig(cfg["theta"], cfg["basis_size"])
         pseudospectrum.RotatedHOConfig(cfg["pseudo_h"], cfg["basis_size"])
     except (ValueError, ArithmeticError) as e:
@@ -142,9 +144,9 @@ def _check_config(cfg, command):
         raise ConfigError("r_list must be increasing")
     if radii[0] < 1.0:
         raise ConfigError("r_list entries must be >= 1")
-    # count walks ell up to ceil(r / |G(0)|) + 2, and |G(0)| = sqrt(E0)
+    # count walks ell up to ceil(r / |G(0)|) + 2, and |G(0)| = sqrt(E0)/m
     if command == "count" and \
-            radii[-1] > (catalog.MAX_ELL - 2) * math.sqrt(cd.E0):
+            radii[-1] > (catalog.MAX_ELL - 2) * (math.sqrt(E0) / p.m):
         raise ConfigError("r_list reaches ell above %d" % catalog.MAX_ELL)
     if cfg["h_order"] not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
@@ -211,8 +213,12 @@ def cmd_potential(cfg):
     if npts > 0:
         import numpy as np
         xs = np.linspace(cfg["x_min"], cfg["x_max"], npts)
+        # r(x) is solved in units of m, where x is x/m, less 2 log m at
+        # lambda = 0 (`potentials._Tortoise`)
+        lam = p.unit_mass().lam
+        x1 = xs / p.m - (2.0 * math.log(p.m) if lam == 0 else 0.0)
         w0, w1 = potentials.potential_from_r(
-            *potentials.inverse_tortoise(xs, p), p)
+            *potentials.inverse_tortoise(x1, lam), lam, p.m)
         rows = [(float(x), float(a.real), float(b.real))
                 for x, a, b in zip(xs, w0, w1)]
     if cfg["format"] == "json":

@@ -9,17 +9,16 @@ over the monomials z^m zeta^n in graded order, built straight from the
 barrier's Taylor coefficients and read back as diagonals; `qnm_symbol`
 supplies the black hole's, and `_mode_symbol` takes any barrier's.  Each
 generator is homogeneous, so its Moyal commutator is, per source level
-and odd bidifferential order k, a gather from a table of the integers
-S_k (summed exactly in Python ints, rounded to float64 once), with the
-target monomials from offsets kept beside S_k.  Beside each table its
-nonzero products are kept in column-degree order, so the products up to
-a degree are a prefix.  Each reduction step builds one gather/scatter
-plan of those prefixes over every level its exp series can reach, a
-bin of each (source level, k) fixing the column degree, so that the
-products of a bin come in the order of a row-by-row plan; each term of
-the series is then one gather, one `np.add.at` of the products into a
-complex accumulator and one more that folds its weighted bins into the
-next term.
+and odd bidifferential order k, a gather of the nonzero products of the
+integers S_k (summed exactly, rounded to float64 once) with their target
+monomials.  The products are kept in column-degree order, so the
+products up to a degree are a prefix.  Each reduction step builds one
+gather/scatter plan of those prefixes over every level its exp series
+can reach, a bin of each (source level, k) fixing the column degree, so
+that the products of a bin come in the order of a row-by-row plan; each
+term of the series is then one gather, one `np.add.at` of the products
+into a complex accumulator and one more that folds its weighted bins
+into the next term.
 G is converted to the spectral variable s = z h D_z + h/2i, whose
 eigenvalue on z^n is -i(n+1/2)h, by the integer recurrence of
 Op_w((z*zeta)^n) on monomials.  The assembled output G(x; h), the square
@@ -222,13 +221,12 @@ def _columns(lo, hi):
     return d, np.arange(_start(lo), _start(hi + 1)) - _start(d)
 
 
-# (k, row degree) -> (S_k, target offsets T, products), all by graded
-# column and grown by columns together; the products are the nonzero
-# entries of S_k in column-degree order (d2, then n1, then column), as
-# (idx, S, pos): idx stacks each product's row n1, graded column and
-# target offset T[column] + n1 - k in the narrowest unsigned type that
-# holds them, S its S_k, and pos[d] counts the products of column degree
-# < d, so the products of degree <= hi are the prefix [:pos[hi + 1]]
+# (k, row degree) -> the nonzero products of S_k, grown by columns, in
+# column-degree order (d2, then n1, then column), as (idx, S, pos): idx
+# stacks each product's row n1, graded column and target offset
+# T[column] + n1 - k in the narrowest unsigned type that holds them, S
+# its S_k, and pos[d] counts the products of column degree < d, so the
+# products of degree <= hi are the prefix [:pos[hi + 1]]
 _S_TABLES = {}
 # 2 (2i)^-k / k!, the odd-k weight of the commutator; k! leaves the float
 # range past k = 170
@@ -237,8 +235,8 @@ _PREFACTOR = np.array([2.0 * (1.0 / (2j)) ** k / math.factorial(k)
 
 
 def _s_table(k, dgr, hi):
-    """S_k of the rows z^(dgr-n1) zeta^n1 against every monomial of
-    degree <= hi (at least), as float64, and the target offsets T.
+    """The nonzero products (idx, S, pos) of `_S_TABLES` of the rows
+    z^(dgr-n1) zeta^n1 against every monomial of degree <= hi (at least).
 
     S_k(m1, n1, m2, n2) = sum_j u_j v_j with u_j = C(k,j) (-1)^(k-j)
     (m1)_(k-j) (n1)_j and v_j = (m2)_j (n2)_(k-j), (m)_i the falling
@@ -246,15 +244,15 @@ def _s_table(k, dgr, hi):
     partial sum can reach 2^63 and in Python ints elsewhere, and rounded to
     float64 once.  Row n1 and column z^m2 zeta^n2 of degree d2 map to
     z^(m1+m2-k) zeta^(n1+n2-k), whose graded index plus k is T[column] +
-    n1 with T = _start(dgr + d2 - 2k) + n2.  Both tables grow by columns,
-    and the nonzero products of the new columns, all of a higher degree
-    than the old ones, are appended to the entry's products; so their size
-    is bounded by the largest degree asked for.
+    n1 with T = _start(dgr + d2 - 2k) + n2.  The entry grows by columns:
+    the nonzero products of the new columns, all of a higher degree than
+    the old ones, are appended; so its size is bounded by the largest
+    degree asked for.
     """
     t = _S_TABLES.get((k, dgr))
-    if t is not None and len(t[4]) > hi + 1:
-        return t[:2]
-    lo = 0 if t is None else len(t[4]) - 1   # pos runs over degrees 0..D+1
+    if t is not None and len(t[2]) > hi + 1:
+        return t
+    lo = 0 if t is None else len(t[2]) - 1   # pos runs over degrees 0..D+1
     n1 = np.arange(dgr + 1)
     d2, n2 = _columns(lo, hi)
     # perm[m, i] = (m)_i and sign[j] = C(k,j) (-1)^(k-j); ub[j] and vb[j]
@@ -287,15 +285,14 @@ def _s_table(k, dgr, hi):
     vals = S[row, col]
     pos = [0]
     if t is not None:
-        S, T = np.concatenate([t[0], S], axis=1), np.concatenate([t[1], T])
-        idx = np.concatenate([t[2], idx], axis=1)
-        vals = np.concatenate([t[3], vals])
-        pos = t[4]
+        idx = np.concatenate([t[0], idx], axis=1)
+        vals = np.concatenate([t[1], vals])
+        pos = t[2]
     counts = np.bincount(deg - lo, minlength=hi - lo + 1).tolist()
-    _S_TABLES[(k, dgr)] = (
-        S, T, idx.astype(np.min_scalar_type(idx.max(initial=0))), vals,
+    t = _S_TABLES[(k, dgr)] = (
+        idx.astype(np.min_scalar_type(idx.max(initial=0))), vals,
         pos + list(accumulate(counts, initial=pos[-1]))[1:])
-    return S, T
+    return t
 
 
 def _level_offsets(K, N):
@@ -350,8 +347,7 @@ def _plan(a, gl, present, K, N, off):
         for k in range(1, min(top - kb, dgr, hi) + 1, 2):
             lvl = gl + kb + k
             present[lvl] = True
-            _s_table(k, dgr, hi)
-            _, _, ix, v, pos = _S_TABLES[k, dgr]
+            ix, v, pos = _s_table(k, dgr, hi)
             p = pos[hi + 1]
             idx.append(ix[:, :p])
             vals.append(v[:p])
@@ -463,12 +459,12 @@ def qnm_symbol(p, degree, h_order):
     K = h_order
     if N < 2 * K + 4:
         raise ValueError("need degree >= 2*h_order + 4")
-    p1 = p.unit_mass()
+    lam = p.unit_mass().lam
     # both Taylor series read one barrier series, built once
     with _barrier_memo():
-        V = shifted_potential_taylor(p1, N).coeffs
-        W1 = subprincipal_taylor(p1, N).coeffs if K >= 2 else ()
-    G = _mode_symbol(V, W1, critical_data(p1).E0, N, K)
+        V = shifted_potential_taylor(lam, N).coeffs
+        W1 = subprincipal_taylor(lam, N).coeffs if K >= 2 else ()
+    G = _mode_symbol(V, W1, critical_data(lam), N, K)
     return HGraded({k: Series1([c / p.m for c in lvl.coeffs])
                     for k, lvl in G.levels.items()}, K)
 

@@ -86,18 +86,20 @@ def _u2_matrix(n):
     return m
 
 
-def build_scaled_operator(cfg, p, h):
-    """Galerkin matrix of the complex-scaled operator (complex symmetric).
+def build_scaled_operator(cfg, lam, h):
+    """Galerkin matrix of the complex-scaled operator (complex symmetric)
+    of the hole lam = lambda m^2 at unit mass.
 
-    Basis: Hermite functions of t/sigma, sigma = c0^{-1/4} sqrt(h), centered
-    at the barrier top, on the contour x = x0 + (1+i theta) t.
+    Basis: Hermite functions of t/sigma, sigma = (E0^2)^{-1/4} sqrt(h),
+    centered at the barrier top, on the contour x = x0 + (1+i theta) t.
     """
     n = cfg.basis_size
     th = cfg.theta
-    cd = critical_data(p)
-    sigma = cd.c0 ** -0.25 * math.sqrt(h)
+    E0 = critical_data(lam)
+    sigma = (E0 * E0) ** -0.25 * math.sqrt(h)
     u, b = hermite_basis(n, max(QUAD_FACTOR * n, n + 8))
-    w0, w1 = potential_from_r(*inverse_tortoise_ray(sigma * u, th, p), p)
+    w0, w1 = potential_from_r(*inverse_tortoise_ray(sigma * u, th, lam), lam,
+                              1.0)
     w = w0 + h * h * w1
     # two real products: a complex w would promote b.T to a complex gemm
     pot = (b * w.real) @ b.T + 1j * ((b * w.imag) @ b.T)
@@ -185,17 +187,17 @@ def qnm_direct(ell, cfg, p, max_modes=None):
     if ell < 1:
         raise ValueError("ell must be >= 1")
     h = 1.0 / (ell + 0.5)
-    p1 = p.unit_mass()
-    cd = critical_data(p1)
+    lam = p.unit_mass().lam
+    E0 = critical_data(lam)
     big = replace(cfg, basis_size=cfg.basis_size + DRIFT_EXTRA)
-    mat2 = build_scaled_operator(big, p1, h)
+    mat2 = build_scaled_operator(big, lam, h)
     n = cfg.basis_size
     vals, vecs = eigensolve(mat2[:n, :n], vectors=True)
-    inside = np.flatnonzero(np.abs(vals - cd.E0) <= WINDOW * cd.E0)
+    inside = np.flatnonzero(np.abs(vals - E0) <= WINDOW * E0)
     zs = vals[inside]
     # self-convergence filter: keep eigenvalues stable under basis enlargement
     drift = _enlarged_shift(mat2, vals, vecs, inside)
-    drift /= np.maximum(np.abs(zs), 1e-3 * cd.E0)
+    drift /= np.maximum(np.abs(zs), 1e-3 * E0)
     kept = zs[drift <= STAB_REL]
     if kept.size == 0:
         raise RuntimeError(

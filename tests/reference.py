@@ -9,7 +9,8 @@ commutator by repeated series derivatives (`_moyal_term`), the closed-form
 commutator on dicts of monomials (`moyal_commutator_dict`) and the
 reduction loop built on it (`birkhoff_dict`), the dense commutator with
 one scatter per level pair and odd k (`moyal_commutator_pairwise`, the
-bit-for-bit oracle of each term `normalform.moyal_commutator` forms),
+bit-for-bit oracle of each term `normalform.moyal_commutator` forms, on
+S_k tables of its own, `s_k_rows`),
 the reduction loop on a dict of dense levels built on it
 (`reduce_step_levels` and `birkhoff_levels`, the bit-for-bit oracle of
 the flat loop `normalform._birkhoff`), and quantum averaging by the
@@ -58,6 +59,7 @@ bisections in
 """
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -71,7 +73,7 @@ import scipy.special
 from qnmlattice.catalog import (MAX_ELL, VALIDITY_FRAC, counting_constant,
                                 eval_symbol)
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
-                                   _diag_levels, _s_table, _start,
+                                   _diag_levels, _start,
                                    quad_reduce)
 from qnmlattice.potentials import (_failed, _tortoise_terms,
                                    horizon_roots)
@@ -733,6 +735,23 @@ def moyal_commutator_dict(a, b, K, degree):
                     for lvl, coeffs in out.items()}, K)
 
 
+@functools.lru_cache(maxsize=None)
+def s_k_rows(k, dgr, hi):
+    """The integers S_k of `moyal_commutator_dict` for the rows
+    z^(dgr-n1) zeta^n1 against the monomials of degree <= hi in graded
+    order, summed in Python ints and rounded to float64 once."""
+    d2, n2 = _columns(0, hi)
+    u = np.array([[math.comb(k, j) * (-1) ** (k - j)
+                   * math.perm(dgr - n1, k - j) * math.perm(n1, j)
+                   for j in range(k + 1)] for n1 in range(dgr + 1)],
+                 dtype=object)
+    v = np.array([[math.perm(m2, j) * math.perm(n, k - j)
+                   for j in range(k + 1)]
+                  for m2, n in zip((d2 - n2).tolist(), n2.tolist())],
+                 dtype=object)
+    return (u @ v.T).astype(np.float64)
+
+
 def moyal_commutator_pairwise(a, gl, levels, K, N):
     """[a, b] for a homogeneous generator a at h-level gl on a dict of
     dense levels, with one scatter per level pair and odd k: the target
@@ -762,7 +781,7 @@ def moyal_commutator_pairwise(a, gl, levels, K, N):
             lvl = gl + kb + k
             size = _start(N - 2 * lvl + 1)
             s = _start(lo) - c0
-            w = _s_table(k, dgr, hi)[0][:, _start(lo):_start(hi + 1)] \
+            w = s_k_rows(k, dgr, hi)[:, _start(lo):] \
                 * outer[:, s:]
             td = dgr + d2[s:] - 2 * k
             idx = (td * (td + 1) // 2 + n2[s:] + n1).ravel()
@@ -892,17 +911,17 @@ def barrier_taylor_mp(m, lam, N):
                 [complex(c) for c in w1.compose(rho_of_x).coeffs])
 
 
-def barrier_series_rebuild(p, N):
+def barrier_series_rebuild(lam, N):
     """r(x0 + x), 1/r and W0 at the barrier top as `_barrier_series`
-    returns them, by Series1 arithmetic that rebuilds the reciprocal and
-    r r from all of r for each new coefficient r_k = [alpha^2]_{k-1}/k,
-    O(N^3): the reference its O(N^2) recurrence matches bit for bit."""
-    m, lam = p.m, p.lam
-    c = [3.0 * m]
+    returns them, in units of the mass, by Series1 arithmetic that
+    rebuilds the reciprocal and r r from all of r for each new coefficient
+    r_k = [alpha^2]_{k-1}/k, O(N^3): the reference its O(N^2) recurrence
+    matches bit for bit."""
+    c = [3.0]
     while True:
         r = Series1(c)
         inv_r = r.reciprocal()
-        a2 = 1.0 - 2.0 * m * inv_r - (lam / 3.0) * (r * r)
+        a2 = 1.0 - 2.0 * inv_r - (lam / 3.0) * (r * r)
         if len(c) > N:
             return r, inv_r, a2 * inv_r * inv_r
         c.append(a2.coeffs[-1] / len(c))
@@ -917,28 +936,32 @@ def inverse_tortoise_wright(x, m):
 
 def inverse_tortoise_mp(x, p):
     """r(x) and alpha^2(r(x)) at a real x to the working precision, for
-    the package's tortoise coordinate x(r) = lin r + sum c log(s (r - a))
-    with alpha^2 = k prod s (r - a) / r, its horizon roots a and residues
-    c from `horizon_roots` taken as exact; x below the barrier top at
-    lam = 0, anywhere between the horizons at lam > 0.
+    the package's tortoise coordinate of the hole p at its mass m,
+    m x1(r/m), plus 2m log m at lam = 0, where x1(r) = lin r +
+    sum c log(s (r - a)) is the unit-mass one, with alpha^2 = k
+    prod s (r - a) / r and its horizon roots a and residues c from
+    `horizon_roots` taken as exact; x below the barrier top at lam = 0,
+    anywhere between the horizons at lam > 0.
 
-    Solves x(L) = x in the log-distance L = log(s (r - a)) to the horizon
-    on x's side of the barrier top (2m or r_minus below x(3m), r_plus
-    above).  There x = c L + (the other terms), and the other terms lie
-    between their values at r = a and at r = 3m, which brackets L, and L
-    is at most log(s (3m - a)); the bracket goes to mpmath's
-    Anderson-Bjorck solver.
+    Solves x1(L) = x/m (less 2 log m at lam = 0) in the log-distance
+    L = log(s (r - a)) to the horizon on x's side of the barrier top (2 or
+    r_minus below x1(3), r_plus above).  There x1 = c L + (the other
+    terms), and the other terms lie between their values at r = a and at
+    r = 3, which brackets L, and L is at most log(s (3 - a)); the bracket
+    goes to mpmath's Anderson-Bjorck solver.
     """
-    if p.lam == 0:
-        lin, k, roots = 1, 1, [(2 * p.m, 2 * p.m, 1)]
+    m = mpmath.mpf(p.m)
+    lam = p.unit_mass().lam
+    if lam == 0:
+        lin, k, roots = 1, 1, [(2, 2, 1)]
     else:
-        hz = horizon_roots(p)
-        lin, k = 0, mpmath.mpf(p.lam) / 3
+        hz = horizon_roots(lam)
+        lin, k = 0, mpmath.mpf(lam) / 3
         roots = [(hz.r0, hz.a0, 1), (hz.r_minus, hz.a_minus, 1),
                  (hz.r_plus, hz.a_plus, -1)]
     roots = [(mpmath.mpf(a), mpmath.mpf(c), s) for a, c, s in roots]
-    x = mpmath.mpf(x)
-    r_top = 3 * mpmath.mpf(p.m)
+    x = mpmath.mpf(x) / m - (2 * mpmath.log(m) if lam == 0 else 0)
+    r_top = mpmath.mpf(3)
 
     def x_of(r, skip=None):
         return lin * r + sum(c * mpmath.log(s * (r - a))
@@ -946,9 +969,9 @@ def inverse_tortoise_mp(x, p):
                              if i != skip)
 
     above = x >= x_of(r_top)
-    if p.lam == 0 and above:
+    if lam == 0 and above:
         raise ValueError("lam = 0 needs x below the barrier top")
-    root = 0 if p.lam == 0 else (2 if above else 1)
+    root = 0 if lam == 0 else (2 if above else 1)
     a, c, s = roots[root]
     bracket = ((x - x_of(r_top, skip=root)) / c,
                min((x - x_of(a, skip=root)) / c, mpmath.log(s * (r_top - a))))
@@ -959,7 +982,7 @@ def inverse_tortoise_mp(x, p):
     a2 = k / r
     for aa, _, ss in roots:
         a2 *= ss * (r - aa)
-    return r, a2
+    return m * r, a2
 
 
 def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
@@ -989,10 +1012,10 @@ def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
 # a diverging run may overflow to inf or nan: the callers' residual check
 # on |x(r) - x| catches it, so the floating-point warnings are muted
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _continue(x, tt, L, root, m):
+def _continue(x, tt, L, root):
     """Homotopy-Newton continuation of x(r) = x on the log chart of the
     root of index `root` (`_Tortoise.chart`), from real-axis seeds L, with
-    Im(x) switched on in steps of at most m/2 (one step if Im(x) = 0
+    Im(x) switched on in steps of at most 1/2 (one step if Im(x) = 0
     throughout).  In each homotopy step a point leaves the Newton iteration
     once its own step in L is below 1e-13 max(1, |L|), so its result does
     not depend on the other points of the array.  Returns r, alpha^2(r),
@@ -1002,7 +1025,7 @@ def _continue(x, tt, L, root, m):
     chart = tt.chart(root, np.exp, np.log)
     # with Im(x) = 0 every step would solve for the same target
     im_max = float(np.max(np.abs(x.imag)))
-    nsteps = max(4, math.ceil(2.0 * im_max / m)) if im_max else 1
+    nsteps = max(4, math.ceil(2.0 * im_max)) if im_max else 1
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
         live = np.arange(L.size)
@@ -1019,30 +1042,29 @@ def _continue(x, tt, L, root, m):
     return r, s * dL_dx * np.exp(L), np.abs(xL - x)
 
 
-def inverse_tortoise_homotopy(x, p):
-    """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)):
-    the oracle of `potentials.inverse_tortoise_ray`, which marches along
-    the ray instead, and at Im x = 0 the bit-for-bit oracle of
-    `potentials.inverse_tortoise`.
+def inverse_tortoise_homotopy(x, lam):
+    """Holomorphic continuation r(x) off the real axis, and alpha^2(r(x)),
+    in units of the mass: the oracle of `potentials.inverse_tortoise_ray`,
+    which marches along the ray instead, and at Im x = 0 the bit-for-bit
+    oracle of `potentials.inverse_tortoise`.
 
     Vectorized over a complex array x; returns the pair (r, alpha^2).
     Each point is continued by `_continue` in the log-distance to one
-    horizon a from a real seed L: to 2m at lam = 0, and at lam > 0 to the
-    horizon on Re x's side of the barrier top, r_minus if Re x < x(3m)
+    horizon a from a real seed L: to 2 at lam = 0, and at lam > 0 to the
+    horizon on Re x's side of the barrier top, r_minus if Re x < x(3)
     else r_plus.  The seed is L = min((Re x - the other terms of x at
-    r = a)/c, log s (3m - a)): the other terms grow from r = a to 3m, so
+    r = a)/c, log s (3 - a)): the other terms grow from r = a to 3, so
     both lie on the barrier-top side of the root.  At lam = 0 past the
-    barrier top it is L = log(Re x - x(3m) + m), r = Re x - 2m log m,
-    where x(r) - Re x = 2m log((r - 2m)/m) >= 0.  x(L) is increasing and
-    convex on 2m's and r_minus's chart, decreasing and concave on
-    r_plus's, so Newton moves monotonically to the real root and stays in
-    the chart.
+    barrier top it is L = log(Re x - x(3) + 1), r = Re x, where
+    x(r) - Re x = 2 log(r - 2) >= 0.  x(L) is increasing and convex on
+    2's and r_minus's chart, decreasing and concave on r_plus's, so
+    Newton moves monotonically to the real root and stays in the chart.
     """
     x = np.asarray(x, dtype=complex)
     xf = x.ravel()
-    tt = _tortoise_terms(p)
-    x3 = tt.x(3.0 * p.m)
-    root = np.where(xf.real < x3, 1, 2) if p.lam > 0 \
+    tt = _tortoise_terms(lam)
+    x3 = tt.x(3.0)
+    root = np.where(xf.real < x3, 1, 2) if lam > 0 \
         else np.zeros(xf.shape, dtype=int)
     r = np.zeros(xf.shape, dtype=complex)
     a2 = np.zeros(xf.shape, dtype=complex)
@@ -1052,15 +1074,15 @@ def inverse_tortoise_homotopy(x, p):
         if np.any(mask):
             xr = xf.real[mask]
             L = np.minimum((xr - tt.x(a, skip=i)) / c,
-                           math.log(s * (3.0 * p.m - a)))
-            if p.lam == 0:
+                           math.log(s * (3.0 - a)))
+            if lam == 0:
                 L = np.where(xr < x3, L,
-                             np.log(np.maximum(xr - x3, 0.0) + p.m))
+                             np.log(np.maximum(xr - x3, 0.0) + 1.0))
             r[mask], a2[mask], resid[mask] = _continue(
-                xf[mask], tt, L.astype(complex), i, p.m)
-    bad = int(np.sum(~(resid <= 1e-9 * np.maximum(p.m, np.abs(xf)))))
+                xf[mask], tt, L.astype(complex), i)
+    bad = int(np.sum(~(resid <= 1e-9 * np.maximum(1.0, np.abs(xf)))))
     if bad:
-        raise _failed(bad, tt, p)
+        raise _failed(bad, tt, lam)
     return r.reshape(x.shape), a2.reshape(x.shape)
 
 

@@ -548,9 +548,11 @@ def test_negative_flag_values_in_exponent_form(tmp_path, capsys):
 
 # accepted masses at which a command's numbers leave the float range: W0 ~
 # 1/(27 m^2) over an r^2 that underflows, and count's constant c ~ m^3
-# below the normal floats.  The symbol and the direct solve run at unit
-# mass and are divided by m, so they stay finite at both ends
-OUT_OF_FLOATS = {("potential", "2.9e-155"), ("count", "1e-150")}
+# below the normal floats.  Every command checks and computes the hole at
+# unit mass, and the symbol and the direct solve are divided by m, so
+# they stay finite at both ends, lam m^2 > 0 included
+OUT_OF_FLOATS = {("potential", "2.9e-155"), ("count", "1e-150"),
+                 ("count", "2.9e-155")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,7 +566,13 @@ OUT_OF_FLOATS = {("potential", "2.9e-155"), ("count", "1e-150")}
     ["gsymbol", "--m", "2.9e-155"], ["lattice", "--m", "2.9e-155"],
     ["gsymbol", "--m", "2.5e153"], ["lattice", "--m", "2.5e153"],
     ["direct", "--m", "1e-150"], ["direct", "--m", "1e-50"],
-    ["direct", "--m", "1e100"]])
+    ["direct", "--m", "1e100"],
+    # lam m^2 = 0.02, where 9 lam overflows
+    ["gsymbol", "--lam", "2.378e307", "--m", "2.9e-155"],
+    ["lattice", "--lam", "2.378e307", "--m", "2.9e-155"],
+    ["count", "--lam", "2.378e307", "--m", "2.9e-155"],
+    ["direct", "--lam", "2.378e307", "--m", "2.9e-155"],
+    ["potential", "--lam", "2.378e307", "--m", "2.9e-155"]])
 def test_mass_range_ends_fail_by_name(tmp_path, capsys, argv):
     # at the ends of the mass range a command gives finite rows, or, where
     # its numbers leave the float range, exits 3 with one line naming m and

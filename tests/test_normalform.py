@@ -36,10 +36,18 @@ from reference import (GaussianRational, average_by_flow_quadrature,
 P1 = BlackHoleParams(m=1.0)
 
 
-def barrier_symbol(p, N):
+def barrier_taylor(lam, N, m=1.0):
+    """The Taylor coefficients of V and W1 at the barrier top of the hole
+    lam = lambda m^2 at mass m: the x^k coefficient is the unit-mass one
+    over m^(k + 2)."""
+    return [[c / m ** (k + 2) for k, c in enumerate(f(lam, N).coeffs)]
+            for f in (shifted_potential_taylor, subprincipal_taylor)]
+
+
+def barrier_symbol(lam, N, m=1.0):
     """Full classical symbol xi^2 + V(x) (shifted) as a Series2."""
-    V = shifted_potential_taylor(p, N)
-    return Series2({(k, 0): c for k, c in enumerate(V.coeffs) if c != 0},
+    V, _ = barrier_taylor(lam, N, m)
+    return Series2({(k, 0): c for k, c in enumerate(V) if c != 0},
                    N) + Series2.monomial(0, 2, 1.0, N)
 
 
@@ -253,24 +261,23 @@ def triple_identity_residuals(nf, degree, scale=1.0):
 
 
 def test_triple_identity_barrier():
-    cd = critical_data(P1)
-    p2 = barrier_symbol(P1, 10)
+    p2 = barrier_symbol(0.0, 10)
     nf = classical_bnf(p2, 10)
-    r1, r2, r3 = triple_identity_residuals(nf, 10, scale=cd.E0)
+    r1, r2, r3 = triple_identity_residuals(nf, 10, scale=critical_data(0.0))
     assert r1 <= 1e-11
     assert r2 <= 1e-11
     assert r3 <= 1e-11
 
 
 def test_action_series_vs_contour_oracle():
-    cd = critical_data(P1)
+    E0 = critical_data(0.0)
     N = 24
-    p2 = barrier_symbol(P1, N)
+    p2 = barrier_symbol(0.0, N)
     red = quad_reduce(p2.homogeneous_part(2))
     nf = classical_bnf(p2, N)
     Sc = np.array([complex(c) for c in nf.S.coeffs])[::-1]
     for frac in (0.1, -0.3, 0.3j, 0.2 - 0.2j):
-        E = frac * cd.E0
+        E = frac * E0
         oracle = contour_action(p2, red, E)
         series = np.polyval(Sc, E)
         assert abs(oracle - series) <= 1e-6 * abs(series), frac
@@ -417,20 +424,21 @@ def test_moyal_commutator_matches_derivative_oracle():
 
 
 def test_s_table_is_exact_integer_sum_rounded_once():
-    # k = 11 against rows of degree 11..23 and columns up to degree
-    # 34 - dgr, the tables of a degree-32 reduction: many entries exceed
-    # 2^63.  And k = 1, 3, 5 against rows and columns of degree <= 20, the
-    # tables of the CLI's and the benchmark's symbols.  The target offsets
-    # grow with S_k: T + n1 is the graded index of
-    # z^(m1+m2-k) zeta^(n1+n2-k) plus k
+    # the products the kernel reads, for k = 11 against rows of degree
+    # 11..23 and columns up to degree 34 - dgr, the tables of a degree-32
+    # reduction, where many S_k exceed 2^63, and for k = 1, 3, 5 against
+    # rows and columns of degree <= 20, the tables of the CLI's and the
+    # benchmark's symbols: every nonzero S_k once, the integer sum rounded
+    # once, in column-degree order, with its row n1, its graded column
+    # and its target offset, the graded index of z^(m1+m2-k)
+    # zeta^(n1+n2-k) plus k, and the prefix index by column degree
     biggest = 0
     cases = [(11, dgr, 34 - dgr) for dgr in range(11, 24)]
     cases += [(k, dgr, 20) for k in (1, 3, 5) for dgr in range(k, 21)]
     for k, dgr, hi in cases:
         _s_table(k, dgr, hi - 4)
-        table, target = _s_table(k, dgr, hi)
-        assert len(target) == table.shape[1]
-        table = table[:, :_start(hi + 1)]
+        idx, vals, pos = _s_table(k, dgr, hi)
+        want = {}
         for n1 in range(dgr + 1):
             m1 = dgr - n1
             u = [math.comb(k, j) * (-1) ** (k - j) * math.perm(m1, k - j)
@@ -440,18 +448,25 @@ def test_s_table_is_exact_integer_sum_rounded_once():
                     s = sum(ui * math.perm(d2 - n2, j) * math.perm(n2, k - j)
                             for j, ui in enumerate(u))
                     biggest = max(biggest, abs(s))
-                    assert table[n1, _start(d2) + n2] == float(s), \
-                        (k, dgr, n1, d2, n2)
-                    if n1 == 0:
-                        assert target[_start(d2) + n2] == \
-                            _start(dgr + d2 - 2 * k) + n2, (k, dgr, d2, n2)
+                    if s:
+                        want[n1, _start(d2) + n2] = (
+                            float(s), _start(dgr + d2 - 2 * k) + n2 + n1 - k)
+        p = pos[hi + 1]
+        rows, cols, targets = idx[:, :p].tolist()
+        got = {(n1, c): (v, t) for n1, c, v, t
+               in zip(rows, cols, vals[:p].tolist(), targets)}
+        assert len(got) == p and got == want, (k, dgr, hi)
+        degrees = [_degree(c) for c in cols]
+        assert degrees == sorted(degrees), (k, dgr, hi)
+        assert pos[:hi + 2] == [sum(d < e for d in degrees)
+                                for e in range(hi + 2)], (k, dgr, hi)
     assert biggest >= 2 ** 63
 
 
 def store_state(store):
-    """Every stored array of the S_k tables and their products as bytes
-    and dtype, and the prefix index, by key."""
-    return {key: [(x.tobytes(), x.dtype.str, x.shape) for x in t[:4]] + [t[4]]
+    """Every stored array of the S_k products as bytes, dtype and shape,
+    and the prefix index, by key."""
+    return {key: [(x.tobytes(), x.dtype.str, x.shape) for x in t[:2]] + [t[2]]
             for key, t in store.items()}
 
 
@@ -488,14 +503,13 @@ def test_product_store_is_independent_of_growth_order(monkeypatch):
 
 def test_product_store_size_at_degree_32(monkeypatch):
     # the products of every table a (32,12) symbol reads, indices in
-    # uint8 or uint16: 3.33 MB measured (beside 3.26 MB of S_k and T
-    # tables), bound 25% above
+    # uint8 or uint16: 3.33 MB measured, bound 25% above
     monkeypatch.setattr(normalform, "_S_TABLES", {})
     qnm_symbol(BlackHoleParams(m=1.0), 32, 12)
     store = normalform._S_TABLES.values()
-    assert {t[2].dtype for t in store} <= {np.dtype(np.uint8),
+    assert {t[0].dtype for t in store} <= {np.dtype(np.uint8),
                                            np.dtype(np.uint16)}
-    assert sum(t[2].nbytes + t[3].nbytes for t in store) <= 1.25 * 3.33e6
+    assert sum(t[0].nbytes + t[1].nbytes for t in store) <= 1.25 * 3.33e6
 
 
 def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
@@ -584,9 +598,7 @@ def test_moyal_commutator_matches_pairwise_scatter_bitwise(monkeypatch):
     monkeypatch.setattr(normalform, "moyal_commutator", check)
     for lam, N, K in ((0.0, 20, 2), (0.0, 16, 4), (0.0, 18, 4),
                       (0.02, 10, 2), (0.02, 20, 2), (0.0, 28, 10)):
-        p = BlackHoleParams(m=1.0, lam=lam)
-        mu, levels = _taylor_levels(shifted_potential_taylor(p, N).coeffs,
-                                    subprincipal_taylor(p, N).coeffs, N, K)
+        mu, levels = _taylor_levels(*barrier_taylor(lam, N), N, K)
         start = len(calls)
         _birkhoff(levels, mu, K, N)
         assert len(calls) > start and max(calls[start:]) > 1, (lam, N, K)
@@ -703,7 +715,7 @@ def test_birkhoff_dense_loop_matches_dict_loop():
     # carries the rounding of the levels below it, so it is measured on
     # the scale of levels 0..k, as `_diag_levels` does
     for lam, N, K in ((0.0, 12, 2), (0.02, 16, 4)):
-        sym = barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K)
+        sym = barrier_levels(lam, N, K)
         mu, got = birkhoff(sym, K, N)
         mu_ref, want = birkhoff_dict(sym, K, N)
         assert mu == mu_ref
@@ -789,27 +801,25 @@ def test_quantum_average_no_spurious_odd_level():
                                for c in lvl1.coeffs)
 
 
-def barrier_levels(p, N, K):
+def barrier_levels(lam, N, K, m=1.0):
     """The graded barrier symbol xi^2 + V, with h^2 W1, that `qnm_symbol`
-    hands to the Birkhoff reduction."""
-    W1 = subprincipal_taylor(p, N)
-    levels = {0: barrier_symbol(p, N),
-              2: Series2({(k, 0): c for k, c in enumerate(W1.coeffs)
-                          if c != 0}, N)}
+    hands to the Birkhoff reduction (at m = 1)."""
+    _, W1 = barrier_taylor(lam, N, m)
+    levels = {0: barrier_symbol(lam, N, m),
+              2: Series2({(k, 0): c for k, c in enumerate(W1) if c != 0}, N)}
     return HGraded(levels, K)
 
 
 def test_taylor_levels_match_series2_substitution_bitwise():
     # the dense levels built from the Taylor coefficients against the
-    # linear substitution of the Series2 symbol, byte for byte
+    # linear substitution of the Series2 symbol, byte for byte, for the
+    # barrier in units of m = 1 and of m = 1e-3 and 1e3
     for m in (1e-3, 1.0, 1e3):
         for lam9 in (0.0, 0.02):
-            p = BlackHoleParams(m=m, lam=lam9 / (m * m))
             for N, K in ((10, 2), (18, 4), (28, 10)):
-                mu, got = _taylor_levels(
-                    shifted_potential_taylor(p, N).coeffs,
-                    subprincipal_taylor(p, N).coeffs, N, K)
-                mu_ref, want = reduced_levels(barrier_levels(p, N, K), K, N)
+                mu, got = _taylor_levels(*barrier_taylor(lam9, N, m), N, K)
+                mu_ref, want = reduced_levels(barrier_levels(lam9, N, K, m),
+                                              K, N)
                 assert mu == mu_ref, (m, lam9, N, K)
                 assert sorted(got) == sorted(want) == [0, 2]
                 for k, v in want.items():
@@ -921,7 +931,7 @@ def test_mode_symbol_of_a_flat_rosen_morse_barrier_is_refused_deep():
 def test_quantum_average_keeps_principal_level_exactly():
     # the steps at h^ell >= 1 leave the h^0 level as the h^0 pass left it
     for N, K in ((10, 2), (14, 4)):
-        sym = barrier_levels(P1, N, K)
+        sym = barrier_levels(0.0, N, K)
         G = diag_levels(birkhoff(sym, K, N)[1])
         assert G[0].coeffs == birkhoff_h0(sym, K, N)[1].level(0) \
             .diagonal().coeffs
@@ -932,8 +942,7 @@ def test_quantum_average_keeps_principal_level_exactly():
 def test_birkhoff_leaves_every_level_diagonal(lam, N, K):
     # level ell is carried to degree N - 2 ell, the part the mode symbol
     # resolves, and comes out diagonal there
-    _, sym = birkhoff(barrier_levels(BlackHoleParams(m=1.0, lam=lam), N, K),
-                      K, N)
+    _, sym = birkhoff(barrier_levels(lam, N, K), K, N)
     assert sorted(sym.levels) == list(range(0, K + 1, 2))
     for k, s in sym.levels.items():
         assert s.trunc_order == N - 2 * k
@@ -947,8 +956,8 @@ def test_birkhoff_leaves_every_level_diagonal(lam, N, K):
 def test_quantum_average_vs_average_through_inverse(m, lam, N, K):
     # the round trip through g^{-1}(Q) and back, from the h^0 pass alone,
     # reaches the same levels on every resolved coefficient, w^j at level k
-    # with 2j + 2k <= N
-    sym = barrier_levels(BlackHoleParams(m=m, lam=lam), N, K)
+    # with 2j + 2k <= N; at m = 2.5 the barrier in units of that mass
+    sym = barrier_levels(lam, N, K, m)
     got = diag_levels(birkhoff(sym, K, N)[1])
     want = average_through_inverse(birkhoff_h0(sym, K, N)[1], K, N)
 
@@ -1211,7 +1220,8 @@ def test_qnm_symbol_builds_one_barrier_series(monkeypatch):
     assert potentials._MEMO == []
     for fn, got in taylor.items():
         assert np.array(got.coeffs).tobytes() \
-            == np.array(fn(p.unit_mass(), 18).coeffs).tobytes(), fn.__name__
+            == np.array(fn(p.unit_mass().lam, 18).coeffs).tobytes(), \
+            fn.__name__
     assert built[2] is not built[0]
     # lam m^2 = 0.01 exactly, where the unit-mass (32,12) symbol is refused
     p = BlackHoleParams(m=2.0, lam=0.0025)
@@ -1247,7 +1257,7 @@ def test_qnm_symbol_tends_to_poschl_teller_limit():
     quotients = []
     for target in (1e-2, 1e-3, 1e-4):
         p = BlackHoleParams(m=1.0, lam=(1.0 - target) / 9.0)
-        E0 = critical_data(p).E0
+        E0 = critical_data(p.lam)
         # delta as rounded into E0 = delta / 27 at m = 1
         kappa, delta = math.sqrt(E0), 27.0 * E0
         G = qnm_symbol(p, 16, 4)
@@ -1274,11 +1284,12 @@ def test_qnm_symbol_deep_shapes_pass_mass_scan():
 @pytest.mark.parametrize("N", [10, 14])
 def test_qnm_symbol_leading_level_is_classical_normal_form(m, lam, N):
     # both run the one Birkhoff reduction: G_0(x)^2 = E0 + g(mu * SPECTRAL_ARG
-    # * x) with g, mu the Vey-normalized classical normal form
+    # * x) with g, mu the Vey-normalized classical normal form of the
+    # barrier in units of m
     p = BlackHoleParams(m=m, lam=lam)
-    E0 = critical_data(p).E0
+    E0 = critical_data(p.unit_mass().lam) / m ** 2
     G0 = qnm_symbol(p, N, h_order=0).level(0)
-    nf = classical_bnf(barrier_symbol(p, N), N)
+    nf = classical_bnf(barrier_symbol(p.unit_mass().lam, N, m), N)
     want = [E0 * (k == 0) + complex(c) * (nf.mu * SPECTRAL_ARG) ** k
             for k, c in enumerate(nf.g.coeffs)]
     got = (G0 * G0).coeffs

@@ -97,27 +97,26 @@ def test_hermite_function_ode():
 # scaled symbol and ellipticity
 
 
-def scaled_symbol(x, xi, cfg, p):
+def scaled_symbol(x, xi, cfg, lam):
     """p_theta(x, xi) = ((1+i theta)^{-1} xi)^2 + V(x + i theta x).
 
     x is measured from the barrier top (shifted coordinate); V is the
     holomorphically continued shifted potential, from the march along the
     ray.
     """
-    cd = critical_data(p)
     th = cfg.theta
-    w0, _ = potential_from_r(*inverse_tortoise_ray(np.array([x]), th, p), p)
-    v = complex(w0[0]) - cd.E0
+    w0, _ = potential_from_r(*inverse_tortoise_ray(np.array([x]), th, lam),
+                             lam, 1.0)
+    v = complex(w0[0]) - critical_data(lam)
     return ((1.0 + 1j * th) ** -1 * xi) ** 2 + v
 
 
-def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
+def ellipticity_scan(cfg, lam, eps, x_grid, xi_grid):
     """min of |p_theta|/(1+xi^2) outside the eps-ball around (0,0)."""
-    cd = critical_data(p)
     th = cfg.theta
     xg = np.asarray(x_grid, float)
-    w0, _ = potential_from_r(*inverse_tortoise_ray(xg, th, p), p)
-    v = w0 - cd.E0
+    w0, _ = potential_from_r(*inverse_tortoise_ray(xg, th, lam), lam, 1.0)
+    v = w0 - critical_data(lam)
     best = None
     argmin = None
     for xi in np.asarray(xi_grid, float):
@@ -137,38 +136,37 @@ def ellipticity_scan(cfg, p, eps, x_grid, xi_grid):
 
 def test_scaled_symbol_unrotated_and_origin():
     cfg0 = ScalingConfig(theta=0.0, basis_size=128)
-    cd = critical_data(P1)
     # theta = 0: p = xi^2 + (W0(x0+x) - E0)
-    assert abs(scaled_symbol(0.0, 0.5, cfg0, P1) - 0.25) <= 1e-12
-    assert abs(scaled_symbol(0.0, 0.0, cfg0, P1)) <= 1e-14
+    assert abs(scaled_symbol(0.0, 0.5, cfg0, 0.0) - 0.25) <= 1e-12
+    assert abs(scaled_symbol(0.0, 0.0, cfg0, 0.0)) <= 1e-14
     # critical point: gradient vanishes for any theta
     cfg = ScalingConfig(theta=0.3, basis_size=128)
     d = 1e-5
-    gx = (scaled_symbol(d, 0.0, cfg, P1)
-          - scaled_symbol(-d, 0.0, cfg, P1)) / (2 * d)
-    assert abs(gx) <= 1e-8 * cd.E0
+    gx = (scaled_symbol(d, 0.0, cfg, 0.0)
+          - scaled_symbol(-d, 0.0, cfg, 0.0)) / (2 * d)
+    assert abs(gx) <= 1e-8 * critical_data(0.0)
 
 
 def test_scaled_symbol_sign_of_imaginary_part():
     # near the barrier top, Im p_theta <= -c theta (x^2 + xi^2); the
     # constant along the x-direction is of order E0^2 (the barrier
     # curvature), much smaller than the O(1) xi-direction constant
-    cd = critical_data(P1)
+    E0 = critical_data(0.0)
     cfg = ScalingConfig(theta=0.2, basis_size=128)
     worst = -np.inf
     for x in np.linspace(-1.0, 1.0, 9):
         for xi in np.linspace(-1.0, 1.0, 9):
             if x * x + xi * xi < 1e-4:
                 continue
-            v = scaled_symbol(float(x), float(xi), cfg, P1)
+            v = scaled_symbol(float(x), float(xi), cfg, 0.0)
             worst = max(worst, v.imag / (x * x + xi * xi))
-    assert worst < -0.5 * cfg.theta * cd.E0 ** 2
+    assert worst < -0.5 * cfg.theta * E0 ** 2
 
 
 def test_ellipticity_scan_positive():
     cfg = ScalingConfig(theta=0.2, basis_size=128)
     grid = np.linspace(-2.0, 2.0, 41)
-    rep = ellipticity_scan(cfg, P1, 0.3, grid, grid)
+    rep = ellipticity_scan(cfg, 0.0, 0.3, grid, grid)
     assert not rep["empty_domain"]
     assert rep["min_ratio"] > 0.0
     x, xi = rep["argmin"]
@@ -178,15 +176,15 @@ def test_ellipticity_scan_positive():
 def test_ellipticity_scan_empty():
     cfg = ScalingConfig(theta=0.2, basis_size=128)
     grid = np.linspace(-0.05, 0.05, 5)
-    rep = ellipticity_scan(cfg, P1, 1.0, grid, grid)
+    rep = ellipticity_scan(cfg, 0.0, 1.0, grid, grid)
     assert rep["empty_domain"]
 
 
 def test_ellipticity_scales_with_theta():
     grid = np.linspace(-1.5, 1.5, 61)
-    r1 = ellipticity_scan(ScalingConfig(theta=0.1, basis_size=128), P1,
+    r1 = ellipticity_scan(ScalingConfig(theta=0.1, basis_size=128), 0.0,
                           0.3, grid, grid)
-    r2 = ellipticity_scan(ScalingConfig(theta=0.2, basis_size=128), P1,
+    r2 = ellipticity_scan(ScalingConfig(theta=0.2, basis_size=128), 0.0,
                           0.3, grid, grid)
     ratio = r2["min_ratio"] / r1["min_ratio"]
     assert 1.0 < ratio < 4.0
@@ -223,7 +221,7 @@ def test_operator_free_particle_nonnegative():
 
 def test_operator_complex_symmetric():
     cfg = ScalingConfig(theta=0.3, basis_size=40)
-    mat = build_scaled_operator(cfg, P1, 1.0 / 8.5)
+    mat = build_scaled_operator(cfg, 0.0, 1.0 / 8.5)
     assert np.max(np.abs(mat - mat.T)) <= 1e-13
 
 
@@ -237,13 +235,12 @@ def test_operator_complex_symmetric():
 @pytest.mark.parametrize("theta", [0.3, 0.4])
 @pytest.mark.parametrize("n", [128, 160])
 def test_leading_block_of_enlarged_build(n, theta, lam):
-    p = BlackHoleParams(m=1.0, lam=lam)
     for ell in (4, 10, 16):
         h = 1.0 / (ell + 0.5)
         mat = build_scaled_operator(ScalingConfig(theta=theta, basis_size=n),
-                                    p, h)
+                                    lam, h)
         big = build_scaled_operator(
-            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), p, h)
+            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), lam, h)
         assert np.max(np.abs(big[:n, :n] - mat)) \
             <= 1e-12 * np.max(np.abs(mat)), ell
 
@@ -383,7 +380,7 @@ def test_qnm_direct_mode_set_on_bench_grid():
         h = 1.0 / (ell + 0.5)
         lams = qnm_direct(ell, cfg, P1)
         assert len(lams) == count, ell
-        vals = eigensolve(build_scaled_operator(cfg, P1, h))
+        vals = eigensolve(build_scaled_operator(cfg, 0.0, h))
         for z in (h * lams) ** 2:
             assert np.min(np.abs(vals - z)) <= 1e-12 * abs(z), ell
 
@@ -522,7 +519,7 @@ def test_qnm_direct_selection_matches_four_filter_oracle(spectra):
     kept = compared = 0
     for lam, theta, n, ell in ORACLE_GRID:
         p = BlackHoleParams(m=1.0, lam=lam)
-        E0 = critical_data(p).E0
+        E0 = critical_data(lam)
         h = 1.0 / (ell + 0.5)
         cfg = ScalingConfig(theta=theta, basis_size=n)
         spectra.clear()
@@ -532,7 +529,7 @@ def test_qnm_direct_selection_matches_four_filter_oracle(spectra):
             got = np.zeros(0, complex)
         ((vals, vecs),) = spectra
         mat2 = build_scaled_operator(
-            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), p, h)
+            ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), lam, h)
         vals2 = eigensolve(mat2)
         want = direct_modes_four_filters(vals, vals2, E0, h, theta)
         assert got.tobytes() == want.tobytes(), (lam, theta, n, ell)
@@ -587,9 +584,9 @@ def test_qnm_direct_drift_follows_the_continued_eigenvalue(spectra):
         qnm_direct(2, cfg, P1)
     ((vals, vecs),) = spectra
     mat2 = build_scaled_operator(ScalingConfig(theta=0.05, basis_size=840),
-                                 P1, h)
+                                 0.0, h)
     vals2 = eigensolve(mat2)
-    E0 = critical_data(P1).E0
+    E0 = critical_data(0.0)
     outside = np.flatnonzero(np.abs(vals - E0) > WINDOW * E0)
     near = relative_drift(vals[outside], vals2, E0)
     ((j,),) = np.nonzero(near <= STAB_REL)

@@ -93,6 +93,16 @@ ARGVS = [
     ["lattice", "--m", "2.5e153"],
     ["gsymbol", "--m", "1e100"],
     ["count", "--m", "1e-150"],
+    # `potential` solved at unit mass: the lambda = 0 offset 2 log m, and
+    # lambda > 0; every command at the small end of the mass range with
+    # lambda m^2 = 0.02, where 9 lambda overflows
+    ["potential", "--m", "3.7"],
+    ["potential", "--m", "0.37", "--lam", "0.1"],
+    ["gsymbol", "--m", "2.9e-155", "--lam", "2.378e307"],
+    ["lattice", "--m", "2.9e-155", "--lam", "2.378e307"],
+    ["count", "--m", "2.9e-155", "--lam", "2.378e307"],
+    ["direct", "--m", "2.9e-155", "--lam", "2.378e307"],
+    ["potential", "--m", "2.9e-155", "--lam", "2.378e307"],
 ]
 
 
