@@ -123,9 +123,6 @@ def _check_config(cfg, command):
         # lacks; `potential` only tabulates W
         if command in ("gsymbol", "lattice", "count", "direct"):
             E0 = potentials.critical_data(lam)
-        # these invert the tortoise coordinate, which needs both horizons
-        if command in ("potential", "direct"):
-            potentials.tortoise(3.0, lam)
         scaling.ScalingConfig(cfg["theta"], cfg["basis_size"])
         pseudospectrum.RotatedHOConfig(cfg["pseudo_h"], cfg["basis_size"])
     except (ValueError, ArithmeticError) as e:
@@ -214,7 +211,7 @@ def cmd_potential(cfg):
         import numpy as np
         xs = np.linspace(cfg["x_min"], cfg["x_max"], npts)
         # r(x) is solved in units of m, where x is x/m, less 2 log m at
-        # lambda = 0 (`potentials._Tortoise`)
+        # lambda = 0 (`potentials._chart`)
         lam = p.unit_mass().lam
         x1 = xs / p.m - (2.0 * math.log(p.m) if lam == 0 else 0.0)
         w0, w1 = potentials.potential_from_r(

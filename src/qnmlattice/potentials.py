@@ -13,6 +13,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,16 +44,6 @@ class BlackHoleParams:
         return BlackHoleParams(1.0, self.lam * self.m * self.m)
 
 
-@dataclass(frozen=True)
-class HorizonData:
-    r0: float
-    r_minus: float
-    r_plus: float
-    a0: float
-    a_minus: float
-    a_plus: float
-
-
 def alpha_squared(r, lam):
     """alpha(r)^2 = 1 - 2/r - (1/3) lam r^2 (complex-safe)."""
     if np.any(r == 0):
@@ -65,196 +56,201 @@ def _dalpha2_dr(r, lam):
 
 
 def horizon_roots(lam):
-    """Real roots of r*alpha^2(r) = 0 for lam > 0, with tortoise residues."""
-    if lam <= 0:
-        raise ValueError("horizon_roots requires lam > 0")
-    # r*alpha^2 = -(lam/3) r^3 + r - 2
-    roots = np.roots([-lam / 3.0, 0.0, 1.0, -2.0])
-    roots = np.sort(roots.real[np.abs(roots.imag) < 1e-8 * np.max(np.abs(roots))])
-    if len(roots) != 3:
-        raise ValueError("ill-conditioned horizon roots (near-extremal?)")
-    r0, rm, rp = roots
-    # the root 2 collapses to 0 next to the roots near +-sqrt(3/lam)
-    if not (r0 < 0 < rm):
-        raise ValueError("lam m^2 = %g is too small to resolve the "
-                         "cosmological horizon" % lam)
-    if not rm < rp:
-        raise ValueError("unexpected root ordering; parameters near-extremal")
-    a0, am, ap = (1.0 / _dalpha2_dr(r, lam) for r in (r0, rm, rp))
-    return HorizonData(r0=r0, r_minus=rm, r_plus=rp,
-                       a0=a0, a_minus=am, a_plus=ap)
+    """(r0, r_minus, r_plus), the roots of r alpha^2 at 0 < lam < 1/9.
+    Newton on the cubic in d = r - 3, (1 - 9 lam)(1 + d) - lam d^2
+    (3 + d/3), whose terms keep their precision as the horizons close on
+    3, rises from r = 2 to r_minus and falls from sqrt(3/lam) to r_plus:
+    the cubic is concave, and monotone on each side.  Nothing forms lam/3
+    or d^3, which leave the floats at the subnormal lam."""
+    if not (0 < lam and 9.0 * lam < 1.0):
+        raise ValueError("horizon_roots requires 0 < lam < 1/9")
+    e9 = (1.0 - 8.0 * lam) - lam
+    roots = []
+    for d, sign in ((-1.0, 1.0), (math.sqrt(3.0) / math.sqrt(lam) - 3.0,
+                                  -1.0)):
+        for _ in range(100):
+            ld = lam * d
+            step = d - (e9 * (1.0 + d) - ld * d * (3.0 + d / 3.0)) \
+                / (e9 - ld * (6.0 + d))
+            if not (step - d) * sign > 0:
+                break
+            d = step
+        roots.append(3.0 + d)
+    rm, rp = roots
+    return -(rm + rp), rm, rp
 
 
-@dataclass(frozen=True)
-class _Tortoise:
-    """The log structure of the tortoise coordinate, for roots (a, c, s):
+def _log1p(w, atanh):
+    """log(1 + w) for complex w with Re w > -1, to full relative
+    precision at small |w|: numpy's complex log1p forms 1 + w, and cmath
+    has none."""
+    return 2.0 * atanh(w / (2.0 + w))
 
-    x(r) = lin * r + sum c log(s (r - a)),   alpha^2 = k prod s (r - a) / r.
 
-    lam = 0 has the one root (2, 2, +1) with lin = k = 1; lam > 0 has the
-    three roots of r alpha^2 with their residues, lin = 0 and k = lam/3.
-    The signs s make every log argument positive between the horizons.
+# the chart's functions on numpy arrays, and on Python complex scalars,
+# whose arithmetic is faster than numpy scalars' in `_march`'s loop
+_ARRAY = (np.exp, np.arctanh)
+_SCALAR = (cmath.exp, cmath.atanh)
 
-    This is x in units of the mass.  At mass m the package's tortoise
-    coordinate is m x(r/m) for lam > 0, since the residues sum to 0, and
-    m x(r/m) + 2m log m for lam = 0, whose chart there is log(r - 2m).
+
+class _Chart(NamedTuple):
+    """One chart of the exterior r_minus < r < r_plus in units of the
+    mass: `at(v, fns)` gives (r, x, dv/dx, alpha^2) at the chart
+    coordinate v, with fns `_ARRAY` or `_SCALAR`; `seed(x)` a v at or
+    above the root of x(v) = x for a real array x; (v3, x3) the barrier
+    top r = 3."""
+    at: Callable
+    seed: Callable
+    v3: float
+    x3: float
+
+
+def _chart(lam):
+    """The tortoise chart of the hole lam: a coordinate v of the exterior
+    on which x(v) is increasing and convex, so Newton from a seed at or
+    above the root falls monotonically to it.
+
+    At lam = 0, v = L = log(r - 2): r = 2 + e^L, x = 2 L + r and
+    dL/dx = 1/r.  Below the barrier top the seed is min((x - 2)/2, 0), as
+    x(L) lies above its asymptote 2 L + 2; above it, log(x - 3 + 1), at
+    r = x, where x(L) - x = 2 log(r - 2) >= 0.  At mass m the package's
+    tortoise coordinate is m x(r/m) + 2m log m.
+
+    At lam > 0, v = log((r - r_minus)/(r_plus - r)).  With D =
+    r_plus - r_minus, the logistic s(v) = 1/(1 + e^-v) and the residues
+    c = 1/alpha^2'(a) of the roots a,
+
+      r = r_minus + D s(v),    dv/dx = (lam D/3)(r - r0)/r,
+      x = c_minus log s(v) + c_plus log s(-v)
+          + c0 log1p((r - 3)/(3 - r0)) + c0 log1p((3 + 2 r_minus)/D).
+
+    As the residues sum to 0, this is sum c log|r - a| (at mass m the
+    package's x is m x(r/m)), but no term is larger than x.  Only
+    e^-|Re v| is formed, and no r - a next to a horizon: alpha^2 =
+    (dv/dx) D s(v) s(-v).  dx/dv = 3r/(lam D (r - r0)) grows with r, and
+    x(v) lies above its asymptotes c_minus v + x_in at -inf and
+    -c_plus v + x_out at +inf.  The seed is the lesser of v3 and the inner
+    asymptote's root below x3, and above it the lesser of the outer
+    asymptote's root and v(3 + x - x3), since dx/dr = 1/alpha^2 >= 1.
     """
-    lin: float
-    k: float
-    roots: tuple
-
-    def x(self, r, skip=None):
-        """x(r), leaving out the log term of root `skip`."""
-        return self.lin * r + sum(c * np.log(s * (r - a))
-                                  for i, (a, c, s) in enumerate(self.roots)
-                                  if i != skip)
-
-    def chart(self, root, exp, log):
-        """The log chart L = log(s (r - a)) of root (a, c, s): a function
-        of L giving r = a + s e^L, x(r) = c L + (the other terms) and
-        dL/dx = alpha^2 / (s e^L), with `exp` and `log` of numpy (arrays)
-        or of cmath (scalars).  None of them forms r - a, which may be
-        exponentially small: alpha^2 / e^L is the product of the other
-        roots' factors, finite when e^L underflows below the ulp of r, and
-        winding in Im(x) is carried by L itself."""
-        a, c, s = self.roots[root]
-        lin, k = self.lin, self.k
-        others = [rt for i, rt in enumerate(self.roots) if i != root]
-
-        def at(L):
-            r = a + s * exp(L)
-            xo, q = 0, k / r
-            for ai, ci, si in others:
-                d = si * (r - ai)
-                xo = xo + ci * log(d)
-                q = q * d
-            return r, c * L + (lin * r + xo), q / s
-        return at
-
-
-def _tortoise_terms(lam):
     if lam == 0:
-        return _Tortoise(1.0, 1.0, ((2.0, 2.0, 1.0),))
-    hz = horizon_roots(lam)
-    # Python floats: numpy scalars would slow `_march`'s scalar arithmetic
-    return _Tortoise(0.0, lam / 3.0, tuple(
-        (float(a), float(c), s) for a, c, s in
-        ((hz.r0, hz.a0, 1.0), (hz.r_minus, hz.a_minus, 1.0),
-         (hz.r_plus, hz.a_plus, -1.0))))
+        def at(L, fns):
+            e = fns[0](L)
+            r = 2.0 + e
+            dL_dx = 1.0 / r
+            return r, 2.0 * L + r, dL_dx, dL_dx * e
+
+        def seed(x):
+            return np.where(x < 3.0, np.minimum((x - 2.0) / 2.0, 0.0),
+                            np.log(np.maximum(x - 3.0, 0.0) + 1.0))
+        return _Chart(at, seed, 0.0, 3.0)
+    r0, rm, rp = horizon_roots(lam)
+    D = rp - rm
+    # lam D/3, not lam/3 D: lam/3 underflows at the subnormal lam
+    k = lam * D / 3.0
+    # the residues 1/alpha^2'(a), factored so that no product overflows
+    cm = rm / (k * (rm - r0))
+    cp = -rp / (k * (rp - r0))
+    c0 = -r0 / (rp - r0) * (D / (k * (rm - r0)))
+    top = 3.0 - r0
+    K = c0 * math.log1p((3.0 + 2.0 * rm) / D)
+    log_D = math.log(D)
+
+    def at(v, fns):
+        exp, atanh = fns
+        # 1 on r_plus's side of v = 0, else 0; g = +-v has Re g >= 0
+        up = 1.0 * (v.real >= 0)
+        dn = 1.0 - up
+        g = v * (up - dn)
+        # D e^-g, the distance to the near horizon, stays normal where
+        # e^-g alone underflows: D reaches 7.8e161
+        De = exp(log_D - g)
+        e = De / D
+        e1 = 1.0 + e
+        Dq = De / e1
+        r = (rp * up + rm * dn) + Dq * (dn - up)
+        x = c0 * (_log1p(e, atanh) + _log1p((r - 3.0) / top, atanh)) \
+            + (cm * dn - cp * up) * v + K
+        dv_dx = k * (r - r0) / r
+        return r, x, dv_dx, dv_dx * (Dq / e1)
+
+    v3 = math.log((3.0 - rm) / (rp - 3.0))
+    x3 = at(complex(v3), _SCALAR)[1].real
+    x_in = c0 * math.log1p((rm - 3.0) / top) + K
+    x_out = c0 * math.log1p((rp - 3.0) / top) + K
+
+    def seed(x):
+        rs = 3.0 + (x - x3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_rs = np.where(rs < rp, np.log((rs - rm) / (rp - rs)), np.inf)
+        return np.where(x < x3, np.minimum((x - x_in) / cm, v3),
+                        np.minimum(v_rs, (x - x_out) / -cp))
+    return _Chart(at, seed, v3, x3)
 
 
-def tortoise(r, lam):
-    """x(r) with dx/dr = 1/alpha^2, real-valued on the exterior region."""
-    tt = _tortoise_terms(lam)
-    if not all(s * (r - a) > 0 for a, _, s in tt.roots):
-        raise ValueError("need r between the horizons")
-    return float(tt.x(r))
-
-
-def _failed(count, tt, lam):
-    """The error for `count` points whose residual |x(r) - x| exceeds
-    1e-9 max(1, |x|)."""
-    msg = "tortoise continuation failed at %d points" % count
-    if lam > 0:
-        # the outer horizons' residues grow as sqrt(3/lam)/2, so below
-        # lam of about 1e-12 the rounding of their cancelling c log terms
-        # in x(r) alone fails the residual test
-        cmax = max(abs(c) for _, c, _ in tt.roots)
-        msg += (" (lam m^2 = %.3g: x(r) sums cancelling horizon terms "
-                "c log(r - a) with |c| up to %.3g m, whose rounding, "
-                "about %.2g m, is held to 1e-9 max(m, |x|))"
-                % (lam, cmax, np.finfo(float).eps
-                   * cmax * max(1.0, abs(math.log(cmax)))))
-    return RuntimeError(msg)
+def _failed(count):
+    return RuntimeError("tortoise continuation failed at %d points" % count)
 
 
 def inverse_tortoise(x, lam):
     """r(x) and alpha^2(r(x)) on the real line for a real array x, as
     complex arrays of x's shape with zero imaginary parts.
 
-    Each point is solved by Newton in the log-distance L = log(s (r - a))
-    to one horizon a (`_Tortoise.chart`): to 2 at lam = 0, and at lam > 0
-    to the horizon on x's side of the barrier top, r_minus if x < x(3)
-    else r_plus.  The seed is L = min((x - the other terms of x at
-    r = a)/c, log s (3 - a)): the other terms grow from r = a to 3, so
-    both lie on the barrier-top side of the root.  At lam = 0 past the
-    barrier top it is L = log(x - x(3) + 1), r = x, where
-    x(r) - x = 2 log(r - 2) >= 0.  x(L) is increasing and convex on
-    2's and r_minus's chart, decreasing and concave on r_plus's, so
-    Newton moves monotonically to the root and stays in the chart.  A
-    point leaves the iteration once its own step in L is below
-    1e-13 max(1, |L|), so its result does not depend on the other points.
-    alpha^2 is formed from e^L for full relative precision; a residual
+    Each point is solved by Newton on the chart of `_chart` from its
+    seed, which Newton leaves monotonically for the root.  A point leaves
+    the iteration once its own step is below 1e-13 max(1, |v|), so its
+    result does not depend on the other points.  A residual
     |x(r) - x| above 1e-9 max(1, |x|) fails the call.
     """
     x = np.asarray(x, dtype=float)
     xf = x.ravel()
-    tt = _tortoise_terms(lam)
-    x3 = tt.x(3.0)
-    root = np.where(xf < x3, 1, 2) if lam > 0 \
-        else np.zeros(xf.shape, dtype=int)
-    r = np.zeros(xf.shape, dtype=complex)
-    a2 = np.zeros(xf.shape, dtype=complex)
-    bad = 0
-    for i in np.unique(root):
-        a, c, s = tt.roots[i]
-        mask = root == i
-        xr = xf[mask]
-        L = np.minimum((xr - tt.x(a, skip=i)) / c, math.log(s * (3.0 - a)))
-        if lam == 0:
-            L = np.where(xr < x3, L, np.log(np.maximum(xr - x3, 0.0) + 1.0))
-        L = L.astype(complex)
-        chart = tt.chart(i, np.exp, np.log)
-        # a diverging point may overflow to inf or nan: the residual check
-        # below catches it, so the floating-point warnings are muted
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            live = np.arange(L.size)
-            for _ in range(40):
-                _, xL, dL_dx = chart(L[live])
-                dL = -(xL - xr[live]) * dL_dx
-                L[live] += dL
-                live = live[~(np.abs(dL)
-                              < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
-                if not live.size:
-                    break
-            r[mask], xL, dL_dx = chart(L)
-            # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
-            a2[mask] = s * dL_dx * np.exp(L)
-            bad += int(np.sum(~(np.abs(xL - xr)
-                                <= 1e-9 * np.maximum(1.0, np.abs(xr)))))
+    ch = _chart(lam)
+    v = ch.seed(xf).astype(complex)
+    # a diverging point may overflow to inf or nan: the residual check
+    # below catches it, so the floating-point warnings are muted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        live = np.arange(v.size)
+        for _ in range(40):
+            _, xv, dv_dx, _ = ch.at(v[live], _ARRAY)
+            dv = -(xv - xf[live]) * dv_dx
+            v[live] += dv
+            live = live[~(np.abs(dv)
+                          < 1e-13 * np.maximum(1.0, np.abs(v[live])))]
+            if not live.size:
+                break
+        r, xv, _, a2 = ch.at(v, _ARRAY)
+        bad = int(np.sum(~(np.abs(xv - xf)
+                           <= 1e-9 * np.maximum(1.0, np.abs(xf)))))
     if bad:
-        raise _failed(bad, tt, lam)
+        raise _failed(bad)
     return r.reshape(x.shape), a2.reshape(x.shape)
 
 
-def _march(xs, x3, tt, root):
+def _march(xs, ch):
     """(r, alpha^2) pairs at the points xs (Python complex numbers, in
-    order along a path from x3 = x(3)), each node's Newton seeded from
-    the one before.  The march stops at the first node that fails, so on
-    failure fewer pairs than points come back."""
-    a, _, s = tt.roots[root]
-    chart = tt.chart(root, cmath.exp, cmath.log)
-    L = complex(math.log(s * (3.0 - a)))
-    x_prev = x3
-    _, _, dL_dx = chart(L)
+    order along a path from the barrier top), each node's Newton seeded
+    from the one before.  The march stops at the first node that fails,
+    so on failure fewer pairs than points come back."""
+    v, x_prev = complex(ch.v3), ch.x3
+    _, _, dv_dx, _ = ch.at(v, _SCALAR)
     out = []
     for x in xs:
         try:
             # one Euler step from the previous node, then Newton
-            L += (x - x_prev) * dL_dx
+            v += (x - x_prev) * dv_dx
             for _ in range(40):
-                _, xL, dL_dx = chart(L)
-                dL = -(xL - x) * dL_dx
-                L += dL
-                if abs(dL) < 1e-13 * max(1.0, abs(L)):
+                _, xv, dv_dx, _ = ch.at(v, _SCALAR)
+                dv = -(xv - x) * dv_dx
+                v += dv
+                if abs(dv) < 1e-13 * max(1.0, abs(v)):
                     break
-            r, xL, dL_dx = chart(L)
-            if not abs(xL - x) <= 1e-9 * max(1.0, abs(x)):
+            r, xv, dv_dx, a2 = ch.at(v, _SCALAR)
+            if not abs(xv - x) <= 1e-9 * max(1.0, abs(x)):
                 break
         except (ArithmeticError, ValueError):
             # cmath raises where numpy gives inf or nan
             break
-        out.append((r, s * dL_dx * cmath.exp(L)))
+        out.append((r, a2))
         x_prev = x
     return out
 
@@ -264,32 +260,29 @@ def inverse_tortoise_ray(t, theta, lam):
     array t: r(x) continued holomorphically off the real line from the
     barrier top r(x(3)) = 3 along the ray, by one Newton pass per node.
     Each side of t = 0 is sorted by |t| and marched outward from r = 3 on
-    the horizon chart `inverse_tortoise` takes on that side of the barrier
-    top (2's at lam = 0; r_minus's for t < 0 and r_plus's for t >= 0 at
-    lam > 0).  A node's Newton starts from its neighbour's L plus one
-    Euler step, (x - x_prev) dL/dx, and stops on its own step as
+    the chart of `_chart`.  A node's Newton starts from its neighbour's v
+    plus one Euler step, (x - x_prev) dv/dx, and stops on its own step as
     `inverse_tortoise`'s does; its residual is held to the same
     1e-9 max(1, |x|).  A node that fails ends its side's march, and it
     and the nodes past it count as failed.  The cost is two or three chart
     evaluations per node, whatever theta.
     """
     t = np.asarray(t, dtype=float)
-    tt = _tortoise_terms(lam)
-    x3 = float(tt.x(3.0))
-    xf = (x3 + (1.0 + 1j * theta) * t).ravel()
+    ch = _chart(lam)
+    xf = (ch.x3 + (1.0 + 1j * theta) * t).ravel()
     tf = t.ravel()
     r = np.empty(xf.shape, dtype=complex)
     a2 = np.empty(xf.shape, dtype=complex)
     bad = 0
-    for side, root in ((tf < 0, 1), (tf >= 0, 2)):
+    for side in (tf < 0, tf >= 0):
         idx = np.flatnonzero(side)
         idx = idx[np.argsort(np.abs(tf[idx]), kind="stable")]
-        out = _march(xf[idx].tolist(), x3, tt, root if lam > 0 else 0)
+        out = _march(xf[idx].tolist(), ch)
         bad += idx.size - len(out)
         if out:
             r[idx[:len(out)]], a2[idx[:len(out)]] = zip(*out)
     if bad:
-        raise _failed(bad, tt, lam)
+        raise _failed(bad)
     return r.reshape(t.shape), a2.reshape(t.shape)
 
 

@@ -30,7 +30,8 @@ Schwarzschild-de Sitter symbol, `sds_poschl_teller_limit`.  Also the
 classical normal form with its
 Jacobian factor and action, `classical_bnf`, the series antiderivative
 and reversion these oracles use, and a 50-digit Taylor oracle for the
-barrier potential, `barrier_taylor_mp`, the real inverse tortoise
+barrier potential, `barrier_taylor_mp`, the tortoise coordinate x(r)
+from mpmath's own horizon roots, `tortoise`, the real inverse tortoise
 coordinate at lam = 0 from scipy's Wright omega, `inverse_tortoise_wright`,
 at any lam as a bracketed mpmath root in the log-distance to a horizon,
 `inverse_tortoise_mp`, and its complex continuation along a straight
@@ -75,8 +76,7 @@ from qnmlattice.catalog import (MAX_ELL, VALIDITY_FRAC, counting_constant,
 from qnmlattice.normalform import (TWO_PI, _birkhoff, _columns, _degree,
                                    _diag_levels, _start,
                                    quad_reduce)
-from qnmlattice.potentials import (_failed, _tortoise_terms,
-                                   horizon_roots)
+from qnmlattice.potentials import _ARRAY, _chart, _failed
 from qnmlattice.scaling import STAB_REL, WINDOW, _u2_matrix
 from qnmlattice.series import HGraded, Series1, Series2
 
@@ -934,14 +934,68 @@ def inverse_tortoise_wright(x, m):
         np.asarray(x, dtype=float) / (2.0 * m) - 1.0 - math.log(2.0 * m)))
 
 
+def _lam_digits(lam):
+    """Digits to add for the hole lam > 0: its far roots are near
+    +-sqrt(3/lam), with residues near +-sqrt(3/lam)/2, and x(r) =
+    sum c log|r - a| cancels their log terms down to O(r)."""
+    return max(0, -math.floor(math.log10(lam))) if lam else 0
+
+
+@functools.lru_cache(maxsize=None)
+def _roots_mp(lam, dps):
+    """(lin, ((a, c, s), ...)) at dps digits for x(r) = lin r +
+    sum c log(s (r - a)): the roots a of r alpha^2 at unit mass, their
+    residues c = 1/alpha^2'(a) and the signs s with s (r - a) > 0 between
+    the horizons.  At lam = 0 the one root 2 and lin = 1; at lam > 0 the
+    three roots of -(lam/3) r^3 + r - 2, sqrt(3/lam) times those of
+    rho^3 - rho + 2/sqrt(3/lam) from `mpmath.polyroots`, and lin = 0."""
+    with mpmath.workdps(dps):
+        if lam == 0:
+            return 1, ((mpmath.mpf(2), mpmath.mpf(2), 1),)
+        lam = mpmath.mpf(lam)
+        scale = mpmath.sqrt(3 / lam)
+        rhos = mpmath.polyroots([1, 0, -1, 2 / scale], maxsteps=200,
+                                extraprec=mpmath.mp.prec)
+        roots = sorted(mpmath.re(rho) * scale for rho in rhos)
+        return 0, tuple((a, 1 / (2 / a ** 2 - 2 * lam * a / 3), s)
+                        for a, s in zip(roots, (1, 1, -1)))
+
+
+def _tortoise_mp(lam):
+    """x(r, skip) = lin r + sum c log(s (r - a)) of `_roots_mp` at the
+    working precision, leaving out the term of root index `skip`, and
+    the roots."""
+    lin, roots = _roots_mp(lam, mpmath.mp.dps)
+
+    def x_of(r, skip=None):
+        return lin * r + sum(c * mpmath.log(s * (r - a))
+                             for i, (a, c, s) in enumerate(roots)
+                             if i != skip)
+    return x_of, roots
+
+
+def tortoise(r, lam):
+    """x(r), the package's tortoise coordinate at unit mass, as a float:
+    r + 2 log(r - 2) at lam = 0, and sum c log|r - a| over the horizon
+    roots a and residues c of `_roots_mp` at lam > 0, in 30 digits plus
+    `_lam_digits`, for r between the horizons."""
+    with mpmath.workdps(30 + _lam_digits(lam)):
+        x_of, roots = _tortoise_mp(lam)
+        if not all(s * (r - a) > 0 for a, _, s in roots):
+            raise ValueError("need r between the horizons")
+        return float(x_of(mpmath.mpf(r)))
+
+
 def inverse_tortoise_mp(x, p):
     """r(x) and alpha^2(r(x)) at a real x to the working precision, for
     the package's tortoise coordinate of the hole p at its mass m,
     m x1(r/m), plus 2m log m at lam = 0, where x1(r) = lin r +
     sum c log(s (r - a)) is the unit-mass one, with alpha^2 = k
     prod s (r - a) / r and its horizon roots a and residues c from
-    `horizon_roots` taken as exact; x below the barrier top at lam = 0,
-    anywhere between the horizons at lam > 0.
+    `_roots_mp`, solved at the working precision plus `_lam_digits`; x
+    below the barrier top at lam = 0, anywhere between the horizons at
+    lam > 0.  alpha^2 takes the factor s (r - a) of the chart's horizon
+    as e^L, to full precision next to it.
 
     Solves x1(L) = x/m (less 2 log m at lam = 0) in the log-distance
     L = log(s (r - a)) to the horizon on x's side of the barrier top (2 or
@@ -950,39 +1004,31 @@ def inverse_tortoise_mp(x, p):
     r = 3, which brackets L, and L is at most log(s (3 - a)); the bracket
     goes to mpmath's Anderson-Bjorck solver.
     """
-    m = mpmath.mpf(p.m)
     lam = p.unit_mass().lam
-    if lam == 0:
-        lin, k, roots = 1, 1, [(2, 2, 1)]
-    else:
-        hz = horizon_roots(lam)
-        lin, k = 0, mpmath.mpf(lam) / 3
-        roots = [(hz.r0, hz.a0, 1), (hz.r_minus, hz.a_minus, 1),
-                 (hz.r_plus, hz.a_plus, -1)]
-    roots = [(mpmath.mpf(a), mpmath.mpf(c), s) for a, c, s in roots]
-    x = mpmath.mpf(x) / m - (2 * mpmath.log(m) if lam == 0 else 0)
-    r_top = mpmath.mpf(3)
-
-    def x_of(r, skip=None):
-        return lin * r + sum(c * mpmath.log(s * (r - a))
-                             for i, (a, c, s) in enumerate(roots)
-                             if i != skip)
-
-    above = x >= x_of(r_top)
-    if lam == 0 and above:
-        raise ValueError("lam = 0 needs x below the barrier top")
-    root = 0 if lam == 0 else (2 if above else 1)
-    a, c, s = roots[root]
-    bracket = ((x - x_of(r_top, skip=root)) / c,
-               min((x - x_of(a, skip=root)) / c, mpmath.log(s * (r_top - a))))
-    L = mpmath.findroot(lambda L: c * L + x_of(a + s * mpmath.exp(L),
-                                               skip=root) - x,
-                        bracket, solver="anderson")
-    r = a + s * mpmath.exp(L)
-    a2 = k / r
-    for aa, _, ss in roots:
-        a2 *= ss * (r - aa)
-    return m * r, a2
+    with mpmath.workdps(mpmath.mp.dps + _lam_digits(lam)):
+        m = mpmath.mpf(p.m)
+        x_of, roots = _tortoise_mp(lam)
+        k = mpmath.mpf(lam) / 3 if lam else 1
+        x = mpmath.mpf(x) / m - (2 * mpmath.log(m) if lam == 0 else 0)
+        r_top = mpmath.mpf(3)
+        above = x >= x_of(r_top)
+        if lam == 0 and above:
+            raise ValueError("lam = 0 needs x below the barrier top")
+        root = 0 if lam == 0 else (2 if above else 1)
+        a, c, s = roots[root]
+        bracket = ((x - x_of(r_top, skip=root)) / c,
+                   min((x - x_of(a, skip=root)) / c,
+                       mpmath.log(s * (r_top - a))))
+        L = mpmath.findroot(lambda L: c * L + x_of(a + s * mpmath.exp(L),
+                                                   skip=root) - x,
+                            bracket, solver="anderson")
+        r = a + s * mpmath.exp(L)
+        # s (r - a) = e^L, which r alone may not resolve
+        a2 = k / r * mpmath.exp(L)
+        for i, (aa, _, ss) in enumerate(roots):
+            if i != root:
+                a2 *= ss * (r - aa)
+        return m * r, a2
 
 
 def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
@@ -1012,34 +1058,30 @@ def inverse_tortoise_rk4(m, lam, x0, direction, t_max, steps):
 # a diverging run may overflow to inf or nan: the callers' residual check
 # on |x(r) - x| catches it, so the floating-point warnings are muted
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _continue(x, tt, L, root):
-    """Homotopy-Newton continuation of x(r) = x on the log chart of the
-    root of index `root` (`_Tortoise.chart`), from real-axis seeds L, with
-    Im(x) switched on in steps of at most 1/2 (one step if Im(x) = 0
-    throughout).  In each homotopy step a point leaves the Newton iteration
-    once its own step in L is below 1e-13 max(1, |L|), so its result does
-    not depend on the other points of the array.  Returns r, alpha^2(r),
-    formed from e^L for full relative precision, and |x(r) - x|.
+def _continue(x, ch, v):
+    """Homotopy-Newton continuation of x(r) = x on the chart `ch` of
+    `potentials._chart`, from real-axis seeds v, with Im(x) switched on in
+    steps of at most 1/2 (one step if Im(x) = 0 throughout).  In each
+    homotopy step a point leaves the Newton iteration once its own step in
+    v is below 1e-13 max(1, |v|), so its result does not depend on the
+    other points of the array.  Returns r, alpha^2(r) and |x(r) - x|.
     """
-    s = tt.roots[root][2]
-    chart = tt.chart(root, np.exp, np.log)
     # with Im(x) = 0 every step would solve for the same target
     im_max = float(np.max(np.abs(x.imag)))
     nsteps = max(4, math.ceil(2.0 * im_max)) if im_max else 1
     for j in range(1, nsteps + 1):
         xt = x.real + 1j * x.imag * (j / nsteps)
-        live = np.arange(L.size)
+        live = np.arange(v.size)
         for _ in range(40):
-            _, xL, dL_dx = chart(L[live])
-            dL = -(xL - xt[live]) * dL_dx
-            L[live] += dL
-            live = live[~(np.abs(dL)
-                          < 1e-13 * np.maximum(1.0, np.abs(L[live])))]
+            _, xv, dv_dx, _ = ch.at(v[live], _ARRAY)
+            dv = -(xv - xt[live]) * dv_dx
+            v[live] += dv
+            live = live[~(np.abs(dv)
+                          < 1e-13 * np.maximum(1.0, np.abs(v[live])))]
             if not live.size:
                 break
-    r, xL, dL_dx = chart(L)
-    # alpha^2 = (alpha^2 / e^L) e^L, without forming r - a
-    return r, s * dL_dx * np.exp(L), np.abs(xL - x)
+    r, xv, _, a2 = ch.at(v, _ARRAY)
+    return r, a2, np.abs(xv - x)
 
 
 def inverse_tortoise_homotopy(x, lam):
@@ -1049,40 +1091,17 @@ def inverse_tortoise_homotopy(x, lam):
     oracle of `potentials.inverse_tortoise`.
 
     Vectorized over a complex array x; returns the pair (r, alpha^2).
-    Each point is continued by `_continue` in the log-distance to one
-    horizon a from a real seed L: to 2 at lam = 0, and at lam > 0 to the
-    horizon on Re x's side of the barrier top, r_minus if Re x < x(3)
-    else r_plus.  The seed is L = min((Re x - the other terms of x at
-    r = a)/c, log s (3 - a)): the other terms grow from r = a to 3, so
-    both lie on the barrier-top side of the root.  At lam = 0 past the
-    barrier top it is L = log(Re x - x(3) + 1), r = Re x, where
-    x(r) - Re x = 2 log(r - 2) >= 0.  x(L) is increasing and convex on
-    2's and r_minus's chart, decreasing and concave on r_plus's, so
-    Newton moves monotonically to the real root and stays in the chart.
+    Each point is continued by `_continue` on the chart of
+    `potentials._chart` from the chart's seed at Re x, which Newton
+    leaves monotonically for the real root.
     """
     x = np.asarray(x, dtype=complex)
     xf = x.ravel()
-    tt = _tortoise_terms(lam)
-    x3 = tt.x(3.0)
-    root = np.where(xf.real < x3, 1, 2) if lam > 0 \
-        else np.zeros(xf.shape, dtype=int)
-    r = np.zeros(xf.shape, dtype=complex)
-    a2 = np.zeros(xf.shape, dtype=complex)
-    resid = np.zeros(xf.shape)
-    for i, (a, c, s) in enumerate(tt.roots):
-        mask = root == i
-        if np.any(mask):
-            xr = xf.real[mask]
-            L = np.minimum((xr - tt.x(a, skip=i)) / c,
-                           math.log(s * (3.0 - a)))
-            if lam == 0:
-                L = np.where(xr < x3, L,
-                             np.log(np.maximum(xr - x3, 0.0) + 1.0))
-            r[mask], a2[mask], resid[mask] = _continue(
-                xf[mask], tt, L.astype(complex), i)
+    ch = _chart(lam)
+    r, a2, resid = _continue(xf, ch, ch.seed(xf.real).astype(complex))
     bad = int(np.sum(~(resid <= 1e-9 * np.maximum(1.0, np.abs(xf)))))
     if bad:
-        raise _failed(bad, tt, lam)
+        raise _failed(bad)
     return r.reshape(x.shape), a2.reshape(x.shape)
 
 

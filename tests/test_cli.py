@@ -476,35 +476,26 @@ def test_config_file_integers_for_float_keys(tmp_path):
 
 
 def test_tiny_lambda_keeps_the_exit_codes(tmp_path, capsys):
-    # at lam m^2 = 1e-300 the symbol is the lam = 0 symbol, while the
-    # cubic for the horizons loses the root 2m next to +-sqrt(3/lam), so
-    # the commands that invert the tortoise coordinate refuse it
+    # at lam m^2 = 1e-300 the symbol is the lam = 0 symbol
     for argv in (["gsymbol"], ["lattice"], ["count"],
                  ["pseudo", "--basis-size", "20"]):
         code, text = run_to_file(tmp_path, argv + ["--lam", "1e-300"])
         code0, text0 = run_to_file(tmp_path, argv + ["--lam", "0"])
         assert code == code0 == 0, argv
         assert text.splitlines()[1:] == text0.splitlines()[1:], argv
+    # the commands that invert the tortoise coordinate run across the
+    # band where the far horizon is out to +-sqrt(3/lam), from the
+    # subnormal lam m^2 to 3e-12, with finite rows and nothing on stderr
     capsys.readouterr()
-    for argv in (["potential"], ["direct", "--ell-range", "4", "4"]):
-        assert main(argv + ["--lam", "1e-300"]) == 2, argv
-        assert capsys.readouterr().err == (
-            "config error: lam m^2 = 1e-300 is too small to resolve the "
-            "cosmological horizon\n")
-    # above that, and below lam m^2 of about 1e-12, the horizons resolve,
-    # but the rounding of x(r)'s cancelling horizon terms fails the
-    # continuation: a numerical failure that names lam m^2 and the
-    # cancellation.  3e-12 still runs
     direct = ["direct", "--ell-range", "8", "8", "--basis-size", "160"]
     for argv in (["potential"], direct):
-        assert main(argv + ["--lam", "1e-40"]) == 3, argv
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: tortoise continuation "
-                              "failed at "), argv
-        assert "(lam m^2 = 1e-40: x(r) sums cancelling horizon terms " \
-            "c log(r - a) with |c| up to 8.66e+19 m," in err, argv
-        code, text = run_to_file(tmp_path, argv + ["--lam", "3e-12"])
-        assert code == 0 and len(parse_csv(text)[2]) > 0, argv
+        for lam in ("5e-324", "1e-300", "1e-40", "3e-12"):
+            code, text = run_to_file(tmp_path, argv + ["--lam", lam])
+            rows = parse_csv(text)[2]
+            assert code == 0 and len(rows) > 0, (argv, lam)
+            assert all(math.isfinite(float(v)) for row in rows
+                       for v in row), (argv, lam)
+            assert capsys.readouterr().err == "", (argv, lam)
 
 
 def test_near_extremal_lambda_runs(tmp_path):

@@ -6,6 +6,7 @@ mass enters at the `potential` command, whose table is checked at masses
 other than 1 against oracles at the given mass, and through `unit_x`.
 """
 
+import cmath
 import math
 import random
 
@@ -16,16 +17,24 @@ import scipy.linalg
 import scipy.special
 
 from qnmlattice import cli
-from qnmlattice.potentials import (BlackHoleParams, _barrier_series,
+from qnmlattice.potentials import (_ARRAY, _SCALAR, BlackHoleParams,
+                                   _barrier_series, _chart, _log1p,
                                    alpha_squared, critical_data,
                                    horizon_roots, inverse_tortoise,
                                    inverse_tortoise_ray, potential_from_r,
                                    shifted_potential_taylor,
-                                   subprincipal_taylor, tortoise)
+                                   subprincipal_taylor)
 
 from reference import (barrier_series_rebuild, barrier_taylor_mp,
                        inverse_tortoise_homotopy, inverse_tortoise_mp,
-                       inverse_tortoise_rk4, inverse_tortoise_wright)
+                       _lam_digits, _roots_mp, inverse_tortoise_rk4,
+                       inverse_tortoise_wright, tortoise)
+
+# lam m^2 across the band where the cosmological horizon lies far out,
+# near sqrt(3/lam): from the subnormal edge through a solar-mass hole in
+# our universe (2e-46) to where the horizons' cancelling log terms once
+# failed the continuation (below about 1e-11)
+BAND = [5e-324, 1e-300, 1e-61, 2e-46, 1e-40, 1e-20, 1e-12]
 
 
 def W0(x, lam):
@@ -76,36 +85,87 @@ def test_alpha_squared_horizon_and_barrier():
 
 
 def test_alpha_squared_vanishes_at_computed_roots():
-    hz = horizon_roots(0.03)
-    for r in (hz.r0, hz.r_minus, hz.r_plus):
+    for r in horizon_roots(0.03):
         assert abs(alpha_squared(r, 0.03)) <= 1e-12
 
 
 def test_horizon_roots_small_lambda_limit():
     for lam in (1e-6, 1e-4):
-        hz = horizon_roots(lam)
-        assert abs(hz.r_minus - 2.0) <= 20.0 * lam
+        assert abs(horizon_roots(lam)[1] - 2.0) <= 20.0 * lam
 
 
 def test_horizon_roots_extremal_degeneration():
-    hz = horizon_roots(0.999 / 9.0)
-    assert abs(hz.r_minus - 3.0) < 0.2
-    assert abs(hz.r_plus - 3.0) < 0.2
+    _, r_minus, r_plus = horizon_roots(0.999 / 9.0)
+    assert abs(r_minus - 3.0) < 0.2
+    assert abs(r_plus - 3.0) < 0.2
 
 
 def test_horizon_roots_vieta():
     lam = 0.04
-    hz = horizon_roots(lam)
-    rs = (hz.r0, hz.r_minus, hz.r_plus)
+    rs = horizon_roots(lam)
     assert abs(sum(rs)) <= 1e-12 * max(abs(r) for r in rs)
     pairwise = rs[0] * rs[1] + rs[0] * rs[2] + rs[1] * rs[2]
     assert abs(pairwise - (-3.0 / lam)) <= 1e-12 * abs(3.0 / lam)
     assert abs(rs[0] * rs[1] * rs[2] - (-6.0 / lam)) <= 1e-12 * abs(6.0 / lam)
 
 
+@pytest.mark.parametrize("lam", BAND + [0.02, 0.11110810840027086,
+                                        0.1111111111111])
+def test_horizon_roots_and_residues_match_mpmath(lam):
+    # the roots within 2 ulp of mpmath's, and the chart's slopes dx/dv at
+    # v -> -inf and +inf against the residues c_minus and -c_plus, and its
+    # alpha^2 at the barrier top against (1 - 9 lam)/3.  At the subnormal
+    # lam, lam/3 underflows to 0, (r_minus - r0)(r_plus - r0) overflows
+    # and 2/r_plus**2 raises OverflowError, so the chart forms none of
+    # them.  Next to extremality (1 - 9 lam = 2.7e-5 and 1e-13) the
+    # rounding of r_plus - r_minus = D, about 3 eps/D relative, sets the
+    # bound
+    _, roots = _roots_mp(lam, 40 + _lam_digits(lam))
+    for got, (a, _, _) in zip(horizon_roots(lam), roots):
+        assert abs(got - a) <= 4.5e-16 * abs(a), (got, a)
+    _, c_minus, c_plus = (float(c) for _, c, _ in roots)
+    tol = 1e-15 * (1.0 + 3.0 / float(roots[2][0] - roots[1][0]))
+    ch = _chart(lam)
+    _, _, dv_dx, _ = ch.at(np.array([-800.0, 800.0], dtype=complex), _ARRAY)
+    assert abs(1.0 / dv_dx[0].real - c_minus) <= tol * c_minus
+    assert abs(1.0 / dv_dx[1].real + c_plus) <= tol * -c_plus
+    r, _, _, a2 = ch.at(complex(ch.v3), _SCALAR)
+    with mpmath.workdps(40):
+        want = float((1 - 9 * mpmath.mpf(lam)) / 3)
+    assert abs(r - 3.0) <= 1e-15 and abs(a2 - want) <= tol * want
+
+
+def test_chart_log1p_matches_mpmath():
+    # numpy's complex log1p is log(1 + w), which loses w below eps:
+    # np.log1p(1e-30+1e-31j) is 1e-31j.  The chart's 2 atanh(w/(2 + w))
+    # keeps full relative precision for |w| <= 1, with numpy's arctanh
+    # on arrays and cmath's atanh on scalars, up to log1p's own condition
+    # number |w/(1 + w)|/|log1p(w)|, 145 at w = -0.999
+    rng = np.random.default_rng(7)
+    w = np.concatenate([
+        [1e-30 + 1e-31j, -1e-300 + 0j, 0.5j, 1.0, -0.999, 1e-8 - 3e-9j],
+        np.exp(1j * rng.uniform(-np.pi, np.pi, 60)) * np.geomspace(
+            1e-20, 0.99, 60)])
+    want = np.array([complex(mpmath.log1p(mpmath.mpc(v))) for v in w])
+    got = _log1p(w, np.arctanh)
+    one = np.array([_log1p(complex(v), cmath.atanh) for v in w])
+    tol = 4e-16 * np.maximum(np.abs(want), np.abs(w / (1.0 + w)))
+    for have in (got, one):
+        assert np.all(np.abs(have - want) <= tol)
+
+
 def test_tortoise_residue_signs():
-    hz = horizon_roots(0.05)
-    assert hz.a0 > 0 and hz.a_minus > 0 and hz.a_plus < 0
+    # the residues c0 > 0 and c_minus > 0 > c_plus make the chart's x(v)
+    # increasing and convex, its slope dx/dv rising from c_minus at
+    # v -> -inf to -c_plus at v -> +inf
+    _, roots = _roots_mp(0.05, 30)
+    c0, c_minus, c_plus = (c for _, c, _ in roots)
+    assert c0 > 0 and c_minus > 0 > c_plus
+    _, x, dv_dx, _ = _chart(0.05).at(np.linspace(-40.0, 40.0, 801)
+                                     .astype(complex), _ARRAY)
+    dx_dv = 1.0 / dv_dx.real
+    assert np.all(np.diff(x.real) > 0)
+    assert np.all(np.diff(dx_dv) >= -4e-16 * dx_dv[1:])
 
 
 def test_tortoise_closed_form_points():
@@ -146,8 +206,7 @@ def test_inverse_tortoise_lambda_zero_matches_wright_omega_oracle(m):
 
 
 def test_tortoise_round_trip_lambda_positive():
-    hz = horizon_roots(0.02)
-    lo, hi = hz.r_minus, hz.r_plus
+    _, lo, hi = horizon_roots(0.02)
     rs = lo + np.geomspace(1e-5, 0.999, 100) * (hi - lo)
     xs = np.array([tortoise(float(r), 0.02) for r in rs])
     for r, x in zip(rs, xs):
@@ -160,7 +219,7 @@ def test_tortoise_round_trip_lambda_positive():
 def test_inverse_tortoise_array_matches_scalar_calls():
     # 121 points from r - r_minus ~ 1e-15 to r_plus - r ~ 1e-14
     lam = 0.02
-    hz = horizon_roots(lam)
+    _, r_minus, r_plus = horizon_roots(lam)
     xs = np.linspace(-80.0, 250.0, 121)
     r = r_of(xs, lam)
     one = np.array([r_of(float(x), lam) for x in xs])
@@ -169,7 +228,7 @@ def test_inverse_tortoise_array_matches_scalar_calls():
             x, BlackHoleParams(m=1.0, lam=lam))[0]) for x in xs])
     assert np.all(np.abs(r - one) <= 4.0 * np.spacing(one))
     assert np.all(np.abs(r - ref) <= 4.0 * np.spacing(ref))
-    assert r.min() - hz.r_minus < 1e-14 and hz.r_plus - r.max() < 1e-13
+    assert r.min() - r_minus < 1e-14 and r_plus - r.max() < 1e-13
     # (r, alpha^2) come back complex, of x's shape, with zero imaginary
     # parts
     assert [v.shape for v in inverse_tortoise(1.0, lam)] == [(), ()]
@@ -194,6 +253,26 @@ def test_inverse_tortoise_lambda_positive_matches_mpmath_root():
         with mpmath.workdps(40):
             ref = np.array([float(inverse_tortoise_mp(x, p)[0]) for x in xs])
         assert np.all(np.abs(r - ref) <= 1e-14 * ref), m
+
+
+@pytest.mark.parametrize("lam", BAND)
+def test_inverse_tortoise_band_matches_mpmath(lam):
+    # across the barrier top and out to r = 2 + 1e-217 and r = 1e5, against
+    # the root of `inverse_tortoise_mp`, whose horizons are mpmath's own.
+    # The chart resolves the distance to the near horizon to about eps |v|
+    # relative, and |v| reaches log(r_plus/3), about log(3/lam)/2, while x
+    # is rounded to eps |x|, which alpha^2 ~ e^(x/2) near r_minus feels
+    eps = np.finfo(float).eps
+    xs = tortoise(3.0, lam) + np.concatenate(
+        [np.linspace(-100.0, 100.0, 41), [-1000.0, -400.0, -1e-9, 1e-9,
+                                          1e3, 1e5]])
+    r, a2 = inverse_tortoise(xs, lam)
+    with mpmath.workdps(30):
+        ref = np.array([[float(v) for v in inverse_tortoise_mp(
+            x, BlackHoleParams(m=1.0, lam=lam))] for x in xs]).T
+    tol = eps * (8.0 - 0.5 * math.log(lam) + np.abs(xs))
+    assert np.all(np.abs(r.real - ref[0]) <= tol * ref[0])
+    assert np.all(np.abs(a2.real - ref[1]) <= 2.0 * tol * ref[1])
 
 
 @pytest.mark.parametrize("m", [1e-8, 1.0, 900.0])
@@ -264,11 +343,13 @@ def test_inverse_tortoise_complex_is_holomorphic():
 
 @pytest.mark.parametrize("theta, lam", [
     (theta, lam) for theta in (0.4, 1.0, 1.6, 2.0) for lam in (0.02, 0.0)]
-    + [(2.5, 0.02), (3.0, 0.02)])
+    + [(2.5, 0.02), (3.0, 0.02)]
+    + [(theta, lam) for theta in (0.4, 1.0) for lam in BAND])
 def test_inverse_tortoise_complex_matches_rk4_oracle(lam, theta):
     # r(x) along the scaled contour x0 + (1 + i theta) t, |t| <= 25, which
     # covers the quadrature nodes of the l = 8 operator; at lam = 0.02 the
-    # contour's r(x) winds around r_plus from theta ~ 2.7 on
+    # contour's r(x) winds around r_plus from theta ~ 2.7 on.  x0 is
+    # x(3) to the rounding of |x0|, which reaches 741 at the subnormal lam
     x0 = tortoise(3.0, lam)
     t, r_ref = inverse_tortoise_rk4(1.0, lam, x0, 1.0 + 1j * theta, 25.0,
                                     20000)
@@ -315,13 +396,6 @@ def test_inverse_tortoise_complex_leaves_rk4_past_theta_c(lam, theta):
 
 
 def test_inverse_tortoise_complex_failure_raises():
-    # at lam m^2 = 1e-40 the rounding of x(r)'s cancelling horizon terms
-    # alone exceeds the residual bound at every point, and the message
-    # says so
-    with pytest.raises(RuntimeError, match=(
-            r"tortoise continuation failed at 7 points \(lam m\^2 = 1e-40: "
-            r"x\(r\) sums cancelling horizon terms")):
-        inverse_tortoise(np.linspace(-20.0, 40.0, 7), 1e-40)
     # the first node 1000 m out at theta = 1: the Euler step from r = 3m
     # lands at Re L = 332, and Newton's steps of about 1 down the
     # exponential do not return within its 40 steps; the march ends there,

@@ -435,6 +435,21 @@ def test_qnm_direct_de_sitter():
     assert abs(lam - approx) <= 0.02 * abs(approx)
 
 
+@pytest.mark.parametrize("lam_m2", [5e-324, 1e-300, 1e-61, 2e-46, 1e-40,
+                                    1e-20, 1e-12])
+def test_qnm_direct_tiny_lambda_is_the_schwarzschild_solve(lam_m2):
+    # where the cosmological horizon lies out near sqrt(3/lam m^2), the
+    # modes are the lam = 0 modes moved by about -4.5 lam m^2 relative
+    # (omega ~ sqrt(E0), E0 = (1 - 9 lam m^2)/27), plus rounding
+    cfg = ScalingConfig(theta=0.3, basis_size=160)
+    for ell in (4, 8, 16):
+        want = qnm_direct(ell, cfg, P1)
+        got = qnm_direct(ell, cfg, BlackHoleParams(m=1.0, lam=lam_m2))
+        assert got.size == want.size, ell
+        assert np.all(np.abs(got - want)
+                      <= (5.0 * lam_m2 + 1e-13) * np.abs(want)), ell
+
+
 def test_qnm_direct_ell_guard():
     with pytest.raises(ValueError):
         qnm_direct(0, ScalingConfig(theta=0.3, basis_size=128), P1)

@@ -67,14 +67,20 @@ ARGVS = [
     ["lattice", "--series-degree", "20", "--ell-range", "1", "32",
      "--n-max", "4"],
     # the real-axis solver of `potential`: both lambda = 0 seeds (the
-    # ends of the float range), both lambda > 0 horizon charts, next to
-    # extremality, and the two exit-3 messages
+    # ends of the float range), both sides of the lambda > 0 chart, next
+    # to extremality, the cosmological horizon far out (lambda m^2 down to
+    # the subnormal floats), and the exit-3 message of a W out of range
     ["potential", "--m", "900", "--lam", "1e-7", "--x-min=-3000", "--x-max",
      "1e6", "--x-points", "4001"],
     ["potential", "--x-min=-1e300", "--x-max", "1e300", "--x-points", "7"],
     ["potential", "--lam", "0.11110810840027086"],
+    ["potential", "--lam", "0.1111111111111"],
     ["potential", "--lam", "1e-40"],
+    ["potential", "--lam", "1e-61"],
+    ["potential", "--lam", "5e-324", "--x-points", "5"],
     ["potential", "--m", "2.9e-155"],
+    # direct's march for a solar-mass hole in our universe
+    ["direct", "--lam", "2e-46", "--ell-range", "4", "8"],
     # the symbol loop's flat levels: an odd h-order at a mass other than
     # 1, and a lambda > 0 lattice at h-order 0
     ["gsymbol", "--h-order", "1", "--series-degree", "20", "--m", "3.7"],
