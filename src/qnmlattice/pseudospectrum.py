@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import _lexsorted, _u2_matrix, eigensolve
+from .scaling import _lexsorted, eigensolve
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,16 @@ def exact_rotated_ho_eigs(cfg, count):
     return [rot * cfg.h * (2 * n + 1) for n in range(count)]
 
 
+def _parity_block(n, p):
+    """T_p of the module docstring, built at its own size: for the Hermite
+    indices k = p, p+2, ... below n, the diagonal k + 1/2 of U2, the
+    subdiagonal 0.5 sqrt((k+1)(k+2)) of U2 and the superdiagonal its
+    negative."""
+    k = np.arange(p, n, 2)
+    off = 0.5 * np.sqrt((k[:-1] + 1.0) * (k[:-1] + 2.0))
+    return np.diag(k + 0.5) + np.diag(off, -1) - np.diag(off, 1)
+
+
 def instability_report(cfg):
     """Greedy match of computed vs exact eigenvalues, with the first index
     where the distance exceeds 10% of |lam_exact|.
@@ -72,10 +82,8 @@ def instability_report(cfg):
     passes 1/u), so it is independent of h and, in double precision,
     stays near 47 for N beyond ~150; see the module docstring.
     """
-    u2 = _u2_matrix(cfg.basis_size)
-    blocks = (u2[p::2, p::2] for p in (0, 1))
     computed = _lexsorted((1 + 1j) * cfg.h * np.concatenate(
-        [eigensolve(np.tril(b) - np.triu(b, 1)) for b in blocks]))
+        [eigensolve(_parity_block(cfg.basis_size, p)) for p in (0, 1)]))
     exact = exact_rotated_ho_eigs(cfg, cfg.basis_size)
     avail = np.ones(len(computed), dtype=bool)
     rows = []

@@ -59,11 +59,12 @@ def hermite_basis(n, npts):
     of the Hermite recurrence, and row k of its orthonormal eigenvectors
     is h_k(u_j) sqrt(what_j) up to a sign per column, which cancels in
     every product B W B^T.  Results are cached and read-only, since
-    `qnm_direct` asks for the same (n, npts) at every l.
+    `qnm_direct` asks for the same (n, npts) at every l; B is a copy of
+    the n rows, so the cache does not keep the npts x npts eigenvectors.
     """
     # eigh reads the lower triangle only
     u, vec = np.linalg.eigh(np.diag(np.sqrt(0.5 * np.arange(1, npts)), -1))
-    b = vec[:n]
+    b = vec[:n].copy()
     u.flags.writeable = False
     b.flags.writeable = False
     return u, b
@@ -143,24 +144,37 @@ def _enlarged_shift(mat, vals, vecs, idx):
     sum_{i != j} y_i y_i^T / (s_i (mu - z_i)); delta_j is that right-hand
     side at mu = z_j.  A zero s_i (a defective block) or a z_i equal to
     z_j, i != j, leaves the expansion undefined and gives inf.  The
-    candidates are taken one at a time, so the work array stays
-    (rows added) x n.
+    candidates are taken in one batch: the weights 1/(s_i (z_j - z_i))
+    form one (candidates x n) array, every M_j one (candidates x rows
+    added x rows added) stack, filled one added row at a time by a
+    matrix product and solved by one stacked solve.
     """
     n = vals.size
+    idx = np.asarray(idx, dtype=np.intp)
+    rows = np.arange(idx.size)
     s = np.einsum("ij,ij->j", vecs, vecs)
+    d = s * (vals[idx, None] - vals)
+    d[rows, idx] = 1.0
+    ok = (s[idx] != 0) & d.all(axis=1)
+    out = np.full(idx.size, np.inf)
+    j = idx[ok]
+    if j.size == 0:
+        return out
+    # -w, so that the products below sum to -sum_i w_ji y_i y_i^T
+    w = -1.0 / d[ok]
+    w[rows[:j.size], j] = 0.0
     y = mat[n:, :n] @ vecs
-    c = mat[n:, n:]
-    eye = np.eye(c.shape[0])
-    out = np.full(len(idx), np.inf)
-    for k, j in enumerate(idx):
-        d = s * (vals[j] - vals)
-        d[j] = 1.0
-        if s[j] == 0 or not d.all():
-            continue
-        w = 1.0 / d
-        w[j] = 0.0
-        m = vals[j] * eye - c - (y * w) @ y.T
-        out[k] = abs(y[:, j] @ np.linalg.solve(m, y[:, j]) / s[j])
+    e = y.shape[0]
+    m = np.empty((j.size, e, e), complex)
+    for a in range(e):
+        r = w @ (y[a] * y[a:]).T
+        m[:, a, a:] = r
+        m[:, a + 1:, a] = r[:, 1:]
+    m -= mat[n:, n:]
+    m.reshape(j.size, -1)[:, ::e + 1] += vals[j, None]
+    yj = y[:, j].T
+    x = np.linalg.solve(m, yj[..., None])[..., 0]
+    out[ok] = np.abs(np.einsum("ka,ka->k", yj, x) / s[j])
     return out
 
 

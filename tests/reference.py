@@ -1192,6 +1192,30 @@ def direct_modes_four_filters(vals, vals2, E0, h, theta):
     return lams[np.argsort(-lams.imag)]
 
 
+def enlarged_shift_loop(mat, vals, vecs, idx):
+    """`scaling._enlarged_shift` one candidate at a time: for each j in
+    idx, M_j = z_j - C - sum_{i != j} y_i y_i^T / (s_i (z_j - z_i)) is
+    formed as one (rows added) x n product and solved alone, and
+    |y_j^T M_j^{-1} y_j / s_j| is its shift; inf where s_j = 0 or the
+    weights are undefined (a zero s_i or a repeated eigenvalue)."""
+    n = vals.size
+    s = np.einsum("ij,ij->j", vecs, vecs)
+    y = mat[n:, :n] @ vecs
+    c = mat[n:, n:]
+    eye = np.eye(c.shape[0])
+    out = np.full(len(idx), np.inf)
+    for k, j in enumerate(idx):
+        d = s * (vals[j] - vals)
+        d[j] = 1.0
+        if s[j] == 0 or not d.all():
+            continue
+        w = 1.0 / d
+        w[j] = 0.0
+        m = vals[j] * eye - c - (y * w) @ y.T
+        out[k] = abs(y[:, j] @ np.linalg.solve(m, y[:, j]) / s[j])
+    return out
+
+
 def continued_eigenvalue(mat, vals, vecs, j, tol=1e-15, max_iter=200):
     """The eigenvalue mu of the complex symmetric `mat` that continues the
     eigenvalue z_j = vals[j] of its leading n x n block (right eigenvectors

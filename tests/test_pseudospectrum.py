@@ -9,7 +9,7 @@ import pytest
 from qnmlattice import pseudospectrum
 from qnmlattice.pseudospectrum import (RotatedHOConfig, exact_rotated_ho_eigs,
                                        instability_report)
-from qnmlattice.scaling import eigensolve, hermite_basis
+from qnmlattice.scaling import _u2_matrix, eigensolve, hermite_basis
 from reference import hermite_galerkin_matrix
 
 
@@ -117,6 +117,19 @@ def test_real_blocks_similar_to_complex_blocks(monkeypatch):
             block = mat[p::2, p::2]
             assert (np.max(np.abs(got - block))
                     <= 2 * u * np.max(np.abs(block))), (n, p)
+
+
+@pytest.mark.parametrize("n", [8, 9, 151, 302, 400])
+def test_parity_blocks_built_at_their_own_size(n):
+    # T_p from its two diagonals, byte for byte the construction from the
+    # dense N x N ladder matrix: tril(U2[p::2, p::2]) - triu(U2[p::2, p::2], 1)
+    u2 = _u2_matrix(n)
+    for p in (0, 1):
+        b = u2[p::2, p::2]
+        old = np.tril(b) - np.triu(b, 1)
+        new = pseudospectrum._parity_block(n, p)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes(), (n, p)
 
 
 def test_low_modes_accurate():

@@ -13,8 +13,9 @@ from qnmlattice.scaling import (DRIFT_EXTRA, QUAD_FACTOR, STAB_REL,
                                 _enlarged_shift, build_scaled_operator,
                                 eigensolve, hermite_basis, qnm_direct)
 from reference import (continued_eigenvalue, direct_modes_four_filters,
-                       hermite_basis_tridiagonal, hermite_function_values,
-                       hermite_quadrature, relative_drift)
+                       enlarged_shift_loop, hermite_basis_tridiagonal,
+                       hermite_function_values, hermite_quadrature,
+                       relative_drift)
 
 P1 = BlackHoleParams(m=1.0)
 
@@ -80,6 +81,17 @@ def test_hermite_basis_cached_read_only():
             arr[0] = 0.0
         with pytest.raises(ValueError):
             arr *= 2.0
+
+
+def test_hermite_basis_caches_only_its_rows():
+    # B is a copy of the n leading eigenvector rows: it owns its data, so
+    # the cache does not hold the whole npts x npts eigenvector matrix,
+    # and it has the bytes of the slice it replaces
+    _, b = hermite_basis(40, 80)
+    assert b.flags.owndata and b.base is None and b.flags.c_contiguous
+    assert not b.flags.writeable
+    _, vec = np.linalg.eigh(np.diag(np.sqrt(0.5 * np.arange(1, 80)), -1))
+    assert b.tobytes() == vec[:40].tobytes()
 
 
 def test_hermite_function_ode():
@@ -582,6 +594,63 @@ def test_enlarged_shift_refuses_degenerate_pairs():
     twin[2] = twin[0]
     shift = _enlarged_shift(mat, twin, vecs, np.arange(3))
     assert shift[0] == shift[2] == np.inf and np.isfinite(shift[1])
+
+
+def window_eigenpairs(ell, theta, n, lam=0.0):
+    """What `qnm_direct` hands `_enlarged_shift` at unit mass: the whole
+    n + DRIFT_EXTRA build, the block's eigenpairs, the window candidates,
+    and the scale that turns a shift into a relative drift."""
+    E0 = critical_data(lam)
+    mat2 = build_scaled_operator(
+        ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), lam,
+        1.0 / (ell + 0.5))
+    vals, vecs = eigensolve(mat2[:n, :n], vectors=True)
+    inside = np.flatnonzero(np.abs(vals - E0) <= WINDOW * E0)
+    return mat2, vals, vecs, inside, np.maximum(np.abs(vals[inside]),
+                                                1e-3 * E0)
+
+
+# the bench grid, and theta = 1.0 at N = 60 and 80 from l = 1 to 40
+BATCH_GRID = ([(ell, 0.3, 160) for ell in range(4, 17)]
+              + [(ell, 1.0, n) for n in (60, 80)
+                 for ell in (1, 2, 3, 8, 20, 40)])
+
+
+def test_enlarged_shift_batch_matches_the_loop_oracle():
+    # one batch of candidates against one candidate at a time: the same
+    # drifts within 1e-10 relative (rounding; 7.5e-11 at theta = 1.0,
+    # N = 60, l = 40), the same kept set everywhere
+    kept = 0
+    for ell, theta, n in BATCH_GRID:
+        mat2, vals, vecs, inside, scale = window_eigenpairs(ell, theta, n)
+        got = _enlarged_shift(mat2, vals, vecs, inside)
+        want = enlarged_shift_loop(mat2, vals, vecs, inside)
+        assert np.all(np.abs(got - want) <= 1e-10 * want), (ell, theta, n)
+        keep = got / scale <= STAB_REL
+        assert np.array_equal(keep, want / scale <= STAB_REL), \
+            (ell, theta, n)
+        kept += int(keep.sum())
+    # 22 modes on the bench grid (1 at l = 4..9, 2 at 10..14, 3 at 15, 16),
+    # 37 and 41 at theta = 1.0 with N = 60 and 80
+    assert kept == 100
+
+
+def test_enlarged_shift_takes_any_candidate_list():
+    # idx as a list, as one candidate, and empty: each candidate's shift
+    # does not depend on the others of its batch
+    mat2, vals, vecs, inside, _ = window_eigenpairs(8, 0.3, 160)
+    every = _enlarged_shift(mat2, vals, vecs, inside)
+    some = inside[::7]
+    part = _enlarged_shift(mat2, vals, vecs, list(some))
+    assert np.allclose(part, every[::7], rtol=1e-12, atol=0.0)
+    for j in some:
+        one = _enlarged_shift(mat2, vals, vecs, [j])
+        assert one.shape == (1,)
+        assert np.allclose(one, enlarged_shift_loop(mat2, vals, vecs, [j]),
+                           rtol=1e-12, atol=0.0)
+    for empty in ([], np.zeros(0, int), np.zeros(0)):
+        out = _enlarged_shift(mat2, vals, vecs, empty)
+        assert out.shape == (0,) and out.dtype == float
 
 
 def test_qnm_direct_drift_follows_the_continued_eigenvalue(spectra):

@@ -109,6 +109,14 @@ ARGVS = [
     ["count", "--m", "2.9e-155", "--lam", "2.378e307"],
     ["direct", "--m", "2.9e-155", "--lam", "2.378e307"],
     ["potential", "--m", "2.9e-155", "--lam", "2.378e307"],
+    # direct at theta = 1, up to l = 40; and next to extremality, where E0
+    # rounds 1 - 9 lambda m^2, the symbol, a direct solve and a count
+    ["direct", "--theta", "1.0", "--basis-size", "60", "--ell-range", "1",
+     "40"],
+    ["gsymbol", "--lam", "0.1111"],
+    ["direct", "--lam", "0.1111", "--theta", "1.0", "--basis-size", "80",
+     "--ell-range", "4", "6"],
+    ["count", "--lam", "0.1111", "--r-list", "20", "40"],
 ]
 
 
