@@ -156,24 +156,22 @@ def _enlarged_shift(mat, vals, vecs, idx):
     d = s * (vals[idx, None] - vals)
     d[rows, idx] = 1.0
     ok = (s[idx] != 0) & d.all(axis=1)
-    out = np.full(idx.size, np.inf)
     j = idx[ok]
-    if j.size == 0:
-        return out
     # -w, so that the products below sum to -sum_i w_ji y_i y_i^T
     w = -1.0 / d[ok]
     w[rows[:j.size], j] = 0.0
     y = mat[n:, :n] @ vecs
-    e = y.shape[0]
-    m = np.empty((j.size, e, e), complex)
-    for a in range(e):
+    e = np.arange(y.shape[0])
+    m = np.empty((j.size, e.size, e.size), complex)
+    for a in e:
         r = w @ (y[a] * y[a:]).T
         m[:, a, a:] = r
         m[:, a + 1:, a] = r[:, 1:]
     m -= mat[n:, n:]
-    m.reshape(j.size, -1)[:, ::e + 1] += vals[j, None]
+    m[:, e, e] += vals[j, None]
     yj = y[:, j].T
     x = np.linalg.solve(m, yj[..., None])[..., 0]
+    out = np.full(idx.size, np.inf)
     out[ok] = np.abs(np.einsum("ka,ka->k", yj, x) / s[j])
     return out
 
