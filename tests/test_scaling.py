@@ -590,13 +590,13 @@ def test_enlarged_shift_refuses_degenerate_pairs():
     assert shift[0] == shift[2] == np.inf and np.isfinite(shift[1])
 
 
-def window_eigenpairs(ell, theta, n, lam=0.0):
-    """What `qnm_direct` hands `_enlarged_shift` at unit mass: the whole
-    n + DRIFT_EXTRA build, the block's eigenpairs, the window candidates,
-    and the scale that turns a shift into a relative drift."""
-    E0 = critical_data(lam)
+def window_eigenpairs(ell, theta, n):
+    """What `qnm_direct` hands `_enlarged_shift` at m = 1, lam = 0: the
+    whole n + DRIFT_EXTRA build, the block's eigenpairs, the window
+    candidates, and the scale that turns a shift into a relative drift."""
+    E0 = critical_data(0.0)
     mat2 = build_scaled_operator(
-        ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), lam,
+        ScalingConfig(theta=theta, basis_size=n + DRIFT_EXTRA), 0.0,
         1.0 / (ell + 0.5))
     vals, vecs = eigensolve(mat2[:n, :n], vectors=True)
     inside = np.flatnonzero(np.abs(vals - E0) <= WINDOW * E0)
