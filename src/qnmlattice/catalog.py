@@ -141,6 +141,24 @@ def counting_constant(t, p, G0):
     return c, rad, x_cross
 
 
+def sector_radii(r_list, g0):
+    """The radii of `r_list` as an array, and the largest ell each counts,
+    ceil(r / g0) + 2, for g0 = |G(0)|; ValueError unless they are finite,
+    increasing and >= 1, with no ell above MAX_ELL.  At g0 = inf no ell
+    bound applies."""
+    radii = np.array(r_list, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("sector radius must be finite")
+    if list(radii) != sorted(radii):
+        raise ValueError("r_list must be increasing")
+    if radii.size and radii[0] < 1.0:
+        raise ValueError("sector radius must be >= 1")
+    if radii.size and radii[-1] / g0 > MAX_ELL - 2:
+        raise ValueError("radius %g counts ell above %d"
+                         % (radii[-1], MAX_ELL))
+    return radii, np.ceil(radii / g0).astype(int) + 2
+
+
 def asymptotic_check(p, G, t, r_list):
     """Table of N(r) / (c r^3) for increasing radii r.
 
@@ -159,19 +177,9 @@ def asymptotic_check(p, G, t, r_list):
     |lam| decreasing in n inside the wedge raises RuntimeError rather than
     miscount.
     """
-    radii = np.array(r_list, dtype=float)
-    if not np.all(np.isfinite(radii)):
-        raise ValueError("sector radius must be finite")
-    if list(radii) != sorted(radii):
-        raise ValueError("r_list must be increasing")
-    if radii.size and radii[0] < 1.0:
-        raise ValueError("sector radius must be >= 1")
+    radii, ell_max = sector_radii(
+        r_list, abs(complex(eval_symbol(G, 0.0, 0.0))))
     c, rad, x_cross = counting_constant(t, p, G.levels[0])
-    g0 = abs(complex(eval_symbol(G, 0.0, 0.0)))
-    if radii.size and radii[-1] / g0 > MAX_ELL - 2:
-        raise ValueError("radius %g counts ell above %d"
-                         % (radii[-1], MAX_ELL))
-    ell_max = np.ceil(radii / g0).astype(int) + 2
     ells = np.arange(1, int(ell_max.max(initial=0)) + 1)
     h = 1.0 / (ells + 0.5)
 

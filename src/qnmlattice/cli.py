@@ -125,6 +125,9 @@ def _check_config(cfg, command):
             E0 = potentials.critical_data(lam)
         scaling.ScalingConfig(cfg["theta"], cfg["basis_size"])
         pseudospectrum.RotatedHOConfig(cfg["pseudo_h"], cfg["basis_size"])
+        # the ell bound applies to count alone
+        catalog.sector_radii(cfg["r_list"], math.sqrt(E0) / p.m
+                             if command == "count" else math.inf)
     except (ValueError, ArithmeticError) as e:
         raise ConfigError(str(e))
     lo, hi = cfg["ell_range"]
@@ -134,17 +137,6 @@ def _check_config(cfg, command):
         raise ConfigError("n_max must be >= 0")
     if not (0.0 < cfg["t"] <= 0.3):
         raise ConfigError("t out of (0, 0.3]")
-    radii = cfg["r_list"]
-    if not all(math.isfinite(r) for r in radii):
-        raise ConfigError("r_list entries must be finite")
-    if radii != sorted(radii):
-        raise ConfigError("r_list must be increasing")
-    if radii[0] < 1.0:
-        raise ConfigError("r_list entries must be >= 1")
-    # count walks ell up to ceil(r / |G(0)|) + 2, and |G(0)| = sqrt(E0)/m
-    if command == "count" and \
-            radii[-1] > (catalog.MAX_ELL - 2) * (math.sqrt(E0) / p.m):
-        raise ConfigError("r_list reaches ell above %d" % catalog.MAX_ELL)
     if cfg["h_order"] not in (0, 1, 2):
         raise ConfigError("h_order must be 0, 1, or 2")
     deg_min = 2 * cfg["h_order"] + 4

@@ -36,8 +36,8 @@ from itertools import accumulate
 import numpy as np
 
 from .series import HGraded, Series1
-from .potentials import _barrier_memo, critical_data, \
-    shifted_potential_taylor, subprincipal_taylor
+from .potentials import critical_data, shifted_potential_taylor, \
+    subprincipal_taylor
 
 TWO_PI = 2.0 * math.pi
 # Argument calibration of the spectral variable against the lattice
@@ -460,10 +460,8 @@ def qnm_symbol(p, degree, h_order):
     if N < 2 * K + 4:
         raise ValueError("need degree >= 2*h_order + 4")
     lam = p.unit_mass().lam
-    # both Taylor series read one barrier series, built once
-    with _barrier_memo():
-        V = shifted_potential_taylor(lam, N).coeffs
-        W1 = subprincipal_taylor(lam, N).coeffs if K >= 2 else ()
+    V = shifted_potential_taylor(lam, N).coeffs
+    W1 = subprincipal_taylor(lam, N).coeffs if K >= 2 else ()
     G = _mode_symbol(V, W1, critical_data(lam), N, K)
     return HGraded({k: Series1([c / p.m for c in lvl.coeffs])
                     for k, lvl in G.levels.items()}, K)

@@ -9,9 +9,9 @@ takes the hole as lam = L m^2 alone (`BlackHoleParams.unit_mass`).
 """
 
 import cmath
+import functools
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -312,29 +312,12 @@ def critical_data(lam):
     return E0
 
 
-# (lam, N) -> `_barrier_series(lam, N)`, kept only while a `_barrier_memo`
-# block runs; `qnm_symbol` reads one series twice per symbol
-_MEMO = []
-
-
-@contextmanager
-def _barrier_memo():
-    """Inside the block, `_barrier_series` builds each (lam, N) once; the
-    series are dropped when the block ends."""
-    _MEMO.append({})
-    try:
-        yield
-    finally:
-        _MEMO.pop()
-
-
+@functools.lru_cache(maxsize=8)
 def _barrier_series(lam, N):
     """r(x0 + x) from dr/dx = alpha^2(r), r(0) = 3, and 1/r and
     W0 = alpha^2/r^2 along it, as series in x to order N.  k r_k =
     [alpha^2(r(x))]_{k-1} needs 1/r and r r only to order k - 1, so each
     step adds one coefficient of each, summed as Series1 sums them."""
-    if _MEMO and (lam, N) in _MEMO[-1]:
-        return _MEMO[-1][lam, N]
     c, inv, a2 = [3.0], [1 / 3.0], []
     for k in range(N + 1):
         if k:
@@ -348,10 +331,7 @@ def _barrier_series(lam, N):
         if k < N:
             c.append(a2[k] / (k + 1))
     inv_r = Series1(inv)
-    out = Series1(c), inv_r, Series1(a2) * inv_r * inv_r
-    if _MEMO:
-        _MEMO[-1][lam, N] = out
-    return out
+    return Series1(c), inv_r, Series1(a2) * inv_r * inv_r
 
 
 def shifted_potential_taylor(lam, N):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import _lexsorted, eigensolve
+from .scaling import eigensolve
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,11 @@ def _parity_block(n, p):
     return np.diag(k + 0.5) + np.diag(off, -1) - np.diag(off, 1)
 
 
+def _lexsorted(vals):
+    """`vals` sorted by real part, ties by imaginary part."""
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def instability_report(cfg):
     """Greedy match of computed vs exact eigenvalues, with the first index
     where the distance exceeds 10% of |lam_exact|.
@@ -82,19 +87,26 @@ def instability_report(cfg):
     passes 1/u), so it is independent of h and, in double precision,
     stays near 47 for N beyond ~150; see the module docstring.
     """
-    computed = _lexsorted((1 + 1j) * cfg.h * np.concatenate(
-        [eigensolve(_parity_block(cfg.basis_size, p)) for p in (0, 1)]))
-    exact = exact_rotated_ho_eigs(cfg, cfg.basis_size)
-    avail = np.ones(len(computed), dtype=bool)
-    rows = []
-    nstar = None
-    for n, ex in enumerate(exact):
-        d = np.where(avail, np.abs(computed - ex), np.inf)
-        j = int(np.argmin(d))
-        avail[j] = False
-        dist = float(d[j])
-        rows.append({"n": n, "exact": ex, "computed": complex(computed[j]),
-                     "distance": dist})
-        if nstar is None and dist > 0.1 * abs(ex):
-            nstar = n
+    # an h near the top of the float range overflows the spectrum, which
+    # is refused below: the floating-point warnings are muted
+    with np.errstate(over="ignore", invalid="ignore"):
+        computed = _lexsorted((1 + 1j) * cfg.h * np.concatenate(
+            [eigensolve(_parity_block(cfg.basis_size, p)) for p in (0, 1)]))
+        exact = exact_rotated_ho_eigs(cfg, cfg.basis_size)
+        avail = np.ones(len(computed), dtype=bool)
+        rows = []
+        nstar = None
+        for n, ex in enumerate(exact):
+            d = np.where(avail, np.abs(computed - ex), np.inf)
+            j = int(np.argmin(d))
+            avail[j] = False
+            dist = float(d[j])
+            # finite only if both eigenvalues are, and each row has one
+            # computed and one exact eigenvalue
+            if not math.isfinite(dist):
+                raise RuntimeError("spectrum not finite at h = %g" % cfg.h)
+            rows.append({"n": n, "exact": ex,
+                         "computed": complex(computed[j]), "distance": dist})
+            if nstar is None and dist > 0.1 * abs(ex):
+                nstar = n
     return {"rows": rows, "divergence_index": nstar}

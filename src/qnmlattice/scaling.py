@@ -126,11 +126,6 @@ def eigensolve(mat, vectors=False):
     return vals.astype(complex, copy=False), vecs
 
 
-def _lexsorted(vals):
-    """`vals` sorted by real part, ties by imaginary part."""
-    return vals[np.lexsort((vals.imag, vals.real))]
-
-
 def _enlarged_shift(mat, vals, vecs, idx):
     """|delta_j| for each j in idx: how far the eigenvalue of the complex
     symmetric `mat` that continues the eigenvalue z_j = vals[j] of its

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnmlattice.series import HGraded, Series1
-from qnmlattice.potentials import BlackHoleParams
+from qnmlattice.potentials import BlackHoleParams, critical_data
 from qnmlattice.normalform import qnm_symbol
 from qnmlattice import catalog
 from qnmlattice.catalog import (asymptotic_check, counting_constant,
-                                eval_symbol, lattice, validity_radius)
+                                eval_symbol, lattice, sector_radii,
+                                validity_radius)
 
 from reference import (count_walk, eval_symbol_polyval, polyval_ascending,
                        validity_radius_bisect80)
@@ -42,6 +43,39 @@ def test_asymptotic_check_validates_sector():
                    [-math.inf, 50.0]):
         with pytest.raises(ValueError, match="sector radius must be finite"):
             asymptotic_check(P1, G, 0.05, r_list)
+
+
+def test_sector_radii_bound_ell_by_division():
+    radii, ell_max = sector_radii([1, 2.5, 10.0], 0.5)
+    assert radii.dtype == float and radii.tolist() == [1.0, 2.5, 10.0]
+    assert ell_max.tolist() == [4, 7, 22]
+    # r / g0 = MAX_ELL - 2 is the largest radius taken
+    g0 = 0.75
+    r = (catalog.MAX_ELL - 2) * g0
+    assert sector_radii([r], g0)[1].tolist() == [catalog.MAX_ELL]
+    with pytest.raises(ValueError, match="counts ell above %d"
+                       % catalog.MAX_ELL):
+        sector_radii([np.nextafter(r, math.inf)], g0)
+    # g0 = inf leaves the ell bound out; the other rules stay
+    assert sector_radii([1e300], math.inf)[0].tolist() == [1e300]
+    for r_list, msg in (([2.0, 1.0], "r_list must be increasing"),
+                        ([0.5], "sector radius must be >= 1"),
+                        ([math.inf], "sector radius must be finite")):
+        with pytest.raises(ValueError, match=msg):
+            sector_radii(r_list, math.inf)
+    assert [a.size for a in sector_radii([], 1.0)] == [0, 0]
+
+
+@pytest.mark.parametrize("m,lam_m2", [(207.0, 0.0), (828.0, 0.0),
+                                      (3.7, 0.02), (2.9e-155, 0.1),
+                                      (2.5e153, 0.0)])
+def test_symbol_g0_is_sqrt_e0_over_m(m, lam_m2):
+    # the CLI bounds a count's ell with sqrt(E0)/m, the count with the
+    # symbol's |G(0)|: the two are one float
+    p = BlackHoleParams(m=m, lam=lam_m2 / m ** 2)
+    G = qnm_symbol(p, degree=4, h_order=0)
+    assert abs(complex(eval_symbol(G, 0.0, 0.0))) \
+        == math.sqrt(critical_data(p.unit_mass().lam)) / m
 
 
 def test_validity_radius_linear_symbol():

@@ -387,6 +387,9 @@ def test_bad_config_exits_2(tmp_path):
     for argv in (["gsymbol", "--m", "1e-300"], ["count", "--m", "1e8"],
                  ["count", "--m", "1e40"]):
         assert main(argv) == 2, argv
+    # a radius whose r / |G(0)| rounds past MAX_ELL - 2 while
+    # (MAX_ELL - 2) |G(0)| rounds to r: refused by the count's own rule
+    assert main(["count", "--m", "207", "--r-list", "557.82448762196"]) == 2
     # a config file that is valid JSON but not an object
     for doc in ("5", "null", '[["m", 2]]'):
         cfg_path.write_text(doc)
@@ -457,6 +460,41 @@ def test_format_flag_refused_by_the_config_check(capsys):
     assert main(["potential", "--format", "xml"]) == 2
     assert capsys.readouterr().err == \
         "config error: format must be csv or json\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["count", "--m", "207", "--r-list", "557.82448762196"],
+     "radius 557.824 counts ell above 600000"),
+    (["count", "--m", "1e8"], "radius 200 counts ell above 600000"),
+    (["count", "--r-list", "1", "nan"], "sector radius must be finite"),
+    (["lattice", "--r-list", "2", "1"], "r_list must be increasing"),
+    (["pseudo", "--r-list", "0.5"], "sector radius must be >= 1"),
+])
+def test_radius_refusals_read_the_count_rule(tmp_path, capsys, argv, err):
+    # the CLI refuses r_list by `catalog.sector_radii`, the rule the count
+    # itself applies, so a radius that passes the CLI passes the count
+    code, text = run_to_file(tmp_path, argv)
+    assert (code, text) == (2, None)
+    assert capsys.readouterr().err == "config error: %s\n" % err
+
+
+def test_count_runs_up_to_the_ell_bound(tmp_path):
+    # r / |G(0)| just below MAX_ELL - 2 at m = 828: counted, not refused
+    code, text = run_to_file(tmp_path, ["count", "--m", "828", "--r-list",
+                                        "139.4561219054"])
+    assert code == 0
+    header, rows = parse_csv(text)[1:]
+    assert header[:2] == ["r", "count"] and len(rows) == 1
+
+
+@pytest.mark.parametrize("h,n", [("1e308", "8"), ("1e306", "400")])
+def test_pseudo_refuses_a_spectrum_that_overflows(tmp_path, capsys, h, n):
+    # h times the spectrum leaves the floats: exit 3, one line, no rows
+    code, text = run_to_file(tmp_path, ["pseudo", "--pseudo-h", h,
+                                        "--basis-size", n])
+    assert (code, text) == (3, None)
+    assert capsys.readouterr().err == \
+        "numerical failure: spectrum not finite at h = %g\n" % float(h)
 
 
 def test_config_file_integers_for_float_keys(tmp_path):

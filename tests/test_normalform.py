@@ -1196,14 +1196,9 @@ def test_qnm_symbol_runs_at_extreme_mass(m):
 def test_qnm_symbol_builds_one_barrier_series(monkeypatch):
     # `shifted_potential_taylor` and `subprincipal_taylor` share one
     # barrier series per symbol, at unit mass, and return, byte for byte,
-    # what each returns alone there; no series outlives the call, a refused
-    # one included
-    built, taylor = [], {}
-    barrier_series = potentials._barrier_series
-
-    def record(p, N):
-        built.append(barrier_series(p, N))
-        return built[-1]
+    # what each returns alone there; the series stays cached (at most 8),
+    # so a symbol of the same (lam m^2, N) builds none
+    taylor = {}
 
     def keep(fn):
         def run(p, N):
@@ -1211,24 +1206,28 @@ def test_qnm_symbol_builds_one_barrier_series(monkeypatch):
             return taylor[fn]
         return run
 
-    monkeypatch.setattr(potentials, "_barrier_series", record)
     for fn in (shifted_potential_taylor, subprincipal_taylor):
         monkeypatch.setattr(normalform, fn.__name__, keep(fn))
+    cache = potentials._barrier_series
+    cache.cache_clear()
     p = BlackHoleParams(m=3.7, lam=0.02 / 3.7 ** 2)
     qnm_symbol(p, 18, 4)
-    assert len(built) == 2 and built[0] is built[1]
-    assert potentials._MEMO == []
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 8)
+    # the same unit-mass hole at another mass reads the cached series
+    qnm_symbol(BlackHoleParams(m=1.0, lam=p.unit_mass().lam), 18, 4)
+    assert cache.cache_info()[:2] == (3, 1)
+    cache.cache_clear()
     for fn, got in taylor.items():
         assert np.array(got.coeffs).tobytes() \
             == np.array(fn(p.unit_mass().lam, 18).coeffs).tobytes(), \
             fn.__name__
-    assert built[2] is not built[0]
     # lam m^2 = 0.01 exactly, where the unit-mass (32,12) symbol is refused
     p = BlackHoleParams(m=2.0, lam=0.0025)
     assert p.unit_mass() == BlackHoleParams(m=1.0, lam=0.01)
     with pytest.raises(ValueError, match="not diagonal"):
         qnm_symbol(p, 32, 12)
-    assert potentials._MEMO == []
+    assert cache.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("lam_m2", [0.0, 0.02])

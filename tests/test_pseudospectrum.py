@@ -224,3 +224,24 @@ def test_report_is_deterministic():
     a = instability_report(cfg)
     b = instability_report(cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("h,n", [(1e308, 8), (1e306, 400), (3e305, 400)])
+def test_overflowing_spectrum_refused_without_warnings(h, n):
+    # h times the spectrum leaves the floats: a RuntimeError, not inf or
+    # nan rows, and no floating-point warning on the way (the test
+    # configuration turns a RuntimeWarning into an error)
+    with pytest.raises(RuntimeError, match="spectrum not finite at h = "):
+        instability_report(RotatedHOConfig(h=h, basis_size=n))
+
+
+def test_large_finite_spectrum_reported():
+    # a large h short of the overflow is still reported, its rows the
+    # h = 1 rows times h (a power of 2, so bit for bit)
+    h = 2.0 ** 1000
+    a = instability_report(RotatedHOConfig(h=1.0, basis_size=8))
+    b = instability_report(RotatedHOConfig(h=h, basis_size=8))
+    assert b["divergence_index"] == a["divergence_index"]
+    for ra, rb in zip(a["rows"], b["rows"]):
+        assert rb["computed"] == h * ra["computed"], ra["n"]
+        assert rb["distance"] == h * ra["distance"], ra["n"]

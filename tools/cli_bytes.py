@@ -117,6 +117,10 @@ ARGVS = [
     ["direct", "--lam", "0.1111", "--theta", "1.0", "--basis-size", "80",
      "--ell-range", "4", "6"],
     ["count", "--lam", "0.1111", "--r-list", "20", "40"],
+    # a radius at the count's ell bound, refused with the count's message,
+    # and an h whose spectrum overflows the floats
+    ["count", "--m", "207", "--r-list", "557.82448762196"],
+    ["pseudo", "--pseudo-h", "1e308", "--basis-size", "8"],
 ]
 
 
